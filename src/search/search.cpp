@@ -9,6 +9,7 @@
 #include "net/socket.hpp"
 #include "runner/worker_pool.hpp"
 #include "search/scheduler.hpp"
+#include "search/trial_executor.hpp"
 #include "search/trial_cache.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
@@ -150,6 +151,176 @@ std::string unit_name(const StructureIndex& ix, const Unit& u) {
   return "?";
 }
 
+/// Folds one attempt's stage costs and incremental-pipeline accounting into
+/// the trial's accumulators (t->result holds that attempt).
+void note_attempt(TrialEval* t) {
+  const verify::EvalResult& r = t->result;
+  t->patch_ns += r.patch_ns;
+  t->predecode_ns += r.predecode_ns;
+  t->run_ns += r.run_ns;
+  t->verify_ns += r.verify_ns;
+  t->patch_saved_ns += r.patch_saved_ns;
+  t->predecode_saved_ns += r.predecode_saved_ns;
+  // funcs_total == 0 means the attempt never reached a TrialBuilder
+  // (legacy path, synthetic breaker/storm verdicts): no cache traffic.
+  if (r.funcs_total > 0) {
+    if (r.image_cache_hit) {
+      ++t->image_hits;
+    } else {
+      ++t->image_misses;
+    }
+    t->funcs_reused += r.funcs_reused;
+    t->funcs_patched += r.funcs_total - r.funcs_reused;
+  }
+}
+
+/// Settles the vote: majority verdict, ties failing (a config that cannot
+/// be trusted to pass must not enter the final composition).
+void apply_majority_verdict(TrialEval* t, std::uint32_t passes,
+                            std::uint32_t fails) {
+  const bool verdict = passes > fails;
+  if (verdict == t->result.passed) return;
+  t->result.passed = verdict;
+  if (verdict) {
+    t->result.failure_class = verify::FailureClass::kNone;
+    t->result.failure.clear();
+  } else if (t->result.failure_class == verify::FailureClass::kNone) {
+    t->result.failure_class = verify::FailureClass::kDivergence;
+    t->result.failure = "verification failed (majority vote)";
+  }
+}
+
+/// In-process backend: verify::evaluate_config with the injector's
+/// per-(key, attempt) faults, fanned out on a ThreadPool.
+class InProcessExecutor final : public TrialExecutor {
+ public:
+  InProcessExecutor(const runner::WorkerContext& ctx, std::size_t threads)
+      : TrialExecutor(/*sandboxed=*/false, threads), ctx_(ctx) {}
+
+  std::vector<runner::TrialOutcome> run_batch(
+      const std::vector<runner::TrialJob>& jobs,
+      std::uint32_t attempt) override {
+    std::vector<runner::TrialOutcome> outs(jobs.size());
+    // Private state per evaluation; each task writes only its own outcome.
+    const auto run_one = [&](std::size_t i) {
+      verify::EvalOptions eopts = ctx_.eval;
+      fault::TrialFaults faults;
+      if (ctx_.injector != nullptr) {
+        faults = ctx_.injector->for_trial(jobs[i].key, attempt);
+        eopts.faults = &faults;
+      }
+      Timer timer;
+      outs[i].result = verify::evaluate_config(
+          *ctx_.image, *ctx_.index, *jobs[i].config, *ctx_.verifier, eopts);
+      outs[i].wall_ns = timer.elapsed_ns();
+    };
+    if (jobs.size() == 1 || lanes() == 1) {
+      for (std::size_t i = 0; i < jobs.size(); ++i) run_one(i);
+    } else {
+      // Created on first use: no thread exists while isolate mode forks
+      // its workers, and a fleet needs threads only once it is lost.
+      if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(lanes());
+      for (std::size_t i = 0; i < jobs.size(); ++i) {
+        pool_->submit([&run_one, i] { run_one(i); });
+      }
+      pool_->wait_idle();
+    }
+    return outs;
+  }
+
+ private:
+  const runner::WorkerContext ctx_;
+  std::unique_ptr<ThreadPool> pool_;
+};
+
+/// Sandboxed-worker backend over a started runner::WorkerPool.
+class PoolExecutor final : public TrialExecutor {
+ public:
+  PoolExecutor(std::unique_ptr<runner::WorkerPool> pool, std::size_t workers)
+      : TrialExecutor(/*sandboxed=*/true, workers), pool_(std::move(pool)) {}
+
+  std::vector<runner::TrialOutcome> run_batch(
+      const std::vector<runner::TrialJob>& jobs,
+      std::uint32_t /*attempt*/) override {
+    return pool_->run_batch(jobs);
+  }
+
+  void fold_metrics(SearchMetrics* m) const override {
+    const runner::PoolStats& ps = pool_->stats();
+    m->isolated_trials = ps.isolated_trials;
+    m->worker_crashes = ps.worker_crashes;
+    m->worker_respawns = ps.workers_respawned;
+    m->worker_timeouts = ps.timeouts_killed;
+    m->protocol_errors = ps.protocol_errors;
+    m->crash_quarantined = ps.quarantined_configs;
+    m->crash_storm = ps.crash_storm;
+    for (const auto& [sig, n] : ps.crashes_by_signal) {
+      m->crashes_by_signal[sig] = n;
+    }
+    m->delta_requests = ps.delta_requests;
+    m->full_requests = ps.full_requests;
+    m->delta_bytes = ps.delta_bytes;
+    m->full_bytes = ps.full_bytes;
+    for (const runner::SlotStats& ss : ps.slots) {
+      m->worker_slots.push_back(WorkerSlotMetrics{
+          ss.requests, ss.respawns, ss.crashes, ss.timeouts, ss.quarantines});
+    }
+  }
+
+ private:
+  std::unique_ptr<runner::WorkerPool> pool_;
+};
+
+/// Remote-fleet backend over a borrowed Scheduler, as wide as the fleet at
+/// connect time; trials it cannot serve fall back to in-process.
+class FleetExecutor final : public TrialExecutor {
+ public:
+  FleetExecutor(Scheduler* sched, std::unique_ptr<TrialExecutor> local)
+      : TrialExecutor(/*sandboxed=*/true, sched->capacity()), sched_(sched),
+        local_(std::move(local)) {}
+
+  std::vector<runner::TrialOutcome> run_batch(
+      const std::vector<runner::TrialJob>& jobs,
+      std::uint32_t /*attempt*/) override {
+    std::vector<runner::TrialOutcome> outs = sched_->run_batch(jobs);
+    for (const runner::TrialOutcome& o : outs) {
+      if (!o.served) ++unserved_;
+    }
+    return outs;
+  }
+
+  TrialExecutor* fallback() override { return local_.get(); }
+
+  void fold_metrics(SearchMetrics* m) const override {
+    m->remote_unserved = unserved_;
+    m->endpoints_used = sched_->endpoint_metrics();
+    for (const EndpointMetrics& em : m->endpoints_used) {
+      m->remote_trials += em.trials;
+      m->shard_cache_hits += em.cache_hits;
+      m->endpoint_failovers += em.failovers;
+      m->endpoint_reconnects += em.reconnects;
+      m->endpoint_disconnects += em.disconnects;
+      m->missed_beats += em.missed_beats;
+      m->lease_expiries += em.lease_expiries;
+      m->late_results += em.late_results;
+      m->redispatched += em.redispatched;
+      m->breaker_trips += em.breaker_trips;
+      m->gossip_rounds += em.gossip_rounds;
+      m->records_repaired += em.records_repaired;
+      m->shards_reloaded += em.shards_reloaded;
+      m->disk_faults += em.disk_faults;
+      if (em.state_degraded) ++m->state_degraded;
+      if (em.lost) ++m->endpoints_lost;
+      if (em.jit_downgraded) ++m->jit_downgraded;
+    }
+  }
+
+ private:
+  Scheduler* const sched_;
+  std::unique_ptr<TrialExecutor> local_;
+  std::size_t unserved_ = 0;
+};
+
 class Searcher {
  public:
   Searcher(const program::Image& original, StructureIndex* index,
@@ -167,57 +338,25 @@ class Searcher {
     setup_journal();
     profile_original();
     setup_builder();
-    setup_pool();
+    setup_executor();
     seed_queue();
 
-    // In isolate mode the driver stays single-threaded (the forked workers
-    // are the parallelism, and threads + fork do not mix); otherwise live
-    // evaluations fan out on a thread pool.
-    std::unique_ptr<ThreadPool> tpool;
-    if (pool_ == nullptr && sched_ == nullptr) {
-      tpool = std::make_unique<ThreadPool>(
-          std::max<std::size_t>(1, options_.num_threads));
-    }
-    const std::size_t lanes =
-        sched_ != nullptr
-            ? std::max<std::size_t>(1, sched_->capacity())
-            : (pool_ != nullptr
-                   ? std::max<std::size_t>(1, pool_workers_)
-                   : std::max<std::size_t>(1, options_.num_threads));
     while (!queue_.empty()) {
       // Pop a batch (highest priority first), resolve cache hits, and
       // evaluate the misses concurrently. Trials are committed in pop
-      // order, so trace/journal order is deterministic for any thread
-      // count.
-      const std::size_t batch = std::min(queue_.size(), lanes);
+      // order, so trace/journal order is deterministic for any lane count.
+      const std::size_t batch = std::min(queue_.size(), executor_->lanes());
       std::vector<Trial> trials;
       trials.reserve(batch);
       for (std::size_t i = 0; i < batch; ++i) {
         trials.push_back(make_trial(pop_unit()));
       }
 
-      std::vector<std::size_t> live;
-      for (std::size_t i = 0; i < trials.size(); ++i) {
-        if (!trials[i].cached) live.push_back(i);
+      std::vector<TrialEval*> live;
+      for (Trial& t : trials) {
+        if (!t.cached) live.push_back(&t);
       }
-      if (sched_ != nullptr && !live.empty()) {
-        std::vector<Trial*> lp;
-        lp.reserve(live.size());
-        for (std::size_t i : live) lp.push_back(&trials[i]);
-        evaluate_remote(lp);
-      } else if (pool_ != nullptr && !live.empty()) {
-        std::vector<Trial*> lp;
-        lp.reserve(live.size());
-        for (std::size_t i : live) lp.push_back(&trials[i]);
-        evaluate_isolated(lp);
-      } else if (live.size() == 1) {
-        evaluate_live(&trials[live[0]]);
-      } else if (!live.empty()) {
-        for (std::size_t i : live) {
-          tpool->submit([this, &trials, i] { evaluate_live(&trials[i]); });
-        }
-        tpool->wait_idle();
-      }
+      vote_batch(*executor_, live, options_.max_retries);
 
       for (Trial& t : trials) {
         commit_trial(&t, unit_name(ix_, t.unit),
@@ -271,50 +410,7 @@ class Searcher {
         metrics_.wall_seconds > 0.0
             ? static_cast<double>(tested_) / metrics_.wall_seconds
             : 0.0;
-    if (pool_ != nullptr) {
-      const runner::PoolStats& ps = pool_->stats();
-      metrics_.isolated_trials = ps.isolated_trials;
-      metrics_.worker_crashes = ps.worker_crashes;
-      metrics_.worker_respawns = ps.workers_respawned;
-      metrics_.worker_timeouts = ps.timeouts_killed;
-      metrics_.protocol_errors = ps.protocol_errors;
-      metrics_.crash_quarantined = ps.quarantined_configs;
-      metrics_.crash_storm = ps.crash_storm;
-      for (const auto& [sig, n] : ps.crashes_by_signal) {
-        metrics_.crashes_by_signal[sig] = n;
-      }
-      metrics_.delta_requests = ps.delta_requests;
-      metrics_.full_requests = ps.full_requests;
-      metrics_.delta_bytes = ps.delta_bytes;
-      metrics_.full_bytes = ps.full_bytes;
-      for (const runner::SlotStats& ss : ps.slots) {
-        metrics_.worker_slots.push_back(WorkerSlotMetrics{
-            ss.requests, ss.respawns, ss.crashes, ss.timeouts,
-            ss.quarantines});
-      }
-    }
-    if (sched_ != nullptr) {
-      metrics_.endpoints_used = sched_->endpoint_metrics();
-      for (const EndpointMetrics& em : metrics_.endpoints_used) {
-        metrics_.remote_trials += em.trials;
-        metrics_.shard_cache_hits += em.cache_hits;
-        metrics_.endpoint_failovers += em.failovers;
-        metrics_.endpoint_reconnects += em.reconnects;
-        metrics_.endpoint_disconnects += em.disconnects;
-        metrics_.missed_beats += em.missed_beats;
-        metrics_.lease_expiries += em.lease_expiries;
-        metrics_.late_results += em.late_results;
-        metrics_.redispatched += em.redispatched;
-        metrics_.breaker_trips += em.breaker_trips;
-        metrics_.gossip_rounds += em.gossip_rounds;
-        metrics_.records_repaired += em.records_repaired;
-        metrics_.shards_reloaded += em.shards_reloaded;
-        metrics_.disk_faults += em.disk_faults;
-        if (em.state_degraded) ++metrics_.state_degraded;
-        if (em.lost) ++metrics_.endpoints_lost;
-        if (em.jit_downgraded) ++metrics_.jit_downgraded;
-      }
-    }
+    executor_->fold_metrics(&metrics_);
     out.metrics = metrics_;
     if (options_.progress_log) {
       log::infof("search done: %zu trials (%zu live, %zu cached, %.1f%% "
@@ -403,72 +499,10 @@ class Searcher {
   /// One configuration on its way through the cache -> evaluate -> commit
   /// pipeline. `unit` is only meaningful for frontier trials; composition
   /// trials carry an empty default.
-  struct Trial {
+  struct Trial : TrialEval {
     Unit unit;
-    PrecisionConfig cfg;
-    std::string key;     // stable config digest (cache/journal identity)
     bool cached = false;
-    verify::EvalResult result;
-    std::uint64_t eval_ns = 0;
-    std::uint32_t attempts = 1;  // evaluations spent (retry policy)
-    bool mixed_votes = false;    // attempts disagreed -> quarantine
-
-    // Stage/cache accounting summed over *every* attempt via note_attempt
-    // (t->result only keeps the last one); commit_trial folds these into
-    // the metrics.
-    std::uint64_t patch_ns = 0;
-    std::uint64_t predecode_ns = 0;
-    std::uint64_t run_ns = 0;
-    std::uint64_t verify_ns = 0;
-    std::uint64_t patch_saved_ns = 0;
-    std::uint64_t predecode_saved_ns = 0;
-    std::size_t funcs_reused = 0;
-    std::size_t funcs_patched = 0;
-    std::size_t image_hits = 0;
-    std::size_t image_misses = 0;
   };
-
-  /// Folds one evaluation attempt's stage costs and incremental-pipeline
-  /// accounting into the trial's accumulators. The single bookkeeping path
-  /// for both engines: evaluate_live calls it per in-process attempt,
-  /// evaluate_isolated per worker-delivered result.
-  static void note_attempt(Trial* t) {
-    const verify::EvalResult& r = t->result;
-    t->patch_ns += r.patch_ns;
-    t->predecode_ns += r.predecode_ns;
-    t->run_ns += r.run_ns;
-    t->verify_ns += r.verify_ns;
-    t->patch_saved_ns += r.patch_saved_ns;
-    t->predecode_saved_ns += r.predecode_saved_ns;
-    // funcs_total == 0 means the attempt never reached a TrialBuilder
-    // (legacy path, synthetic breaker/storm verdicts): no cache traffic.
-    if (r.funcs_total > 0) {
-      if (r.image_cache_hit) {
-        ++t->image_hits;
-      } else {
-        ++t->image_misses;
-      }
-      t->funcs_reused += r.funcs_reused;
-      t->funcs_patched += r.funcs_total - r.funcs_reused;
-    }
-  }
-
-  /// Settles the vote: majority verdict, ties failing (a config that
-  /// cannot be trusted to pass must not enter the final composition).
-  /// Shared by the in-process and isolated paths.
-  static void apply_majority_verdict(Trial* t, std::uint32_t passes,
-                                     std::uint32_t fails) {
-    const bool verdict = passes > fails;
-    if (verdict == t->result.passed) return;
-    t->result.passed = verdict;
-    if (verdict) {
-      t->result.failure_class = verify::FailureClass::kNone;
-      t->result.failure.clear();
-    } else if (t->result.failure_class == verify::FailureClass::kNone) {
-      t->result.failure_class = verify::FailureClass::kDivergence;
-      t->result.failure = "verification failed (majority vote)";
-    }
-  }
 
   void compute_fingerprint() {
     std::string fault_tag = options_.fault_injector != nullptr
@@ -631,8 +665,7 @@ class Searcher {
 
   /// Brings the distributed scheduler up when endpoints are configured.
   /// Any startup problem (bad addresses, unreachable fleet, platform
-  /// without sockets) degrades to local execution with a warning -- same
-  /// philosophy as setup_pool.
+  /// without sockets) degrades to local execution with a warning.
   void setup_remote() {
     if (options_.endpoints.empty()) return;
     if (!net::supported()) {
@@ -693,20 +726,17 @@ class Searcher {
     sched_ = std::move(sched);
   }
 
-  void setup_pool() {
-    if (!options_.isolate_trials) return;
-    if (sched_ != nullptr) return;  // endpoints sandbox trials remotely
-    if (!runner::isolation_supported()) {
-      log::warnf("search: trial isolation requested but fork is unavailable "
-                 "on this platform; running trials in-process");
-      metrics_.isolation_degraded = true;
-      return;
-    }
+  /// Trials run on the fleet when one is connected, in sandboxed workers
+  /// under isolate_trials, else in-process; isolation problems degrade to
+  /// in-process with a warning.
+  void setup_executor() {
     runner::WorkerContext ctx;
     ctx.image = &original_;
     ctx.index = &ix_;
     ctx.verifier = &verifier_;
     ctx.eval.max_instructions = options_.max_instructions_per_run;
+    // Pass/fail is all a trial reports; per-instruction counts come only
+    // from profile_original(), so the VM can take its non-profiling loop.
     ctx.eval.profile = false;
     ctx.eval.engine = engine_;
     ctx.eval.deadline_ns = options_.deadline_ms * 1000000ull;
@@ -715,12 +745,25 @@ class Searcher {
     // lifetime; each respawn starts from the driver's state at fork time.
     ctx.eval.builder = builder_.get();
     ctx.injector = options_.fault_injector;
+    executor_ = std::make_unique<InProcessExecutor>(ctx, options_.num_threads);
+    if (sched_ != nullptr) {
+      executor_ = std::make_unique<FleetExecutor>(sched_.get(),
+                                                  std::move(executor_));
+      return;
+    }
+    if (!options_.isolate_trials) return;
+    if (!runner::isolation_supported()) {
+      log::warnf("search: trial isolation requested but fork is unavailable "
+                 "on this platform; running trials in-process");
+      metrics_.isolation_degraded = true;
+      return;
+    }
 
     runner::PoolOptions popts;
-    pool_workers_ = options_.num_workers != 0
-                        ? options_.num_workers
-                        : std::max<std::size_t>(1, options_.num_threads);
-    popts.workers = static_cast<int>(pool_workers_);
+    const std::size_t workers = options_.num_workers != 0
+                                    ? options_.num_workers
+                                    : options_.num_threads;
+    popts.workers = static_cast<int>(workers);
     popts.max_crashes_per_config = options_.max_trial_crashes;
     popts.limits.address_space_mb = options_.worker_rlimit_as_mb;
     // Supervisor wall-clock backstop over the worker's own VM deadline: a
@@ -736,143 +779,7 @@ class Searcher {
       metrics_.isolation_degraded = true;
       return;
     }
-    pool_ = std::move(pool);
-  }
-
-  /// Isolated counterpart of evaluate_live: runs each trial's attempts on
-  /// the worker pool, whole-batch rounds, mirroring the majority-vote
-  /// policy. Worker deaths never vote -- the pool retries them internally
-  /// and only delivers verdicts, quarantine verdicts, or storm failures.
-  void evaluate_isolated(const std::vector<Trial*>& live) {
-    const std::uint32_t max_attempts = 1 + options_.max_retries;
-    struct Vote {
-      std::uint32_t passes = 0;
-      std::uint32_t fails = 0;
-      bool settled = false;  // quarantined/storm: the result stands as-is
-    };
-    std::vector<Vote> votes(live.size());
-    std::vector<std::size_t> open(live.size());
-    for (std::size_t i = 0; i < live.size(); ++i) open[i] = i;
-
-    for (std::uint32_t attempt = 0;
-         attempt < max_attempts && !open.empty(); ++attempt) {
-      std::vector<runner::TrialJob> jobs;
-      jobs.reserve(open.size());
-      for (std::size_t i : open) {
-        jobs.push_back(runner::TrialJob{live[i]->key, &live[i]->cfg});
-      }
-      const std::vector<runner::TrialOutcome> outs = pool_->run_batch(jobs);
-      std::vector<std::size_t> next;
-      for (std::size_t j = 0; j < open.size(); ++j) {
-        const std::size_t i = open[j];
-        Trial* t = live[i];
-        Vote& v = votes[i];
-        t->result = outs[j].result;
-        t->eval_ns += outs[j].wall_ns;
-        note_attempt(t);
-        if (outs[j].quarantined ||
-            t->result.failure_class == verify::FailureClass::kInternalError) {
-          // Breaker verdict or crash storm: final, outside the vote.
-          v.settled = true;
-          continue;
-        }
-        if (t->result.passed) {
-          ++v.passes;
-        } else {
-          ++v.fails;
-        }
-        if (v.passes <= max_attempts / 2 && v.fails <= max_attempts / 2) {
-          next.push_back(i);
-        }
-      }
-      open = std::move(next);
-    }
-
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      Trial* t = live[i];
-      const Vote& v = votes[i];
-      if (v.settled) {
-        t->attempts = std::max<std::uint32_t>(1, v.passes + v.fails + 1);
-        t->mixed_votes = false;
-        continue;
-      }
-      t->attempts = std::max<std::uint32_t>(1, v.passes + v.fails);
-      t->mixed_votes = v.passes > 0 && v.fails > 0;
-      apply_majority_verdict(t, v.passes, v.fails);
-    }
-  }
-
-  /// Distributed counterpart of evaluate_isolated: same whole-batch vote
-  /// rounds, but trials run on the remote fleet. A trial the fleet cannot
-  /// serve at all (every endpoint lost) falls back to a full local
-  /// evaluation so the search still completes.
-  void evaluate_remote(const std::vector<Trial*>& live) {
-    const std::uint32_t max_attempts = 1 + options_.max_retries;
-    struct Vote {
-      std::uint32_t passes = 0;
-      std::uint32_t fails = 0;
-      bool settled = false;  // quarantined/internal: the result stands
-      bool local = false;    // evaluate_live settled everything itself
-    };
-    std::vector<Vote> votes(live.size());
-    std::vector<std::size_t> open(live.size());
-    for (std::size_t i = 0; i < live.size(); ++i) open[i] = i;
-
-    for (std::uint32_t attempt = 0;
-         attempt < max_attempts && !open.empty(); ++attempt) {
-      std::vector<runner::TrialJob> jobs;
-      jobs.reserve(open.size());
-      for (std::size_t i : open) {
-        jobs.push_back(runner::TrialJob{live[i]->key, &live[i]->cfg});
-      }
-      const std::vector<runner::TrialOutcome> outs = sched_->run_batch(jobs);
-      std::vector<std::size_t> next;
-      for (std::size_t j = 0; j < open.size(); ++j) {
-        const std::size_t i = open[j];
-        Trial* t = live[i];
-        Vote& v = votes[i];
-        if (!outs[j].served) {
-          // Whole fleet gone mid-search: evaluate this trial locally
-          // (evaluate_live runs its own vote loop and settles the trial).
-          ++metrics_.remote_unserved;
-          evaluate_live(t);
-          v.settled = true;
-          v.local = true;
-          continue;
-        }
-        t->result = outs[j].result;
-        t->eval_ns += outs[j].wall_ns;
-        note_attempt(t);
-        if (outs[j].quarantined ||
-            t->result.failure_class == verify::FailureClass::kInternalError) {
-          v.settled = true;
-          continue;
-        }
-        if (t->result.passed) {
-          ++v.passes;
-        } else {
-          ++v.fails;
-        }
-        if (v.passes <= max_attempts / 2 && v.fails <= max_attempts / 2) {
-          next.push_back(i);
-        }
-      }
-      open = std::move(next);
-    }
-
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      Trial* t = live[i];
-      const Vote& v = votes[i];
-      if (v.local) continue;
-      if (v.settled) {
-        t->attempts = std::max<std::uint32_t>(1, v.passes + v.fails + 1);
-        t->mixed_votes = false;
-        continue;
-      }
-      t->attempts = std::max<std::uint32_t>(1, v.passes + v.fails);
-      t->mixed_votes = v.passes > 0 && v.fails > 0;
-      apply_majority_verdict(t, v.passes, v.fails);
-    }
+    executor_ = std::make_unique<PoolExecutor>(std::move(pool), workers);
   }
 
   Trial make_trial(Unit u) {
@@ -893,47 +800,6 @@ class Searcher {
     }
   }
 
-  /// Patch + run + verify; safe to call from pool threads (private state
-  /// per evaluation, writes only to *t). With max_retries > 0, evaluates
-  /// until one verdict holds a strict majority of the allowed attempts --
-  /// two agreeing attempts settle the common (deterministic) case early,
-  /// mixed verdicts burn more attempts and flag the trial for quarantine.
-  void evaluate_live(Trial* t) {
-    verify::EvalOptions eopts;
-    eopts.max_instructions = options_.max_instructions_per_run;
-    // Pass/fail is all a trial reports; per-instruction counts come only
-    // from profile_original(), so the VM can take its non-profiling loop.
-    eopts.profile = false;
-    eopts.engine = engine_;
-    eopts.deadline_ns = options_.deadline_ms * 1000000ull;
-    eopts.builder = builder_.get();
-
-    const std::uint32_t max_attempts = 1 + options_.max_retries;
-    std::uint32_t passes = 0;
-    std::uint32_t fails = 0;
-    Timer timer;
-    for (std::uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
-      fault::TrialFaults faults;
-      if (options_.fault_injector != nullptr) {
-        faults = options_.fault_injector->for_trial(t->key, attempt);
-        eopts.faults = &faults;
-      }
-      t->result =
-          verify::evaluate_config(original_, ix_, t->cfg, verifier_, eopts);
-      note_attempt(t);
-      if (t->result.passed) {
-        ++passes;
-      } else {
-        ++fails;
-      }
-      if (passes > max_attempts / 2 || fails > max_attempts / 2) break;
-    }
-    t->eval_ns = timer.elapsed_ns();
-    t->attempts = passes + fails;
-    t->mixed_votes = passes > 0 && fails > 0;
-    apply_majority_verdict(t, passes, fails);
-  }
-
   /// Cache-aware evaluation of a composed configuration (final union and
   /// refinement steps), sharing journal/metrics with frontier trials.
   verify::EvalResult run_config_trial(const PrecisionConfig& cfg,
@@ -941,15 +807,7 @@ class Searcher {
     Trial t;
     t.cfg = cfg;
     fill_from_cache(&t);
-    if (!t.cached) {
-      if (sched_ != nullptr) {
-        evaluate_remote({&t});
-      } else if (pool_ != nullptr) {
-        evaluate_isolated({&t});
-      } else {
-        evaluate_live(&t);
-      }
-    }
+    if (!t.cached) vote_batch(*executor_, {&t}, options_.max_retries);
     commit_trial(&t, name, config::replacement_stats(ix_, cfg).replaced_static,
                  "composition");
     return std::move(t.result);
@@ -1041,15 +899,14 @@ class Searcher {
         100.0 * static_cast<double>(metrics_.trials_cached) /
         static_cast<double>(tested_);
     // ETA over the *currently enqueued* frontier at the live evaluation
-    // rate the pool sustains -- a lower bound, since failing units still
-    // enqueue children.
+    // rate the executor's lanes sustain -- a lower bound, since failing
+    // units still enqueue children.
     double eta = 0.0;
     if (metrics_.trials_live > 0) {
       const double per_live =
           metrics_.eval_seconds / static_cast<double>(metrics_.trials_live);
       eta = static_cast<double>(queue_.size()) * per_live /
-            static_cast<double>(std::max<std::size_t>(1,
-                                                      options_.num_threads));
+            static_cast<double>(executor_->lanes());
     }
     log::infof("search: %zu trials (%zu cached, %.1f%% hit), %.1f trials/s, "
                "%zu queued, eta >= %.1fs",
@@ -1206,15 +1063,62 @@ class Searcher {
   SearchMetrics metrics_;
   Timer wall_timer_;
   /// Shared patch+predecode front end (image_cache option). Declared
-  /// before pool_ so the pool (whose workers hold a pointer to it through
-  /// WorkerContext) is destroyed first.
+  /// before executor_ so the executor (whose backends hold a pointer to it)
+  /// is destroyed first.
   std::unique_ptr<verify::TrialBuilder> builder_;
-  std::unique_ptr<runner::WorkerPool> pool_;  // isolate mode only
-  std::size_t pool_workers_ = 1;
   std::unique_ptr<Scheduler> sched_;  // distributed mode only
+  /// Where trials run (see setup_executor); declared after sched_, which
+  /// the fleet backend borrows.
+  std::unique_ptr<TrialExecutor> executor_;
 };
 
 }  // namespace
+
+void vote_batch(TrialExecutor& executor, const std::vector<TrialEval*>& trials,
+                std::uint32_t max_retries) {
+  const std::uint32_t max_attempts = 1 + max_retries;
+  struct Vote {
+    TrialEval* t;
+    std::uint32_t passes = 0;
+    std::uint32_t fails = 0;
+  };
+  std::vector<Vote> open;
+  for (TrialEval* t : trials) open.push_back(Vote{t});
+  std::vector<TrialEval*> unserved;
+  for (std::uint32_t attempt = 0; !open.empty(); ++attempt) {
+    std::vector<runner::TrialJob> jobs;
+    for (const Vote& v : open) jobs.push_back({v.t->key, &v.t->cfg});
+    std::vector<runner::TrialOutcome> outs = executor.run_batch(jobs, attempt);
+    std::vector<Vote> next;
+    for (std::size_t j = 0; j < open.size(); ++j) {
+      Vote v = open[j];
+      TrialEval* t = v.t;
+      if (!outs[j].served) {
+        unserved.push_back(t);
+        continue;
+      }
+      const bool settled = executor.settles(outs[j]);
+      t->result = std::move(outs[j].result);
+      t->eval_ns += outs[j].wall_ns;
+      ++t->attempts;
+      note_attempt(t);
+      if (settled) continue;
+      ++(t->result.passed ? v.passes : v.fails);
+      if (attempt + 1 < max_attempts && v.passes <= max_attempts / 2 &&
+          v.fails <= max_attempts / 2) {
+        next.push_back(v);
+      } else {
+        t->mixed_votes = v.passes > 0 && v.fails > 0;
+        apply_majority_verdict(t, v.passes, v.fails);
+      }
+    }
+    open = std::move(next);
+  }
+  if (unserved.empty()) return;
+  TrialExecutor* fallback = executor.fallback();
+  FPMIX_CHECK(fallback != nullptr);
+  vote_batch(*fallback, unserved, max_retries);
+}
 
 SearchResult run_search(const program::Image& original,
                         config::StructureIndex* index,

@@ -14,8 +14,9 @@
 //   2. prioritisation by profiled execution weight, so heavy replacements
 //      are ruled in or out early.
 //
-// Evaluations are independent (patch + run + verify on private state) and
-// run on a thread pool when num_threads > 1.
+// Evaluations are independent (patch + run + verify on private state), so
+// each batch goes to one TrialExecutor -- in-process threads, sandboxed
+// workers or a remote fleet -- and one vote loop (trial_executor.hpp).
 #pragma once
 
 #include <cstdint>

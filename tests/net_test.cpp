@@ -1244,6 +1244,58 @@ TEST(DistributedSearch, EndpointDeathMidSearchKeepsEveryAcceptedTrial) {
   EXPECT_EQ(read_file(fleet_journal), local_bytes);
 }
 
+TEST(DistributedSearch, WholeFleetLossMidSearchFallsBackByteIdentically) {
+  SKIP_WITHOUT_NET();
+  // The only endpoint dies after its first result and is abandoned at its
+  // first failure, so the first trial loses the fleet mid-vote (one remote
+  // attempt spent) and every trial after it revotes in-process from
+  // attempt 0.
+  ServerProc dying = spawn_server(2, /*exit_after=*/1);
+  ASSERT_GT(dying.pid, 0);
+
+  const std::string local_journal = temp_journal("net_loss_local.jsonl");
+  const std::string fleet_journal = temp_journal("net_loss_fleet.jsonl");
+
+  search::SearchOptions fleet;
+  fleet.endpoints = {dying.ep.str()};
+  fleet.remote_bench = "iso";
+  fleet.max_retries = 1;
+  fleet.journal_timings = false;
+  fleet.journal_path = fleet_journal;
+  fleet.max_endpoint_failures = 1;
+  fleet.max_trial_crashes = 8;  // stranded trials fall back, never quarantine
+  NetWorkload b = make_workload();
+  const search::SearchResult fres =
+      search::run_search(b.image, &b.index, *b.verifier, fleet);
+
+  search::SearchOptions local;
+  local.num_threads = 2;  // the fleet's capacity
+  local.max_retries = 1;
+  local.journal_timings = false;
+  local.journal_path = local_journal;
+  NetWorkload a = make_workload();
+  const search::SearchResult lres =
+      search::run_search(a.image, &a.index, *a.verifier, local);
+
+  const search::SearchMetrics& m = fres.metrics;
+  EXPECT_FALSE(m.remote_degraded);
+  EXPECT_GT(m.remote_trials, 0u);
+  EXPECT_GT(m.remote_unserved, 0u);
+  EXPECT_EQ(m.endpoints_lost, 1u);
+  EXPECT_EQ(m.failures_by_class.count("crash"), 0u);
+  EXPECT_EQ(fres.configs_tested, lres.configs_tested);
+  EXPECT_EQ(fres.final_passed, lres.final_passed);
+  EXPECT_EQ(config::to_text(b.index, fres.final_config),
+            config::to_text(a.index, lres.final_config));
+  const std::string local_bytes = read_file(local_journal);
+  ASSERT_FALSE(local_bytes.empty());
+  EXPECT_EQ(read_file(fleet_journal), local_bytes);
+  // The remote attempt spent before the loss stays on the trial's books.
+  EXPECT_GE(m.eval_seconds, m.patch_seconds + m.predecode_seconds +
+                                m.run_seconds + m.verify_seconds);
+  EXPECT_EQ(m.retries, lres.metrics.retries + 1);
+}
+
 TEST(DistributedSearch, ShardCacheServesRepeatSearchWithoutReevaluation) {
   SKIP_WITHOUT_NET();
   ServerProc sp = spawn_server(2);

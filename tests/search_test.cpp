@@ -3,13 +3,20 @@
 // key claims (coarsest-granularity results, pruning effectiveness).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <sstream>
+
 #include "config/textio.hpp"
 #include "kernels/workload.hpp"
 #include "lang/builder.hpp"
 #include "lang/compile.hpp"
 #include "program/layout.hpp"
 #include "program/program.hpp"
+#include "runner/trial_runner.hpp"
 #include "search/search.hpp"
+#include "search/trial_executor.hpp"
 #include "verify/evaluate.hpp"
 
 namespace fpmix::search {
@@ -215,6 +222,38 @@ TEST(Search, ParallelEvaluationMatchesSerial) {
 
   EXPECT_EQ(r1.stats.replaced_static, r2.stats.replaced_static);
   EXPECT_EQ(r1.final_passed, r2.final_passed);
+
+  // At equal lane counts, in-process threads and sandboxed workers run the
+  // same vote rounds: byte-identical deterministic journals and the same
+  // retry/quarantine counts, with max_retries spending extra attempts.
+  if (!runner::isolation_supported()) return;
+  std::string journals[2];
+  SearchMetrics metrics[2];
+  for (int isolated = 0; isolated < 2; ++isolated) {
+    SearchOptions opts;
+    opts.num_threads = 2;
+    opts.max_retries = 2;
+    opts.isolate_trials = isolated == 1;
+    opts.num_workers = 2;
+    opts.journal_timings = false;
+    opts.journal_path = testing::TempDir() +
+                        (isolated ? "parallel_iso.jsonl" : "parallel_thr.jsonl");
+    std::remove(opts.journal_path.c_str());
+    auto ix = config::StructureIndex::build(program::lift(img));
+    const SearchResult r = run_search(img, &ix, *verifier, opts);
+    EXPECT_EQ(r.stats.replaced_static, r1.stats.replaced_static);
+    EXPECT_EQ(r.final_passed, r1.final_passed);
+    std::ifstream f(opts.journal_path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << f.rdbuf();
+    journals[isolated] = bytes.str();
+    metrics[isolated] = r.metrics;
+  }
+  ASSERT_FALSE(journals[0].empty());
+  EXPECT_EQ(journals[1], journals[0]);
+  EXPECT_GT(metrics[0].retries, 0u);
+  EXPECT_EQ(metrics[1].retries, metrics[0].retries);
+  EXPECT_EQ(metrics[1].quarantined, metrics[0].quarantined);
 }
 
 TEST(Search, AllReplaceableWorkloadNeedsFewTests) {
@@ -237,6 +276,200 @@ TEST(Search, FinalConfigSerializesToFigure3Format) {
   const std::string text = config::to_text(p.index, res.final_config);
   const config::PrecisionConfig parsed = config::from_text(p.index, text);
   EXPECT_EQ(parsed, res.final_config);
+}
+
+// ---------------------------------------------------------------------------
+// The vote loop, driven through a scripted executor.
+
+runner::TrialOutcome outcome(bool passed, verify::FailureClass cls) {
+  runner::TrialOutcome o;
+  o.result.passed = passed;
+  o.result.failure_class = cls;
+  if (!passed) o.result.failure = verify::failure_class_name(cls);
+  o.result.run_ns = 3;
+  o.wall_ns = 10;
+  return o;
+}
+runner::TrialOutcome pass() { return outcome(true, verify::FailureClass::kNone); }
+runner::TrialOutcome fail() {
+  return outcome(false, verify::FailureClass::kDivergence);
+}
+runner::TrialOutcome internal_error() {
+  return outcome(false, verify::FailureClass::kInternalError);
+}
+runner::TrialOutcome quarantined() {
+  runner::TrialOutcome o = outcome(false, verify::FailureClass::kCrash);
+  o.quarantined = true;
+  return o;
+}
+runner::TrialOutcome unserved() {
+  runner::TrialOutcome o;
+  o.served = false;
+  return o;
+}
+
+/// Plays back a fixed outcome sequence per trial key, one per execution,
+/// and records every (key, attempt) it is asked to run.
+class ScriptedExecutor final : public TrialExecutor {
+ public:
+  ScriptedExecutor(bool sandboxed,
+                   std::map<std::string, std::vector<runner::TrialOutcome>> s,
+                   TrialExecutor* fallback = nullptr)
+      : TrialExecutor(sandboxed, /*lanes=*/4), script_(std::move(s)),
+        fallback_(fallback) {}
+
+  std::vector<runner::TrialOutcome> run_batch(
+      const std::vector<runner::TrialJob>& jobs,
+      std::uint32_t attempt) override {
+    batch_sizes.push_back(jobs.size());
+    std::vector<runner::TrialOutcome> outs;
+    for (const runner::TrialJob& job : jobs) {
+      calls.emplace_back(job.key, attempt);
+      const std::vector<runner::TrialOutcome>& seq = script_.at(job.key);
+      std::size_t& next = next_[job.key];
+      if (next >= seq.size()) {
+        ADD_FAILURE() << job.key << " ran past its script";
+        outs.push_back(fail());
+        continue;
+      }
+      outs.push_back(seq[next++]);
+    }
+    return outs;
+  }
+
+  TrialExecutor* fallback() override { return fallback_; }
+
+  std::vector<std::pair<std::string, std::uint32_t>> calls;
+  std::vector<std::size_t> batch_sizes;
+
+ private:
+  std::map<std::string, std::vector<runner::TrialOutcome>> script_;
+  std::map<std::string, std::size_t> next_;
+  TrialExecutor* fallback_;
+};
+
+TrialEval vote_one(TrialExecutor& ex, std::uint32_t max_retries) {
+  TrialEval t;
+  t.key = "k";
+  vote_batch(ex, {&t}, max_retries);
+  return t;
+}
+
+TEST(VoteLoop, StrictMajorityOfTheAllowedAttemptsAndTiesFail) {
+  struct Case {
+    std::uint32_t retries;
+    std::vector<runner::TrialOutcome> script;
+    bool passed;
+    std::uint32_t attempts;
+    bool mixed;
+  };
+  const std::vector<Case> cases = {
+      {0, {pass()}, true, 1, false},
+      {0, {fail()}, false, 1, false},
+      {1, {pass(), pass()}, true, 2, false},
+      {1, {pass(), fail()}, false, 2, true},  // tie fails
+      {1, {fail(), pass()}, false, 2, true},
+      {1, {fail(), fail()}, false, 2, false},
+      {2, {pass(), pass()}, true, 2, false},  // early stop at a majority
+      {2, {fail(), fail()}, false, 2, false},
+      {2, {pass(), fail(), pass()}, true, 3, true},
+      {2, {fail(), pass(), fail()}, false, 3, true},
+      {2, {fail(), pass(), pass()}, true, 3, true},
+      {2, {pass(), fail(), fail()}, false, 3, true},
+  };
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE(c);
+    const Case& k = cases[c];
+    for (const bool sandboxed : {false, true}) {
+      ScriptedExecutor ex(sandboxed, {{"k", k.script}});
+      const TrialEval t = vote_one(ex, k.retries);
+      EXPECT_EQ(t.result.passed, k.passed);
+      EXPECT_EQ(t.attempts, k.attempts);
+      EXPECT_EQ(t.mixed_votes, k.mixed);
+      EXPECT_EQ(t.eval_ns, 10u * k.attempts);
+      EXPECT_EQ(t.run_ns, 3u * k.attempts);
+      // The attempt index is the vote round.
+      ASSERT_EQ(ex.calls.size(), k.attempts);
+      for (std::uint32_t a = 0; a < k.attempts; ++a) {
+        EXPECT_EQ(ex.calls[a].second, a);
+      }
+      if (k.passed) {
+        EXPECT_EQ(t.result.failure_class, verify::FailureClass::kNone);
+        EXPECT_TRUE(t.result.failure.empty());
+      } else {
+        EXPECT_NE(t.result.failure_class, verify::FailureClass::kNone);
+      }
+    }
+  }
+}
+
+TEST(VoteLoop, RunsWholeBatchRoundsOverTheTrialsStillOpen) {
+  ScriptedExecutor ex(/*sandboxed=*/false,
+                      {{"a", {pass(), pass()}},
+                       {"b", {pass(), fail(), fail()}},
+                       {"c", {fail(), fail()}}});
+  TrialEval a, b, c;
+  a.key = "a";
+  b.key = "b";
+  c.key = "c";
+  vote_batch(ex, {&a, &b, &c}, /*max_retries=*/2);
+  EXPECT_EQ(ex.batch_sizes, (std::vector<std::size_t>{3, 3, 1}));
+  EXPECT_TRUE(a.result.passed);
+  EXPECT_FALSE(a.mixed_votes);
+  // Mixed votes settle by majority and flag the trial for quarantine.
+  EXPECT_FALSE(b.result.passed);
+  EXPECT_TRUE(b.mixed_votes);
+  EXPECT_EQ(b.attempts, 3u);
+  EXPECT_FALSE(c.result.passed);
+  EXPECT_FALSE(c.mixed_votes);
+}
+
+TEST(VoteLoop, SandboxedQuarantineAndInternalErrorSettleOutsideTheVote) {
+  // A quarantine verdict after one passing vote: final, attempts counts the
+  // votes plus the settling outcome.
+  {
+    ScriptedExecutor ex(/*sandboxed=*/true, {{"k", {pass(), quarantined()}}});
+    const TrialEval t = vote_one(ex, 2);
+    EXPECT_FALSE(t.result.passed);
+    EXPECT_EQ(t.result.failure_class, verify::FailureClass::kCrash);
+    EXPECT_EQ(t.attempts, 2u);
+    EXPECT_FALSE(t.mixed_votes);
+    EXPECT_EQ(ex.calls.size(), 2u);
+  }
+  {
+    ScriptedExecutor ex(/*sandboxed=*/true, {{"k", {internal_error()}}});
+    const TrialEval t = vote_one(ex, 2);
+    EXPECT_FALSE(t.result.passed);
+    EXPECT_EQ(t.result.failure_class, verify::FailureClass::kInternalError);
+    EXPECT_EQ(t.attempts, 1u);
+    EXPECT_EQ(ex.calls.size(), 1u);
+  }
+}
+
+TEST(VoteLoop, InProcessInternalErrorVotesLikeAnyFailure) {
+  ScriptedExecutor ex(/*sandboxed=*/false,
+                      {{"k", {internal_error(), pass(), pass()}}});
+  const TrialEval t = vote_one(ex, 2);
+  EXPECT_TRUE(t.result.passed);
+  EXPECT_EQ(t.attempts, 3u);
+  EXPECT_TRUE(t.mixed_votes);
+}
+
+TEST(VoteLoop, UnservedTrialRevotesOnTheFallbackKeepingItsAccounting) {
+  ScriptedExecutor local(/*sandboxed=*/false, {{"k", {fail(), fail()}}});
+  ScriptedExecutor fleet(/*sandboxed=*/true, {{"k", {pass(), unserved()}}},
+                         &local);
+  const TrialEval t = vote_one(fleet, 2);
+  // The fallback vote starts over at attempt 0; only its votes decide.
+  ASSERT_EQ(local.calls.size(), 2u);
+  EXPECT_EQ(local.calls[0].second, 0u);
+  EXPECT_EQ(local.calls[1].second, 1u);
+  EXPECT_FALSE(t.result.passed);
+  EXPECT_FALSE(t.mixed_votes);
+  // One remote attempt plus two local ones, all accounted.
+  EXPECT_EQ(t.attempts, 3u);
+  EXPECT_EQ(t.eval_ns, 30u);
+  EXPECT_EQ(t.run_ns, 9u);
 }
 
 }  // namespace

@@ -13,8 +13,7 @@
 //
 // After the MIPS table the binary prints:
 //  - a lowering-coverage table (suite totals per op family: how many uops
-//    compiled to inline native code vs the generic-exec fallback vs an
-//    out-of-line helper call), so specialisation gaps are visible;
+//    compiled to inline native code vs an out-of-line helper call);
 //  - an Amdahl table splitting each kernel's JIT wall time into jitted
 //    code vs C++ helper calls (Machine::Options::time_jit_helpers), which
 //    bounds the speedup still available from further inlining.
@@ -284,37 +283,31 @@ int main(int argc, char** argv) {
   if (jit) {
     // Lowering-coverage census: suite totals per op family from the
     // compile probes above. "native" uops run as inline host code;
-    // "generic" fall back to the one-instruction micro-op interpreter;
     // "helper" call an out-of-line C++ helper (intrinsic/ret).
     std::printf("\nJIT lowering coverage (suite totals, static uop counts)\n");
-    bench::print_rule(64);
-    std::printf("%-12s %10s %10s %10s %9s\n", "family", "native", "generic",
-                "helper", "native%");
-    bench::print_rule(64);
+    bench::print_rule(53);
+    std::printf("%-12s %10s %10s %9s\n", "family", "native", "helper",
+                "native%");
+    bench::print_rule(53);
     for (int f = 0; f < vm::jit::LoweringStats::kNumFamilies; ++f) {
       const std::uint64_t n = coverage.native[f];
-      const std::uint64_t g = coverage.generic[f];
       const std::uint64_t h = coverage.helper[f];
-      if (n + g + h == 0) continue;
-      std::printf("%-12s %10llu %10llu %10llu %8.1f%%\n",
+      if (n + h == 0) continue;
+      std::printf("%-12s %10llu %10llu %8.1f%%\n",
                   vm::jit::lowering_family_name(f),
                   static_cast<unsigned long long>(n),
-                  static_cast<unsigned long long>(g),
                   static_cast<unsigned long long>(h),
                   100.0 * static_cast<double>(n) /
-                      static_cast<double>(n + g + h));
+                      static_cast<double>(n + h));
     }
-    bench::print_rule(64);
+    bench::print_rule(53);
     const std::uint64_t tn = coverage.total_native();
-    const std::uint64_t tg = coverage.total_generic();
     const std::uint64_t th = coverage.total_helper();
-    std::printf("%-12s %10llu %10llu %10llu %8.1f%%\n", "total",
+    std::printf("%-12s %10llu %10llu %8.1f%%\n", "total",
                 static_cast<unsigned long long>(tn),
-                static_cast<unsigned long long>(tg),
                 static_cast<unsigned long long>(th),
                 100.0 * static_cast<double>(tn) /
-                    static_cast<double>(std::max<std::uint64_t>(
-                        1, tn + tg + th)));
+                    static_cast<double>(std::max<std::uint64_t>(1, tn + th)));
     std::printf("fused cmp+jcc pairs: %llu   regalloc blocks: %llu   "
                 "promoted slots: %llu\n",
                 static_cast<unsigned long long>(coverage.fused_pairs),
@@ -324,7 +317,7 @@ int main(int argc, char** argv) {
     // Amdahl split: how much of each kernel's wall time the jitted code
     // retains vs what still leaks into C++ helpers. The timed run routes
     // intrinsics through the helper path, so "helper" bounds what further
-    // intrinsic/generic inlining could still recover.
+    // intrinsic inlining could still recover.
     std::printf("\nAmdahl split (timed-helper run: jitted vs helper time)\n");
     bench::print_rule(64);
     std::printf("%-8s %11s %11s %11s %9s\n", "bench", "total ms",
@@ -371,11 +364,9 @@ int main(int argc, char** argv) {
     j += "  \"lowering\": {\n";
     for (int f = 0; f < vm::jit::LoweringStats::kNumFamilies; ++f) {
       j += strformat(
-          "    \"%s\": {\"native\": %llu, \"generic\": %llu, "
-          "\"helper\": %llu},\n",
+          "    \"%s\": {\"native\": %llu, \"helper\": %llu},\n",
           vm::jit::lowering_family_name(f),
           static_cast<unsigned long long>(coverage.native[f]),
-          static_cast<unsigned long long>(coverage.generic[f]),
           static_cast<unsigned long long>(coverage.helper[f]));
     }
     j += strformat("    \"fused_pairs\": %llu,\n",

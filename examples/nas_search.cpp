@@ -235,19 +235,17 @@ bool write_metrics_json(const std::string& path,
   j += "],\n";
   // Process-wide JIT lowering census (static uop counts across every
   // compile_stream call this run, including delta re-JITs): how many uops
-  // lowered to inline native code vs the generic-exec fallback vs an
-  // out-of-line helper call, per op family.
+  // lowered to inline native code vs an out-of-line helper call, per op
+  // family.
   {
     const vm::jit::LoweringStats lw = vm::jit::lowering_totals();
     j += "  \"jit_lowering\": {";
     bool first = true;
     for (int f = 0; f < vm::jit::LoweringStats::kNumFamilies; ++f) {
       j += strformat(
-          "%s\"%s\": {\"native\": %llu, \"generic\": %llu, "
-          "\"helper\": %llu}",
+          "%s\"%s\": {\"native\": %llu, \"helper\": %llu}",
           first ? "" : ", ", vm::jit::lowering_family_name(f),
           static_cast<unsigned long long>(lw.native[f]),
-          static_cast<unsigned long long>(lw.generic[f]),
           static_cast<unsigned long long>(lw.helper[f]));
       first = false;
     }

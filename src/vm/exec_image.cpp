@@ -26,13 +26,22 @@ void fill_ea(const arch::MemRef& m, MicroOp* u) {
   u->ea_disp = m.disp;
 }
 
+/// A form arch::validate rejects: every image that reaches lowering was
+/// decoded (and so validated), so only a hand-built Instr can get here.
+[[noreturn]] void unlowerable(const Instr& ins) {
+  throw VmError(strformat(
+      "cannot lower opcode %u with dst kind %d, src kind %d: not a "
+      "validated operand form",
+      static_cast<unsigned>(ins.op), static_cast<int>(ins.dst.kind),
+      static_cast<int>(ins.src.kind)));
+}
+
 /// Picks the XX or XM variant of an FP op from the src operand and fills
 /// the shared fields (dst xmm in `a`; src xmm in `b` or the address
-/// recipe). Returns kFallback for any form the specialization set does not
-/// cover, which the engine executes through the switch oracle.
+/// recipe).
 MicroKind xmm_variant(const Instr& ins, MicroKind xx, MicroKind xm,
                       MicroOp* u) {
-  if (!ins.dst.is_xmm()) return MicroKind::kFallback;
+  if (!ins.dst.is_xmm()) unlowerable(ins);
   u->a = ins.dst.reg;
   if (ins.src.is_xmm()) {
     u->b = ins.src.reg;
@@ -42,13 +51,13 @@ MicroKind xmm_variant(const Instr& ins, MicroKind xx, MicroKind xm,
     fill_ea(ins.src.mem, u);
     return xm;
   }
-  return MicroKind::kFallback;
+  unlowerable(ins);
 }
 
 /// Same scheme for two-operand integer ops (gpr,gpr / gpr,imm).
 MicroKind int_variant(const Instr& ins, MicroKind rr, MicroKind ri,
                       MicroOp* u) {
-  if (!ins.dst.is_gpr()) return MicroKind::kFallback;
+  if (!ins.dst.is_gpr()) unlowerable(ins);
   u->a = ins.dst.reg;
   if (ins.src.is_gpr()) {
     u->b = ins.src.reg;
@@ -58,7 +67,7 @@ MicroKind int_variant(const Instr& ins, MicroKind rr, MicroKind ri,
     u->imm = ins.src.imm;
     return ri;
   }
-  return MicroKind::kFallback;
+  unlowerable(ins);
 }
 
 }  // namespace
@@ -94,31 +103,22 @@ MicroOp lower_instr(const Instr& ins) {
       set(int_variant(ins, MicroKind::kMovRR, MicroKind::kMovRI, &u));
       break;
     case Opcode::kLoad:
-      if (ins.dst.is_gpr() && ins.src.is_mem()) {
-        set(MicroKind::kLoad);
-        u.a = ins.dst.reg;
-        fill_ea(ins.src.mem, &u);
-      } else {
-        set(MicroKind::kFallback);
-      }
+      if (!ins.dst.is_gpr() || !ins.src.is_mem()) unlowerable(ins);
+      set(MicroKind::kLoad);
+      u.a = ins.dst.reg;
+      fill_ea(ins.src.mem, &u);
       break;
     case Opcode::kStore:
-      if (ins.dst.is_mem() && ins.src.is_gpr()) {
-        set(MicroKind::kStore);
-        u.b = ins.src.reg;
-        fill_ea(ins.dst.mem, &u);
-      } else {
-        set(MicroKind::kFallback);
-      }
+      if (!ins.dst.is_mem() || !ins.src.is_gpr()) unlowerable(ins);
+      set(MicroKind::kStore);
+      u.b = ins.src.reg;
+      fill_ea(ins.dst.mem, &u);
       break;
     case Opcode::kLea:
-      if (ins.dst.is_gpr() && ins.src.is_mem()) {
-        set(MicroKind::kLea);
-        u.a = ins.dst.reg;
-        fill_ea(ins.src.mem, &u);
-      } else {
-        set(MicroKind::kFallback);
-      }
+      if (!ins.dst.is_gpr() || !ins.src.is_mem()) unlowerable(ins);
+      set(MicroKind::kLea);
+      u.a = ins.dst.reg;
+      fill_ea(ins.src.mem, &u);
       break;
 
     case Opcode::kAdd:
@@ -343,8 +343,7 @@ MicroOp lower_instr(const Instr& ins) {
       break;
 
     default:
-      set(MicroKind::kFallback);
-      break;
+      unlowerable(ins);
   }
   return u;
 }

@@ -27,16 +27,15 @@
 //    materializes them, so stops and faults between the halves stay
 //    bit-identical with the interpreters.
 //  - Native idiv/irem, cvttsd2si/cvttss2si, packed SSE and 128-bit bitwise
-//    templates (previously generic-exec round trips), and inline calls to
-//    the hot unary math intrinsics through JitContext::intrin_fn.
+//    templates, and inline calls to the hot unary math intrinsics through
+//    JitContext::intrin_fn.
 //
 // Trap-shaped paths (bounds, tag sentinel, budget, divide/cvtt range)
 // branch to per-site out-of-line stubs emitted after the instruction
 // bodies; the stubs spill any promoted registers, load the faulting pc as
 // a link-patched immediate and call the C++ helpers through the context
-// block. Anything still unspecialized goes through the generic-exec
-// helper, which runs the micro-op interpreter's own handler for exactly
-// one instruction -- lowering is total and the engines cannot drift.
+// block. The emit switch has a template for every MicroKind and no
+// default, so -Wswitch proves the translation total over the kinds.
 //
 // Ordering subtleties are load-bearing and mirror machine.cpp exactly:
 // bounds traps fire before tag traps on the same load, the tag check on the
@@ -74,7 +73,6 @@ constexpr std::int32_t kCtxFlagLtu = 78;
 constexpr std::int32_t kCtxEpilogue = 80;
 constexpr std::int32_t kCtxHelpMemTrap = 88;
 constexpr std::int32_t kCtxHelpTagTrap = 96;
-constexpr std::int32_t kCtxHelpExec = 104;
 constexpr std::int32_t kCtxHelpRet = 112;
 constexpr std::int32_t kCtxHelpIntrin = 120;
 constexpr std::int32_t kCtxHelpOpTrap = 144;
@@ -156,8 +154,7 @@ constexpr bool writes_flags(MicroKind k) {
 /// math-heavy kernels would otherwise fragment into unpromotable slivers.
 constexpr bool is_block_breaker(MicroKind k) {
   return is_jcc(k) || k == MicroKind::kHalt || k == MicroKind::kJmp ||
-         k == MicroKind::kCall || k == MicroKind::kRet ||
-         k == MicroKind::kFallback;
+         k == MicroKind::kCall || k == MicroKind::kRet;
 }
 
 /// Templates that address the guest xmm file directly (both lanes or
@@ -176,111 +173,14 @@ constexpr bool is_alloc_poison(MicroKind k) {
   }
 }
 
+constexpr LoweringStats::Family kFamilyOf[] = {
+#define FPMIX_FAMILY(KIND, HANDLER, FAMILY, STOPS) LoweringStats::FAMILY,
+    FPMIX_MICRO_KINDS(FPMIX_FAMILY)
+#undef FPMIX_FAMILY
+};
+
 LoweringStats::Family family_of(MicroKind k) {
-  using F = LoweringStats;
-  if (k == MicroKind::kJmp || is_jcc(k)) return F::kBranch;
-  if (k >= MicroKind::kAddpdXX && k <= MicroKind::kSqrtpsXM) return F::kPacked;
-  if (k >= MicroKind::kAndpdXX && k <= MicroKind::kXorpdXM) return F::kBitwise;
-  switch (k) {
-    case MicroKind::kCall:
-    case MicroKind::kRet:
-      return F::kCallRet;
-    case MicroKind::kIdivRR:
-    case MicroKind::kIdivRI:
-    case MicroKind::kIremRR:
-    case MicroKind::kIremRI:
-      return F::kDivRem;
-    case MicroKind::kIntrin:
-      return F::kIntrin;
-    case MicroKind::kMovRR:
-    case MicroKind::kMovRI:
-    case MicroKind::kLea:
-    case MicroKind::kAddRR:
-    case MicroKind::kAddRI:
-    case MicroKind::kSubRR:
-    case MicroKind::kSubRI:
-    case MicroKind::kImulRR:
-    case MicroKind::kImulRI:
-    case MicroKind::kAndRR:
-    case MicroKind::kAndRI:
-    case MicroKind::kOrRR:
-    case MicroKind::kOrRI:
-    case MicroKind::kXorRR:
-    case MicroKind::kXorRI:
-    case MicroKind::kShlRR:
-    case MicroKind::kShlRI:
-    case MicroKind::kShrRR:
-    case MicroKind::kShrRI:
-    case MicroKind::kSarRR:
-    case MicroKind::kSarRI:
-    case MicroKind::kCmpRR:
-    case MicroKind::kCmpRI:
-    case MicroKind::kTestRR:
-    case MicroKind::kTestRI:
-      return F::kInt;
-    case MicroKind::kLoad:
-    case MicroKind::kStore:
-    case MicroKind::kPush:
-    case MicroKind::kPop:
-    case MicroKind::kMovqXR:
-    case MicroKind::kMovqRX:
-    case MicroKind::kMovsdXX:
-    case MicroKind::kMovsdXM:
-    case MicroKind::kMovsdMX:
-    case MicroKind::kMovssXM:
-    case MicroKind::kMovssMX:
-    case MicroKind::kMovapdXX:
-    case MicroKind::kMovapdXM:
-    case MicroKind::kMovapdMX:
-    case MicroKind::kPushX:
-    case MicroKind::kPopX:
-      return F::kMem;
-    case MicroKind::kAddsdXX:
-    case MicroKind::kAddsdXM:
-    case MicroKind::kSubsdXX:
-    case MicroKind::kSubsdXM:
-    case MicroKind::kMulsdXX:
-    case MicroKind::kMulsdXM:
-    case MicroKind::kDivsdXX:
-    case MicroKind::kDivsdXM:
-    case MicroKind::kMinsdXX:
-    case MicroKind::kMinsdXM:
-    case MicroKind::kMaxsdXX:
-    case MicroKind::kMaxsdXM:
-    case MicroKind::kSqrtsdXX:
-    case MicroKind::kSqrtsdXM:
-    case MicroKind::kUcomisdXX:
-    case MicroKind::kUcomisdXM:
-      return F::kF64;
-    case MicroKind::kAddssXX:
-    case MicroKind::kAddssXM:
-    case MicroKind::kSubssXX:
-    case MicroKind::kSubssXM:
-    case MicroKind::kMulssXX:
-    case MicroKind::kMulssXM:
-    case MicroKind::kDivssXX:
-    case MicroKind::kDivssXM:
-    case MicroKind::kMinssXX:
-    case MicroKind::kMinssXM:
-    case MicroKind::kMaxssXX:
-    case MicroKind::kMaxssXM:
-    case MicroKind::kSqrtssXX:
-    case MicroKind::kSqrtssXM:
-    case MicroKind::kUcomissXX:
-    case MicroKind::kUcomissXM:
-      return F::kF32;
-    case MicroKind::kCvtsd2ssXX:
-    case MicroKind::kCvtsd2ssXM:
-    case MicroKind::kCvtss2sdXX:
-    case MicroKind::kCvtss2sdXM:
-    case MicroKind::kCvtsi2sd:
-    case MicroKind::kCvttsd2si:
-    case MicroKind::kCvtsi2ss:
-    case MicroKind::kCvttss2si:
-      return F::kConvert;
-    default:
-      return F::kOther;  // nop/halt/fallback
-  }
+  return kFamilyOf[static_cast<std::size_t>(k)];
 }
 
 // Host registers available for block-local promotion. All caller-saved is
@@ -932,8 +832,8 @@ class Compiler {
   /// Machine::load/store (addr+bytes > mem_size || wrapped) folded into one
   /// unsigned compare against the precomputed ctx->mem_limitN (see
   /// JitContext): comparing the address itself makes wrap impossible, and a
-  /// wrapped addr+bytes always lands above the limit anyway. Only 8- and
-  /// 4-byte accesses are specialised (everything else takes generic-exec).
+  /// wrapped addr+bytes always lands above the limit anyway. Every template
+  /// access is 8 or 4 bytes (16-byte moves check each lane).
   /// Clobbers nothing; RAX still holds the address for the stub.
   void bounds(unsigned bytes, bool is_store) {
     mem_stubs_.push_back(
@@ -979,19 +879,6 @@ class Compiler {
     e_.setcc_m(CC_E, R15, kCtxFlagEq);
     e_.setcc_m(CC_S, R15, kCtxFlagLt);
     e_.mov_mi8(R15, kCtxFlagLtu, 0);
-  }
-
-  /// Delegate this one instruction to the micro-op interpreter's handler.
-  /// Only emitted at terminators (never inside an aware region): the guest
-  /// arrays are current when the helper runs.
-  void generic_exec() {
-    e_.mov_mr(R15, kCtxRetired, R14);
-    mov_ri32_reloc(RSI, Reloc::Kind::kImm32Pc, pc_);
-    e_.mov_rr(RDI, R15);
-    e_.call_m(R15, kCtxHelpExec);
-    e_.test_rr(RAX, RAX);
-    e_.jcc(CC_E, exit_tail_);
-    e_.jmp_r(RAX);
   }
 
   /// Loads u.imm into `reg` (imm32 sign-extended when it fits).
@@ -1491,13 +1378,13 @@ class Compiler {
         break;
       }
 
-      // -- integer divide / remainder (previously generic-exec) --
+      // -- integer divide / remainder --
       case MicroKind::kIdivRR: div_rem(/*is_div=*/true, /*is_imm=*/false, u); break;
       case MicroKind::kIdivRI: div_rem(true, true, u); break;
       case MicroKind::kIremRR: div_rem(false, false, u); break;
       case MicroKind::kIremRI: div_rem(false, true, u); break;
 
-      // -- truncating conversions (previously generic-exec). The handler
+      // -- truncating conversions. The handler
       //    accepts exactly (v > -9.2e18 && v < 9.2e18) and traps otherwise
       //    (including NaN); both constants are representable and in int64
       //    range, so the cvtt itself can never overflow once past the
@@ -1532,7 +1419,7 @@ class Compiler {
         gpr_store(u.a, RAX);
         break;
 
-      // -- packed f64 / f32 / 128-bit bitwise (previously generic-exec).
+      // -- packed f64 / f32 / 128-bit bitwise.
       //    Always array-based: packed kinds poison block allocation. Host
       //    addpd/addps/sqrt are per-lane IEEE ops, so results match the
       //    interpreter's lane-by-lane scalar evaluation bit-for-bit. --
@@ -1646,12 +1533,6 @@ class Compiler {
         }
         break;
       }
-
-      // -- everything else (fallback forms): one round trip through the
-      //    interpreter's handler --
-      default:
-        generic_exec();
-        break;
     }
   }
 
@@ -1708,9 +1589,9 @@ class Compiler {
     }
   }
 
-  /// The out-of-line intrinsic path: the dispatch helper skips the flag
-  /// syncs and native-address lookup the generic path pays (intrinsics
-  /// touch neither flags nor pc; control always falls through).
+  /// The out-of-line intrinsic path: intrinsics touch neither flags nor pc,
+  /// so the helper needs no flag sync or native-address lookup and control
+  /// always falls through.
   void intrin_helper() {
     e_.mov_mr(R15, kCtxRetired, R14);
     mov_ri32_reloc(RSI, Reloc::Kind::kImm32Pc, pc_);
@@ -2123,9 +2004,7 @@ class Compiler {
   void tally(const MicroOp& u) {
     const MicroKind k = kind_of(u);
     const int f = family_of(k);
-    if (k == MicroKind::kFallback) {
-      stats_.generic[f] += 1;
-    } else if (k == MicroKind::kRet) {
+    if (k == MicroKind::kRet) {
       stats_.helper[f] += 1;  // return address resolved by help_ret
     } else if (k == MicroKind::kIntrin) {
       if (intrinsic_inlinable(static_cast<std::uint16_t>(u.imm))) {

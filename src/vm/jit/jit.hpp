@@ -8,7 +8,7 @@
 //   SegmentBlobs --link_image--> JitImage
 //     blobs copied into one W^X buffer with all relocations resolved
 //     against the image's segment bases, plus a per-instruction native
-//     address table for resume/ret/fallback re-entry. Cached on the
+//     address table for resume/ret re-entry. Cached on the
 //     ExecutableImage, so a warm ImageCache hit carries compiled code.
 //
 // Compiled code keeps VM state in host registers by role, not by copy: the
@@ -25,9 +25,9 @@
 // budget check, (profiled: counter bump), retire. Trapping paths jump to
 // per-site out-of-line stubs that call C++ helpers through the context
 // block; helpers compose byte-identical trap messages and never unwind into
-// JIT frames. Unspecialised or rare operand forms call the generic-exec
-// helper, which runs the micro-op interpreter's own handler for exactly one
-// instruction -- lowering never fails, and the two engines cannot drift.
+// JIT frames. Every MicroKind has a native template, so compiled code never
+// runs an instruction through an interpreter; the 3-way differential tests
+// hold it bit-identical to both interpreters.
 #pragma once
 
 #include <cstddef>
@@ -75,7 +75,7 @@ struct JitContext {
   const void* epilogue;            // +80  jmp target: restore host state, ret
   const void* help_mem_trap;       // +88  (ctx, addr, bytes, pc, is_store)
   const void* help_tag_trap;       // +96  (ctx, bits, pc)
-  const void* help_exec;           // +104 (ctx, pc) -> next native addr | 0
+  const void* help_exec;           // +104 (ctx, pc) off-end trap
   const void* help_ret;            // +112 (ctx, ra, pc) -> native addr | 0
   const void* help_intrin;         // +120 (ctx, pc) -> 1 | 0 on trap
   void* run_state;                 // +128 Machine-side state (trap sink)
@@ -158,9 +158,7 @@ struct Reloc {
 
 /// How each micro-op was lowered, tallied per op family: "native" = inline
 /// host code, "helper" = out-of-line C++ helper on the hot path
-/// (intrinsic/ret), "generic" = one-instruction micro-op interpreter
-/// fallback. Surfaced by bench_jit_compile and --metrics-json so
-/// specialisation gaps are visible instead of silent.
+/// (intrinsic/ret). Surfaced by bench_jit_compile and --metrics-json.
 struct LoweringStats {
   enum Family : int {
     kInt = 0,    // mov/lea/alu/shift/cmp/test
@@ -174,11 +172,10 @@ struct LoweringStats {
     kConvert,    // cvt* conversions
     kDivRem,     // idiv/irem
     kIntrin,
-    kOther,      // nop/halt/fallback
+    kOther,      // nop/halt
     kNumFamilies,
   };
   std::uint64_t native[kNumFamilies] = {};
-  std::uint64_t generic[kNumFamilies] = {};
   std::uint64_t helper[kNumFamilies] = {};
   std::uint64_t fused_pairs = 0;  // cmp/test+jcc pairs with flags elided
   std::uint64_t reg_alloc_blocks = 0;  // blocks that got host registers
@@ -187,7 +184,6 @@ struct LoweringStats {
   void add(const LoweringStats& o) {
     for (int f = 0; f < kNumFamilies; ++f) {
       native[f] += o.native[f];
-      generic[f] += o.generic[f];
       helper[f] += o.helper[f];
     }
     fused_pairs += o.fused_pairs;
@@ -200,7 +196,6 @@ struct LoweringStats {
     return s;
   }
   std::uint64_t total_native() const { return total(native); }
-  std::uint64_t total_generic() const { return total(generic); }
   std::uint64_t total_helper() const { return total(helper); }
 };
 
@@ -236,8 +231,7 @@ struct CompileMode {
 };
 
 /// Compiles one micro-op stream to a position-independent blob. Pure
-/// translation -- never fails (unspecialised forms lower to generic-exec
-/// helper calls).
+/// translation -- never fails (every MicroKind has a template).
 std::shared_ptr<const SegmentBlob> compile_stream(
     const std::vector<MicroOp>& uops, CompileMode mode);
 
@@ -282,7 +276,7 @@ class JitImage {
  public:
   /// Native entry address for a global instruction index; index == count
   /// (execution fell off the end of the code) resolves to a stub that
-  /// reports the condition through the generic-exec helper.
+  /// traps through the help_exec helper.
   const void* native_addr(std::size_t index) const {
     return buf_.data() + native_off_[index];
   }

@@ -204,9 +204,8 @@ const char* jit_unsupported_reason() { return holder().reason; }
 std::shared_ptr<const JitImage> JitImage::link(
     const std::vector<LinkSegment>& segments, std::size_t total) {
   // The off-end stub sits at offset 0 and doubles as native_addr(total):
-  // execution that runs past the last instruction reports through the
-  // generic-exec helper (which traps on an out-of-range pc), exactly where a
-  // branch-to-end of the final segment lands.
+  // execution that runs past the last instruction traps through help_exec,
+  // exactly where a branch-to-end of the final segment lands.
   Emitter stub;
   stub.mov_mr(R15, kCtxRetired, R14);
   stub.mov_ri32(RSI, static_cast<std::uint32_t>(total));

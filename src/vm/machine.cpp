@@ -873,12 +873,16 @@ std::map<std::uint64_t, std::uint64_t> Machine::profile_by_origin() const {
 // ---------------------------------------------------------------------------
 // Micro-op engine.
 //
-// One static handler per MicroKind, dispatched through kMicroTable below.
-// Handlers take the current instruction index and return the next one (or
+// One static handler per MicroKind (the FPMIX_MICRO_KINDS row names it).
+// run_micro inlines each into its computed-goto op body; kMicroTable below
+// indexes them for the JIT driver's one-op interpreter tail. Handlers take
+// the current instruction index and return the next one (or
 // MicroExec::kStop), so the run loop keeps the pc and the retired count in
-// registers across the indirect call. Semantics -- including the ORDER of tag checks vs. memory
-// loads, which decides which trap fires first -- mirror step_switch exactly;
-// tests/vm_engine_test.cpp holds the two engines bit-identical.
+// registers. Semantics -- including the ORDER of tag checks vs. memory
+// loads, which decides which trap fires first -- mirror step_switch
+// exactly, but share no code with it: tests/vm_engine_test.cpp holds the
+// engines bit-identical against the switch interpreter as an independent
+// oracle.
 // ---------------------------------------------------------------------------
 
 struct MicroExec {
@@ -1440,175 +1444,21 @@ struct MicroExec {
   FPMIX_H_BIT(h_xorpd, ^)
 #undef FPMIX_H_BIT
 
-  // --- intrinsics / fallback -----------------------------------------------
+  // --- intrinsics -----------------------------------------------------------
 
   static std::size_t h_intrin(Machine& m, const MicroOp&, std::size_t pc) {
     m.exec_intrinsic(instr(m, pc));
     return pc + 1;
   }
-  /// Executes the original decoded instruction through the switch oracle
-  /// (which owns the pc update). Keeps lowering total without duplicating
-  /// rare forms.
-  static std::size_t h_fallback(Machine& m, const MicroOp&, std::size_t pc) {
-    m.pc_ = pc;  // step_switch computes its successor from pc_
-    m.step_switch(instr(m, pc));
-    return m.stopped_ ? kStop : m.pc_;
-  }
 };
 
 namespace {
 
-consteval std::array<MicroExec::Handler,
-                     static_cast<std::size_t>(MicroKind::kNumMicroKinds)>
-make_micro_table() {
-  std::array<MicroExec::Handler,
-             static_cast<std::size_t>(MicroKind::kNumMicroKinds)>
-      t{};
-  const auto set = [&t](MicroKind k, MicroExec::Handler h) {
-    t[static_cast<std::size_t>(k)] = h;
-  };
-  using K = MicroKind;
-  using E = MicroExec;
-  set(K::kNop, &E::h_nop);
-  set(K::kHalt, &E::h_halt);
-  set(K::kJmp, &E::h_jmp);
-  set(K::kJe, &E::h_je);
-  set(K::kJne, &E::h_jne);
-  set(K::kJl, &E::h_jl);
-  set(K::kJle, &E::h_jle);
-  set(K::kJg, &E::h_jg);
-  set(K::kJge, &E::h_jge);
-  set(K::kJb, &E::h_jb);
-  set(K::kJbe, &E::h_jbe);
-  set(K::kJa, &E::h_ja);
-  set(K::kJae, &E::h_jae);
-  set(K::kCall, &E::h_call);
-  set(K::kRet, &E::h_ret);
-  set(K::kMovRR, &E::h_mov_rr);
-  set(K::kMovRI, &E::h_mov_ri);
-  set(K::kLoad, &E::h_load);
-  set(K::kStore, &E::h_store);
-  set(K::kLea, &E::h_lea);
-  set(K::kAddRR, &E::h_add_rr);
-  set(K::kAddRI, &E::h_add_ri);
-  set(K::kSubRR, &E::h_sub_rr);
-  set(K::kSubRI, &E::h_sub_ri);
-  set(K::kImulRR, &E::h_imul_rr);
-  set(K::kImulRI, &E::h_imul_ri);
-  set(K::kIdivRR, &E::h_idiv_rr);
-  set(K::kIdivRI, &E::h_idiv_ri);
-  set(K::kIremRR, &E::h_irem_rr);
-  set(K::kIremRI, &E::h_irem_ri);
-  set(K::kAndRR, &E::h_and_rr);
-  set(K::kAndRI, &E::h_and_ri);
-  set(K::kOrRR, &E::h_or_rr);
-  set(K::kOrRI, &E::h_or_ri);
-  set(K::kXorRR, &E::h_xor_rr);
-  set(K::kXorRI, &E::h_xor_ri);
-  set(K::kShlRR, &E::h_shl_rr);
-  set(K::kShlRI, &E::h_shl_ri);
-  set(K::kShrRR, &E::h_shr_rr);
-  set(K::kShrRI, &E::h_shr_ri);
-  set(K::kSarRR, &E::h_sar_rr);
-  set(K::kSarRI, &E::h_sar_ri);
-  set(K::kCmpRR, &E::h_cmp_rr);
-  set(K::kCmpRI, &E::h_cmp_ri);
-  set(K::kTestRR, &E::h_test_rr);
-  set(K::kTestRI, &E::h_test_ri);
-  set(K::kPush, &E::h_push);
-  set(K::kPop, &E::h_pop);
-  set(K::kMovqXR, &E::h_movq_xr);
-  set(K::kMovqRX, &E::h_movq_rx);
-  set(K::kMovsdXX, &E::h_movsd_xx);
-  set(K::kMovsdXM, &E::h_movsd_xm);
-  set(K::kMovsdMX, &E::h_movsd_mx);
-  set(K::kMovssXM, &E::h_movss_xm);
-  set(K::kMovssMX, &E::h_movss_mx);
-  set(K::kMovapdXX, &E::h_movapd_xx);
-  set(K::kMovapdXM, &E::h_movapd_xm);
-  set(K::kMovapdMX, &E::h_movapd_mx);
-  set(K::kPushX, &E::h_push_x);
-  set(K::kPopX, &E::h_pop_x);
-  set(K::kAddsdXX, &E::h_addsd_xx);
-  set(K::kAddsdXM, &E::h_addsd_xm);
-  set(K::kSubsdXX, &E::h_subsd_xx);
-  set(K::kSubsdXM, &E::h_subsd_xm);
-  set(K::kMulsdXX, &E::h_mulsd_xx);
-  set(K::kMulsdXM, &E::h_mulsd_xm);
-  set(K::kDivsdXX, &E::h_divsd_xx);
-  set(K::kDivsdXM, &E::h_divsd_xm);
-  set(K::kMinsdXX, &E::h_minsd_xx);
-  set(K::kMinsdXM, &E::h_minsd_xm);
-  set(K::kMaxsdXX, &E::h_maxsd_xx);
-  set(K::kMaxsdXM, &E::h_maxsd_xm);
-  set(K::kSqrtsdXX, &E::h_sqrtsd_xx);
-  set(K::kSqrtsdXM, &E::h_sqrtsd_xm);
-  set(K::kUcomisdXX, &E::h_ucomisd_xx);
-  set(K::kUcomisdXM, &E::h_ucomisd_xm);
-  set(K::kCvtsd2ssXX, &E::h_cvtsd2ss_xx);
-  set(K::kCvtsd2ssXM, &E::h_cvtsd2ss_xm);
-  set(K::kCvtss2sdXX, &E::h_cvtss2sd_xx);
-  set(K::kCvtss2sdXM, &E::h_cvtss2sd_xm);
-  set(K::kCvtsi2sd, &E::h_cvtsi2sd);
-  set(K::kCvttsd2si, &E::h_cvttsd2si);
-  set(K::kAddssXX, &E::h_addss_xx);
-  set(K::kAddssXM, &E::h_addss_xm);
-  set(K::kSubssXX, &E::h_subss_xx);
-  set(K::kSubssXM, &E::h_subss_xm);
-  set(K::kMulssXX, &E::h_mulss_xx);
-  set(K::kMulssXM, &E::h_mulss_xm);
-  set(K::kDivssXX, &E::h_divss_xx);
-  set(K::kDivssXM, &E::h_divss_xm);
-  set(K::kMinssXX, &E::h_minss_xx);
-  set(K::kMinssXM, &E::h_minss_xm);
-  set(K::kMaxssXX, &E::h_maxss_xx);
-  set(K::kMaxssXM, &E::h_maxss_xm);
-  set(K::kSqrtssXX, &E::h_sqrtss_xx);
-  set(K::kSqrtssXM, &E::h_sqrtss_xm);
-  set(K::kUcomissXX, &E::h_ucomiss_xx);
-  set(K::kUcomissXM, &E::h_ucomiss_xm);
-  set(K::kCvtsi2ss, &E::h_cvtsi2ss);
-  set(K::kCvttss2si, &E::h_cvttss2si);
-  set(K::kAddpdXX, &E::h_addpd_xx);
-  set(K::kAddpdXM, &E::h_addpd_xm);
-  set(K::kSubpdXX, &E::h_subpd_xx);
-  set(K::kSubpdXM, &E::h_subpd_xm);
-  set(K::kMulpdXX, &E::h_mulpd_xx);
-  set(K::kMulpdXM, &E::h_mulpd_xm);
-  set(K::kDivpdXX, &E::h_divpd_xx);
-  set(K::kDivpdXM, &E::h_divpd_xm);
-  set(K::kSqrtpdXX, &E::h_sqrtpd_xx);
-  set(K::kSqrtpdXM, &E::h_sqrtpd_xm);
-  set(K::kAddpsXX, &E::h_addps_xx);
-  set(K::kAddpsXM, &E::h_addps_xm);
-  set(K::kSubpsXX, &E::h_subps_xx);
-  set(K::kSubpsXM, &E::h_subps_xm);
-  set(K::kMulpsXX, &E::h_mulps_xx);
-  set(K::kMulpsXM, &E::h_mulps_xm);
-  set(K::kDivpsXX, &E::h_divps_xx);
-  set(K::kDivpsXM, &E::h_divps_xm);
-  set(K::kSqrtpsXX, &E::h_sqrtps_xx);
-  set(K::kSqrtpsXM, &E::h_sqrtps_xm);
-  set(K::kAndpdXX, &E::h_andpd_xx);
-  set(K::kAndpdXM, &E::h_andpd_xm);
-  set(K::kOrpdXX, &E::h_orpd_xx);
-  set(K::kOrpdXM, &E::h_orpd_xm);
-  set(K::kXorpdXX, &E::h_xorpd_xx);
-  set(K::kXorpdXM, &E::h_xorpd_xm);
-  set(K::kIntrin, &E::h_intrin);
-  set(K::kFallback, &E::h_fallback);
-  return t;
-}
-
-constexpr auto kMicroTable = make_micro_table();
-// Every MicroKind must have a handler; a null entry here means the enum and
-// the table drifted apart.
-static_assert([] {
-  for (const auto h : kMicroTable) {
-    if (h == nullptr) return false;
-  }
-  return true;
-}());
+constexpr MicroExec::Handler kMicroTable[] = {
+#define FPMIX_MICRO_HANDLER(KIND, HANDLER, FAMILY, STOPS) &MicroExec::HANDLER,
+    FPMIX_MICRO_KINDS(FPMIX_MICRO_HANDLER)
+#undef FPMIX_MICRO_HANDLER
+};
 
 }  // namespace
 
@@ -1639,8 +1489,8 @@ struct JitExec {
   }
 
   // VM flags are mirrored as bytes in the context while JIT code runs; the
-  // interpreter handlers (generic-exec) read/write Machine::flags_, so the
-  // two views are synced around every helper call.
+  // interpreter handlers (the near-budget tail) read/write Machine::flags_,
+  // so the two views are synced around every interpreted stretch.
   static void flags_to_machine(const jit::JitContext* ctx, Machine& m) {
     m.flags_.eq = ctx->flag_eq != 0;
     m.flags_.lt = ctx->flag_lt != 0;
@@ -1693,34 +1543,10 @@ struct JitExec {
     }
   }
 
-  /// Generic-exec: runs exactly one instruction through the micro-op
-  /// handler table (unspecialised forms, intrinsics, the off-end stub).
-  /// Returns the native address to continue at, or null to exit.
-  static const void* help_exec(jit::JitContext* ctx, std::uint64_t pc) {
-    Machine& m = machine(ctx);
-    const auto* img = static_cast<const jit::JitImage*>(ctx->image);
-    const auto& uops = m.exec_->uops();
-    if (pc >= uops.size()) {
-      record_trap(ctx, pc,
-                  strformat("execution ran past the end of the code"), false);
-      return nullptr;
-    }
-    flags_to_machine(ctx, m);
-    try {
-      const MicroOp& u = uops[pc];
-      const std::size_t next =
-          kMicroTable[u.kind](m, u, static_cast<std::size_t>(pc));
-      flags_to_ctx(ctx, m);
-      if (next == MicroExec::kStop) {
-        ctx->exit_status = jit::kExitHalt;
-        return nullptr;
-      }
-      return img->native_addr(next);
-    } catch (const Machine::Trap& t) {
-      flags_to_ctx(ctx, m);
-      record_trap(ctx, pc, t.message, t.sentinel);
-      return nullptr;
-    }
+  /// The off-end stub (JitImage::native_addr(total)): execution ran past
+  /// the last instruction.
+  static void help_exec(jit::JitContext* ctx, std::uint64_t pc) {
+    record_trap(ctx, pc, "execution ran past the end of the code", false);
   }
 
   /// Return-address resolution for the JIT'd kRet template (the pop and the
@@ -1740,9 +1566,9 @@ struct JitExec {
     return static_cast<const jit::JitImage*>(ctx->image)->native_addr(idx);
   }
 
-  /// Fast path for kIntrin: intrinsics touch neither the VM flags nor the
-  /// pc, so this skips the generic path's flag syncs and native-address
-  /// lookup. Returns 1 to fall through, 0 on trap.
+  /// Out-of-line kIntrin: intrinsics touch neither the VM flags nor the pc,
+  /// so no flag sync or native-address lookup is needed. Returns 1 to fall
+  /// through, 0 on trap.
   static std::uint64_t help_intrin(jit::JitContext* ctx, std::uint64_t pc) {
     Machine& m = machine(ctx);
     try {
@@ -1756,7 +1582,7 @@ struct JitExec {
 
   /// Arithmetic trap from a specialised template (idiv/irem, cvtt*): the
   /// interpreter's message is selected by id so the text stays
-  /// byte-identical without the generic-exec detour.
+  /// byte-identical.
   static void help_op_trap(jit::JitContext* ctx, std::uint64_t pc,
                            std::uint64_t msg_id) {
     static const char* const kMsgs[] = {
@@ -1843,11 +1669,10 @@ struct JitExec {
     m.jit_helper_calls_ += 1;
   }
 
-  static const void* help_exec_timed(jit::JitContext* ctx, std::uint64_t pc) {
+  static void help_exec_timed(jit::JitContext* ctx, std::uint64_t pc) {
     const std::uint64_t t0 = now_ns();
-    const void* r = help_exec(ctx, pc);
+    help_exec(ctx, pc);
     add_helper_ns(ctx, t0);
-    return r;
   }
   static const void* help_ret_timed(jit::JitContext* ctx, std::uint64_t ra,
                                     std::uint64_t pc) {
@@ -2091,145 +1916,17 @@ RunResult Machine::run_micro() {
   std::uint64_t* const counts = Profile ? counts_.data() : nullptr;
   RunResult result;
 
-#if defined(__GNUC__) || defined(__clang__)
   // Token-threaded core. Each op body ends with its own dispatch (computed
   // goto), so the branch predictor sees one indirect jump per opcode site
   // instead of a single shared dispatch point, and the handler functions --
-  // direct calls here, unlike the function-pointer table below -- inline
-  // into the label blocks. kMicroTable's static_assert guarantees the set
-  // of labels is total over MicroKind.
-  const void* labels[static_cast<std::size_t>(MicroKind::kNumMicroKinds)] = {};
-#define FPMIX_LABEL(KIND) \
-  labels[static_cast<std::size_t>(MicroKind::KIND)] = &&L_##KIND
-  FPMIX_LABEL(kNop);
-  FPMIX_LABEL(kHalt);
-  FPMIX_LABEL(kJmp);
-  FPMIX_LABEL(kJe);
-  FPMIX_LABEL(kJne);
-  FPMIX_LABEL(kJl);
-  FPMIX_LABEL(kJle);
-  FPMIX_LABEL(kJg);
-  FPMIX_LABEL(kJge);
-  FPMIX_LABEL(kJb);
-  FPMIX_LABEL(kJbe);
-  FPMIX_LABEL(kJa);
-  FPMIX_LABEL(kJae);
-  FPMIX_LABEL(kCall);
-  FPMIX_LABEL(kRet);
-  FPMIX_LABEL(kMovRR);
-  FPMIX_LABEL(kMovRI);
-  FPMIX_LABEL(kLoad);
-  FPMIX_LABEL(kStore);
-  FPMIX_LABEL(kLea);
-  FPMIX_LABEL(kAddRR);
-  FPMIX_LABEL(kAddRI);
-  FPMIX_LABEL(kSubRR);
-  FPMIX_LABEL(kSubRI);
-  FPMIX_LABEL(kImulRR);
-  FPMIX_LABEL(kImulRI);
-  FPMIX_LABEL(kIdivRR);
-  FPMIX_LABEL(kIdivRI);
-  FPMIX_LABEL(kIremRR);
-  FPMIX_LABEL(kIremRI);
-  FPMIX_LABEL(kAndRR);
-  FPMIX_LABEL(kAndRI);
-  FPMIX_LABEL(kOrRR);
-  FPMIX_LABEL(kOrRI);
-  FPMIX_LABEL(kXorRR);
-  FPMIX_LABEL(kXorRI);
-  FPMIX_LABEL(kShlRR);
-  FPMIX_LABEL(kShlRI);
-  FPMIX_LABEL(kShrRR);
-  FPMIX_LABEL(kShrRI);
-  FPMIX_LABEL(kSarRR);
-  FPMIX_LABEL(kSarRI);
-  FPMIX_LABEL(kCmpRR);
-  FPMIX_LABEL(kCmpRI);
-  FPMIX_LABEL(kTestRR);
-  FPMIX_LABEL(kTestRI);
-  FPMIX_LABEL(kPush);
-  FPMIX_LABEL(kPop);
-  FPMIX_LABEL(kMovqXR);
-  FPMIX_LABEL(kMovqRX);
-  FPMIX_LABEL(kMovsdXX);
-  FPMIX_LABEL(kMovsdXM);
-  FPMIX_LABEL(kMovsdMX);
-  FPMIX_LABEL(kMovssXM);
-  FPMIX_LABEL(kMovssMX);
-  FPMIX_LABEL(kMovapdXX);
-  FPMIX_LABEL(kMovapdXM);
-  FPMIX_LABEL(kMovapdMX);
-  FPMIX_LABEL(kPushX);
-  FPMIX_LABEL(kPopX);
-  FPMIX_LABEL(kAddsdXX);
-  FPMIX_LABEL(kAddsdXM);
-  FPMIX_LABEL(kSubsdXX);
-  FPMIX_LABEL(kSubsdXM);
-  FPMIX_LABEL(kMulsdXX);
-  FPMIX_LABEL(kMulsdXM);
-  FPMIX_LABEL(kDivsdXX);
-  FPMIX_LABEL(kDivsdXM);
-  FPMIX_LABEL(kMinsdXX);
-  FPMIX_LABEL(kMinsdXM);
-  FPMIX_LABEL(kMaxsdXX);
-  FPMIX_LABEL(kMaxsdXM);
-  FPMIX_LABEL(kSqrtsdXX);
-  FPMIX_LABEL(kSqrtsdXM);
-  FPMIX_LABEL(kUcomisdXX);
-  FPMIX_LABEL(kUcomisdXM);
-  FPMIX_LABEL(kCvtsd2ssXX);
-  FPMIX_LABEL(kCvtsd2ssXM);
-  FPMIX_LABEL(kCvtss2sdXX);
-  FPMIX_LABEL(kCvtss2sdXM);
-  FPMIX_LABEL(kCvtsi2sd);
-  FPMIX_LABEL(kCvttsd2si);
-  FPMIX_LABEL(kAddssXX);
-  FPMIX_LABEL(kAddssXM);
-  FPMIX_LABEL(kSubssXX);
-  FPMIX_LABEL(kSubssXM);
-  FPMIX_LABEL(kMulssXX);
-  FPMIX_LABEL(kMulssXM);
-  FPMIX_LABEL(kDivssXX);
-  FPMIX_LABEL(kDivssXM);
-  FPMIX_LABEL(kMinssXX);
-  FPMIX_LABEL(kMinssXM);
-  FPMIX_LABEL(kMaxssXX);
-  FPMIX_LABEL(kMaxssXM);
-  FPMIX_LABEL(kSqrtssXX);
-  FPMIX_LABEL(kSqrtssXM);
-  FPMIX_LABEL(kUcomissXX);
-  FPMIX_LABEL(kUcomissXM);
-  FPMIX_LABEL(kCvtsi2ss);
-  FPMIX_LABEL(kCvttss2si);
-  FPMIX_LABEL(kAddpdXX);
-  FPMIX_LABEL(kAddpdXM);
-  FPMIX_LABEL(kSubpdXX);
-  FPMIX_LABEL(kSubpdXM);
-  FPMIX_LABEL(kMulpdXX);
-  FPMIX_LABEL(kMulpdXM);
-  FPMIX_LABEL(kDivpdXX);
-  FPMIX_LABEL(kDivpdXM);
-  FPMIX_LABEL(kSqrtpdXX);
-  FPMIX_LABEL(kSqrtpdXM);
-  FPMIX_LABEL(kAddpsXX);
-  FPMIX_LABEL(kAddpsXM);
-  FPMIX_LABEL(kSubpsXX);
-  FPMIX_LABEL(kSubpsXM);
-  FPMIX_LABEL(kMulpsXX);
-  FPMIX_LABEL(kMulpsXM);
-  FPMIX_LABEL(kDivpsXX);
-  FPMIX_LABEL(kDivpsXM);
-  FPMIX_LABEL(kSqrtpsXX);
-  FPMIX_LABEL(kSqrtpsXM);
-  FPMIX_LABEL(kAndpdXX);
-  FPMIX_LABEL(kAndpdXM);
-  FPMIX_LABEL(kOrpdXX);
-  FPMIX_LABEL(kOrpdXM);
-  FPMIX_LABEL(kXorpdXX);
-  FPMIX_LABEL(kXorpdXM);
-  FPMIX_LABEL(kIntrin);
-  FPMIX_LABEL(kFallback);
+  // direct calls here -- inline into the label blocks. The labels and the
+  // bodies are both generated from FPMIX_MICRO_KINDS, so they are total over
+  // MicroKind by construction.
+  const void* const labels[] = {
+#define FPMIX_LABEL(KIND, HANDLER, FAMILY, STOPS) &&L_##KIND,
+      FPMIX_MICRO_KINDS(FPMIX_LABEL)
 #undef FPMIX_LABEL
+  };
 
   // Resolve each op's token to its label address once per run; dispatch then
   // needs a single load indexed by pc (issued in parallel with the uop load)
@@ -2258,150 +1955,21 @@ RunResult Machine::run_micro() {
     u = &uops[pc];                                             \
     goto* tokens[pc];                                          \
   } while (0)
-  // Ops that can stop the machine (halt, ret-to-null, a fallback that
-  // executed one of those) check for the sentinel; the rest skip it.
-#define FPMIX_OP(KIND, HANDLER)             \
-  L_##KIND:                                 \
-  pc = MicroExec::HANDLER(*this, *u, pc);   \
-  FPMIX_DISPATCH();
-#define FPMIX_OP_STOP(KIND, HANDLER)        \
-  L_##KIND:                                 \
-  pc = MicroExec::HANDLER(*this, *u, pc);   \
-  if (pc == MicroExec::kStop) goto halted;  \
+  // Ops that can stop the machine (halt, ret-to-null) check for the
+  // sentinel; the rest skip it.
+#define FPMIX_OP(KIND, HANDLER, FAMILY, STOPS)     \
+  L_##KIND:                                        \
+  pc = MicroExec::HANDLER(*this, *u, pc);          \
+  if constexpr (STOPS != 0) {                      \
+    if (pc == MicroExec::kStop) goto halted;       \
+  }                                                \
   FPMIX_DISPATCH();
 
   const MicroOp* u = nullptr;
   try {
     FPMIX_DISPATCH();
 
-    FPMIX_OP(kNop, h_nop)
-    FPMIX_OP_STOP(kHalt, h_halt)
-    FPMIX_OP(kJmp, h_jmp)
-    FPMIX_OP(kJe, h_je)
-    FPMIX_OP(kJne, h_jne)
-    FPMIX_OP(kJl, h_jl)
-    FPMIX_OP(kJle, h_jle)
-    FPMIX_OP(kJg, h_jg)
-    FPMIX_OP(kJge, h_jge)
-    FPMIX_OP(kJb, h_jb)
-    FPMIX_OP(kJbe, h_jbe)
-    FPMIX_OP(kJa, h_ja)
-    FPMIX_OP(kJae, h_jae)
-    FPMIX_OP(kCall, h_call)
-    FPMIX_OP_STOP(kRet, h_ret)
-    FPMIX_OP(kMovRR, h_mov_rr)
-    FPMIX_OP(kMovRI, h_mov_ri)
-    FPMIX_OP(kLoad, h_load)
-    FPMIX_OP(kStore, h_store)
-    FPMIX_OP(kLea, h_lea)
-    FPMIX_OP(kAddRR, h_add_rr)
-    FPMIX_OP(kAddRI, h_add_ri)
-    FPMIX_OP(kSubRR, h_sub_rr)
-    FPMIX_OP(kSubRI, h_sub_ri)
-    FPMIX_OP(kImulRR, h_imul_rr)
-    FPMIX_OP(kImulRI, h_imul_ri)
-    FPMIX_OP(kIdivRR, h_idiv_rr)
-    FPMIX_OP(kIdivRI, h_idiv_ri)
-    FPMIX_OP(kIremRR, h_irem_rr)
-    FPMIX_OP(kIremRI, h_irem_ri)
-    FPMIX_OP(kAndRR, h_and_rr)
-    FPMIX_OP(kAndRI, h_and_ri)
-    FPMIX_OP(kOrRR, h_or_rr)
-    FPMIX_OP(kOrRI, h_or_ri)
-    FPMIX_OP(kXorRR, h_xor_rr)
-    FPMIX_OP(kXorRI, h_xor_ri)
-    FPMIX_OP(kShlRR, h_shl_rr)
-    FPMIX_OP(kShlRI, h_shl_ri)
-    FPMIX_OP(kShrRR, h_shr_rr)
-    FPMIX_OP(kShrRI, h_shr_ri)
-    FPMIX_OP(kSarRR, h_sar_rr)
-    FPMIX_OP(kSarRI, h_sar_ri)
-    FPMIX_OP(kCmpRR, h_cmp_rr)
-    FPMIX_OP(kCmpRI, h_cmp_ri)
-    FPMIX_OP(kTestRR, h_test_rr)
-    FPMIX_OP(kTestRI, h_test_ri)
-    FPMIX_OP(kPush, h_push)
-    FPMIX_OP(kPop, h_pop)
-    FPMIX_OP(kMovqXR, h_movq_xr)
-    FPMIX_OP(kMovqRX, h_movq_rx)
-    FPMIX_OP(kMovsdXX, h_movsd_xx)
-    FPMIX_OP(kMovsdXM, h_movsd_xm)
-    FPMIX_OP(kMovsdMX, h_movsd_mx)
-    FPMIX_OP(kMovssXM, h_movss_xm)
-    FPMIX_OP(kMovssMX, h_movss_mx)
-    FPMIX_OP(kMovapdXX, h_movapd_xx)
-    FPMIX_OP(kMovapdXM, h_movapd_xm)
-    FPMIX_OP(kMovapdMX, h_movapd_mx)
-    FPMIX_OP(kPushX, h_push_x)
-    FPMIX_OP(kPopX, h_pop_x)
-    FPMIX_OP(kAddsdXX, h_addsd_xx)
-    FPMIX_OP(kAddsdXM, h_addsd_xm)
-    FPMIX_OP(kSubsdXX, h_subsd_xx)
-    FPMIX_OP(kSubsdXM, h_subsd_xm)
-    FPMIX_OP(kMulsdXX, h_mulsd_xx)
-    FPMIX_OP(kMulsdXM, h_mulsd_xm)
-    FPMIX_OP(kDivsdXX, h_divsd_xx)
-    FPMIX_OP(kDivsdXM, h_divsd_xm)
-    FPMIX_OP(kMinsdXX, h_minsd_xx)
-    FPMIX_OP(kMinsdXM, h_minsd_xm)
-    FPMIX_OP(kMaxsdXX, h_maxsd_xx)
-    FPMIX_OP(kMaxsdXM, h_maxsd_xm)
-    FPMIX_OP(kSqrtsdXX, h_sqrtsd_xx)
-    FPMIX_OP(kSqrtsdXM, h_sqrtsd_xm)
-    FPMIX_OP(kUcomisdXX, h_ucomisd_xx)
-    FPMIX_OP(kUcomisdXM, h_ucomisd_xm)
-    FPMIX_OP(kCvtsd2ssXX, h_cvtsd2ss_xx)
-    FPMIX_OP(kCvtsd2ssXM, h_cvtsd2ss_xm)
-    FPMIX_OP(kCvtss2sdXX, h_cvtss2sd_xx)
-    FPMIX_OP(kCvtss2sdXM, h_cvtss2sd_xm)
-    FPMIX_OP(kCvtsi2sd, h_cvtsi2sd)
-    FPMIX_OP(kCvttsd2si, h_cvttsd2si)
-    FPMIX_OP(kAddssXX, h_addss_xx)
-    FPMIX_OP(kAddssXM, h_addss_xm)
-    FPMIX_OP(kSubssXX, h_subss_xx)
-    FPMIX_OP(kSubssXM, h_subss_xm)
-    FPMIX_OP(kMulssXX, h_mulss_xx)
-    FPMIX_OP(kMulssXM, h_mulss_xm)
-    FPMIX_OP(kDivssXX, h_divss_xx)
-    FPMIX_OP(kDivssXM, h_divss_xm)
-    FPMIX_OP(kMinssXX, h_minss_xx)
-    FPMIX_OP(kMinssXM, h_minss_xm)
-    FPMIX_OP(kMaxssXX, h_maxss_xx)
-    FPMIX_OP(kMaxssXM, h_maxss_xm)
-    FPMIX_OP(kSqrtssXX, h_sqrtss_xx)
-    FPMIX_OP(kSqrtssXM, h_sqrtss_xm)
-    FPMIX_OP(kUcomissXX, h_ucomiss_xx)
-    FPMIX_OP(kUcomissXM, h_ucomiss_xm)
-    FPMIX_OP(kCvtsi2ss, h_cvtsi2ss)
-    FPMIX_OP(kCvttss2si, h_cvttss2si)
-    FPMIX_OP(kAddpdXX, h_addpd_xx)
-    FPMIX_OP(kAddpdXM, h_addpd_xm)
-    FPMIX_OP(kSubpdXX, h_subpd_xx)
-    FPMIX_OP(kSubpdXM, h_subpd_xm)
-    FPMIX_OP(kMulpdXX, h_mulpd_xx)
-    FPMIX_OP(kMulpdXM, h_mulpd_xm)
-    FPMIX_OP(kDivpdXX, h_divpd_xx)
-    FPMIX_OP(kDivpdXM, h_divpd_xm)
-    FPMIX_OP(kSqrtpdXX, h_sqrtpd_xx)
-    FPMIX_OP(kSqrtpdXM, h_sqrtpd_xm)
-    FPMIX_OP(kAddpsXX, h_addps_xx)
-    FPMIX_OP(kAddpsXM, h_addps_xm)
-    FPMIX_OP(kSubpsXX, h_subps_xx)
-    FPMIX_OP(kSubpsXM, h_subps_xm)
-    FPMIX_OP(kMulpsXX, h_mulps_xx)
-    FPMIX_OP(kMulpsXM, h_mulps_xm)
-    FPMIX_OP(kDivpsXX, h_divps_xx)
-    FPMIX_OP(kDivpsXM, h_divps_xm)
-    FPMIX_OP(kSqrtpsXX, h_sqrtps_xx)
-    FPMIX_OP(kSqrtpsXM, h_sqrtps_xm)
-    FPMIX_OP(kAndpdXX, h_andpd_xx)
-    FPMIX_OP(kAndpdXM, h_andpd_xm)
-    FPMIX_OP(kOrpdXX, h_orpd_xx)
-    FPMIX_OP(kOrpdXM, h_orpd_xm)
-    FPMIX_OP(kXorpdXX, h_xorpd_xx)
-    FPMIX_OP(kXorpdXM, h_xorpd_xm)
-    FPMIX_OP(kIntrin, h_intrin)
-    FPMIX_OP_STOP(kFallback, h_fallback)
+    FPMIX_MICRO_KINDS(FPMIX_OP)
 
 #define FPMIX_OP2(KA, KB, HA, HB)                                \
   L2_##KA##_##KB:                                                \
@@ -2436,40 +2004,9 @@ budget:
   result.instructions_retired = retired;
   return result;
 
-#undef FPMIX_OP_STOP
 #undef FPMIX_OP
 #undef FPMIX_DISPATCH
 #undef FPMIX_FUSED_PAIRS
-
-#else  // portable call-threaded loop through kMicroTable
-  try {
-    while (true) {
-      if (retired >= max_instructions) [[unlikely]] {
-        pc_ = pc;
-        retired_ = retired;
-        result.status = RunResult::Status::kOutOfBudget;
-        result.trap_message = "instruction budget exhausted";
-        result.instructions_retired = retired;
-        return result;
-      }
-      if constexpr (Profile) ++counts[pc];
-      ++retired;  // the trapping instruction counts as retired, like switch
-      const MicroOp& u = uops[pc];
-      pc = kMicroTable[u.kind](*this, u, pc);
-      if (pc == MicroExec::kStop) break;
-    }
-    stopped_ = true;
-    result.status = RunResult::Status::kHalted;
-  } catch (const Trap& t) {
-    pc_ = pc;  // the index of the instruction that trapped
-    result.status = RunResult::Status::kTrapped;
-    result.trap_message = t.message + trap_context(pc, retired);
-    result.sentinel_escape = t.sentinel;
-  }
-  retired_ = retired;
-  result.instructions_retired = retired;
-  return result;
-#endif
 }
 
 template RunResult Machine::run_micro<true>();

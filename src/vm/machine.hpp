@@ -12,7 +12,7 @@
 //
 // Two execution engines share all machine state and semantics:
 //  - Engine::kMicroOp (default): executes the ExecutableImage's predecoded
-//    micro-op stream through a function-pointer handler table; operand
+//    micro-op stream through a token-threaded (computed-goto) core; operand
 //    kinds were classified at predecode time, so the inner loop does no
 //    per-step operand dispatch. Separate profiling and non-profiling run
 //    loops keep counter maintenance off the pass/fail-trial path.
@@ -101,8 +101,8 @@ class Machine {
     /// count of the spec, on either engine.
     const fault::VmFaultSpec* fault = nullptr;
 
-    /// JIT engine only: wrap the out-of-line C++ helpers (generic-exec,
-    /// intrinsic, ret) in wall-clock accounting so bench_jit_compile can
+    /// JIT engine only: wrap the out-of-line C++ helpers (intrinsic, ret,
+    /// the off-end trap) in wall-clock accounting so bench_jit_compile can
     /// split kernel time into jitted code vs helper time (Amdahl view).
     /// Adds a clock read per helper call; leave off for timed runs.
     bool time_jit_helpers = false;
@@ -134,8 +134,8 @@ class Machine {
 
   std::uint64_t instructions_retired() const { return retired_; }
 
-  /// Wall-clock nanoseconds spent in JIT helper calls (generic-exec,
-  /// intrinsic, ret resolution) when Options::time_jit_helpers was set;
+  /// Wall-clock nanoseconds spent in JIT helper calls (intrinsic, ret
+  /// resolution, the off-end trap) when Options::time_jit_helpers was set;
   /// 0 otherwise and on the interpreter engines.
   std::uint64_t jit_helper_ns() const { return jit_helper_ns_; }
   /// Helper-call count alongside jit_helper_ns() (same gating).
@@ -202,8 +202,8 @@ class Machine {
   void push64(std::uint64_t v);
   std::uint64_t pop64();
 
-  // Reference engine: executes one decoded instruction (also the micro-op
-  // engine's fallback for unspecialized operand forms).
+  // Reference engine: executes one decoded instruction. The micro-op and
+  // JIT engines never call it, so it stays an independent oracle.
   void step_switch(const arch::Instr& ins);
   RunResult run_switch();
 

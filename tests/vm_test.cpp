@@ -3,14 +3,20 @@
 // the mini-MPI runtime.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cctype>
 #include <cmath>
+#include <string>
 #include <thread>
 
 #include "arch/encode.hpp"
 #include "arch/tag.hpp"
 #include "asm/assembler.hpp"
 #include "program/layout.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
+#include "vm/exec_image.hpp"
 #include "vm/machine.hpp"
 
 namespace fpmix {
@@ -557,6 +563,150 @@ TEST(MiniMpi, BarrierDoesNotDeadlock) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(done.load(), kRanks);
+}
+
+// ---------------------------------------------------------------------------
+// Lowering is total over the forms arch::validate accepts, and every
+// micro-op kind is reachable. The expected kind is derived from naming
+// alone: "k" + the opcode mnemonic, plus an RR/RI/XX/XM suffix when the
+// opcode accepts more than one operand form -- independent of lower_instr.
+
+constexpr const char* kMicroKindNames[] = {
+#define FPMIX_KIND_NAME(KIND, HANDLER, FAMILY, STOPS) #KIND,
+    FPMIX_MICRO_KINDS(FPMIX_KIND_NAME)
+#undef FPMIX_KIND_NAME
+};
+constexpr std::size_t kNumKinds = std::size(kMicroKindNames);
+
+std::string fold_name(std::string s) {
+  std::string out;
+  for (const char c : s) {
+    if (c != '_') {
+      out += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+  }
+  return out;
+}
+
+constexpr std::uint8_t kDstReg = 3;
+constexpr std::uint8_t kSrcReg = 7;
+constexpr std::int64_t kSrcImm = 42;
+const arch::MemRef kDstMem{1, arch::kNoReg, 1, -24};
+const arch::MemRef kSrcMem{5, 6, 8, 1000};
+
+Operand operand_of(arch::OperandKind kind, bool dst) {
+  switch (kind) {
+    case arch::OperandKind::kNone: return Operand::none();
+    case arch::OperandKind::kGpr: return Operand::gpr(dst ? kDstReg : kSrcReg);
+    case arch::OperandKind::kXmm: return Operand::xmm(dst ? kDstReg : kSrcReg);
+    case arch::OperandKind::kImm: return Operand::make_imm(dst ? 7 : kSrcImm);
+    case arch::OperandKind::kMem:
+      return Operand::make_mem(dst ? kDstMem : kSrcMem);
+  }
+  return Operand::none();
+}
+
+arch::Instr instr_of(Opcode op, int d, int s) {
+  arch::Instr ins;
+  ins.op = op;
+  ins.dst = operand_of(static_cast<arch::OperandKind>(d), true);
+  ins.src = operand_of(static_cast<arch::OperandKind>(s), false);
+  ins.addr = 0x1000;
+  ins.size = arch::encoded_size(ins);
+  return ins;
+}
+
+bool validates(const arch::Instr& ins) {
+  try {
+    arch::validate(ins);
+    return true;
+  } catch (const DecodeError&) {
+    return false;
+  }
+}
+
+const char* form_suffix(const arch::Instr& ins) {
+  using K = arch::OperandKind;
+  const K d = ins.dst.kind;
+  const K s = ins.src.kind;
+  if (d == K::kGpr && s == K::kGpr) return "rr";
+  if (d == K::kGpr && s == K::kImm) return "ri";
+  if (d == K::kXmm && s == K::kXmm) return "xx";
+  if (d == K::kXmm && s == K::kMem) return "xm";
+  return "?";
+}
+
+void expect_ea(const vm::MicroOp& u, const arch::MemRef& m) {
+  EXPECT_EQ(u.ea_base, m.base == arch::kNoReg ? vm::kZeroRegSlot : m.base);
+  EXPECT_EQ(u.ea_index, m.index == arch::kNoReg ? vm::kZeroRegSlot : m.index);
+  EXPECT_EQ(1u << u.ea_shift, static_cast<unsigned>(m.scale));
+  EXPECT_EQ(u.ea_disp, m.disp);
+}
+
+TEST(Lowering, TotalOverValidatedFormsWithNoDeadKinds) {
+  constexpr int kKinds = 5;  // arch::OperandKind kNone..kMem
+  std::vector<bool> produced(kNumKinds, false);
+  std::size_t validated = 0;
+  for (int o = 0; o < static_cast<int>(Opcode::kNumOpcodes); ++o) {
+    const auto op = static_cast<Opcode>(o);
+    int forms = 0;
+    for (int d = 0; d < kKinds; ++d) {
+      for (int s = 0; s < kKinds; ++s) forms += validates(instr_of(op, d, s));
+    }
+    EXPECT_GE(forms, 1) << arch::opcode_name(op);
+    for (int d = 0; d < kKinds; ++d) {
+      for (int s = 0; s < kKinds; ++s) {
+        const arch::Instr ins = instr_of(op, d, s);
+        if (!validates(ins)) continue;
+        ++validated;
+        SCOPED_TRACE(std::string(arch::opcode_name(op)) + " form " +
+                     std::to_string(d) + "," + std::to_string(s));
+        vm::MicroOp u;
+        ASSERT_NO_THROW(u = vm::lower_instr(ins));
+        ASSERT_LT(u.kind, kNumKinds);
+        produced[u.kind] = true;
+
+        std::string want = "k" + fold_name(arch::opcode_name(op));
+        if (forms > 1) want += form_suffix(ins);
+        EXPECT_EQ(fold_name(kMicroKindNames[u.kind]), want);
+
+        const bool dst_reg = ins.dst.is_gpr() || ins.dst.is_xmm();
+        const bool src_reg = ins.src.is_gpr() || ins.src.is_xmm();
+        EXPECT_EQ(u.a, dst_reg ? kDstReg : 0);
+        EXPECT_EQ(u.b, src_reg ? kSrcReg : 0);
+        if (ins.dst.is_mem()) {
+          expect_ea(u, kDstMem);
+        } else if (ins.src.is_mem()) {
+          expect_ea(u, kSrcMem);
+        } else {
+          expect_ea(u, arch::MemRef{});
+        }
+        EXPECT_EQ(u.imm, ins.src.is_imm() ? kSrcImm : 0);
+        EXPECT_EQ(u.aux, op == Opcode::kCall ? ins.addr + ins.size : 0);
+      }
+    }
+  }
+  EXPECT_GT(validated, static_cast<std::size_t>(Opcode::kNumOpcodes));
+  for (std::size_t k = 0; k < kNumKinds; ++k) {
+    EXPECT_TRUE(produced[k]) << kMicroKindNames[k]
+                             << " is produced by no validated form";
+  }
+}
+
+TEST(Lowering, RejectsFormsValidateRejects) {
+  using K = arch::OperandKind;
+  const auto lower = [](Opcode op, K d, K s) {
+    return vm::lower_instr(
+        instr_of(op, static_cast<int>(d), static_cast<int>(s)));
+  };
+  EXPECT_THROW(lower(Opcode::kAdd, K::kXmm, K::kXmm), VmError);
+  EXPECT_THROW(lower(Opcode::kAdd, K::kGpr, K::kMem), VmError);
+  EXPECT_THROW(lower(Opcode::kAddsd, K::kGpr, K::kGpr), VmError);
+  EXPECT_THROW(lower(Opcode::kAddsd, K::kXmm, K::kImm), VmError);
+  EXPECT_THROW(lower(Opcode::kLoad, K::kGpr, K::kGpr), VmError);
+  EXPECT_THROW(lower(Opcode::kStore, K::kGpr, K::kGpr), VmError);
+  EXPECT_THROW(lower(Opcode::kLea, K::kGpr, K::kImm), VmError);
+  EXPECT_THROW(lower(Opcode::kNumOpcodes, K::kNone, K::kNone), VmError);
 }
 
 }  // namespace

@@ -107,7 +107,7 @@ KernelResult run_kernel(const kernels::Workload& w,
     // Warm: the shared TrialBuilder, exactly as the search drives it.
     const verify::TrialBuilder::Built built = builder.build(cfg);
     const double warm_ns =
-        static_cast<double>(built.patch_ns + built.predecode_ns);
+        static_cast<double>(built.cost.patch_ns + built.cost.predecode_ns);
 
     if (!images_identical(built.exec->image(), scratch->image())) {
       std::fprintf(stderr,

@@ -136,15 +136,16 @@ std::string encode_result(const WireResult& res) {
   put_u8(&out, res.run_status);
   put_string(&out, res.failure);
   put_u64(&out, res.instructions_retired);
-  put_u64(&out, res.patch_ns);
-  put_u64(&out, res.predecode_ns);
-  put_u64(&out, res.run_ns);
-  put_u64(&out, res.verify_ns);
-  put_u8(&out, res.image_cache_hit);
-  put_u64(&out, res.patch_saved_ns);
-  put_u64(&out, res.predecode_saved_ns);
-  put_u32(&out, res.funcs_reused);
-  put_u32(&out, res.funcs_total);
+  const verify::TrialCost& c = res.cost;
+  put_u64(&out, c.patch_ns);
+  put_u64(&out, c.predecode_ns);
+  put_u64(&out, c.run_ns);
+  put_u64(&out, c.verify_ns);
+  put_u8(&out, c.image_cache_hit ? 1 : 0);
+  put_u64(&out, c.patch_saved_ns);
+  put_u64(&out, c.predecode_saved_ns);
+  put_u32(&out, c.funcs_reused);
+  put_u32(&out, c.funcs_total);
   return out;
 }
 
@@ -155,15 +156,16 @@ bool decode_result(std::string_view payload, WireResult* out) {
   out->run_status = r.u8();
   out->failure = r.str();
   out->instructions_retired = r.u64();
-  out->patch_ns = r.u64();
-  out->predecode_ns = r.u64();
-  out->run_ns = r.u64();
-  out->verify_ns = r.u64();
-  out->image_cache_hit = r.u8();
-  out->patch_saved_ns = r.u64();
-  out->predecode_saved_ns = r.u64();
-  out->funcs_reused = r.u32();
-  out->funcs_total = r.u32();
+  verify::TrialCost& c = out->cost;
+  c.patch_ns = r.u64();
+  c.predecode_ns = r.u64();
+  c.run_ns = r.u64();
+  c.verify_ns = r.u64();
+  c.image_cache_hit = r.u8() != 0;
+  c.patch_saved_ns = r.u64();
+  c.predecode_saved_ns = r.u64();
+  c.funcs_reused = r.u32();
+  c.funcs_total = r.u32();
   return r.done();
 }
 
@@ -180,15 +182,7 @@ bool to_eval_result(const WireResult& w, verify::EvalResult* out) {
   out->run_status = static_cast<vm::RunResult::Status>(w.run_status);
   out->failure = w.failure;
   out->instructions_retired = w.instructions_retired;
-  out->patch_ns = w.patch_ns;
-  out->predecode_ns = w.predecode_ns;
-  out->run_ns = w.run_ns;
-  out->verify_ns = w.verify_ns;
-  out->image_cache_hit = w.image_cache_hit != 0;
-  out->patch_saved_ns = w.patch_saved_ns;
-  out->predecode_saved_ns = w.predecode_saved_ns;
-  out->funcs_reused = w.funcs_reused;
-  out->funcs_total = w.funcs_total;
+  out->cost = w.cost;
   return true;
 }
 
@@ -199,15 +193,7 @@ WireResult from_eval_result(const verify::EvalResult& r) {
   w.run_status = static_cast<std::uint8_t>(r.run_status);
   w.failure = r.failure;
   w.instructions_retired = r.instructions_retired;
-  w.patch_ns = r.patch_ns;
-  w.predecode_ns = r.predecode_ns;
-  w.run_ns = r.run_ns;
-  w.verify_ns = r.verify_ns;
-  w.image_cache_hit = r.image_cache_hit ? 1 : 0;
-  w.patch_saved_ns = r.patch_saved_ns;
-  w.predecode_saved_ns = r.predecode_saved_ns;
-  w.funcs_reused = r.funcs_reused;
-  w.funcs_total = r.funcs_total;
+  w.cost = r.cost;
   return w;
 }
 

@@ -102,16 +102,7 @@ struct WireResult {
   std::uint8_t run_status = 0;     // vm::RunResult::Status
   std::string failure;
   std::uint64_t instructions_retired = 0;
-  std::uint64_t patch_ns = 0;
-  std::uint64_t predecode_ns = 0;
-  std::uint64_t run_ns = 0;
-  std::uint64_t verify_ns = 0;
-  // Incremental-pipeline accounting (mirrors verify::EvalResult).
-  std::uint8_t image_cache_hit = 0;
-  std::uint64_t patch_saved_ns = 0;
-  std::uint64_t predecode_saved_ns = 0;
-  std::uint32_t funcs_reused = 0;
-  std::uint32_t funcs_total = 0;
+  verify::TrialCost cost;
 };
 
 std::string encode_result(const WireResult& r);

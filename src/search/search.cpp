@@ -30,6 +30,12 @@ using config::StructureIndex;
 
 namespace {
 
+/// Structures with at least this many candidates are binary-split instead
+/// of expanded child-by-child.
+constexpr std::size_t kMinSplitSize = 4;
+/// Trials between progress lines (SearchOptions::progress_log).
+constexpr std::size_t kProgressEvery = 16;
+
 /// A unit of the configuration space: one structure (or partition) whose
 /// candidates are flipped to single precision while the rest of the program
 /// stays double.
@@ -151,27 +157,24 @@ std::string unit_name(const StructureIndex& ix, const Unit& u) {
   return "?";
 }
 
-/// Folds one attempt's stage costs and incremental-pipeline accounting into
-/// the trial's accumulators (t->result holds that attempt).
-void note_attempt(TrialEval* t) {
-  const verify::EvalResult& r = t->result;
-  t->patch_ns += r.patch_ns;
-  t->predecode_ns += r.predecode_ns;
-  t->run_ns += r.run_ns;
-  t->verify_ns += r.verify_ns;
-  t->patch_saved_ns += r.patch_saved_ns;
-  t->predecode_saved_ns += r.predecode_saved_ns;
-  // funcs_total == 0 means the attempt never reached a TrialBuilder
-  // (legacy path, synthetic breaker/storm verdicts): no cache traffic.
-  if (r.funcs_total > 0) {
-    if (r.image_cache_hit) {
-      ++t->image_hits;
-    } else {
-      ++t->image_misses;
-    }
-    t->funcs_reused += r.funcs_reused;
-    t->funcs_patched += r.funcs_total - r.funcs_reused;
-  }
+/// Adds one live attempt's cost to the search totals. An attempt with
+/// funcs_total == 0 never reached a TrialBuilder (image cache off, or a
+/// breaker/storm verdict made without a build), so it is neither an image
+/// hit nor a miss.
+void add_cost(const verify::TrialCost& c, SearchMetrics* m) {
+  const auto secs = [](std::uint64_t ns) {
+    return 1e-9 * static_cast<double>(ns);
+  };
+  m->patch_seconds += secs(c.patch_ns);
+  m->predecode_seconds += secs(c.predecode_ns);
+  m->run_seconds += secs(c.run_ns);
+  m->verify_seconds += secs(c.verify_ns);
+  m->patch_saved_seconds += secs(c.patch_saved_ns);
+  m->predecode_saved_seconds += secs(c.predecode_saved_ns);
+  if (c.funcs_total == 0) return;
+  ++(c.image_cache_hit ? m->image_cache_hits : m->image_cache_misses);
+  m->funcs_reused += c.funcs_reused;
+  m->funcs_patched += c.funcs_total - c.funcs_reused;
 }
 
 /// Settles the vote: majority verdict, ties failing (a config that cannot
@@ -261,10 +264,7 @@ class PoolExecutor final : public TrialExecutor {
     m->full_requests = ps.full_requests;
     m->delta_bytes = ps.delta_bytes;
     m->full_bytes = ps.full_bytes;
-    for (const runner::SlotStats& ss : ps.slots) {
-      m->worker_slots.push_back(WorkerSlotMetrics{
-          ss.requests, ss.respawns, ss.crashes, ss.timeouts, ss.quarantines});
-    }
+    m->worker_slots = ps.slots;
   }
 
  private:
@@ -826,7 +826,7 @@ class Searcher {
       ++metrics_.trials_cached;
     } else {
       ++metrics_.trials_live;
-      metrics_.retries += t->attempts - 1;
+      metrics_.retries += t->attempts.size() - 1;
       if (t->mixed_votes) {
         ++metrics_.quarantined;
         quarantine_.push_back(t->key);
@@ -834,27 +834,21 @@ class Searcher {
       const double secs = 1e-9 * static_cast<double>(t->eval_ns);
       metrics_.eval_seconds += secs;
       metrics_.eval_seconds_per_level[level] += secs;
-      metrics_.patch_seconds += 1e-9 * static_cast<double>(t->patch_ns);
-      metrics_.predecode_seconds +=
-          1e-9 * static_cast<double>(t->predecode_ns);
-      metrics_.run_seconds += 1e-9 * static_cast<double>(t->run_ns);
-      metrics_.verify_seconds += 1e-9 * static_cast<double>(t->verify_ns);
-      metrics_.patch_saved_seconds +=
-          1e-9 * static_cast<double>(t->patch_saved_ns);
-      metrics_.predecode_saved_seconds +=
-          1e-9 * static_cast<double>(t->predecode_saved_ns);
-      metrics_.image_cache_hits += t->image_hits;
-      metrics_.image_cache_misses += t->image_misses;
-      metrics_.funcs_reused += t->funcs_reused;
-      metrics_.funcs_patched += t->funcs_patched;
+      std::uint64_t saved_ns = 0;
+      bool any_image_hit = false;
+      for (const verify::TrialCost& c : t->attempts) {
+        add_cost(c, &metrics_);
+        saved_ns += c.patch_saved_ns + c.predecode_saved_ns;
+        any_image_hit =
+            any_image_hit || (c.funcs_total > 0 && c.image_cache_hit);
+      }
       // With journal_timings off, the nondeterministic per-trial timing
       // fields are zeroed so journal bytes depend only on the verdict
       // stream -- the property the distributed byte-identity checks diff.
       const bool times = options_.journal_timings;
       CachedTrial entry{t->result.passed, t->result.failure_class,
                         t->result.failure, times ? t->eval_ns : 0,
-                        times ? t->patch_saved_ns + t->predecode_saved_ns : 0,
-                        times && t->image_hits > 0};
+                        times ? saved_ns : 0, times && any_image_hit};
       if (journal_.is_open()) {
         // Commit locally, then replicate the exact sealed bytes to every
         // live shard: any N-1 subset of the fleet can reconstruct the
@@ -889,9 +883,7 @@ class Searcher {
 
   void maybe_log_progress() {
     if (!options_.progress_log) return;
-    const std::size_t every = std::max<std::size_t>(1,
-                                                    options_.progress_every);
-    if (tested_ % every != 0) return;
+    if (tested_ % kProgressEvery != 0) return;
     const double wall = wall_timer_.elapsed_seconds();
     const double rate =
         wall > 0.0 ? static_cast<double>(tested_) / wall : 0.0;
@@ -982,7 +974,7 @@ class Searcher {
       out->push_back(std::move(c));
       return;
     }
-    if (options_.binary_split && useful.size() >= options_.min_split_size) {
+    if (options_.binary_split && useful.size() >= kMinSplitSize) {
       const std::size_t half = useful.size() / 2;
       Unit lo, hi;
       lo.kind = hi.kind = Unit::Kind::kFuncPart;
@@ -1013,7 +1005,7 @@ class Searcher {
       out->push_back(std::move(c));
       return;
     }
-    if (options_.binary_split && instrs.size() >= options_.min_split_size) {
+    if (options_.binary_split && instrs.size() >= kMinSplitSize) {
       const std::size_t half = instrs.size() / 2;
       Unit lo, hi;
       lo.kind = hi.kind = Unit::Kind::kBlockPart;
@@ -1100,8 +1092,7 @@ void vote_batch(TrialExecutor& executor, const std::vector<TrialEval*>& trials,
       const bool settled = executor.settles(outs[j]);
       t->result = std::move(outs[j].result);
       t->eval_ns += outs[j].wall_ns;
-      ++t->attempts;
-      note_attempt(t);
+      t->attempts.push_back(t->result.cost);
       if (settled) continue;
       ++(t->result.passed ? v.passes : v.fails);
       if (attempt + 1 < max_attempts && v.passes <= max_attempts / 2 &&

@@ -26,6 +26,7 @@
 
 #include "config/config.hpp"
 #include "program/image.hpp"
+#include "runner/worker_pool.hpp"
 #include "support/fault.hpp"
 #include "verify/evaluate.hpp"
 #include "verify/verifier.hpp"
@@ -47,9 +48,6 @@ struct SearchOptions {
   bool binary_split = true;           // optimization 1 (Section 2.2)
   bool prioritize_by_profile = true;  // optimization 2 (Section 2.2)
   std::size_t num_threads = 1;
-  /// Structures with at least this many candidates are binary-split
-  /// instead of expanded child-by-child.
-  std::size_t min_split_size = 4;
   std::uint64_t max_instructions_per_run = 1ull << 32;
   bool keep_log = true;
 
@@ -185,8 +183,6 @@ struct SearchOptions {
   /// Emit progress lines (trials/sec, cache hit rate, queue depth, ETA)
   /// through support/log at info level while the search runs.
   bool progress_log = false;
-  /// Trials between progress lines.
-  std::size_t progress_every = 16;
 };
 
 /// One tested configuration, for logs and the search trace.
@@ -240,16 +236,6 @@ struct EndpointMetrics {
   bool state_degraded = false;
 };
 
-/// Per-worker-slot supervision census (isolate mode): one seat in the pool,
-/// across however many worker processes occupied it.
-struct WorkerSlotMetrics {
-  std::size_t requests = 0;     // trial requests successfully sent
-  std::size_t respawns = 0;     // worker processes respawned into the slot
-  std::size_t crashes = 0;      // non-supervisor deaths observed
-  std::size_t timeouts = 0;     // supervisor deadline kills
-  std::size_t quarantines = 0;  // per-config breakers tripped on this slot
-};
-
 /// Throughput and cache statistics of one run_search call.
 struct SearchMetrics {
   std::size_t trials_total = 0;   // == SearchResult::configs_tested
@@ -263,9 +249,10 @@ struct SearchMetrics {
   /// ("module", "function", "func-part", "block", "block-part", "insn",
   /// "composition").
   std::map<std::string, double> eval_seconds_per_level;
-  /// Stage breakdown of the summed live evaluations: where each trial's
-  /// time went (patch = instrument_image, predecode = ExecutableImage
-  /// build, run = VM execution, verify = output check).
+  /// Stage breakdown summed over every live evaluation attempt's
+  /// verify::TrialCost: where each trial's time went (patch =
+  /// instrument_image, predecode = ExecutableImage build, run = VM
+  /// execution, verify = output check).
   double patch_seconds = 0.0;
   double predecode_seconds = 0.0;
   double run_seconds = 0.0;
@@ -334,7 +321,7 @@ struct SearchMetrics {
   std::size_t delta_bytes = 0;
   std::size_t full_bytes = 0;
   /// One entry per worker slot (isolate mode only).
-  std::vector<WorkerSlotMetrics> worker_slots;
+  std::vector<runner::SlotStats> worker_slots;
 
   // ---- Distributed execution ----------------------------------------------
   /// Trial results served by remote endpoints (shard-cache hits included).
@@ -406,5 +393,11 @@ SearchResult run_search(const program::Image& original,
                         config::StructureIndex* index,
                         const verify::Verifier& verifier,
                         const SearchOptions& options = {});
+
+/// The run's metrics as one JSON object: every SearchMetrics counter, the
+/// per-endpoint and per-worker-slot tables, the process-wide JIT lowering
+/// census (vm::jit::lowering_totals), and the verdict fields of `result`.
+/// Keys keep a fixed order; times print with six decimals.
+std::string metrics_json(const SearchResult& result);
 
 }  // namespace fpmix::search

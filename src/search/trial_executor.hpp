@@ -60,25 +60,15 @@ class TrialExecutor {
 };
 
 /// One configuration's evaluation: the job the vote loop submits, and the
-/// accounting summed over *every* attempt spent on it.
+/// accounting of *every* attempt spent on it.
 struct TrialEval {
   config::PrecisionConfig cfg;
   std::string key;  // stable config digest (cache/journal identity)
   verify::EvalResult result;  // last attempt, then the settled verdict
-  std::uint64_t eval_ns = 0;
-  std::uint32_t attempts = 0;
+  std::uint64_t eval_ns = 0;  // summed wall time of the attempts
+  /// The cost of each attempt, in order; size() is the attempt count.
+  std::vector<verify::TrialCost> attempts;
   bool mixed_votes = false;  // attempts disagreed -> quarantine
-
-  std::uint64_t patch_ns = 0;
-  std::uint64_t predecode_ns = 0;
-  std::uint64_t run_ns = 0;
-  std::uint64_t verify_ns = 0;
-  std::uint64_t patch_saved_ns = 0;
-  std::uint64_t predecode_saved_ns = 0;
-  std::size_t funcs_reused = 0;
-  std::size_t funcs_patched = 0;
-  std::size_t image_hits = 0;
-  std::size_t image_misses = 0;
 };
 
 /// The majority vote over whole-batch rounds: round k runs every open trial

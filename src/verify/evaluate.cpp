@@ -94,21 +94,15 @@ EvalResult evaluate_config(const program::Image& original,
       TrialBuilder::Built built = options.builder->build(cfg);
       exec = std::move(built.exec);
       result.stats = built.stats;
-      result.patch_ns = built.patch_ns;
-      result.predecode_ns = built.predecode_ns;
-      result.image_cache_hit = built.cache_hit;
-      result.patch_saved_ns = built.patch_saved_ns;
-      result.predecode_saved_ns = built.predecode_saved_ns;
-      result.funcs_reused = built.funcs_reused;
-      result.funcs_total = built.funcs_total;
+      result.cost = built.cost;
     } else {
       program::Image patched =
           instrument::instrument_image(original, index, cfg, &result.stats);
-      result.patch_ns = timer.elapsed_ns();
+      result.cost.patch_ns = timer.elapsed_ns();
 
       timer.reset();
       exec = vm::ExecutableImage::build(std::move(patched));
-      result.predecode_ns = timer.elapsed_ns();
+      result.cost.predecode_ns = timer.elapsed_ns();
     }
 
     vm::Machine::Options mopts;
@@ -124,7 +118,7 @@ EvalResult evaluate_config(const program::Image& original,
     vm::Machine machine(exec, mopts);
     timer.reset();
     const vm::RunResult run = machine.run();
-    result.run_ns = timer.elapsed_ns();
+    result.cost.run_ns = timer.elapsed_ns();
     result.run_status = run.status;
     result.instructions_retired = run.instructions_retired;
     result.outputs = machine.output_f64();
@@ -138,7 +132,7 @@ EvalResult evaluate_config(const program::Image& original,
     }
     timer.reset();
     result.passed = verifier.verify(result.outputs);
-    result.verify_ns = timer.elapsed_ns();
+    result.cost.verify_ns = timer.elapsed_ns();
   } catch (const std::bad_alloc&) {
     // Memory exhaustion is a *resource* outcome, not a harness bug: under a
     // sandboxed worker's RLIMIT_AS a config whose patched image blows up the

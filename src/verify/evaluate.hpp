@@ -64,6 +64,27 @@ bool parse_failure_class(std::string_view name, FailureClass* out);
 /// (records written before the class field existed).
 FailureClass classify_failure_message(std::string_view message);
 
+/// What one evaluation attempt cost: the record TrialBuilder fills,
+/// EvalResult carries, runner::WireResult ships back from a worker, and the
+/// search sums into SearchMetrics.
+struct TrialCost {
+  // Stage breakdown.
+  std::uint64_t patch_ns = 0;      // instrument_image
+  std::uint64_t predecode_ns = 0;  // ExecutableImage::build of the patch
+  std::uint64_t run_ns = 0;        // VM execution
+  std::uint64_t verify_ns = 0;     // verifier.verify on the outputs
+
+  // Incremental-pipeline accounting (all zero without EvalOptions::builder).
+  // `*_saved_ns` are estimates against the builder's first (cold) build.
+  bool image_cache_hit = false;       // whole image served from the LRU
+  std::uint64_t patch_saved_ns = 0;
+  std::uint64_t predecode_saved_ns = 0;
+  std::uint32_t funcs_reused = 0;     // functions spliced from the cache
+  /// Functions in the built image; 0 when the attempt never reached a
+  /// TrialBuilder (no builder, or a verdict synthesized without a build).
+  std::uint32_t funcs_total = 0;
+};
+
 struct EvalResult {
   bool passed = false;
   vm::RunResult::Status run_status = vm::RunResult::Status::kHalted;
@@ -72,19 +93,7 @@ struct EvalResult {
   std::vector<double> outputs;
   std::uint64_t instructions_retired = 0;
   instrument::InstrumentStats stats;
-
-  // Stage breakdown of this evaluation (SearchMetrics aggregates these).
-  std::uint64_t patch_ns = 0;      // instrument_image
-  std::uint64_t predecode_ns = 0;  // ExecutableImage::build of the patch
-  std::uint64_t run_ns = 0;        // VM execution
-  std::uint64_t verify_ns = 0;     // verifier.verify on the outputs
-
-  // Incremental-pipeline accounting (all zero without EvalOptions::builder).
-  bool image_cache_hit = false;       // whole image served from the LRU
-  std::uint64_t patch_saved_ns = 0;   // estimated vs. the cold baseline
-  std::uint64_t predecode_saved_ns = 0;
-  std::uint32_t funcs_reused = 0;     // functions spliced from the cache
-  std::uint32_t funcs_total = 0;
+  TrialCost cost;
 };
 
 /// Builds the mixed-precision binary for `cfg` and evaluates it. Crashes,

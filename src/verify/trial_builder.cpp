@@ -24,44 +24,42 @@ TrialBuilder::Built TrialBuilder::build(const config::PrecisionConfig& cfg) {
   const std::string key = cfg.canonical_key();
   const std::uint64_t hash = fnv1a64(key);
 
+  TrialCost& c = out.cost;
   Timer timer;
   if (const ImageCache::Entry* hit = cache_.find(fingerprint_, hash, key)) {
     out.exec = hit->exec;
     out.stats = hit->stats;
-    out.cache_hit = true;
-    out.patch_ns = timer.elapsed_ns();
-    out.funcs_total =
-        static_cast<std::uint32_t>(hit->exec->segments().size());
-    out.funcs_reused = out.funcs_total;
+    c.image_cache_hit = true;
+    c.patch_ns = timer.elapsed_ns();
+    c.funcs_total = static_cast<std::uint32_t>(hit->exec->segments().size());
+    c.funcs_reused = c.funcs_total;
     if (have_cold_) {
-      out.patch_saved_ns = cold_patch_ns_ > out.patch_ns
-                               ? cold_patch_ns_ - out.patch_ns
-                               : 0;
-      out.predecode_saved_ns = cold_predecode_ns_;
+      c.patch_saved_ns =
+          cold_patch_ns_ > c.patch_ns ? cold_patch_ns_ - c.patch_ns : 0;
+      c.predecode_saved_ns = cold_predecode_ns_;
     }
   } else {
     timer.reset();
     instrument::IncrementalPatcher::Build b = patcher_.patch(cfg);
-    out.patch_ns = timer.elapsed_ns();
+    c.patch_ns = timer.elapsed_ns();
     out.stats = b.stats;
-    out.funcs_reused = static_cast<std::uint32_t>(b.funcs_reused);
-    out.funcs_total = static_cast<std::uint32_t>(b.funcs_total);
+    c.funcs_reused = static_cast<std::uint32_t>(b.funcs_reused);
+    c.funcs_total = static_cast<std::uint32_t>(b.funcs_total);
 
     timer.reset();
     out.exec = patcher_.predecode(std::move(b));
-    out.predecode_ns = timer.elapsed_ns();
+    c.predecode_ns = timer.elapsed_ns();
 
     if (!have_cold_) {
       have_cold_ = true;
-      cold_patch_ns_ = out.patch_ns;
-      cold_predecode_ns_ = out.predecode_ns;
+      cold_patch_ns_ = c.patch_ns;
+      cold_predecode_ns_ = c.predecode_ns;
     } else {
-      out.patch_saved_ns = cold_patch_ns_ > out.patch_ns
-                               ? cold_patch_ns_ - out.patch_ns
-                               : 0;
-      out.predecode_saved_ns = cold_predecode_ns_ > out.predecode_ns
-                                   ? cold_predecode_ns_ - out.predecode_ns
-                                   : 0;
+      c.patch_saved_ns =
+          cold_patch_ns_ > c.patch_ns ? cold_patch_ns_ - c.patch_ns : 0;
+      c.predecode_saved_ns = cold_predecode_ns_ > c.predecode_ns
+                                 ? cold_predecode_ns_ - c.predecode_ns
+                                 : 0;
     }
     cache_.insert(fingerprint_, hash, key,
                   ImageCache::Entry{out.exec, out.stats});
@@ -71,10 +69,10 @@ TrialBuilder::Built TrialBuilder::build(const config::PrecisionConfig& cfg) {
   totals_.image_cache_misses = cache_.misses();
   totals_.variant_hits = patcher_.variant_hits();
   totals_.variant_misses = patcher_.variant_misses();
-  totals_.patch_saved_ns += out.patch_saved_ns;
-  totals_.predecode_saved_ns += out.predecode_saved_ns;
-  totals_.funcs_reused += out.funcs_reused;
-  totals_.funcs_patched += out.funcs_total - out.funcs_reused;
+  totals_.patch_saved_ns += c.patch_saved_ns;
+  totals_.predecode_saved_ns += c.predecode_saved_ns;
+  totals_.funcs_reused += c.funcs_reused;
+  totals_.funcs_patched += c.funcs_total - c.funcs_reused;
   return out;
 }
 

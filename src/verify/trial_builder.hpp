@@ -18,6 +18,7 @@
 #include "config/structure.hpp"
 #include "instrument/incremental.hpp"
 #include "program/image.hpp"
+#include "verify/evaluate.hpp"
 #include "verify/image_cache.hpp"
 
 namespace fpmix::verify {
@@ -29,19 +30,13 @@ class TrialBuilder {
     std::size_t image_cache_capacity = 64;
   };
 
-  /// One built trial plus its cost/savings accounting. `*_saved_ns` are
-  /// estimates against the first (cold) build's stage times; an image-cache
-  /// hit is credited the full cold baselines.
+  /// One built trial plus the patch/predecode half of its cost (run and
+  /// verify stay zero). An image-cache hit is credited the full cold
+  /// baselines as savings.
   struct Built {
     std::shared_ptr<const vm::ExecutableImage> exec;
     instrument::InstrumentStats stats;
-    bool cache_hit = false;
-    std::uint64_t patch_ns = 0;
-    std::uint64_t predecode_ns = 0;
-    std::uint64_t patch_saved_ns = 0;
-    std::uint64_t predecode_saved_ns = 0;
-    std::uint32_t funcs_reused = 0;
-    std::uint32_t funcs_total = 0;
+    TrialCost cost;
   };
 
   /// Aggregate counters across all build() calls.

@@ -338,9 +338,9 @@ TEST(TrialBuilder, ReusesImagesAndAccountsSavings) {
   SplitMix64 rng(0x7B);
   const PrecisionConfig a = random_config(p.index, &rng, 6);
   const verify::TrialBuilder::Built b1 = builder.build(a);
-  EXPECT_FALSE(b1.cache_hit);
+  EXPECT_FALSE(b1.cost.image_cache_hit);
   ASSERT_NE(b1.exec, nullptr);
-  EXPECT_EQ(b1.funcs_total, b1.exec->segments().size());
+  EXPECT_EQ(b1.cost.funcs_total, b1.exec->segments().size());
 
   // Bit-identical to the from-scratch pipeline.
   const auto scratch =
@@ -352,15 +352,15 @@ TEST(TrialBuilder, ReusesImagesAndAccountsSavings) {
 
   // Same config again: whole-image hit serving the same executable.
   const verify::TrialBuilder::Built b2 = builder.build(a);
-  EXPECT_TRUE(b2.cache_hit);
+  EXPECT_TRUE(b2.cost.image_cache_hit);
   EXPECT_EQ(b2.exec.get(), b1.exec.get());
-  EXPECT_EQ(b2.funcs_reused, b2.funcs_total);
+  EXPECT_EQ(b2.cost.funcs_reused, b2.cost.funcs_total);
 
   // A neighbour misses the image cache but reuses most function variants.
   const verify::TrialBuilder::Built b3 =
       builder.build(mutate_config(p.index, a, &rng));
-  EXPECT_FALSE(b3.cache_hit);
-  EXPECT_GT(b3.funcs_reused, 0u);
+  EXPECT_FALSE(b3.cost.image_cache_hit);
+  EXPECT_GT(b3.cost.funcs_reused, 0u);
 
   const verify::TrialBuilder::Stats s = builder.stats();
   EXPECT_EQ(s.image_cache_hits, 1u);

@@ -32,6 +32,7 @@
 #include "runner/worker_pool.hpp"
 #include "search/search.hpp"
 #include "support/fault.hpp"
+#include "support/strings.hpp"
 #include "verify/evaluate.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -111,16 +112,37 @@ TEST(Wire, RequestAndResultRoundTrip) {
   er.run_status = vm::RunResult::Status::kTrapped;
   er.failure = "sentinel escaped at 0x40";
   er.instructions_retired = 12345;
-  er.patch_ns = 1;
-  er.predecode_ns = 2;
-  er.run_ns = 3;
-  er.verify_ns = 4;
-  er.image_cache_hit = true;
-  er.patch_saved_ns = 111;
-  er.predecode_saved_ns = 222;
-  er.funcs_reused = 5;
-  er.funcs_total = 9;
+  er.cost.patch_ns = 1;
+  er.cost.predecode_ns = 2;
+  er.cost.run_ns = 3;
+  er.cost.verify_ns = 4;
+  er.cost.image_cache_hit = true;
+  er.cost.patch_saved_ns = 111;
+  er.cost.predecode_saved_ns = 222;
+  er.cost.funcs_reused = 5;
+  er.cost.funcs_total = 9;
   const runner::WireResult w = runner::from_eval_result(er);
+  // The result payload layout is shared with workers and runner_serve
+  // daemons of the same protocol version: field order and widths are
+  // pinned byte for byte.
+  std::string hex;
+  for (const unsigned char c : runner::encode_result(w)) {
+    hex += strformat("%02x", c);
+  }
+  EXPECT_EQ(hex,
+            "00" "02" "01"  // passed, failure_class, run_status
+            "18000000"      // failure: length, then bytes
+            "73656e74696e656c20657363617065642061742030783430"
+            "3930000000000000"  // instructions_retired
+            "0100000000000000"  // patch_ns
+            "0200000000000000"  // predecode_ns
+            "0300000000000000"  // run_ns
+            "0400000000000000"  // verify_ns
+            "01"                // image_cache_hit
+            "6f00000000000000"  // patch_saved_ns
+            "de00000000000000"  // predecode_saved_ns
+            "05000000"          // funcs_reused
+            "09000000");        // funcs_total
   runner::WireResult wback;
   ASSERT_TRUE(runner::decode_result(runner::encode_result(w), &wback));
   verify::EvalResult er2;
@@ -130,12 +152,12 @@ TEST(Wire, RequestAndResultRoundTrip) {
   EXPECT_EQ(er2.run_status, er.run_status);
   EXPECT_EQ(er2.failure, er.failure);
   EXPECT_EQ(er2.instructions_retired, er.instructions_retired);
-  EXPECT_EQ(er2.run_ns, er.run_ns);
-  EXPECT_EQ(er2.image_cache_hit, er.image_cache_hit);
-  EXPECT_EQ(er2.patch_saved_ns, er.patch_saved_ns);
-  EXPECT_EQ(er2.predecode_saved_ns, er.predecode_saved_ns);
-  EXPECT_EQ(er2.funcs_reused, er.funcs_reused);
-  EXPECT_EQ(er2.funcs_total, er.funcs_total);
+  EXPECT_EQ(er2.cost.run_ns, er.cost.run_ns);
+  EXPECT_EQ(er2.cost.image_cache_hit, er.cost.image_cache_hit);
+  EXPECT_EQ(er2.cost.patch_saved_ns, er.cost.patch_saved_ns);
+  EXPECT_EQ(er2.cost.predecode_saved_ns, er.cost.predecode_saved_ns);
+  EXPECT_EQ(er2.cost.funcs_reused, er.cost.funcs_reused);
+  EXPECT_EQ(er2.cost.funcs_total, er.cost.funcs_total);
 }
 
 TEST(Wire, DeltaRequestRoundTripAndOpcodeValidation) {

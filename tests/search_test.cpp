@@ -18,6 +18,7 @@
 #include "search/search.hpp"
 #include "search/trial_executor.hpp"
 #include "verify/evaluate.hpp"
+#include "vm/jit/jit.hpp"
 
 namespace fpmix::search {
 namespace {
@@ -286,11 +287,17 @@ runner::TrialOutcome outcome(bool passed, verify::FailureClass cls) {
   o.result.passed = passed;
   o.result.failure_class = cls;
   if (!passed) o.result.failure = verify::failure_class_name(cls);
-  o.result.run_ns = 3;
+  o.result.cost.run_ns = 3;
   o.wall_ns = 10;
   return o;
 }
 runner::TrialOutcome pass() { return outcome(true, verify::FailureClass::kNone); }
+/// Run time summed over every attempt a trial spent.
+std::uint64_t run_ns(const TrialEval& t) {
+  std::uint64_t ns = 0;
+  for (const verify::TrialCost& c : t.attempts) ns += c.run_ns;
+  return ns;
+}
 runner::TrialOutcome fail() {
   return outcome(false, verify::FailureClass::kDivergence);
 }
@@ -384,10 +391,10 @@ TEST(VoteLoop, StrictMajorityOfTheAllowedAttemptsAndTiesFail) {
       ScriptedExecutor ex(sandboxed, {{"k", k.script}});
       const TrialEval t = vote_one(ex, k.retries);
       EXPECT_EQ(t.result.passed, k.passed);
-      EXPECT_EQ(t.attempts, k.attempts);
+      EXPECT_EQ(t.attempts.size(), k.attempts);
       EXPECT_EQ(t.mixed_votes, k.mixed);
       EXPECT_EQ(t.eval_ns, 10u * k.attempts);
-      EXPECT_EQ(t.run_ns, 3u * k.attempts);
+      EXPECT_EQ(run_ns(t), 3u * k.attempts);
       // The attempt index is the vote round.
       ASSERT_EQ(ex.calls.size(), k.attempts);
       for (std::uint32_t a = 0; a < k.attempts; ++a) {
@@ -419,7 +426,7 @@ TEST(VoteLoop, RunsWholeBatchRoundsOverTheTrialsStillOpen) {
   // Mixed votes settle by majority and flag the trial for quarantine.
   EXPECT_FALSE(b.result.passed);
   EXPECT_TRUE(b.mixed_votes);
-  EXPECT_EQ(b.attempts, 3u);
+  EXPECT_EQ(b.attempts.size(), 3u);
   EXPECT_FALSE(c.result.passed);
   EXPECT_FALSE(c.mixed_votes);
 }
@@ -432,7 +439,7 @@ TEST(VoteLoop, SandboxedQuarantineAndInternalErrorSettleOutsideTheVote) {
     const TrialEval t = vote_one(ex, 2);
     EXPECT_FALSE(t.result.passed);
     EXPECT_EQ(t.result.failure_class, verify::FailureClass::kCrash);
-    EXPECT_EQ(t.attempts, 2u);
+    EXPECT_EQ(t.attempts.size(), 2u);
     EXPECT_FALSE(t.mixed_votes);
     EXPECT_EQ(ex.calls.size(), 2u);
   }
@@ -441,7 +448,7 @@ TEST(VoteLoop, SandboxedQuarantineAndInternalErrorSettleOutsideTheVote) {
     const TrialEval t = vote_one(ex, 2);
     EXPECT_FALSE(t.result.passed);
     EXPECT_EQ(t.result.failure_class, verify::FailureClass::kInternalError);
-    EXPECT_EQ(t.attempts, 1u);
+    EXPECT_EQ(t.attempts.size(), 1u);
     EXPECT_EQ(ex.calls.size(), 1u);
   }
 }
@@ -451,7 +458,7 @@ TEST(VoteLoop, InProcessInternalErrorVotesLikeAnyFailure) {
                       {{"k", {internal_error(), pass(), pass()}}});
   const TrialEval t = vote_one(ex, 2);
   EXPECT_TRUE(t.result.passed);
-  EXPECT_EQ(t.attempts, 3u);
+  EXPECT_EQ(t.attempts.size(), 3u);
   EXPECT_TRUE(t.mixed_votes);
 }
 
@@ -467,9 +474,186 @@ TEST(VoteLoop, UnservedTrialRevotesOnTheFallbackKeepingItsAccounting) {
   EXPECT_FALSE(t.result.passed);
   EXPECT_FALSE(t.mixed_votes);
   // One remote attempt plus two local ones, all accounted.
-  EXPECT_EQ(t.attempts, 3u);
+  EXPECT_EQ(t.attempts.size(), 3u);
   EXPECT_EQ(t.eval_ns, 30u);
-  EXPECT_EQ(t.run_ns, 9u);
+  EXPECT_EQ(run_ns(t), 9u);
+}
+
+// ---------------------------------------------------------------------------
+// The --metrics-json serializer.
+
+/// A SearchResult in which every serialized field holds a distinct,
+/// non-default value.
+SearchResult full_result() {
+  SearchResult res;
+  SearchMetrics& m = res.metrics;
+  m.trials_total = 101;
+  m.trials_live = 102;
+  m.trials_cached = 103;
+  m.cache_hit_rate = 1.25;
+  m.wall_seconds = 2.5;
+  m.eval_seconds = 3.75;
+  m.trials_per_sec = 4.125;
+  m.eval_seconds_per_level["module"] = 0.5;
+  m.patch_seconds = 5.0625;
+  m.predecode_seconds = 6.5;
+  m.run_seconds = 7.25;
+  m.verify_seconds = 8.75;
+  m.image_cache_hits = 104;
+  m.image_cache_misses = 105;
+  m.patch_saved_seconds = 9.5;
+  m.predecode_saved_seconds = 10.25;
+  m.funcs_reused = 106;
+  m.funcs_patched = 107;
+  m.failures_by_class["divergence"] = 108;
+  m.failures_by_class["trap"] = 109;
+  m.retries = 110;
+  m.quarantined = 111;
+  m.profile_degraded = true;
+  m.jit_downgraded = 112;
+  m.isolated_trials = 113;
+  m.worker_crashes = 114;
+  m.worker_respawns = 115;
+  m.worker_timeouts = 116;
+  m.protocol_errors = 117;
+  m.crash_quarantined = 118;
+  m.crashes_by_signal["SIGSEGV"] = 119;
+  m.crashes_by_signal["exit:\"q\\1\""] = 120;
+  m.crash_storm = true;
+  m.isolation_degraded = true;
+  m.delta_requests = 121;
+  m.full_requests = 122;
+  m.delta_bytes = 123;
+  m.full_bytes = 124;
+  m.remote_trials = 125;
+  m.shard_cache_hits = 126;
+  m.endpoint_failovers = 127;
+  m.endpoint_reconnects = 128;
+  m.endpoint_disconnects = 129;
+  m.endpoints_lost = 130;
+  m.remote_unserved = 131;
+  m.remote_degraded = true;
+  m.missed_beats = 132;
+  m.lease_expiries = 133;
+  m.late_results = 134;
+  m.redispatched = 135;
+  m.breaker_trips = 136;
+  m.adopted_records = 137;
+  m.gossip_rounds = 138;
+  m.records_repaired = 139;
+  m.shards_reloaded = 140;
+  m.disk_faults = 141;
+  m.state_degraded = 142;
+  for (std::uint64_t i = 0; i < 2; ++i) {
+    EndpointMetrics e;
+    e.address = i == 0 ? "127.0.0.1:7001" : "host\\\"b\":7002";
+    e.workers = static_cast<std::uint32_t>(200 + 30 * i);
+    e.trials = 201 + 30 * i;
+    e.cache_hits = 202 + 30 * i;
+    e.failovers = 203 + 30 * i;
+    e.reconnects = 204 + 30 * i;
+    e.disconnects = 205 + 30 * i;
+    e.busy_ns = 1500000000ull + 250000000ull * i;
+    e.lost = i == 0;
+    e.jit_downgraded = i == 1;
+    e.pings = 206 + 30 * i;
+    e.pongs = 207 + 30 * i;
+    e.missed_beats = 208 + 30 * i;
+    e.lease_expiries = 209 + 30 * i;
+    e.late_results = 210 + 30 * i;
+    e.redispatched = 211 + 30 * i;
+    e.breaker_trips = 212 + 30 * i;
+    e.rtt_p50_us = 213 + 30 * i;
+    e.rtt_p95_us = 214 + 30 * i;
+    e.rtt_max_us = 215 + 30 * i;
+    e.journal_records = 216 + 30 * i;
+    e.gossip_rounds = 217 + 30 * i;
+    e.records_repaired = 218 + 30 * i;
+    e.shards_reloaded = 219 + 30 * i;
+    e.disk_faults = 220 + 30 * i;
+    e.state_degraded = i == 1;
+    m.endpoints_used.push_back(e);
+  }
+  for (std::uint64_t i = 0; i < 2; ++i) {
+    m.worker_slots.push_back({300 + 10 * i, 301 + 10 * i, 302 + 10 * i,
+                              303 + 10 * i, 304 + 10 * i});
+  }
+  res.configs_tested = 143;
+  res.refined = true;
+  res.final_passed = true;
+  return res;
+}
+
+TEST(MetricsJson, MatchesParentWriterByteForByte) {
+  // The JIT lowering census is process-wide; this process compiles nothing
+  // after the reset, so every count in it is zero.
+  vm::jit::reset_lowering_totals();
+  // Captured from the serializer's previous home in examples/nas_search.cpp
+  // on the same struct: keys, key order and number formats must not drift.
+  const std::string expected = R"json({
+  "trials_total": 101,
+  "trials_live": 102,
+  "trials_cached": 103,
+  "cache_hit_rate": 1.250000,
+  "wall_seconds": 2.500000,
+  "eval_seconds": 3.750000,
+  "trials_per_sec": 4.125000,
+  "patch_seconds": 5.062500,
+  "predecode_seconds": 6.500000,
+  "run_seconds": 7.250000,
+  "verify_seconds": 8.750000,
+  "image_cache_hits": 104,
+  "image_cache_misses": 105,
+  "patch_saved_seconds": 9.500000,
+  "predecode_saved_seconds": 10.250000,
+  "funcs_reused": 106,
+  "funcs_patched": 107,
+  "failures_by_class": {"divergence": 108, "trap": 109},
+  "retries": 110,
+  "quarantined": 111,
+  "profile_degraded": true,
+  "jit_downgraded": 112,
+  "isolated_trials": 113,
+  "worker_crashes": 114,
+  "worker_respawns": 115,
+  "worker_timeouts": 116,
+  "protocol_errors": 117,
+  "crash_quarantined": 118,
+  "crashes_by_signal": {"SIGSEGV": 119, "exit:\"q\\1\"": 120},
+  "crash_storm": true,
+  "isolation_degraded": true,
+  "delta_requests": 121,
+  "full_requests": 122,
+  "delta_bytes": 123,
+  "full_bytes": 124,
+  "remote_trials": 125,
+  "shard_cache_hits": 126,
+  "endpoint_failovers": 127,
+  "endpoint_reconnects": 128,
+  "endpoint_disconnects": 129,
+  "endpoints_lost": 130,
+  "remote_unserved": 131,
+  "remote_degraded": true,
+  "missed_beats": 132,
+  "lease_expiries": 133,
+  "late_results": 134,
+  "redispatched": 135,
+  "breaker_trips": 136,
+  "adopted_records": 137,
+  "gossip_rounds": 138,
+  "records_repaired": 139,
+  "shards_reloaded": 140,
+  "disk_faults": 141,
+  "state_degraded": 142,
+  "endpoints": [{"address": "127.0.0.1:7001", "workers": 200, "trials": 201, "cache_hits": 202, "failovers": 203, "reconnects": 204, "disconnects": 205, "busy_seconds": 1.500000, "lost": true, "jit_downgraded": false, "pings": 206, "pongs": 207, "missed_beats": 208, "lease_expiries": 209, "late_results": 210, "redispatched": 211, "breaker_trips": 212, "rtt_p50_us": 213, "rtt_p95_us": 214, "rtt_max_us": 215, "journal_records": 216, "gossip_rounds": 217, "records_repaired": 218, "shards_reloaded": 219, "disk_faults": 220, "state_degraded": false}, {"address": "host\\\"b\":7002", "workers": 230, "trials": 231, "cache_hits": 232, "failovers": 233, "reconnects": 234, "disconnects": 235, "busy_seconds": 1.750000, "lost": false, "jit_downgraded": true, "pings": 236, "pongs": 237, "missed_beats": 238, "lease_expiries": 239, "late_results": 240, "redispatched": 241, "breaker_trips": 242, "rtt_p50_us": 243, "rtt_p95_us": 244, "rtt_max_us": 245, "journal_records": 246, "gossip_rounds": 247, "records_repaired": 248, "shards_reloaded": 249, "disk_faults": 250, "state_degraded": true}],
+  "workers": [{"slot": 0, "requests": 300, "respawns": 301, "crashes": 302, "timeouts": 303, "quarantines": 304}, {"slot": 1, "requests": 310, "respawns": 311, "crashes": 312, "timeouts": 313, "quarantines": 314}],
+  "jit_lowering": {"int": {"native": 0, "helper": 0}, "mem": {"native": 0, "helper": 0}, "branch": {"native": 0, "helper": 0}, "call/ret": {"native": 0, "helper": 0}, "f64": {"native": 0, "helper": 0}, "f32": {"native": 0, "helper": 0}, "packed": {"native": 0, "helper": 0}, "bitwise": {"native": 0, "helper": 0}, "convert": {"native": 0, "helper": 0}, "divrem": {"native": 0, "helper": 0}, "intrin": {"native": 0, "helper": 0}, "other": {"native": 0, "helper": 0}, "fused_pairs": 0, "reg_alloc_blocks": 0, "reg_alloc_slots": 0},
+  "configs_tested": 143,
+  "refined": true,
+  "final_passed": true
+}
+)json";
+  EXPECT_EQ(metrics_json(full_result()), expected);
 }
 
 }  // namespace

@@ -431,10 +431,8 @@ int main(int argc, char** argv) {
                 "error(s), %zu config(s) quarantined by the breaker\n",
                 m.isolated_trials, m.worker_crashes, m.worker_respawns,
                 m.worker_timeouts, m.protocol_errors, m.crash_quarantined);
-    if (m.delta_requests + m.full_requests > 0) {
-      std::printf("wire: %zu delta frame(s) (%zu B) + %zu full frame(s) "
-                  "(%zu B)\n",
-                  m.delta_requests, m.delta_bytes, m.full_requests,
+    if (m.full_requests > 0) {
+      std::printf("wire: %zu frame(s) (%zu B)\n", m.full_requests,
                   m.full_bytes);
     }
     for (std::size_t i = 0; i < m.worker_slots.size(); ++i) {

@@ -179,77 +179,6 @@ bool PrecisionConfig::from_canonical_key(std::string_view key,
   return true;
 }
 
-std::string PrecisionConfig::encode_delta_from(
-    const PrecisionConfig& base) const {
-  std::string out;
-  const auto emit = [&out](char level,
-                           const std::map<std::size_t, Precision>& from,
-                           const std::map<std::size_t, Precision>& to) {
-    // Ordered-map merge walk: both stores iterate in ascending id order, so
-    // the emitted segments are canonical for (base, target).
-    auto bi = from.begin();
-    auto ti = to.begin();
-    while (bi != from.end() || ti != to.end()) {
-      if (ti == to.end() || (bi != from.end() && bi->first < ti->first)) {
-        out += strformat("%c%zu=-;", level, bi->first);
-        ++bi;
-      } else if (bi == from.end() || ti->first < bi->first) {
-        out += strformat("%c%zu=%c;", level, ti->first,
-                         precision_flag(ti->second));
-        ++ti;
-      } else {
-        if (bi->second != ti->second) {
-          out += strformat("%c%zu=%c;", level, ti->first,
-                           precision_flag(ti->second));
-        }
-        ++bi;
-        ++ti;
-      }
-    }
-  };
-  emit('m', base.module_, module_);
-  emit('f', base.func_, func_);
-  emit('b', base.block_, block_);
-  emit('i', base.instr_, instr_);
-  return out;
-}
-
-bool PrecisionConfig::apply_delta(const PrecisionConfig& base,
-                                  std::string_view delta,
-                                  PrecisionConfig* out) {
-  *out = base;
-  std::size_t pos = 0;
-  while (pos < delta.size()) {
-    // One segment: `<level><id>=<flag>;` or `<level><id>=-;` (erase).
-    const char level = delta[pos++];
-    std::size_t id = 0;
-    bool any_digit = false;
-    while (pos < delta.size() && delta[pos] >= '0' && delta[pos] <= '9') {
-      id = id * 10 + static_cast<std::size_t>(delta[pos++] - '0');
-      any_digit = true;
-    }
-    if (!any_digit || pos >= delta.size() || delta[pos] != '=') return false;
-    ++pos;
-    if (pos >= delta.size()) return false;
-    const char flag = delta[pos++];
-    std::optional<Precision> p;  // nullopt = erase
-    if (flag != '-') {
-      p = precision_from_flag(flag);
-      if (!p.has_value()) return false;
-    }
-    if (pos >= delta.size() || delta[pos] != ';') return false;
-    ++pos;
-    switch (level) {
-      case 'm': out->set_module(id, p); break;
-      case 'f': out->set_func(id, p); break;
-      case 'b': out->set_block(id, p); break;
-      case 'i': out->set_instr(id, p); break;
-      default: return false;
-    }
-  }
-  return true;
-}
-
 bool PrecisionConfig::is_all_double(const StructureIndex& index) const {
   for (std::size_t i : index.candidates()) {
     if (resolve(index, i) != Precision::kDouble) return false;

@@ -81,24 +81,6 @@ class PrecisionConfig {
   /// invariant: from_canonical_key(c.canonical_key()) == c.
   static bool from_canonical_key(std::string_view key, PrecisionConfig* out);
 
-  // ---- Delta encoding -----------------------------------------------------
-  /// Serializes the difference `base -> this` in the canonical-key grammar
-  /// extended with an erase flag: each `<level><id>=<flag>;` segment sets a
-  /// flag added or changed relative to `base`, and `<level><id>=-;` removes
-  /// a flag present in `base` but absent here. Segments are emitted in the
-  /// same m/f/b/i-then-ascending-id order as canonical_key(), so the
-  /// encoding is itself canonical. Typically far smaller than the full key
-  /// for the search's parent/child configs; the wire protocol ships it
-  /// against a per-session base config.
-  std::string encode_delta_from(const PrecisionConfig& base) const;
-
-  /// Inverse: applies a delta script to `base`, producing the target
-  /// configuration. Returns false on malformed input, leaving *out
-  /// unspecified. Round-trip invariant:
-  /// apply_delta(base, target.encode_delta_from(base)) == target.
-  static bool apply_delta(const PrecisionConfig& base, std::string_view delta,
-                          PrecisionConfig* out);
-
   bool operator==(const PrecisionConfig&) const = default;
 
  private:

@@ -334,101 +334,11 @@ InstrumentResult instrument(const program::Program& prog,
 
   InstrumentResult result;
   result.patched = copy_meta(prog);
-  result.per_function.reserve(prog.functions.size());
   for (const program::Function& fn : prog.functions) {
     InstrumentStats fs;
     result.patched.functions.push_back(
         instrument_function(fn, pmap, &fs, options));
     result.stats.add(fs);
-    result.per_function.push_back(fs);
-  }
-  result.patched.validate();
-  return result;
-}
-
-std::vector<std::size_t> dirty_functions(const config::StructureIndex& index,
-                                         const config::PrecisionConfig& a,
-                                         const config::PrecisionConfig& b) {
-  std::vector<bool> dirty(index.funcs().size(), false);
-  const auto mark_func = [&](std::size_t f) {
-    if (f < dirty.size()) dirty[f] = true;
-  };
-
-  // The delta encoding enumerates exactly the flags that differ (added,
-  // changed or removed), so the diff's cost scales with the change size.
-  const std::string delta = b.encode_delta_from(a);
-  std::size_t pos = 0;
-  while (pos < delta.size()) {
-    const char level = delta[pos++];
-    std::size_t id = 0;
-    while (pos < delta.size() && delta[pos] >= '0' && delta[pos] <= '9') {
-      id = id * 10 + static_cast<std::size_t>(delta[pos++] - '0');
-    }
-    pos += 3;  // skip `=<flag>;` (own encoder's output; always well formed)
-    switch (level) {
-      case 'm':
-        if (id < index.modules().size()) {
-          for (std::size_t f : index.modules()[id].funcs) mark_func(f);
-        }
-        break;
-      case 'f': mark_func(id); break;
-      case 'b':
-        if (id < index.blocks().size()) mark_func(index.blocks()[id].func);
-        break;
-      case 'i':
-        if (id < index.instrs().size()) mark_func(index.instrs()[id].func);
-        break;
-      default: break;
-    }
-  }
-
-  std::vector<std::size_t> out;
-  for (std::size_t f = 0; f < dirty.size(); ++f) {
-    if (dirty[f]) out.push_back(f);
-  }
-  return out;
-}
-
-InstrumentResult instrument_delta(const program::Program& prog,
-                                  const config::StructureIndex& index,
-                                  const config::PrecisionConfig& base_cfg,
-                                  const InstrumentResult& base_result,
-                                  const config::PrecisionConfig& cfg,
-                                  const InstrumentOptions& options) {
-  FPMIX_CHECK(base_result.patched.functions.size() == prog.functions.size());
-  FPMIX_CHECK(base_result.per_function.size() == prog.functions.size());
-
-  std::vector<bool> is_dirty(prog.functions.size(), false);
-  for (std::size_t f : dirty_functions(index, base_cfg, cfg)) {
-    if (f < is_dirty.size()) is_dirty[f] = true;
-  }
-
-  // Resolve effective precisions only for instructions in dirty functions:
-  // the delta's cost must scale with the size of the change, not the
-  // program.
-  std::map<std::uint64_t, Precision> pmap;
-  for (std::size_t i = 0; i < index.instrs().size(); ++i) {
-    const config::InstrEntry& ie = index.instrs()[i];
-    if (ie.func < is_dirty.size() && is_dirty[ie.func]) {
-      pmap[ie.addr] = cfg.resolve(index, i);
-    }
-  }
-
-  prog.validate();
-  InstrumentResult result;
-  result.patched = copy_meta(prog);
-  result.per_function.reserve(prog.functions.size());
-  for (std::size_t fi = 0; fi < prog.functions.size(); ++fi) {
-    InstrumentStats fs;
-    if (is_dirty[fi]) {
-      result.patched.functions.push_back(
-          instrument_function(prog.functions[fi], pmap, &fs, options));
-    } else {
-      result.patched.functions.push_back(base_result.patched.functions[fi]);
-      fs = base_result.per_function[fi];
-    }
-    result.stats.add(fs);
-    result.per_function.push_back(fs);
   }
   result.patched.validate();
   return result;

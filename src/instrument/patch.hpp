@@ -34,7 +34,8 @@ struct InstrumentStats {
   std::size_t checks_elided = 0;    // sentinel tests removed by dataflow
 
   /// Every counter is a per-instruction sum, so whole-program stats are the
-  /// sum of per-function stats -- the invariant instrument_delta relies on.
+  /// sum of per-function stats -- the invariant IncrementalPatcher relies
+  /// on.
   void add(const InstrumentStats& s) {
     wrapped += s.wrapped;
     replaced_single += s.replaced_single;
@@ -57,9 +58,6 @@ struct InstrumentOptions {
 struct InstrumentResult {
   program::Program patched;
   InstrumentStats stats;
-  /// Per-function breakdown (same order as patched.functions); stats is the
-  /// element-wise sum. instrument_delta() copies entries for clean functions.
-  std::vector<InstrumentStats> per_function;
 };
 
 /// Patches a lifted program according to `cfg`. The structure index must
@@ -93,30 +91,6 @@ program::Function instrument_function(
     const program::Function& fn,
     const std::map<std::uint64_t, config::Precision>& pmap,
     InstrumentStats* stats, const InstrumentOptions& options = {});
-
-/// Function ids whose effective precision assignment may differ between `a`
-/// and `b`. Conservative by subtree: a differing module flag dirties every
-/// function of that module; differing function/block/instruction flags dirty
-/// the containing function. Ids out of range for `index` are ignored (they
-/// cannot affect any function).
-std::vector<std::size_t> dirty_functions(const config::StructureIndex& index,
-                                         const config::PrecisionConfig& a,
-                                         const config::PrecisionConfig& b);
-
-/// Incremental instrument(): re-patches only the functions that
-/// dirty_functions(index, base_cfg, cfg) reports, reusing `base_result`'s
-/// patched functions and per-function stats everywhere else. `base_result`
-/// must come from instrument(prog, index, base_cfg, options) with this same
-/// prog/index/options. The result is equivalent to
-/// instrument(prog, index, cfg, options) -- clean functions resolve to the
-/// same effective precisions under both configs, and patching is
-/// function-local.
-InstrumentResult instrument_delta(const program::Program& prog,
-                                  const config::StructureIndex& index,
-                                  const config::PrecisionConfig& base_cfg,
-                                  const InstrumentResult& base_result,
-                                  const config::PrecisionConfig& cfg,
-                                  const InstrumentOptions& options = {});
 
 // ---------------------------------------------------------------------------
 // Generic splice engine.

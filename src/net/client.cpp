@@ -1,9 +1,9 @@
 #include "net/client.hpp"
 
-#include <chrono>
 
 #include "runner/wire.hpp"
 #include "support/strings.hpp"
+#include "support/timer.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define FPMIX_NET_POSIX 1
@@ -15,17 +15,6 @@
 namespace fpmix::net {
 
 using runner::FrameStatus;
-
-namespace {
-
-std::uint64_t now_ms() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 std::unique_ptr<EndpointClient> EndpointClient::connect(
     const Endpoint& ep, const HelloMsg& hello, int connect_timeout_ms,
@@ -51,7 +40,7 @@ std::unique_ptr<EndpointClient> EndpointClient::connect(
   }
   // The ack can take a while on a cold server: building the workload and
   // running the reference computation happens inside the handshake.
-  const std::uint64_t deadline = now_ms() + static_cast<std::uint64_t>(
+  const std::uint64_t deadline = steady_ms() + static_cast<std::uint64_t>(
                                                 hello_timeout_ms > 0
                                                     ? hello_timeout_ms
                                                     : 60000);
@@ -100,7 +89,7 @@ std::unique_ptr<EndpointClient> EndpointClient::connect(
       }
       return nullptr;
     }
-    const std::uint64_t now = now_ms();
+    const std::uint64_t now = steady_ms();
     if (now >= deadline) {
       if (error != nullptr) {
         *error = strformat("%s: hello ack timeout", ep.str().c_str());
@@ -199,7 +188,7 @@ bool EndpointClient::fetch_journal(std::vector<std::string>* lines,
     return false;
   }
   const std::uint64_t deadline =
-      now_ms() + static_cast<std::uint64_t>(timeout_ms > 0 ? timeout_ms
+      steady_ms() + static_cast<std::uint64_t>(timeout_ms > 0 ? timeout_ms
                                                            : 10000);
   bool peer_closed = false;
   for (;;) {
@@ -246,7 +235,7 @@ bool EndpointClient::fetch_journal(std::vector<std::string>* lines,
       if (error != nullptr) *error = last_error_;
       return false;
     }
-    const std::uint64_t now = now_ms();
+    const std::uint64_t now = steady_ms();
     if (now >= deadline) {
       last_error_ = "journal fetch timeout";
       close();

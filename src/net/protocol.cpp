@@ -1,32 +1,11 @@
 #include "net/protocol.hpp"
 
-#include <cstring>
-
 #include "support/journal.hpp"
 
 namespace fpmix::net {
 
 using runner::FrameStatus;
 using runner::WireReader;
-
-namespace {
-
-/// Doubles cross the wire as IEEE-754 bit patterns: exact, endian-stable,
-/// and NaN-safe (a rate table is plain data, not arithmetic).
-std::uint64_t double_bits(double v) {
-  std::uint64_t b = 0;
-  static_assert(sizeof(b) == sizeof(v));
-  std::memcpy(&b, &v, sizeof(b));
-  return b;
-}
-
-double bits_double(std::uint64_t b) {
-  double v = 0;
-  std::memcpy(&v, &b, sizeof(v));
-  return v;
-}
-
-}  // namespace
 
 std::uint8_t peek_msg_type(std::string_view payload) {
   return payload.empty() ? 0 : static_cast<std::uint8_t>(payload[0]);
@@ -40,22 +19,9 @@ std::string encode_hello(const HelloMsg& m) {
   runner::put_u32(&p, m.version);
   runner::put_string(&p, m.bench);
   runner::put_u8(&p, m.cls);
-  runner::put_u8(&p, m.engine);
-  runner::put_u64(&p, m.max_instructions);
-  runner::put_u64(&p, m.deadline_ms);
-  runner::put_u32(&p, m.max_crashes);
-  runner::put_u64(&p, m.rlimit_mb);
   runner::put_u8(&p, m.shard_cache);
   runner::put_string(&p, m.search_fp);
-  runner::put_u8(&p, m.has_fault);
-  runner::put_u64(&p, m.fault_seed);
-  const fault::Injector::Rates& r = m.fault_rates;
-  const double rates[12] = {r.abort,          r.bitflip,       r.sentinel,
-                            r.stall,          r.flaky,         r.segv,
-                            r.kill,           r.oom,           r.hang,
-                            r.hang_ignore_term, r.trunc_result,
-                            r.corrupt_result};
-  for (double v : rates) runner::put_u64(&p, double_bits(v));
+  runner::put_spec(&p, m.spec);
   return p;
 }
 
@@ -65,31 +31,9 @@ bool decode_hello(std::string_view payload, HelloMsg* out) {
   out->version = r.u32();
   out->bench = r.str();
   out->cls = r.u8();
-  out->engine = r.u8();
-  out->max_instructions = r.u64();
-  out->deadline_ms = r.u64();
-  out->max_crashes = r.u32();
-  out->rlimit_mb = r.u64();
   out->shard_cache = r.u8();
   out->search_fp = r.str();
-  out->has_fault = r.u8();
-  out->fault_seed = r.u64();
-  double rates[12];
-  for (double& v : rates) v = bits_double(r.u64());
-  fault::Injector::Rates& fr = out->fault_rates;
-  fr.abort = rates[0];
-  fr.bitflip = rates[1];
-  fr.sentinel = rates[2];
-  fr.stall = rates[3];
-  fr.flaky = rates[4];
-  fr.segv = rates[5];
-  fr.kill = rates[6];
-  fr.oom = rates[7];
-  fr.hang = rates[8];
-  fr.hang_ignore_term = rates[9];
-  fr.trunc_result = rates[10];
-  fr.corrupt_result = rates[11];
-  return r.done();
+  return runner::read_spec(&r, &out->spec) && r.done();
 }
 
 // ---- HelloAck --------------------------------------------------------------

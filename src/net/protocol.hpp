@@ -8,11 +8,11 @@
 //
 //   client -> server
 //     kMsgHello          session handshake: protocol version, workload id,
-//                        evaluation semantics (budget/deadline/breaker/
-//                        rlimit), search fingerprint, fault campaign
+//                        search fingerprint, and the runner::SandboxSpec
+//                        (engine, budget, deadline, breaker, rlimit, fault
+//                        campaign)
 //     kMsgTrial          one trial: ticket + config digest + full canonical
-//                        config key (the server's own pool re-deltas to its
-//                        workers; the session stream stays stateless)
+//                        config key (the session stream stays stateless)
 //     kMsgCacheInsert    shard-cache fill: a verdict this client computed
 //                        elsewhere (another shard or in-process)
 //     kMsgJournalAppend  one CRC-sealed journal record, streamed as the
@@ -24,7 +24,7 @@
 //   server -> client
 //     kMsgHelloAck       accept (worker count, verifier fingerprint to
 //                        cross-check, retained shard size) or reject
-//     kMsgResult         one trial verdict: ticket, flags, encoded WireResult
+//     kMsgResult         one trial verdict: ticket, flags, encoded EvalResult
 //     kMsgJournalTail    fetch response: a chunk of retained journal lines
 //                        in sequence order, done flag on the last chunk
 //     kMsgPong           heartbeat echo (nonce + timestamp bounced back)
@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "runner/wire.hpp"
-#include "support/fault.hpp"
 
 namespace fpmix::net {
 
@@ -57,7 +56,8 @@ namespace fpmix::net {
 /// health (state_degraded, shards_reloaded, disk_faults), and the
 /// ShardDigest/ShardDigestAck exchange lets the scheduler compare shard
 /// contents across endpoints (anti-entropy gossip) without fetching them.
-constexpr std::uint32_t kProtocolVersion = 4;
+/// v5: Hello carries the evaluation rules as one runner::SandboxSpec.
+constexpr std::uint32_t kProtocolVersion = 5;
 
 constexpr std::uint8_t kMsgHello = 1;
 constexpr std::uint8_t kMsgHelloAck = 2;
@@ -82,23 +82,13 @@ struct HelloMsg {
   std::uint32_t version = kProtocolVersion;
   std::string bench;  // workload name ("ep", "cg", ...)
   std::uint8_t cls = 'W';
-  // Evaluation semantics (must match the client's in-process path exactly,
-  // or results would not be byte-compatible with its journal).
-  /// vm::Engine the endpoint should run trials on. All engines are
-  /// bit-identical, so this is a performance choice, not a semantic one --
-  /// which is why a jit-incapable endpoint may downgrade (see HelloAckMsg)
-  /// instead of rejecting the session.
-  std::uint8_t engine = 0;
-  std::uint64_t max_instructions = 1ull << 32;
-  std::uint64_t deadline_ms = 0;
-  std::uint32_t max_crashes = 3;
-  std::uint64_t rlimit_mb = 512;
   std::uint8_t shard_cache = 0;  // consult/fill the fleet-wide trial cache
   std::string search_fp;         // shard-cache namespace (trial_cache.hpp)
-  // Fault campaign (deterministic; both sides re-derive per-trial draws).
-  std::uint8_t has_fault = 0;
-  std::uint64_t fault_seed = 0;
-  fault::Injector::Rates fault_rates{};
+  /// Evaluation rules; must match the client's own, or results would not
+  /// be byte-compatible with its journal. The engine is the *requested*
+  /// one: a jit-incapable endpoint may downgrade (see HelloAckMsg) instead
+  /// of rejecting the session.
+  runner::SandboxSpec spec;
 };
 
 std::string encode_hello(const HelloMsg& m);

@@ -1,9 +1,7 @@
 #include "net/server.hpp"
 
-#include <chrono>
 #include <cstdlib>
 #include <map>
-#include <string.h>
 #include <unordered_map>
 #include <vector>
 
@@ -16,6 +14,7 @@
 #include "vm/jit/jit.hpp"
 #include "vm/machine.hpp"
 #include "support/strings.hpp"
+#include "support/timer.hpp"
 #include "verify/trial_builder.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -40,43 +39,12 @@ struct CacheEntry {
   std::string failure;
 };
 
-/// Identity of one evaluation context. Sessions whose hellos collapse to
-/// the same key share a backend (workload, builder, injector, pool).
-std::string backend_key(const HelloMsg& h) {
-  std::string k = strformat(
-      "%s|%c|%u|%llu|%llu|%u|%llu|%u|%llu|", h.bench.c_str(),
-      static_cast<char>(h.cls), static_cast<unsigned>(h.engine),
-      static_cast<unsigned long long>(h.max_instructions),
-      static_cast<unsigned long long>(h.deadline_ms),
-      static_cast<unsigned>(h.max_crashes),
-      static_cast<unsigned long long>(h.rlimit_mb),
-      static_cast<unsigned>(h.has_fault),
-      static_cast<unsigned long long>(h.fault_seed));
-  // Fold the rate table in as bit patterns (exact, no formatting loss).
-  const fault::Injector::Rates& r = h.fault_rates;
-  const double rates[12] = {r.abort,          r.bitflip,       r.sentinel,
-                            r.stall,          r.flaky,         r.segv,
-                            r.kill,           r.oom,           r.hang,
-                            r.hang_ignore_term, r.trunc_result,
-                            r.corrupt_result};
-  std::uint64_t digest = 1469598103934665603ull;  // FNV-1a over the bits
-  for (double v : rates) {
-    std::uint64_t b = 0;
-    memcpy(&b, &v, sizeof(b));
-    for (int i = 0; i < 8; ++i) {
-      digest ^= (b >> (8 * i)) & 0xFF;
-      digest *= 1099511628211ull;
-    }
-  }
-  k += strformat("%016llx", static_cast<unsigned long long>(digest));
+/// Identity of one evaluation context: sessions with the same workload and
+/// spec share a backend (workload, builder, injector, pool).
+std::string backend_key(const HelloMsg& h, const runner::SandboxSpec& spec) {
+  std::string k = h.bench + "|" + static_cast<char>(h.cls) + "|";
+  runner::put_spec(&k, spec);
   return k;
-}
-
-std::uint64_t steady_now_ms() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 }  // namespace
@@ -241,28 +209,20 @@ struct RunnerServer::Impl {
       drop_session(s);
       return;
     }
-    if (h.engine > static_cast<std::uint8_t>(vm::Engine::kJit)) {
-      ack.error = strformat("unknown engine %u", static_cast<unsigned>(h.engine));
-      ++stats->sessions_rejected;
-      send_frame(s, encode_hello_ack(ack));
-      drop_session(s);
-      return;
-    }
     // The one sanctioned mismatch: jit requested on a host that cannot run
     // it downgrades to the (bit-identical) micro-op engine. The resolved
     // engine keys the backend, so a jit and a microop session on a jit-less
     // host share one pool.
-    HelloMsg rh = h;
-    if (rh.engine == static_cast<std::uint8_t>(vm::Engine::kJit) &&
-        !vm::jit::jit_supported()) {
-      rh.engine = static_cast<std::uint8_t>(vm::Engine::kMicroOp);
+    runner::SandboxSpec spec = h.spec;
+    if (spec.engine == vm::Engine::kJit && !vm::jit::jit_supported()) {
+      spec.engine = vm::Engine::kMicroOp;
       log::warnf("runner_serve: jit engine unavailable (%s); session %llu "
                  "runs on the micro-op engine",
                  vm::jit::jit_unsupported_reason(),
                  static_cast<unsigned long long>(s->id));
     }
-    ack.engine = rh.engine;
-    const std::string key = backend_key(rh);
+    ack.engine = static_cast<std::uint8_t>(spec.engine);
+    const std::string key = backend_key(h, spec);
     Backend* b = nullptr;
     auto it = backends.find(key);
     if (it != backends.end()) {
@@ -281,30 +241,21 @@ struct RunnerServer::Impl {
       nb->verifier_fp = nb->wl->verifier->fingerprint();
       nb->builder = std::make_unique<verify::TrialBuilder>(nb->wl->image,
                                                            nb->wl->index);
-      if (h.has_fault != 0) {
-        nb->injector =
-            std::make_unique<fault::Injector>(h.fault_seed, h.fault_rates);
+      if (spec.has_fault) {
+        nb->injector = std::make_unique<fault::Injector>(spec.fault_seed,
+                                                         spec.fault_rates);
       }
+      runner::PoolPlan plan = runner::plan_pool(spec);
       runner::WorkerContext ctx;
       ctx.image = &nb->wl->image;
       ctx.index = &nb->wl->index;
       ctx.verifier = nb->wl->verifier.get();
-      ctx.eval.max_instructions = h.max_instructions;
-      ctx.eval.profile = false;
-      ctx.eval.engine = static_cast<vm::Engine>(rh.engine);
-      ctx.eval.deadline_ns = h.deadline_ms * 1000000ull;
+      ctx.eval = plan.eval;
       ctx.eval.builder = nb->builder.get();
       ctx.injector = nb->injector.get();
-      runner::PoolOptions popts;
-      popts.workers = opts.workers;
-      popts.max_crashes_per_config = h.max_crashes;
-      popts.term_grace_ms = opts.term_grace_ms;
-      popts.limits.address_space_mb = h.rlimit_mb;
-      // Supervisor wall-clock backstop over the worker's own VM deadline
-      // (same envelope the in-process search applies to its local pool).
-      popts.trial_timeout_ms =
-          h.deadline_ms > 0 ? h.deadline_ms * 3 + 1000 : 0;
-      nb->pool = std::make_unique<runner::WorkerPool>(ctx, popts);
+      plan.pool.workers = opts.workers;
+      plan.pool.term_grace_ms = opts.term_grace_ms;
+      nb->pool = std::make_unique<runner::WorkerPool>(ctx, plan.pool);
       if (!nb->pool->start()) {
         ack.error = "cannot spawn sandboxed workers on this host";
         ++stats->sessions_rejected;
@@ -369,14 +320,15 @@ struct RunnerServer::Impl {
       auto hit = cache.find(m.key);
       if (hit != cache.end()) {
         ++stats->shard_cache_hits;
-        runner::WireResult w;
-        w.passed = hit->second.passed;
-        w.failure_class = hit->second.failure_class;
-        w.failure = hit->second.failure;
+        verify::EvalResult er;
+        er.passed = hit->second.passed;
+        er.failure_class =
+            static_cast<verify::FailureClass>(hit->second.failure_class);
+        er.failure = hit->second.failure;
         ResultMsg r;
         r.ticket = m.ticket;
         r.flags = kResultCacheHit;
-        r.wire_result = runner::encode_result(w);
+        r.wire_result = runner::encode_result(er);
         send_result(s, r);
         return;
       }
@@ -604,8 +556,7 @@ struct RunnerServer::Impl {
         if (f.outcome.quarantined) r.flags |= kResultQuarantined;
         r.worker_deaths = f.outcome.worker_deaths;
         r.wall_ns = f.outcome.wall_ns;
-        r.wire_result =
-            runner::encode_result(runner::from_eval_result(f.outcome.result));
+        r.wire_result = runner::encode_result(f.outcome.result);
         send_result(sit->second.get(), r);
       }
     }
@@ -666,10 +617,7 @@ void RunnerServer::serve(const std::atomic<bool>* stop) {
     // supervised trial's deadline comes first.
     int timeout_ms = 200;
     if (pool_deadline != 0) {
-      const auto now = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           std::chrono::steady_clock::now().time_since_epoch())
-                           .count();
-      const std::uint64_t now_ns = static_cast<std::uint64_t>(now);
+      const std::uint64_t now_ns = steady_ns();
       const int until =
           pool_deadline > now_ns
               ? static_cast<int>((pool_deadline - now_ns) / 1000000ull) + 1
@@ -697,7 +645,7 @@ void RunnerServer::serve(const std::atomic<bool>* stop) {
         auto s = std::make_unique<Impl::Session>();
         s->id = im.next_session_id++;
         s->sock = std::move(sock);
-        s->last_active_ms = steady_now_ms();
+        s->last_active_ms = steady_ms();
         ++stats_.sessions_accepted;
         if (im.opts.verbose) {
           log::infof("runner_serve: session %llu connected",
@@ -713,7 +661,7 @@ void RunnerServer::serve(const std::atomic<bool>* stop) {
       const IoStatus st = s->sock.read_available(&scratch);
       if (!scratch.empty()) {
         s->fb.append(scratch);
-        s->last_active_ms = steady_now_ms();
+        s->last_active_ms = steady_ms();
       }
       if (st == IoStatus::kError || st == IoStatus::kEof) im.drop_session(s);
       for (;;) {
@@ -734,7 +682,7 @@ void RunnerServer::serve(const std::atomic<bool>* stop) {
 
     // ---- Reap idle sessions (their journal shard survives them). ----
     if (im.opts.idle_timeout_ms > 0) {
-      const std::uint64_t now_ms = steady_now_ms();
+      const std::uint64_t now_ms = steady_ms();
       for (auto& [id, s] : im.sessions) {
         if (s->dead || now_ms - s->last_active_ms < im.opts.idle_timeout_ms) {
           continue;

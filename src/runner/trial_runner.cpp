@@ -167,13 +167,6 @@ bool read_some(int fd, std::string* buf) {
   apply_rlimits(limits);
   std::signal(SIGPIPE, SIG_IGN);
 
-  // Per-session base config for delta-encoded requests. The driver mirrors
-  // it on every request it successfully sends, so both sides advance in
-  // lockstep; a worker death resets both (the driver clears its mirror on
-  // respawn).
-  config::PrecisionConfig session_base;
-  bool has_base = false;
-
   std::string inbox;
   while (true) {
     // Assemble the next request frame.
@@ -195,26 +188,10 @@ bool read_some(int fd, std::string* buf) {
       faults = ctx.injector->for_trial(req.key, req.exec_index);
     }
 
-    // Decode the config and advance the session base BEFORE any injected
-    // hard fault fires: the driver advances its mirror on every request it
-    // manages to send, and a worker can survive a hard fault (kOomStorm on
-    // the rlimit path) -- skipping the advance there would desync the
-    // session. Every other divergence ends in worker death, which resets
-    // both sides.
     config::PrecisionConfig cfg;
-    if (req.opcode == kReqDelta) {
-      if (!has_base || !config::PrecisionConfig::apply_delta(
-                           session_base, req.config_key, &cfg)) {
-        _exit(3);
-      }
-    } else {
-      if (!config::PrecisionConfig::from_canonical_key(req.config_key,
-                                                       &cfg)) {
-        _exit(3);
-      }
+    if (!config::PrecisionConfig::from_canonical_key(req.config_key, &cfg)) {
+      _exit(3);
     }
-    session_base = cfg;
-    has_base = true;
 
     // Hard faults that strike before the trial completes.
     switch (faults.hard) {
@@ -256,7 +233,7 @@ bool read_some(int fd, std::string* buf) {
                                        *ctx.verifier, eopts);
     }
 
-    std::string frame = encode_frame(encode_result(from_eval_result(result)));
+    std::string frame = encode_frame(encode_result(result));
     if (faults.hard == fault::HardFault::kTruncResult) {
       frame.resize(frame.size() / 2);  // deliver half a frame, then die
       write_all(resp_fd, frame);

@@ -1,6 +1,7 @@
 #include "runner/wire.hpp"
 
-#include <cstring>
+#include <array>
+#include <bit>
 
 #include "support/journal.hpp"  // crc32
 
@@ -110,9 +111,38 @@ std::string WireReader::str() {
   return s;
 }
 
+void put_spec(std::string* out, const SandboxSpec& spec) {
+  put_u8(out, static_cast<std::uint8_t>(spec.engine));
+  put_u64(out, spec.max_instructions);
+  put_u64(out, spec.deadline_ms);
+  put_u32(out, spec.max_crashes);
+  put_u64(out, spec.rlimit_mb);
+  put_u8(out, spec.has_fault ? 1 : 0);
+  put_u64(out, spec.fault_seed);
+  // Rates cross as IEEE-754 bit patterns: exact, so both sides draw the
+  // same faults.
+  for (const double v : spec.fault_rates.values()) {
+    put_u64(out, std::bit_cast<std::uint64_t>(v));
+  }
+}
+
+bool read_spec(WireReader* r, SandboxSpec* out) {
+  const std::uint8_t engine = r->u8();
+  out->engine = static_cast<vm::Engine>(engine);
+  out->max_instructions = r->u64();
+  out->deadline_ms = r->u64();
+  out->max_crashes = r->u32();
+  out->rlimit_mb = r->u64();
+  out->has_fault = r->u8() != 0;
+  out->fault_seed = r->u64();
+  std::array<double, 12> rates{};
+  for (double& v : rates) v = std::bit_cast<double>(r->u64());
+  out->fault_rates = fault::Injector::Rates::from_values(rates);
+  return r->ok() && engine <= static_cast<std::uint8_t>(vm::Engine::kJit);
+}
+
 std::string encode_request(const TrialRequest& req) {
   std::string out;
-  put_u8(&out, req.opcode);
   put_string(&out, req.key);
   put_u32(&out, req.exec_index);
   put_string(&out, req.config_key);
@@ -121,19 +151,17 @@ std::string encode_request(const TrialRequest& req) {
 
 bool decode_request(std::string_view payload, TrialRequest* out) {
   WireReader r(payload);
-  out->opcode = r.u8();
   out->key = r.str();
   out->exec_index = r.u32();
   out->config_key = r.str();
-  if (!r.done()) return false;
-  return out->opcode == kReqFull || out->opcode == kReqDelta;
+  return r.done();
 }
 
-std::string encode_result(const WireResult& res) {
+std::string encode_result(const verify::EvalResult& res) {
   std::string out;
   put_u8(&out, res.passed ? 1 : 0);
-  put_u8(&out, res.failure_class);
-  put_u8(&out, res.run_status);
+  put_u8(&out, static_cast<std::uint8_t>(res.failure_class));
+  put_u8(&out, static_cast<std::uint8_t>(res.run_status));
   put_string(&out, res.failure);
   put_u64(&out, res.instructions_retired);
   const verify::TrialCost& c = res.cost;
@@ -149,11 +177,20 @@ std::string encode_result(const WireResult& res) {
   return out;
 }
 
-bool decode_result(std::string_view payload, WireResult* out) {
+bool decode_result(std::string_view payload, verify::EvalResult* out) {
   WireReader r(payload);
+  *out = verify::EvalResult{};
   out->passed = r.u8() != 0;
-  out->failure_class = r.u8();
-  out->run_status = r.u8();
+  const std::uint8_t failure_class = r.u8();
+  const std::uint8_t run_status = r.u8();
+  if (failure_class >
+          static_cast<std::uint8_t>(verify::FailureClass::kResource) ||
+      run_status >
+          static_cast<std::uint8_t>(vm::RunResult::Status::kDeadline)) {
+    return false;
+  }
+  out->failure_class = static_cast<verify::FailureClass>(failure_class);
+  out->run_status = static_cast<vm::RunResult::Status>(run_status);
   out->failure = r.str();
   out->instructions_retired = r.u64();
   verify::TrialCost& c = out->cost;
@@ -167,34 +204,6 @@ bool decode_result(std::string_view payload, WireResult* out) {
   c.funcs_reused = r.u32();
   c.funcs_total = r.u32();
   return r.done();
-}
-
-bool to_eval_result(const WireResult& w, verify::EvalResult* out) {
-  if (w.failure_class >
-          static_cast<std::uint8_t>(verify::FailureClass::kResource) ||
-      w.run_status > static_cast<std::uint8_t>(
-                         vm::RunResult::Status::kDeadline)) {
-    return false;
-  }
-  *out = verify::EvalResult{};
-  out->passed = w.passed;
-  out->failure_class = static_cast<verify::FailureClass>(w.failure_class);
-  out->run_status = static_cast<vm::RunResult::Status>(w.run_status);
-  out->failure = w.failure;
-  out->instructions_retired = w.instructions_retired;
-  out->cost = w.cost;
-  return true;
-}
-
-WireResult from_eval_result(const verify::EvalResult& r) {
-  WireResult w;
-  w.passed = r.passed;
-  w.failure_class = static_cast<std::uint8_t>(r.failure_class);
-  w.run_status = static_cast<std::uint8_t>(r.run_status);
-  w.failure = r.failure;
-  w.instructions_retired = r.instructions_retired;
-  w.cost = r.cost;
-  return w;
 }
 
 }  // namespace fpmix::runner

@@ -17,6 +17,7 @@
 #include <string>
 #include <string_view>
 
+#include "support/fault.hpp"
 #include "verify/evaluate.hpp"
 
 namespace fpmix::runner {
@@ -69,24 +70,42 @@ class WireReader {
   bool ok_ = true;
 };
 
+// ---- Sandbox spec ----------------------------------------------------------
+
+/// The evaluation rules a sandbox runs trials under: everything besides the
+/// workload that decides a verdict, plus the supervisor's crash envelope.
+/// The search builds one; the session handshake ships it whole to remote
+/// runners, so a local pool and a runner_serve backend started from equal
+/// specs evaluate identically.
+struct SandboxSpec {
+  /// All engines are bit-identical, so this is a performance choice.
+  vm::Engine engine = vm::Engine::kMicroOp;
+  std::uint64_t max_instructions = 1ull << 32;
+  /// VM wall-clock deadline per trial; 0 disables.
+  std::uint64_t deadline_ms = 0;
+  /// Per-config circuit breaker (PoolOptions::max_crashes_per_config).
+  std::uint32_t max_crashes = 3;
+  /// Worker RLIMIT_AS in MiB; 0 leaves it uncapped.
+  std::uint64_t rlimit_mb = 512;
+  /// Fault campaign: both sides re-derive every per-trial draw from it.
+  bool has_fault = false;
+  std::uint64_t fault_seed = 0;
+  fault::Injector::Rates fault_rates{};
+};
+
+/// Appends the spec's fields; equal specs encode to equal bytes.
+void put_spec(std::string* out, const SandboxSpec& spec);
+/// Reads a spec put_spec wrote. False on a short read or an unknown engine.
+bool read_spec(WireReader* r, SandboxSpec* out);
+
 // ---- Trial request (driver -> worker) -------------------------------------
 
-/// Request opcodes: how `config_key` is to be interpreted.
-constexpr std::uint8_t kReqFull = 1;   // full canonical_key serialization
-constexpr std::uint8_t kReqDelta = 2;  // delta script against the worker's
-                                       // session base config (see
-                                       // PrecisionConfig::apply_delta)
-
 struct TrialRequest {
-  std::uint8_t opcode = kReqFull;
   std::string key;         // config digest (journal identity, injector key)
   std::uint32_t exec_index = 0;  // per-config execution counter; the fault
                                  // injector's attempt index, so crash
                                  // retries draw fresh faults
-  std::string config_key;  // full canonical key (kReqFull) or delta script
-                           // against the session base (kReqDelta). Either
-                           // way the decoded config becomes the worker's
-                           // new session base.
+  std::string config_key;  // PrecisionConfig::canonical_key()
 };
 
 std::string encode_request(const TrialRequest& req);
@@ -94,24 +113,14 @@ bool decode_request(std::string_view payload, TrialRequest* out);
 
 // ---- Trial result (worker -> driver) --------------------------------------
 
-/// The slice of verify::EvalResult the search driver consumes. Outputs stay
-/// in the worker: the verifier already judged them there.
-struct WireResult {
-  bool passed = false;
-  std::uint8_t failure_class = 0;  // verify::FailureClass
-  std::uint8_t run_status = 0;     // vm::RunResult::Status
-  std::string failure;
-  std::uint64_t instructions_retired = 0;
-  verify::TrialCost cost;
-};
-
-std::string encode_result(const WireResult& r);
-bool decode_result(std::string_view payload, WireResult* out);
-
-/// WireResult -> EvalResult, validating the enum fields (a corrupt-but-CRC-
-/// passing value cannot smuggle an out-of-range class into the search).
-bool to_eval_result(const WireResult& w, verify::EvalResult* out);
-/// EvalResult -> WireResult.
-WireResult from_eval_result(const verify::EvalResult& r);
+/// Encodes the slice of an EvalResult the search driver consumes: verdict,
+/// failure class and text, run status, retired count and cost. Outputs and
+/// instrumentation stats stay in the worker; the verifier already judged
+/// them there.
+std::string encode_result(const verify::EvalResult& r);
+/// Inverse of encode_result, leaving the unshipped fields default. Rejects
+/// out-of-range enum values: a corrupt-but-CRC-passing byte cannot smuggle
+/// an unknown class into the search.
+bool decode_result(std::string_view payload, verify::EvalResult* out);
 
 }  // namespace fpmix::runner

@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "support/strings.hpp"
+#include "support/timer.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define FPMIX_POOL_POSIX 1
@@ -15,17 +16,6 @@
 
 namespace fpmix::runner {
 
-namespace {
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
-
 /// One worker plus its in-flight bookkeeping.
 struct WorkerPool::Slot {
   Worker worker;
@@ -34,14 +24,26 @@ struct WorkerPool::Slot {
   std::uint64_t deadline_at = 0;  // steady ns; 0 = no supervisor timeout
   bool term_sent = false;
   std::uint64_t kill_at = 0;  // TERM grace expiry once term_sent
-  /// Driver-side mirror of the worker's delta session base: the last config
-  /// this worker successfully received. Reset on every (re)spawn -- a fresh
-  /// worker has no base, so the first request after a respawn is always a
-  /// full frame.
-  bool has_base = false;
-  config::PrecisionConfig base;
   std::size_t stats_index = 0;  // index into PoolStats::slots
 };
+
+PoolPlan plan_pool(const SandboxSpec& spec) {
+  PoolPlan plan;
+  plan.eval.max_instructions = spec.max_instructions;
+  // Pass/fail is all a trial reports, so the VM takes its non-profiling
+  // loop.
+  plan.eval.profile = false;
+  plan.eval.engine = spec.engine;
+  plan.eval.deadline_ns = spec.deadline_ms * 1000000ull;
+  plan.pool.max_crashes_per_config = spec.max_crashes;
+  plan.pool.limits.address_space_mb = spec.rlimit_mb;
+  // Supervisor wall-clock backstop over the worker's own VM deadline: a
+  // worker stuck before the VM loop even starts (or hard-hung by a fault)
+  // still gets reaped.
+  plan.pool.trial_timeout_ms =
+      spec.deadline_ms > 0 ? spec.deadline_ms * 3 + 1000 : 0;
+  return plan;
+}
 
 WorkerPool::WorkerPool(const WorkerContext& ctx, const PoolOptions& opts)
     : ctx_(ctx), opts_(opts) {}
@@ -54,8 +56,6 @@ SlotStats* WorkerPool::slot_stats(const Slot& s) {
 }
 
 bool WorkerPool::spawn_slot(Slot* slot, bool respawn) {
-  // The fresh worker has no session base; delta requests would desync.
-  slot->has_base = false;
   if (!slot->worker.spawn(ctx_, opts_.limits)) return false;
   ++stats_.workers_spawned;
   if (respawn) {
@@ -107,7 +107,7 @@ void WorkerPool::finish(std::uint64_t ticket, verify::EvalResult result,
   f.outcome.worker_deaths = it->second.deaths;
   f.outcome.quarantined = quarantined;
   const std::uint64_t start = it->second.first_ns;
-  f.outcome.wall_ns = start != 0 && now_ns() > start ? now_ns() - start : 0;
+  f.outcome.wall_ns = start != 0 && steady_ns() > start ? steady_ns() - start : 0;
   work_.erase(it);
   finished_.push_back(std::move(f));
 }
@@ -155,7 +155,6 @@ void WorkerPool::note_death() {
 // failed send). Harmless when the child is already gone.
 Worker::Death WorkerPool::kill_and_reap(Slot* slot) {
   slot->worker.send_sigkill();
-  slot->has_base = false;
   Worker::Death death;
   slot->worker.reap(&death, /*block=*/true);
   return death;
@@ -169,9 +168,8 @@ void WorkerPool::process_ready(Slot* sp) {
   const FrameStatus st = s.worker.read_result(&payload, &eof);
   const std::uint64_t ticket = s.ticket;
   if (st == FrameStatus::kOk) {
-    WireResult w;
     verify::EvalResult er;
-    if (!decode_result(payload, &w) || !to_eval_result(w, &er)) {
+    if (!decode_result(payload, &er)) {
       ++stats_.protocol_errors;
       kill_and_reap(&s);
       note_death();
@@ -206,7 +204,6 @@ void WorkerPool::process_ready(Slot* sp) {
   Worker::Death death;
   s.worker.reap(&death, /*block=*/true);
   s.busy = false;
-  s.has_base = false;
   if (s.term_sent) {
     // The supervisor killed it for exceeding the trial deadline: a
     // voting kTimeout verdict, same as the in-process deadline path.
@@ -283,23 +280,8 @@ void WorkerPool::dispatch() {
     TrialRequest req;
     req.key = w.key;
     req.exec_index = exec_counter_[w.key]++;
-    // Adaptive config encoding: ship the delta against this worker's
-    // session base when it is strictly smaller than the full canonical
-    // key; otherwise fall back to a full frame (which also re-anchors
-    // the session after large jumps).
-    std::string full = w.cfg.canonical_key();
-    if (s.has_base) {
-      std::string delta = w.cfg.encode_delta_from(s.base);
-      if (delta.size() < full.size()) {
-        req.opcode = kReqDelta;
-        req.config_key = std::move(delta);
-      }
-    }
-    if (req.opcode != kReqDelta) {
-      req.opcode = kReqFull;
-      req.config_key = std::move(full);
-    }
-    if (w.first_ns == 0) w.first_ns = now_ns();
+    req.config_key = w.cfg.canonical_key();
+    if (w.first_ns == 0) w.first_ns = steady_ns();
     ++stats_.isolated_trials;
     if (!s.worker.send_request(req)) {
       const Worker::Death death = kill_and_reap(&s);
@@ -313,25 +295,15 @@ void WorkerPool::dispatch() {
       if (stats_.crash_storm) break;
       continue;
     }
-    // The worker advances its session base on every request it decodes;
-    // mirror that here. If it dies before decoding, the respawn resets
-    // both sides.
-    s.base = w.cfg;
-    s.has_base = true;
-    if (req.opcode == kReqDelta) {
-      ++stats_.delta_requests;
-      stats_.delta_bytes += req.config_key.size();
-    } else {
-      ++stats_.full_requests;
-      stats_.full_bytes += req.config_key.size();
-    }
+    ++stats_.requests;
+    stats_.config_bytes += req.config_key.size();
     if (SlotStats* ss = slot_stats(s)) ++ss->requests;
     s.busy = true;
     s.ticket = t;
     s.term_sent = false;
     s.kill_at = 0;
     s.deadline_at = opts_.trial_timeout_ms > 0
-                        ? now_ns() + opts_.trial_timeout_ms * 1000000ull
+                        ? steady_ns() + opts_.trial_timeout_ms * 1000000ull
                         : 0;
   }
 #endif
@@ -393,7 +365,7 @@ void WorkerPool::pump(int max_wait_ms) {
 
   int timeout_ms = max_wait_ms;
   if (next_event != 0) {
-    const std::uint64_t now = now_ns();
+    const std::uint64_t now = steady_ns();
     const int until =
         next_event > now
             ? static_cast<int>((next_event - now) / 1000000ull) + 1
@@ -407,7 +379,7 @@ void WorkerPool::pump(int max_wait_ms) {
   }
 
   // Deadline enforcement: TERM first, KILL after the grace period.
-  const std::uint64_t now = now_ns();
+  const std::uint64_t now = steady_ns();
   for (auto& sp : slots_) {
     Slot& s = *sp;
     if (!s.busy) continue;

@@ -68,6 +68,17 @@ struct PoolOptions {
   RlimitSpec limits;
 };
 
+/// What a pool started from `spec` runs with: the per-trial evaluation
+/// template and the supervisor envelope. The search's local pool and every
+/// runner_serve backend start from this, so both apply the same rules.
+/// Callers add what is theirs: eval.builder, pool.workers and
+/// pool.term_grace_ms.
+struct PoolPlan {
+  verify::EvalOptions eval;
+  PoolOptions pool;
+};
+PoolPlan plan_pool(const SandboxSpec& spec);
+
 /// Per-worker-slot census (slot = one seat in the pool; the worker process
 /// occupying it may be respawned many times).
 struct SlotStats {
@@ -96,12 +107,9 @@ struct PoolStats {
   /// Death census by signal name ("SIGSEGV" -> 17), plus "exit:<N>" for
   /// nonzero exits.
   std::map<std::string, std::uint64_t> crashes_by_signal;
-  /// Delta-encoded config shipping (see wire.hpp kReqDelta): requests sent
-  /// in each form and their config-payload bytes.
-  std::uint64_t delta_requests = 0;
-  std::uint64_t full_requests = 0;
-  std::uint64_t delta_bytes = 0;
-  std::uint64_t full_bytes = 0;
+  /// Trial requests sent and their config-key bytes.
+  std::uint64_t requests = 0;
+  std::uint64_t config_bytes = 0;
   /// One entry per pool slot.
   std::vector<SlotStats> slots;
 };

@@ -1,12 +1,12 @@
 #include "search/scheduler.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "runner/wire.hpp"
 #include "support/journal.hpp"
 #include "support/log.hpp"
 #include "support/strings.hpp"
+#include "support/timer.hpp"
 #include "vm/machine.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -19,20 +19,6 @@
 namespace fpmix::search {
 
 namespace {
-
-std::uint64_t now_ms() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 void sleep_ms(int ms) {
 #if FPMIX_NET_POSIX
@@ -82,18 +68,19 @@ bool Scheduler::try_connect(Shard* s) {
     s->m.lost = true;
     return false;
   }
-  if (client->engine() != opts_.hello.engine) {
+  const auto requested = static_cast<std::uint8_t>(opts_.hello.spec.engine);
+  if (client->engine() != requested) {
     // Engines are bit-identical, so only one mismatch is sanctioned: jit
     // requested of a host that cannot run it answers micro-op. Anything
     // else is a protocol violation; never trust the endpoint.
     const bool sanctioned_downgrade =
-        opts_.hello.engine == static_cast<std::uint8_t>(vm::Engine::kJit) &&
+        opts_.hello.spec.engine == vm::Engine::kJit &&
         client->engine() == static_cast<std::uint8_t>(vm::Engine::kMicroOp);
     if (!sanctioned_downgrade) {
       log::warnf("scheduler: endpoint %s answered engine %u to a request "
                  "for engine %u; endpoint dropped",
                  s->m.address.c_str(), static_cast<unsigned>(client->engine()),
-                 static_cast<unsigned>(opts_.hello.engine));
+                 static_cast<unsigned>(requested));
       s->lost = true;
       s->m.lost = true;
       return false;
@@ -161,7 +148,7 @@ void Scheduler::note_failure(Shard* s) {
     log::warnf("scheduler: endpoint %s lost after %u failures",
                s->m.address.c_str(), s->consecutive_failures);
   } else {
-    s->retry_at_ms = now_ms() + s->backoff.next_ms();
+    s->retry_at_ms = steady_ms() + s->backoff.next_ms();
   }
 }
 
@@ -181,7 +168,7 @@ void Scheduler::shard_down(Shard* s) {
 }
 
 void Scheduler::reconnect_due() {
-  const std::uint64_t now = now_ms();
+  const std::uint64_t now = steady_ms();
   for (Shard& s : shards_) {
     if (s.client != nullptr || s.lost || now < s.retry_at_ms) continue;
     try_connect(&s);
@@ -251,7 +238,7 @@ std::vector<runner::TrialOutcome> Scheduler::run_batch(
   // tolerated (RTT just grows), silent is not.
   const auto heartbeat = [&]() {
     if (opts_.heartbeat_ms == 0) return;
-    const std::uint64_t now = now_ms();
+    const std::uint64_t now = steady_ms();
     for (Shard& s : shards_) {
       if (s.client == nullptr) continue;
       if (s.last_ping_ms != 0 && now - s.last_ping_ms < opts_.heartbeat_ms) {
@@ -271,7 +258,7 @@ std::vector<runner::TrialOutcome> Scheduler::run_batch(
       }
       net::PingMsg ping;
       ping.nonce = s.next_nonce++;
-      ping.t_send_ns = now_ns();
+      ping.t_send_ns = steady_ns();
       if (!s.client->ping(ping)) {
         fail_shard(&s);
         continue;
@@ -290,7 +277,7 @@ std::vector<runner::TrialOutcome> Scheduler::run_batch(
   // adoption.
   const auto gossip = [&]() {
     if (opts_.gossip_ms == 0 || streamed_.empty()) return;
-    const std::uint64_t now = now_ms();
+    const std::uint64_t now = steady_ms();
     for (Shard& s : shards_) {
       if (s.client == nullptr || s.digest_inflight) continue;
       if (s.last_gossip_ms != 0 && now - s.last_gossip_ms < opts_.gossip_ms) {
@@ -328,7 +315,7 @@ std::vector<runner::TrialOutcome> Scheduler::run_batch(
         }
         break;
       }
-      const std::uint64_t now = now_ms();
+      const std::uint64_t now = steady_ms();
       sleep_ms(earliest > now
                    ? static_cast<int>(std::min<std::uint64_t>(
                          earliest - now, 100))
@@ -386,7 +373,7 @@ std::vector<runner::TrialOutcome> Scheduler::run_batch(
       for (const net::PongMsg& pong : s.client->take_pongs()) {
         auto pit = s.pending_pings.find(pong.nonce);
         if (pit == s.pending_pings.end()) continue;
-        s.rtt_us.push_back((now_ns() - pit->second) / 1000);
+        s.rtt_us.push_back((steady_ns() - pit->second) / 1000);
         s.pending_pings.erase(s.pending_pings.begin(), std::next(pit));
         s.unanswered = 0;
         ++s.m.pongs;
@@ -406,10 +393,8 @@ std::vector<runner::TrialOutcome> Scheduler::run_batch(
           ++s.m.late_results;
           continue;
         }
-        runner::WireResult w;
         verify::EvalResult er;
-        if (!runner::decode_result(r.wire_result, &w) ||
-            !runner::to_eval_result(w, &er)) {
+        if (!runner::decode_result(r.wire_result, &er)) {
           // The frame CRC passed but the payload is semantically bad:
           // treat it like transport damage and reroute the trial.
           state[i].in_flight = false;
@@ -503,7 +488,7 @@ std::size_t Scheduler::gossip_now(int timeout_ms) {
       continue;
     }
     const std::uint64_t deadline =
-        now_ms() + static_cast<std::uint64_t>(timeout_ms > 0 ? timeout_ms
+        steady_ms() + static_cast<std::uint64_t>(timeout_ms > 0 ? timeout_ms
                                                              : 5000);
     bool answered = false;
     while (!answered) {
@@ -526,7 +511,7 @@ std::size_t Scheduler::gossip_now(int timeout_ms) {
         shard_down(&s);
         break;
       }
-      const std::uint64_t now = now_ms();
+      const std::uint64_t now = steady_ms();
       if (now >= deadline) {
         log::warnf("scheduler: gossip digest from %s timed out",
                    s.m.address.c_str());

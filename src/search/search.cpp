@@ -260,10 +260,8 @@ class PoolExecutor final : public TrialExecutor {
     for (const auto& [sig, n] : ps.crashes_by_signal) {
       m->crashes_by_signal[sig] = n;
     }
-    m->delta_requests = ps.delta_requests;
-    m->full_requests = ps.full_requests;
-    m->delta_bytes = ps.delta_bytes;
-    m->full_bytes = ps.full_bytes;
+    m->full_requests = ps.requests;
+    m->full_bytes = ps.config_bytes;
     m->worker_slots = ps.slots;
   }
 
@@ -321,12 +319,29 @@ class FleetExecutor final : public TrialExecutor {
   std::size_t unserved_ = 0;
 };
 
+/// The sandbox rules `o` asks for, with the *requested* engine: remote
+/// endpoints resolve it against their own host.
+runner::SandboxSpec sandbox_spec(const SearchOptions& o) {
+  runner::SandboxSpec s;
+  s.engine = o.engine;
+  s.max_instructions = o.max_instructions_per_run;
+  s.deadline_ms = o.deadline_ms;
+  s.max_crashes = o.max_trial_crashes;
+  s.rlimit_mb = o.worker_rlimit_as_mb;
+  if (o.fault_injector != nullptr) {
+    s.has_fault = true;
+    s.fault_seed = o.fault_injector->seed();
+    s.fault_rates = o.fault_injector->rates();
+  }
+  return s;
+}
+
 class Searcher {
  public:
   Searcher(const program::Image& original, StructureIndex* index,
            const verify::Verifier& verifier, const SearchOptions& options)
       : original_(original), ix_(*index), verifier_(verifier),
-        options_(options) {}
+        options_(options), spec_(sandbox_spec(options)) {}
 
   SearchResult run() {
     resolve_engine();
@@ -696,18 +711,9 @@ class Searcher {
     net::HelloMsg& h = sopts.hello;
     h.bench = options_.remote_bench;
     h.cls = static_cast<std::uint8_t>(options_.remote_class);
-    h.engine = static_cast<std::uint8_t>(options_.engine);
-    h.max_instructions = options_.max_instructions_per_run;
-    h.deadline_ms = options_.deadline_ms;
-    h.max_crashes = options_.max_trial_crashes;
-    h.rlimit_mb = options_.worker_rlimit_as_mb;
     h.shard_cache = options_.shard_cache ? 1 : 0;
     h.search_fp = search_fp_;
-    if (options_.fault_injector != nullptr) {
-      h.has_fault = 1;
-      h.fault_seed = options_.fault_injector->seed();
-      h.fault_rates = options_.fault_injector->rates();
-    }
+    h.spec = spec_;
     sopts.connect_timeout_ms = static_cast<int>(options_.connect_timeout_ms);
     sopts.hello_timeout_ms = static_cast<int>(options_.hello_timeout_ms);
     sopts.max_endpoint_failures = options_.max_endpoint_failures;
@@ -730,16 +736,14 @@ class Searcher {
   /// under isolate_trials, else in-process; isolation problems degrade to
   /// in-process with a warning.
   void setup_executor() {
+    runner::SandboxSpec local = spec_;
+    local.engine = engine_;
+    runner::PoolPlan plan = runner::plan_pool(local);
     runner::WorkerContext ctx;
     ctx.image = &original_;
     ctx.index = &ix_;
     ctx.verifier = &verifier_;
-    ctx.eval.max_instructions = options_.max_instructions_per_run;
-    // Pass/fail is all a trial reports; per-instruction counts come only
-    // from profile_original(), so the VM can take its non-profiling loop.
-    ctx.eval.profile = false;
-    ctx.eval.engine = engine_;
-    ctx.eval.deadline_ns = options_.deadline_ms * 1000000ull;
+    ctx.eval = plan.eval;
     // Forked workers inherit the builder's warm caches (copy-on-write) and
     // keep their private copies hot across requests for the worker's
     // lifetime; each respawn starts from the driver's state at fork time.
@@ -759,20 +763,11 @@ class Searcher {
       return;
     }
 
-    runner::PoolOptions popts;
     const std::size_t workers = options_.num_workers != 0
                                     ? options_.num_workers
                                     : options_.num_threads;
-    popts.workers = static_cast<int>(workers);
-    popts.max_crashes_per_config = options_.max_trial_crashes;
-    popts.limits.address_space_mb = options_.worker_rlimit_as_mb;
-    // Supervisor wall-clock backstop over the worker's own VM deadline: a
-    // worker stuck before the VM loop even starts (or hard-hung by a fault)
-    // still gets reaped.
-    popts.trial_timeout_ms =
-        options_.deadline_ms > 0 ? options_.deadline_ms * 3 + 1000 : 0;
-
-    auto pool = std::make_unique<runner::WorkerPool>(ctx, popts);
+    plan.pool.workers = static_cast<int>(workers);
+    auto pool = std::make_unique<runner::WorkerPool>(ctx, plan.pool);
     if (!pool->start()) {
       log::warnf("search: could not spawn any sandboxed worker; running "
                  "trials in-process");
@@ -1029,6 +1024,9 @@ class Searcher {
   StructureIndex& ix_;
   const verify::Verifier& verifier_;
   const SearchOptions& options_;
+  /// Built once from options_; the hello ships it, the local pool runs it
+  /// with the resolved engine_.
+  const runner::SandboxSpec spec_;
 
   struct PassingUnit {
     PrecisionConfig cfg;

@@ -314,8 +314,9 @@ struct SearchMetrics {
   /// isolate_trials was requested but fork is unavailable (or no worker
   /// could be spawned); the search ran in-process instead.
   bool isolation_degraded = false;
-  /// Config frames shipped delta-encoded against each worker's session
-  /// base config vs. as full canonical keys, with their payload bytes.
+  /// Trial requests sent to workers, each carrying a full canonical config
+  /// key, and the key bytes. delta_requests/delta_bytes are always 0: no
+  /// other encoding exists. They stay because the benchmark reads them.
   std::size_t delta_requests = 0;
   std::size_t full_requests = 0;
   std::size_t delta_bytes = 0;

@@ -71,13 +71,7 @@ TrialFaults Injector::for_trial(std::string_view trial_key,
 
 std::string Injector::fingerprint_tag() const {
   std::uint64_t h = fnv1a64("fault-campaign", seed_);
-  const double rs[] = {rates_.abort,          rates_.bitflip,
-                       rates_.sentinel,       rates_.stall,
-                       rates_.flaky,          rates_.segv,
-                       rates_.kill,           rates_.oom,
-                       rates_.hang,           rates_.hang_ignore_term,
-                       rates_.trunc_result,   rates_.corrupt_result};
-  for (const double r : rs) {
+  for (const double r : rates_.values()) {
     h = fnv1a64_mix(h, static_cast<std::uint64_t>(r * 1e9));
   }
   return hex_digest(h);

@@ -27,6 +27,7 @@
 // campaign replays identically across processes and thread schedules.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -97,6 +98,18 @@ class Injector {
     double hang_ignore_term = 0.0;
     double trunc_result = 0.0;
     double corrupt_result = 0.0;
+
+    /// The rates in one fixed order, the order every encoding of a
+    /// campaign uses (the session handshake, the search fingerprint).
+    std::array<double, 12> values() const {
+      return {abort, bitflip, sentinel, stall, flaky, segv, kill, oom, hang,
+              hang_ignore_term, trunc_result, corrupt_result};
+    }
+    /// Inverse of values().
+    static Rates from_values(const std::array<double, 12>& v) {
+      return {v[0], v[1], v[2], v[3], v[4],  v[5],
+              v[6], v[7], v[8], v[9], v[10], v[11]};
+    }
   };
 
   Injector(std::uint64_t seed, const Rates& rates)

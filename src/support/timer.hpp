@@ -6,6 +6,18 @@
 
 namespace fpmix {
 
+/// Steady-clock reading in nanoseconds: deadlines and intervals, never
+/// wall-clock dates.
+inline std::uint64_t steady_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+/// steady_ns() in whole milliseconds.
+inline std::uint64_t steady_ms() { return steady_ns() / 1000000ull; }
+
 /// Monotonic stopwatch.
 class Timer {
  public:

@@ -65,8 +65,8 @@ bool parse_failure_class(std::string_view name, FailureClass* out);
 FailureClass classify_failure_message(std::string_view message);
 
 /// What one evaluation attempt cost: the record TrialBuilder fills,
-/// EvalResult carries, runner::WireResult ships back from a worker, and the
-/// search sums into SearchMetrics.
+/// EvalResult carries (and runner::encode_result ships back from a worker),
+/// and the search sums into SearchMetrics.
 struct TrialCost {
   // Stage breakdown.
   std::uint64_t patch_ns = 0;      // instrument_image

@@ -1657,33 +1657,27 @@ struct JitExec {
   // helpers reachable on a non-trapping hot path are wrapped; trap helpers
   // end the run anyway.
 
-  static std::uint64_t now_ns() {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-  }
   static void add_helper_ns(jit::JitContext* ctx, std::uint64_t t0) {
     Machine& m = machine(ctx);
-    m.jit_helper_ns_ += now_ns() - t0;
+    m.jit_helper_ns_ += steady_ns() - t0;
     m.jit_helper_calls_ += 1;
   }
 
   static void help_exec_timed(jit::JitContext* ctx, std::uint64_t pc) {
-    const std::uint64_t t0 = now_ns();
+    const std::uint64_t t0 = steady_ns();
     help_exec(ctx, pc);
     add_helper_ns(ctx, t0);
   }
   static const void* help_ret_timed(jit::JitContext* ctx, std::uint64_t ra,
                                     std::uint64_t pc) {
-    const std::uint64_t t0 = now_ns();
+    const std::uint64_t t0 = steady_ns();
     const void* r = help_ret(ctx, ra, pc);
     add_helper_ns(ctx, t0);
     return r;
   }
   static std::uint64_t help_intrin_timed(jit::JitContext* ctx,
                                          std::uint64_t pc) {
-    const std::uint64_t t0 = now_ns();
+    const std::uint64_t t0 = steady_ns();
     const std::uint64_t r = help_intrin(ctx, pc);
     add_helper_ns(ctx, t0);
     return r;

@@ -14,6 +14,7 @@
 // the FPMIX_SOAK_CAMPAIGNS environment variable (CI sets 200).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -179,6 +180,31 @@ TEST(Injector, HardFaultDrawsAreDeterministicAndIndependent) {
   soft_only.abort = 0.1;
   EXPECT_NE(fault::Injector(0x44AAD, rates).fingerprint_tag(),
             fault::Injector(0x44AAD, soft_only).fingerprint_tag());
+}
+
+TEST(Injector, FingerprintTagAndRateOrderArePinned) {
+  fault::Injector::Rates r;
+  r.abort = 0.01;
+  r.bitflip = 0.02;
+  r.sentinel = 0.03;
+  r.stall = 0.04;
+  r.flaky = 0.05;
+  r.segv = 0.06;
+  r.kill = 0.07;
+  r.oom = 0.08;
+  r.hang = 0.09;
+  r.hang_ignore_term = 0.1;
+  r.trunc_result = 0.11;
+  r.corrupt_result = 0.125;
+  // The tag feeds the search fingerprint and every journal meta line, so
+  // it must never change for a given campaign.
+  EXPECT_EQ(fault::Injector(0x5EED, r).fingerprint_tag(), "7e95072d2f31b317");
+
+  const std::array<double, 12> v = r.values();
+  const std::array<double, 12> want = {0.01, 0.02, 0.03, 0.04, 0.05, 0.06,
+                                       0.07, 0.08, 0.09, 0.1,  0.11, 0.125};
+  EXPECT_EQ(v, want);
+  EXPECT_EQ(fault::Injector::Rates::from_values(v).values(), want);
 }
 
 TEST(Injector, ZeroRatesNeverFault) {

@@ -1,6 +1,6 @@
 // Differential tests for the incremental trial pipeline: per-function
-// variant caching (instrument::IncrementalPatcher), sparse re-instrumentation
-// (instrument_delta), segment-spliced predecode, the whole-image LRU
+// variant caching (instrument::IncrementalPatcher), segment-spliced
+// predecode, the whole-image LRU
 // (verify::ImageCache), the shared TrialBuilder front end, and
 // cache-on/cache-off search equivalence on both execution engines and under
 // process isolation with an active hard-fault campaign.
@@ -258,54 +258,6 @@ TEST(IncrementalPatcher, BitIdenticalOnKernelImage) {
 }
 
 // ---------------------------------------------------------------------------
-// instrument_delta: sparse re-instrumentation equals a full instrument().
-
-TEST(InstrumentDelta, MatchesFromScratchInstrument) {
-  const Prepared p = prepare_structured();
-  const program::Program prog = program::lift(p.image);
-
-  SplitMix64 rng(0xDE17AB);
-  for (int round = 0; round < 25; ++round) {
-    const PrecisionConfig base_cfg = random_config(p.index, &rng, 8);
-    const instrument::InstrumentResult base =
-        instrument::instrument(prog, p.index, base_cfg);
-    const PrecisionConfig cfg = mutate_config(p.index, base_cfg, &rng);
-
-    const instrument::InstrumentResult want =
-        instrument::instrument(prog, p.index, cfg);
-    const instrument::InstrumentResult got =
-        instrument::instrument_delta(prog, p.index, base_cfg, base, cfg);
-
-    const std::string what = "round " + std::to_string(round);
-    expect_images_identical(program::relayout(got.patched),
-                            program::relayout(want.patched), what);
-    ASSERT_EQ(got.stats.wrapped, want.stats.wrapped) << what;
-    ASSERT_EQ(got.stats.replaced_single, want.stats.replaced_single) << what;
-    ASSERT_EQ(got.stats.ignored, want.stats.ignored) << what;
-    ASSERT_EQ(got.stats.snippet_instrs, want.stats.snippet_instrs) << what;
-    ASSERT_EQ(got.per_function.size(), want.per_function.size()) << what;
-    for (std::size_t f = 0; f < want.per_function.size(); ++f) {
-      ASSERT_EQ(got.per_function[f].wrapped, want.per_function[f].wrapped)
-          << what << " func " << f;
-    }
-  }
-}
-
-TEST(InstrumentDelta, DirtySetIsSparseForLocalEdits) {
-  const Prepared p = prepare_structured();
-  PrecisionConfig a;
-  PrecisionConfig b = a;
-  // One instruction flag dirties exactly its containing function.
-  b.set_instr(0, Precision::kSingle);
-  const std::vector<std::size_t> dirty =
-      instrument::dirty_functions(p.index, a, b);
-  ASSERT_EQ(dirty.size(), 1u);
-  EXPECT_EQ(dirty[0], p.index.instrs()[0].func);
-  // Identical configs dirty nothing.
-  EXPECT_TRUE(instrument::dirty_functions(p.index, a, a).empty());
-}
-
-// ---------------------------------------------------------------------------
 // ImageCache: LRU behaviour and the hash-collision guard.
 
 TEST(ImageCache, LruEvictionAndCollisionGuard) {
@@ -433,14 +385,14 @@ TEST(SearchEquivalence, CacheOnOffIdenticalIsolated) {
   EXPECT_EQ(with_cache.final_config.canonical_key(),
             without_cache.final_config.canonical_key());
   EXPECT_EQ(with_cache.final_passed, without_cache.final_passed);
-  // Delta frames were exchanged and the per-slot census saw the traffic.
-  EXPECT_GT(with_cache.metrics.delta_requests, 0u);
+  // The per-slot census saw the traffic.
   ASSERT_EQ(with_cache.metrics.worker_slots.size(), 2u);
   std::size_t slot_requests = 0;
   for (const auto& slot : with_cache.metrics.worker_slots) {
     slot_requests += slot.requests;
   }
   EXPECT_EQ(slot_requests, with_cache.metrics.isolated_trials);
+  EXPECT_EQ(slot_requests, with_cache.metrics.full_requests);
 }
 
 TEST(SearchEquivalence, CacheOnOffIdenticalUnderFaultCampaign) {

@@ -34,6 +34,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -82,18 +85,22 @@ TEST(NetProtocol, HelloRoundTripPreservesFaultCampaign) {
   net::HelloMsg h;
   h.bench = "cg";
   h.cls = 'A';
-  h.max_instructions = 123456789;
-  h.deadline_ms = 250;
-  h.max_crashes = 7;
-  h.rlimit_mb = 64;
   h.shard_cache = 1;
   h.search_fp = "fp:abc|v1";
-  h.has_fault = 1;
-  h.fault_seed = 0xDEADBEEFCAFEull;
-  h.fault_rates.segv = 0.05;
-  h.fault_rates.oom = 1.0 / 3.0;  // a non-terminating binary fraction
-  h.fault_rates.hang_ignore_term = 0.125;
-  h.fault_rates.corrupt_result = 0.02;
+  runner::SandboxSpec& sp = h.spec;
+  sp.engine = vm::Engine::kJit;
+  sp.max_instructions = 123456789;
+  sp.deadline_ms = 250;
+  sp.max_crashes = 7;
+  sp.rlimit_mb = 64;
+  sp.has_fault = true;
+  sp.fault_seed = 0xDEADBEEFCAFEull;
+  // Twelve distinct rates, so a swapped pair cannot round-trip unnoticed.
+  std::array<double, 12> rates{};
+  for (std::size_t i = 0; i < rates.size(); ++i) {
+    rates[i] = 1.0 / static_cast<double>(i + 3);  // 1/3: non-terminating
+  }
+  sp.fault_rates = fault::Injector::Rates::from_values(rates);
 
   const std::string payload = net::encode_hello(h);
   EXPECT_EQ(net::peek_msg_type(payload), net::kMsgHello);
@@ -103,21 +110,34 @@ TEST(NetProtocol, HelloRoundTripPreservesFaultCampaign) {
   EXPECT_EQ(back.version, net::kProtocolVersion);
   EXPECT_EQ(back.bench, h.bench);
   EXPECT_EQ(back.cls, h.cls);
-  EXPECT_EQ(back.max_instructions, h.max_instructions);
-  EXPECT_EQ(back.deadline_ms, h.deadline_ms);
-  EXPECT_EQ(back.max_crashes, h.max_crashes);
-  EXPECT_EQ(back.rlimit_mb, h.rlimit_mb);
   EXPECT_EQ(back.shard_cache, h.shard_cache);
   EXPECT_EQ(back.search_fp, h.search_fp);
-  EXPECT_EQ(back.has_fault, h.has_fault);
-  EXPECT_EQ(back.fault_seed, h.fault_seed);
+  const runner::SandboxSpec& bs = back.spec;
+  EXPECT_EQ(bs.engine, sp.engine);
+  EXPECT_EQ(bs.max_instructions, sp.max_instructions);
+  EXPECT_EQ(bs.deadline_ms, sp.deadline_ms);
+  EXPECT_EQ(bs.max_crashes, sp.max_crashes);
+  EXPECT_EQ(bs.rlimit_mb, sp.rlimit_mb);
+  EXPECT_EQ(bs.has_fault, sp.has_fault);
+  EXPECT_EQ(bs.fault_seed, sp.fault_seed);
   // Rates ship as raw bit patterns: bit-exact, both sides re-derive the
   // same per-trial draws.
-  EXPECT_EQ(back.fault_rates.segv, h.fault_rates.segv);
-  EXPECT_EQ(back.fault_rates.oom, h.fault_rates.oom);
-  EXPECT_EQ(back.fault_rates.hang_ignore_term, h.fault_rates.hang_ignore_term);
-  EXPECT_EQ(back.fault_rates.corrupt_result, h.fault_rates.corrupt_result);
-  EXPECT_EQ(back.fault_rates.kill, 0.0);
+  const std::array<double, 12> got = bs.fault_rates.values();
+  for (std::size_t i = 0; i < rates.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(rates[i]))
+        << "rate " << i;
+  }
+  EXPECT_EQ(bs.fault_rates.abort, rates[0]);
+  EXPECT_EQ(bs.fault_rates.corrupt_result, rates[11]);
+
+  // An unknown engine byte is a malformed hello, not a guess.
+  std::string bad = payload;
+  const std::size_t engine_at = 1 + 4 + (4 + h.bench.size()) + 1 + 1 +
+                                (4 + h.search_fp.size());
+  ASSERT_EQ(bad[engine_at], static_cast<char>(vm::Engine::kJit));
+  bad[engine_at] = 9;
+  EXPECT_FALSE(net::decode_hello(bad, &back));
 
   // A message of the wrong type never decodes as another.
   net::TrialMsg t;
@@ -152,10 +172,9 @@ TEST(NetProtocol, AckTrialResultCacheInsertErrorRoundTrip) {
   EXPECT_EQ(trial_back.key, trial.key);
   EXPECT_EQ(trial_back.config_key, trial.config_key);
 
-  runner::WireResult wr;
+  verify::EvalResult wr;
   wr.passed = false;
-  wr.failure_class =
-      static_cast<std::uint8_t>(verify::FailureClass::kDivergence);
+  wr.failure_class = verify::FailureClass::kDivergence;
   wr.failure = "relative error 3.1e-7 at output 1";
   wr.instructions_retired = 987654;
   net::ResultMsg res;
@@ -170,7 +189,7 @@ TEST(NetProtocol, AckTrialResultCacheInsertErrorRoundTrip) {
   EXPECT_EQ(res_back.flags, res.flags);
   EXPECT_EQ(res_back.worker_deaths, 2u);
   EXPECT_EQ(res_back.wall_ns, res.wall_ns);
-  runner::WireResult wr_back;
+  verify::EvalResult wr_back;
   ASSERT_TRUE(runner::decode_result(res_back.wire_result, &wr_back));
   EXPECT_EQ(wr_back.passed, wr.passed);
   EXPECT_EQ(wr_back.failure_class, wr.failure_class);
@@ -644,6 +663,17 @@ struct ServerProc {
     ::waitpid(pid, &status, 0);
     pid = -1;
   }
+  /// Shuts the daemon down cleanly and returns its exit status: the number
+  /// of backends it built (ServerStats::backends), or -1 on an abnormal
+  /// exit.
+  int terminate() {
+    if (pid <= 0) return -1;
+    ::kill(pid, SIGTERM);
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+    pid = -1;
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  }
   ~ServerProc() { stop(); }
 };
 
@@ -680,9 +710,12 @@ ServerProc spawn_server_with(const SpawnOpts& o, bool allow_bind_fail = false) {
     if (o.idle_timeout_ms > 0) sopts.idle_timeout_ms = o.idle_timeout_ms;
     sopts.state_dir = o.state_dir;
     sopts.disk_chaos = o.disk_chaos;
+    static std::atomic<bool> stop{false};
+    std::signal(SIGTERM, [](int) { stop.store(true); });
     net::RunnerServer server(std::move(listener), serve_factory, sopts);
-    server.serve(nullptr);
-    std::_Exit(0);
+    server.serve(&stop);
+    std::_Exit(static_cast<int>(
+        std::min<std::uint64_t>(server.stats().backends, 255)));
   }
   // The parent's copy of the listener fd closes with the local object; the
   // child keeps its own.
@@ -730,7 +763,7 @@ std::string temp_state_dir(const std::string& tag) {
 net::HelloMsg make_hello() {
   net::HelloMsg h;
   h.bench = "iso";
-  h.max_instructions = 1ull << 24;
+  h.spec.max_instructions = 1ull << 24;
   return h;
 }
 
@@ -765,6 +798,38 @@ TEST(DistributedClient, ServerRejectsUnknownWorkloadAndBadVersion) {
   ASSERT_NE(client, nullptr) << error;
   EXPECT_EQ(client->workers(), 1u);
   EXPECT_EQ(client->verifier_fp(), w.verifier->fingerprint());
+}
+
+TEST(DistributedClient, SessionsWithEqualSpecsShareOneBackend) {
+  SKIP_WITHOUT_NET();
+  // Connects every hello to a fresh daemon; returns the backends it built.
+  const auto backends_after = [](const std::vector<net::HelloMsg>& hellos) {
+    ServerProc sp = spawn_server(1);
+    if (sp.pid <= 0) return -1;
+    for (const net::HelloMsg& h : hellos) {
+      std::string error;
+      if (net::EndpointClient::connect(sp.ep, h, 2000, 60000, &error) ==
+          nullptr) {
+        ADD_FAILURE() << error;
+      }
+    }
+    return sp.terminate();
+  };
+
+  net::HelloMsg h = make_hello();
+  h.search_fp = "fp:first";
+  h.spec.has_fault = true;
+  h.spec.fault_seed = 7;
+  h.spec.fault_rates.segv = 0.25;
+  // Another search under the same rules: same evaluation context.
+  net::HelloMsg same = h;
+  same.search_fp = "fp:second";
+  // One fault rate apart: a different campaign, so a different backend.
+  net::HelloMsg other = h;
+  other.spec.fault_rates.corrupt_result = 0.5;
+
+  EXPECT_EQ(backends_after({h, same}), 1);
+  EXPECT_EQ(backends_after({h, same, other}), 2);
 }
 
 TEST(DistributedClient, JournalShardSurvivesSessionDeathAndRejectsTornLines) {
@@ -1083,7 +1148,7 @@ TEST(DistributedScheduler, DuplicateResultIsDiscardedNeverDoubleVoted) {
     payload = read_one_frame(&s, &fb);  // the trial
     net::TrialMsg t;
     if (!net::decode_trial(payload, &t)) return;
-    runner::WireResult wr;
+    verify::EvalResult wr;
     wr.passed = true;
     net::ResultMsg r;
     r.ticket = t.ticket;

@@ -121,12 +121,15 @@ TEST(Wire, RequestAndResultRoundTrip) {
   er.cost.predecode_saved_ns = 222;
   er.cost.funcs_reused = 5;
   er.cost.funcs_total = 9;
-  const runner::WireResult w = runner::from_eval_result(er);
+  // Fields the wire does not carry must not leak into the payload.
+  er.outputs = {1.5, 2.5};
+  er.stats.wrapped = 77;
   // The result payload layout is shared with workers and runner_serve
   // daemons of the same protocol version: field order and widths are
   // pinned byte for byte.
+  const std::string payload = runner::encode_result(er);
   std::string hex;
-  for (const unsigned char c : runner::encode_result(w)) {
+  for (const unsigned char c : payload) {
     hex += strformat("%02x", c);
   }
   EXPECT_EQ(hex,
@@ -143,10 +146,10 @@ TEST(Wire, RequestAndResultRoundTrip) {
             "de00000000000000"  // predecode_saved_ns
             "05000000"          // funcs_reused
             "09000000");        // funcs_total
-  runner::WireResult wback;
-  ASSERT_TRUE(runner::decode_result(runner::encode_result(w), &wback));
   verify::EvalResult er2;
-  ASSERT_TRUE(runner::to_eval_result(wback, &er2));
+  ASSERT_TRUE(runner::decode_result(payload, &er2));
+  EXPECT_TRUE(er2.outputs.empty());
+  EXPECT_EQ(er2.stats.wrapped, 0u);
   EXPECT_EQ(er2.passed, er.passed);
   EXPECT_EQ(er2.failure_class, er.failure_class);
   EXPECT_EQ(er2.run_status, er.run_status);
@@ -160,34 +163,19 @@ TEST(Wire, RequestAndResultRoundTrip) {
   EXPECT_EQ(er2.cost.funcs_total, er.cost.funcs_total);
 }
 
-TEST(Wire, DeltaRequestRoundTripAndOpcodeValidation) {
-  runner::TrialRequest req;
-  req.opcode = runner::kReqDelta;
-  req.key = "cfg-digest-def";
-  req.exec_index = 3;
-  req.config_key = "f3=s;i12=-;";  // delta payload: changed subtree only
-  runner::TrialRequest back;
-  ASSERT_TRUE(runner::decode_request(runner::encode_request(req), &back));
-  EXPECT_EQ(back.opcode, runner::kReqDelta);
-  EXPECT_EQ(back.key, req.key);
-  EXPECT_EQ(back.config_key, req.config_key);
-
-  // Unknown opcodes are a protocol error, not a guess.
-  std::string bad = runner::encode_request(req);
-  bad[0] = 0x7F;
-  EXPECT_FALSE(runner::decode_request(bad, &back));
-  bad[0] = 0;
-  EXPECT_FALSE(runner::decode_request(bad, &back));
-}
-
 TEST(Wire, RejectsOutOfRangeEnums) {
-  runner::WireResult w;
-  w.failure_class = 250;  // far outside verify::FailureClass
+  const std::string good = runner::encode_result(verify::EvalResult{});
   verify::EvalResult er;
-  EXPECT_FALSE(runner::to_eval_result(w, &er));
-  w.failure_class = 0;
-  w.run_status = 250;
-  EXPECT_FALSE(runner::to_eval_result(w, &er));
+  ASSERT_TRUE(runner::decode_result(good, &er));
+  // Byte 1 is the failure class, byte 2 the run status.
+  std::string bad = good;
+  bad[1] = static_cast<char>(250);  // far outside verify::FailureClass
+  EXPECT_FALSE(runner::decode_result(bad, &er));
+  bad = good;
+  bad[1] = static_cast<char>(verify::FailureClass::kResource);
+  EXPECT_TRUE(runner::decode_result(bad, &er));
+  bad[2] = static_cast<char>(250);  // far outside vm::RunResult::Status
+  EXPECT_FALSE(runner::decode_result(bad, &er));
 }
 
 TEST(Wire, TruncatedPayloadPoisonsReader) {

@@ -23,15 +23,6 @@ int main(int argc, char** argv) {
               "static", "dynamic", "final");
   bench::print_rule(60);
 
-  struct Row {
-    const char* name;
-    kernels::Workload (*make)(char);
-  };
-  const auto mk = [](kernels::Workload (*f)(char, int)) {
-    return f;
-  };
-  (void)mk;
-
   std::vector<kernels::Workload> workloads;
   for (char cls : {'W', 'A'}) {
     if (fast && cls == 'A') break;

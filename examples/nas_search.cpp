@@ -399,10 +399,10 @@ int main(int argc, char** argv) {
   for (const auto& [level, secs] : m.eval_seconds_per_level) {
     std::printf("  level %-12s %.2fs\n", level.c_str(), secs);
   }
-  std::printf("  stages: patch %.2fs, predecode %.2fs, run %.2fs, "
-              "verify %.2fs\n",
-              m.patch_seconds, m.predecode_seconds, m.run_seconds,
-              m.verify_seconds);
+  std::printf("  stages: patch %.2fs, predecode %.2fs, setup %.2fs, "
+              "run %.2fs, verify %.2fs\n",
+              m.patch_seconds, m.predecode_seconds, m.setup_seconds,
+              m.run_seconds, m.verify_seconds);
   if (m.image_cache_hits + m.image_cache_misses > 0) {
     std::printf("incremental: %zu image hit(s) / %zu miss(es), %zu func "
                 "segment(s) reused / %zu patched, ~%.3fs patch + %.3fs "

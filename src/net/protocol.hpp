@@ -57,7 +57,8 @@ namespace fpmix::net {
 /// ShardDigest/ShardDigestAck exchange lets the scheduler compare shard
 /// contents across endpoints (anti-entropy gossip) without fetching them.
 /// v5: Hello carries the evaluation rules as one runner::SandboxSpec.
-constexpr std::uint32_t kProtocolVersion = 5;
+/// v6: Result payloads carry TrialCost::setup_ns (Machine construction).
+constexpr std::uint32_t kProtocolVersion = 6;
 
 constexpr std::uint8_t kMsgHello = 1;
 constexpr std::uint8_t kMsgHelloAck = 2;

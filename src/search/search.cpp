@@ -167,6 +167,7 @@ void add_cost(const verify::TrialCost& c, SearchMetrics* m) {
   };
   m->patch_seconds += secs(c.patch_ns);
   m->predecode_seconds += secs(c.predecode_ns);
+  m->setup_seconds += secs(c.setup_ns);
   m->run_seconds += secs(c.run_ns);
   m->verify_seconds += secs(c.verify_ns);
   m->patch_saved_seconds += secs(c.patch_saved_ns);

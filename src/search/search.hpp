@@ -251,10 +251,11 @@ struct SearchMetrics {
   std::map<std::string, double> eval_seconds_per_level;
   /// Stage breakdown summed over every live evaluation attempt's
   /// verify::TrialCost: where each trial's time went (patch =
-  /// instrument_image, predecode = ExecutableImage build, run = VM
-  /// execution, verify = output check).
+  /// instrument_image, predecode = ExecutableImage build, setup = Machine
+  /// construction, run = VM execution, verify = output check).
   double patch_seconds = 0.0;
   double predecode_seconds = 0.0;
+  double setup_seconds = 0.0;
   double run_seconds = 0.0;
   double verify_seconds = 0.0;
 

@@ -115,7 +115,9 @@ EvalResult evaluate_config(const program::Image& original,
         options.faults->vm.kind != fault::VmFault::kNone) {
       mopts.fault = &options.faults->vm;
     }
+    timer.reset();
     vm::Machine machine(exec, mopts);
+    result.cost.setup_ns = timer.elapsed_ns();
     timer.reset();
     const vm::RunResult run = machine.run();
     result.cost.run_ns = timer.elapsed_ns();

@@ -71,6 +71,7 @@ struct TrialCost {
   // Stage breakdown.
   std::uint64_t patch_ns = 0;      // instrument_image
   std::uint64_t predecode_ns = 0;  // ExecutableImage::build of the patch
+  std::uint64_t setup_ns = 0;      // vm::Machine construction (guest memory)
   std::uint64_t run_ns = 0;        // VM execution
   std::uint64_t verify_ns = 0;     // verifier.verify on the outputs
 

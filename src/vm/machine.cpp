@@ -7,7 +7,11 @@
 #include <cmath>
 #include <cstring>
 #include <mutex>
+#include <new>
 #include <thread>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include "arch/disasm.hpp"
 #include "arch/encode.hpp"
@@ -50,18 +54,33 @@ Machine::Machine(std::shared_ptr<const ExecutableImage> exec, Options options)
     : exec_(std::move(exec)), options_(options) {
   FPMIX_CHECK(exec_ != nullptr);
   const program::Image& image = exec_->image();
-  memory_.assign(image.memory_size, 0);
+  // Whole pages, at least one (mmap refuses a zero length). No
+  // MAP_NORESERVE: an absurd memory_size fails here the way malloc would,
+  // and evaluate_config reports the bad_alloc as a resource outcome.
+  const std::uint64_t page = static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
+  if (image.memory_size > SIZE_MAX - page) throw std::bad_alloc();
+  const std::size_t bytes =
+      std::max(page, (image.memory_size + page - 1) / page * page);
+  void* base = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (base == MAP_FAILED) throw std::bad_alloc();
+  memory_ = {static_cast<std::uint8_t*>(base), Unmap{bytes}};
+  mem_base_ = memory_.get();
+  mem_size_ = image.memory_size;
   if (!image.data.empty()) {
-    FPMIX_CHECK(image.data_base + image.data.size() <= memory_.size());
-    std::memcpy(memory_.data() + image.data_base, image.data.data(),
+    FPMIX_CHECK(image.data_base <= mem_size_ &&
+                image.data.size() <= mem_size_ - image.data_base);
+    std::memcpy(mem_base_ + image.data_base, image.data.data(),
                 image.data.size());
   }
-  mem_base_ = memory_.data();
-  mem_size_ = memory_.size();
   if (options_.profile) counts_.assign(exec_->code().size(), 0);
   if (options_.mpi != nullptr) {
     FPMIX_CHECK(options_.rank >= 0 && options_.rank < options_.mpi->size());
   }
+}
+
+void Machine::Unmap::operator()(std::uint8_t* base) const {
+  munmap(base, bytes);
 }
 
 void Machine::trap(std::string message) const { throw Trap{std::move(message)}; }
@@ -160,7 +179,7 @@ RunResult Machine::run() {
 
   // Initial state: stack at the top of memory with a null return address; a
   // `ret` from the entry function stops the machine like `halt` does.
-  gpr_[arch::kSpReg] = memory_.size();
+  gpr_[arch::kSpReg] = mem_size_;
   push64(0);
   pc_ = exec_->entry_index();
 
@@ -778,8 +797,10 @@ void Machine::exec_intrinsic(const Instr& ins) {
     case in::Id::kPrintStr: {
       const std::uint64_t addr = gpr_[1];
       const std::uint64_t len = gpr_[2];
-      if (addr + len > memory_.size()) trap("print_str out of bounds");
-      std::fwrite(memory_.data() + addr, 1, len, stdout);
+      if (len > mem_size_ || addr > mem_size_ - len) {
+        trap("print_str out of bounds");
+      }
+      std::fwrite(mem_base_ + addr, 1, len, stdout);
       break;
     }
 
@@ -813,10 +834,10 @@ void Machine::exec_intrinsic(const Instr& ins) {
       const std::uint64_t addr = gpr_[1];
       const std::uint64_t count = gpr_[2];
       if (addr % 8 != 0) trap("mpi_allreduce_vec: unaligned buffer");
-      if (addr + count * 8 > memory_.size()) {
+      if (count > mem_size_ / 8 || addr > mem_size_ - count * 8) {
         trap("mpi_allreduce_vec out of bounds");
       }
-      auto* data = reinterpret_cast<double*>(memory_.data() + addr);
+      auto* data = reinterpret_cast<double*>(mem_base_ + addr);
       if (options_.tag_trap) {
         for (std::uint64_t i = 0; i < count; ++i) {
           check_not_tagged(ins, std::bit_cast<std::uint64_t>(data[i]));
@@ -835,20 +856,18 @@ void Machine::exec_intrinsic(const Instr& ins) {
 
 std::vector<std::uint8_t> Machine::read_memory(std::uint64_t addr,
                                                std::size_t size) const {
-  if (addr + size > memory_.size() || addr + size < addr) {
+  if (size > mem_size_ || addr > mem_size_ - size) {
     throw VmError("read_memory out of bounds");
   }
-  return std::vector<std::uint8_t>(memory_.begin() +
-                                       static_cast<std::ptrdiff_t>(addr),
-                                   memory_.begin() +
-                                       static_cast<std::ptrdiff_t>(addr +
-                                                                   size));
+  return std::vector<std::uint8_t>(mem_base_ + addr, mem_base_ + addr + size);
 }
 
 std::uint64_t Machine::read_memory_u64(std::uint64_t addr) const {
-  if (addr + 8 > memory_.size()) throw VmError("read_memory out of bounds");
+  if (8 > mem_size_ || addr > mem_size_ - 8) {
+    throw VmError("read_memory out of bounds");
+  }
   std::uint64_t v = 0;
-  std::memcpy(&v, memory_.data() + addr, 8);
+  std::memcpy(&v, mem_base_ + addr, 8);
   return v;
 }
 

@@ -231,10 +231,20 @@ class Machine {
   std::shared_ptr<const ExecutableImage> exec_;
   Options options_;
 
-  std::vector<std::uint8_t> memory_;
-  /// Raw view of memory_, cached at construction (memory_ never resizes):
-  /// load/store bounds checks read one field instead of the vector's
-  /// begin/end pair.
+  /// Unmaps the guest address space.
+  struct Unmap {
+    std::size_t bytes;  // mapping length (memory_size rounded up to a page)
+    void operator()(std::uint8_t* base) const;
+  };
+  /// The guest address space: one private anonymous mapping per Machine.
+  /// Only the data segment is copied in at construction; every other page
+  /// is a kernel zero page until the guest first touches it, so a trial pays
+  /// for the pages it uses rather than for zero-filling all of memory_size.
+  std::unique_ptr<std::uint8_t, Unmap> memory_;
+  /// Raw view of memory_, cached at construction (memory_ never moves).
+  /// mem_size_ is the architectural size, not the page-rounded mapping
+  /// length: every load/store bounds check compares against it, so the
+  /// slack past it on the last page stays unreachable.
   std::uint8_t* mem_base_ = nullptr;
   std::uint64_t mem_size_ = 0;
   /// One extra slot past the architectural registers: kZeroRegSlot, always

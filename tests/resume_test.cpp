@@ -422,6 +422,12 @@ TEST(Resume, MetricsAccounting) {
   EXPECT_GT(m.wall_seconds, 0.0);
   EXPECT_GT(m.trials_per_sec, 0.0);
   EXPECT_GT(m.eval_seconds, 0.0);
+  // Every live trial constructs a Machine, and the stage ledger never
+  // claims more time than the evaluations took.
+  EXPECT_GT(m.setup_seconds, 0.0);
+  EXPECT_LE(m.patch_seconds + m.predecode_seconds + m.setup_seconds +
+                m.run_seconds + m.verify_seconds,
+            m.eval_seconds);
   // Per-level attribution sums to the live total and includes the final
   // composition level.
   double sum = 0.0;

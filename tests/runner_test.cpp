@@ -114,6 +114,7 @@ TEST(Wire, RequestAndResultRoundTrip) {
   er.instructions_retired = 12345;
   er.cost.patch_ns = 1;
   er.cost.predecode_ns = 2;
+  er.cost.setup_ns = 0x1234;
   er.cost.run_ns = 3;
   er.cost.verify_ns = 4;
   er.cost.image_cache_hit = true;
@@ -139,6 +140,7 @@ TEST(Wire, RequestAndResultRoundTrip) {
             "3930000000000000"  // instructions_retired
             "0100000000000000"  // patch_ns
             "0200000000000000"  // predecode_ns
+            "3412000000000000"  // setup_ns
             "0300000000000000"  // run_ns
             "0400000000000000"  // verify_ns
             "01"                // image_cache_hit
@@ -155,6 +157,7 @@ TEST(Wire, RequestAndResultRoundTrip) {
   EXPECT_EQ(er2.run_status, er.run_status);
   EXPECT_EQ(er2.failure, er.failure);
   EXPECT_EQ(er2.instructions_retired, er.instructions_retired);
+  EXPECT_EQ(er2.cost.setup_ns, er.cost.setup_ns);
   EXPECT_EQ(er2.cost.run_ns, er.cost.run_ns);
   EXPECT_EQ(er2.cost.image_cache_hit, er.cost.image_cache_hit);
   EXPECT_EQ(er2.cost.patch_saved_ns, er.cost.patch_saved_ns);

@@ -497,6 +497,7 @@ SearchResult full_result() {
   m.eval_seconds_per_level["module"] = 0.5;
   m.patch_seconds = 5.0625;
   m.predecode_seconds = 6.5;
+  m.setup_seconds = 6.75;
   m.run_seconds = 7.25;
   m.verify_seconds = 8.75;
   m.image_cache_hits = 104;
@@ -600,6 +601,7 @@ TEST(MetricsJson, MatchesParentWriterByteForByte) {
   "trials_per_sec": 4.125000,
   "patch_seconds": 5.062500,
   "predecode_seconds": 6.500000,
+  "setup_seconds": 6.750000,
   "run_seconds": 7.250000,
   "verify_seconds": 8.750000,
   "image_cache_hits": 104,

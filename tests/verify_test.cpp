@@ -2,6 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
+
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "asm/assembler.hpp"
 #include "config/config.hpp"
@@ -9,6 +15,16 @@
 #include "verify/evaluate.hpp"
 #include "support/error.hpp"
 #include "verify/verifier.hpp"
+
+// AddressSanitizer reserves terabytes of shadow address space, so an
+// RLIMIT_AS cap cannot be applied under it.
+#if defined(__SANITIZE_ADDRESS__)
+#define FPMIX_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define FPMIX_TEST_ASAN 1
+#endif
+#endif
 
 namespace fpmix::verify {
 namespace {
@@ -117,6 +133,65 @@ TEST(Evaluate, ReferenceOutputsThrowOnBrokenProgram) {
   a.end_function();
   const program::Image img = program::relayout(a.finish("main"));
   EXPECT_THROW(reference_outputs(img), fpmix::Error);
+}
+
+TEST(Evaluate, GuestMemoryRefusedByRlimitIsAResourceOutcome) {
+#if FPMIX_TEST_ASAN
+  GTEST_SKIP() << "RLIMIT_AS cannot be applied under AddressSanitizer";
+#else
+  casm::Assembler a;
+  a.begin_function("main", "main");
+  a.halt();
+  a.end_function();
+  program::Program prog = a.finish("main");
+  const std::uint64_t kGuestBytes = 256ull << 20;
+  prog.memory_size = kGuestBytes;
+  const program::Image img = program::relayout(prog);
+  auto ix = config::StructureIndex::build(program::lift(img));
+  RelativeErrorVerifier verifier({}, 1.0);
+
+  // The child caps its address space at its current size plus a quarter of
+  // the guest memory: room for patching and predecode, not for the Machine.
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::close(fds[0]);
+    long pages = 0;
+    if (std::FILE* f = std::fopen("/proc/self/statm", "r")) {
+      if (std::fscanf(f, "%ld", &pages) != 1) pages = 0;
+      std::fclose(f);
+    }
+    if (pages <= 0) ::_exit(2);
+    const rlim_t cap = static_cast<rlim_t>(pages) *
+                           static_cast<rlim_t>(::sysconf(_SC_PAGESIZE)) +
+                       kGuestBytes / 4;
+    const rlimit as{cap, cap};
+    if (::setrlimit(RLIMIT_AS, &as) != 0) ::_exit(3);
+    const EvalResult r =
+        evaluate_config(img, ix, config::PrecisionConfig{}, verifier);
+    const std::string line = std::string(r.passed ? "passed" : "failed") +
+                             " " + failure_class_name(r.failure_class) +
+                             ": " + r.failure;
+    const bool wrote =
+        ::write(fds[1], line.data(), line.size()) ==
+        static_cast<ssize_t>(line.size());
+    ::_exit(wrote ? 0 : 4);
+  }
+  ::close(fds[1]);
+  std::string got;
+  char buf[256];
+  for (ssize_t n; (n = ::read(fds[0], buf, sizeof buf)) > 0;) {
+    got.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fds[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child died: status " << status;
+  ASSERT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_EQ(got, "failed resource: out of memory (allocation failed)");
+#endif
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cctype>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <thread>
 
@@ -17,6 +18,7 @@
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "vm/exec_image.hpp"
+#include "vm/jit/jit.hpp"
 #include "vm/machine.hpp"
 
 namespace fpmix {
@@ -563,6 +565,217 @@ TEST(MiniMpi, BarrierDoesNotDeadlock) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(done.load(), kRanks);
+}
+
+// ---------------------------------------------------------------------------
+// Guest memory: a page-rounded anonymous mapping behind explicit bounds
+// checks. Every case runs on each engine and must agree bit for bit.
+
+struct EngineRun {
+  vm::Engine engine;
+  vm::RunResult result;
+  std::vector<std::int64_t> i64;
+  std::uint64_t retired = 0;
+  std::vector<std::uint8_t> memory;  // the whole address space after the run
+};
+
+std::vector<EngineRun> run_each_engine(const program::Image& img) {
+  std::vector<vm::Engine> engines = {vm::Engine::kSwitch,
+                                     vm::Engine::kMicroOp};
+  if (vm::jit::jit_supported()) engines.push_back(vm::Engine::kJit);
+  const auto exec = vm::ExecutableImage::build(img);
+  std::vector<EngineRun> runs;
+  for (const vm::Engine engine : engines) {
+    vm::Machine::Options opts;
+    opts.engine = engine;
+    vm::Machine m(exec, opts);
+    // Braced initializers run in order: the run comes before the reads.
+    runs.push_back({engine, m.run(), m.output_i64(), m.instructions_retired(),
+                    m.read_memory(0, img.memory_size)});
+  }
+  return runs;
+}
+
+/// Demands every engine's run matches the first (switch) run bit for bit.
+void expect_engines_agree(const std::vector<EngineRun>& runs) {
+  const EngineRun& ref = runs.front();
+  for (const EngineRun& r : runs) {
+    const int e = static_cast<int>(r.engine);
+    EXPECT_EQ(r.result.status, ref.result.status) << "engine " << e;
+    EXPECT_EQ(r.result.trap_message, ref.result.trap_message) << "engine " << e;
+    EXPECT_EQ(r.retired, ref.retired) << "engine " << e;
+    EXPECT_EQ(r.i64, ref.i64) << "engine " << e;
+    EXPECT_TRUE(r.memory == ref.memory) << "engine " << e;
+  }
+}
+
+/// Rebases `prog` so that its whole address space is `memory_size` bytes:
+/// code at 0 (code does not live in guest memory, but the image must place
+/// data after it; these programs are far shorter than 512 bytes), no data,
+/// no bss.
+program::Image with_memory_size(program::Program prog,
+                                std::uint64_t memory_size) {
+  prog.code_base = 0;
+  prog.data_base = 512;
+  prog.data.clear();
+  prog.bss_base = 0;
+  prog.bss_size = 0;
+  prog.memory_size = memory_size;
+  return program::relayout(prog);
+}
+
+TEST(GuestMemory, FreshMachineIsZeroExceptData) {
+  casm::Assembler a;
+  a.begin_function("main", "main");
+  const auto d = a.data_f64(-1.25);
+  a.data_f64(3.0e300);
+  a.reserve_bss(4096, 8);
+  a.emit(Opcode::kMovsdXM, Operand::xmm(0),
+         Operand::mem_abs(static_cast<std::int32_t>(d)));
+  a.intrin(in::Id::kOutputF64);
+  a.halt();
+  a.end_function();
+  const program::Image img = program::relayout(a.finish("main"));
+  ASSERT_FALSE(img.data.empty());
+
+  std::vector<std::uint8_t> expect(img.memory_size, 0);
+  std::copy(img.data.begin(), img.data.end(),
+            expect.begin() + static_cast<std::ptrdiff_t>(img.data_base));
+  const vm::Machine fresh(img);
+  EXPECT_TRUE(fresh.read_memory(0, img.memory_size) == expect);
+
+  // The program only reads memory, and the null return address pushed at
+  // the top of the stack is itself zero, so a whole run leaves it intact.
+  const std::vector<EngineRun> runs = run_each_engine(img);
+  expect_engines_agree(runs);
+  for (const EngineRun& r : runs) {
+    ASSERT_TRUE(r.result.ok()) << r.result.trap_message;
+    EXPECT_TRUE(r.memory == expect) << static_cast<int>(r.engine);
+  }
+}
+
+TEST(GuestMemory, StackWorksAtTheTopOfOddSizes) {
+  // One size that is not a page multiple, one smaller than any page.
+  for (const std::uint64_t size : {std::uint64_t{3 * 4096 + 8},
+                                   std::uint64_t{1000}}) {
+    casm::Assembler a;
+    a.begin_function("main", "main");
+    a.emit(Opcode::kMov, Operand::gpr(1), Operand::make_imm(111));
+    a.emit(Opcode::kMov, Operand::gpr(2), Operand::make_imm(222));
+    a.emit(Opcode::kPush, Operand::gpr(1));
+    a.emit(Opcode::kPush, Operand::gpr(2));
+    a.emit(Opcode::kPop, Operand::gpr(3));
+    a.emit(Opcode::kPop, Operand::gpr(4));
+    a.emit(Opcode::kMov, Operand::gpr(1), Operand::gpr(3));
+    a.intrin(in::Id::kOutputI64);
+    a.emit(Opcode::kMov, Operand::gpr(1), Operand::gpr(4));
+    a.intrin(in::Id::kOutputI64);
+    a.emit(Opcode::kMov, Operand::gpr(1), Operand::gpr(arch::kSpReg));
+    a.intrin(in::Id::kOutputI64);
+    a.halt();
+    a.end_function();
+    const program::Image img = with_memory_size(a.finish("main"), size);
+
+    const std::vector<EngineRun> runs = run_each_engine(img);
+    expect_engines_agree(runs);
+    const EngineRun& r = runs.front();
+    ASSERT_TRUE(r.result.ok()) << size << ": " << r.result.trap_message;
+    const std::int64_t top = static_cast<std::int64_t>(size);
+    EXPECT_EQ(r.i64, (std::vector<std::int64_t>{222, 111, top - 8})) << size;
+    // Popped slots keep their bytes; the null return address is on top.
+    std::vector<std::uint8_t> expect(size, 0);
+    const std::uint64_t slots[] = {222, 111, 0};
+    std::memcpy(expect.data() + size - 24, slots, sizeof slots);
+    EXPECT_TRUE(r.memory == expect) << size;
+  }
+}
+
+TEST(GuestMemory, WideAccessStraddlingTheEndTraps) {
+  // The mapping is rounded up to a page, so the bytes past memory_size are
+  // host-addressable: only the explicit bounds check may stop these.
+  for (const std::uint64_t size : {std::uint64_t{3 * 4096 + 8},
+                                   std::uint64_t{1000}}) {
+    for (const bool is_store : {false, true}) {
+      casm::Assembler a;
+      a.begin_function("main", "main");
+      a.emit(Opcode::kMov, Operand::gpr(1),
+             Operand::make_imm(static_cast<std::int64_t>(size - 8)));
+      a.emit(Opcode::kLoad, Operand::gpr(2), Operand::mem_bd(1, 0));  // fits
+      a.emit(Opcode::kMov, Operand::gpr(1),
+             Operand::make_imm(static_cast<std::int64_t>(size - 4)));
+      if (is_store) {
+        a.emit(Opcode::kStore, Operand::mem_bd(1, 0), Operand::gpr(1));
+      } else {
+        a.emit(Opcode::kLoad, Operand::gpr(2), Operand::mem_bd(1, 0));
+      }
+      a.halt();
+      a.end_function();
+      const program::Image img = with_memory_size(a.finish("main"), size);
+
+      const std::vector<EngineRun> runs = run_each_engine(img);
+      expect_engines_agree(runs);
+      const EngineRun& r = runs.front();
+      EXPECT_EQ(r.result.status, vm::RunResult::Status::kTrapped)
+          << size << (is_store ? " store" : " load");
+      EXPECT_NE(r.result.trap_message.find("out of bounds"), std::string::npos)
+          << r.result.trap_message;
+    }
+  }
+}
+
+TEST(GuestMemory, IntrinsicBoundsChecksDoNotWrap) {
+  const std::uint64_t size = program::Image::kDefaultMemorySize;
+  struct Case {
+    in::Id id;
+    std::int64_t addr, len;
+    const char* message;
+  };
+  const Case cases[] = {
+      // addr + len wraps to 8.
+      {in::Id::kPrintStr, -8, 16, "print_str out of bounds"},
+      {in::Id::kPrintStr, 8, -1, "print_str out of bounds"},
+      {in::Id::kPrintStr, static_cast<std::int64_t>(size) - 4, 8,
+       "print_str out of bounds"},
+      // addr + count * 8 wraps to 8.
+      {in::Id::kMpiAllreduceVec, 8, std::int64_t{1} << 61,
+       "mpi_allreduce_vec out of bounds"},
+      {in::Id::kMpiAllreduceVec, static_cast<std::int64_t>(size) - 8, 2,
+       "mpi_allreduce_vec out of bounds"},
+  };
+  for (const Case& c : cases) {
+    casm::Assembler a;
+    a.begin_function("main", "main");
+    a.emit(Opcode::kMov, Operand::gpr(1), Operand::make_imm(c.addr));
+    a.emit(Opcode::kMov, Operand::gpr(2), Operand::make_imm(c.len));
+    a.intrin(c.id);
+    a.halt();
+    a.end_function();
+    const program::Image img = program::relayout(a.finish("main"));
+    ASSERT_EQ(img.memory_size, size);
+
+    const std::vector<EngineRun> runs = run_each_engine(img);
+    expect_engines_agree(runs);
+    const EngineRun& r = runs.front();
+    EXPECT_EQ(r.result.status, vm::RunResult::Status::kTrapped)
+        << c.message << " addr=" << c.addr << " len=" << c.len;
+    EXPECT_NE(r.result.trap_message.find(c.message), std::string::npos)
+        << r.result.trap_message;
+  }
+}
+
+TEST(GuestMemory, HostReadsRejectWrappingRanges) {
+  casm::Assembler a;
+  a.begin_function("main", "main");
+  a.halt();
+  a.end_function();
+  const vm::Machine m(program::relayout(a.finish("main")));
+  const std::uint64_t size = program::Image::kDefaultMemorySize;
+  EXPECT_EQ(m.read_memory_u64(size - 8), 0u);
+  EXPECT_THROW(m.read_memory_u64(size - 4), VmError);
+  EXPECT_THROW(m.read_memory_u64(~std::uint64_t{0} - 3), VmError);
+  EXPECT_THROW(m.read_memory(8, SIZE_MAX), VmError);
+  EXPECT_THROW(m.read_memory(~std::uint64_t{0} - 3, 8), VmError);
+  EXPECT_EQ(m.read_memory(size, 0).size(), 0u);
 }
 
 // ---------------------------------------------------------------------------

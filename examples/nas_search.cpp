@@ -61,10 +61,10 @@
 // --state-dir) converges back to a full replica without waiting for the
 // next adoption.
 //
-// --engine picks the VM engine trials run on: "switch" (reference
-// interpreter), "microop" (predecoded micro-op interpreter, the default)
-// or "jit" (native x86-64 code compiled from the micro-op stream). All
-// three are bit-identical, so journals and verdicts do not depend on the
+// --engine picks the VM engine trials run on: "jit" (native x86-64 code
+// compiled from the micro-op stream, the default), "microop" (predecoded
+// micro-op interpreter) or "switch" (reference interpreter). All three
+// are bit-identical, so journals and verdicts do not depend on the
 // choice; a host that cannot run the jit falls back to microop with a
 // warning (counted as jit_downgraded in --metrics-json).
 //
@@ -400,9 +400,9 @@ int main(int argc, char** argv) {
     std::printf("  level %-12s %.2fs\n", level.c_str(), secs);
   }
   std::printf("  stages: patch %.2fs, predecode %.2fs, setup %.2fs, "
-              "run %.2fs, verify %.2fs\n",
+              "jit %.2fs, run %.2fs, verify %.2fs\n",
               m.patch_seconds, m.predecode_seconds, m.setup_seconds,
-              m.run_seconds, m.verify_seconds);
+              m.jit_seconds, m.run_seconds, m.verify_seconds);
   if (m.image_cache_hits + m.image_cache_misses > 0) {
     std::printf("incremental: %zu image hit(s) / %zu miss(es), %zu func "
                 "segment(s) reused / %zu patched, ~%.3fs patch + %.3fs "

@@ -58,7 +58,8 @@ namespace fpmix::net {
 /// contents across endpoints (anti-entropy gossip) without fetching them.
 /// v5: Hello carries the evaluation rules as one runner::SandboxSpec.
 /// v6: Result payloads carry TrialCost::setup_ns (Machine construction).
-constexpr std::uint32_t kProtocolVersion = 6;
+/// v7: Result payloads carry TrialCost::jit_ns (JIT compile + link).
+constexpr std::uint32_t kProtocolVersion = 7;
 
 constexpr std::uint8_t kMsgHello = 1;
 constexpr std::uint8_t kMsgHelloAck = 2;

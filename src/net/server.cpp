@@ -1,5 +1,6 @@
 #include "net/server.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <unordered_map>
@@ -239,8 +240,9 @@ struct RunnerServer::Impl {
         return;
       }
       nb->verifier_fp = nb->wl->verifier->fingerprint();
-      nb->builder = std::make_unique<verify::TrialBuilder>(nb->wl->image,
-                                                           nb->wl->index);
+      nb->builder = std::make_unique<verify::TrialBuilder>(
+          nb->wl->image, nb->wl->index,
+          static_cast<std::size_t>(std::max(1, opts.workers)));
       if (spec.has_fault) {
         nb->injector = std::make_unique<fault::Injector>(spec.fault_seed,
                                                          spec.fault_rates);

@@ -168,6 +168,7 @@ std::string encode_result(const verify::EvalResult& res) {
   put_u64(&out, c.patch_ns);
   put_u64(&out, c.predecode_ns);
   put_u64(&out, c.setup_ns);
+  put_u64(&out, c.jit_ns);
   put_u64(&out, c.run_ns);
   put_u64(&out, c.verify_ns);
   put_u8(&out, c.image_cache_hit ? 1 : 0);
@@ -198,6 +199,7 @@ bool decode_result(std::string_view payload, verify::EvalResult* out) {
   c.patch_ns = r.u64();
   c.predecode_ns = r.u64();
   c.setup_ns = r.u64();
+  c.jit_ns = r.u64();
   c.run_ns = r.u64();
   c.verify_ns = r.u64();
   c.image_cache_hit = r.u8() != 0;

@@ -78,8 +78,9 @@ class WireReader {
 /// runners, so a local pool and a runner_serve backend started from equal
 /// specs evaluate identically.
 struct SandboxSpec {
-  /// All engines are bit-identical, so this is a performance choice.
-  vm::Engine engine = vm::Engine::kMicroOp;
+  /// All engines are bit-identical, so this is a performance choice; the
+  /// JIT by default, like SearchOptions::engine.
+  vm::Engine engine = vm::Engine::kJit;
   std::uint64_t max_instructions = 1ull << 32;
   /// VM wall-clock deadline per trial; 0 disables.
   std::uint64_t deadline_ms = 0;

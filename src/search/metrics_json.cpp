@@ -42,6 +42,7 @@ std::string metrics_json(const SearchResult& res) {
   num("patch_seconds", m.patch_seconds);
   num("predecode_seconds", m.predecode_seconds);
   num("setup_seconds", m.setup_seconds);
+  num("jit_seconds", m.jit_seconds);
   num("run_seconds", m.run_seconds);
   num("verify_seconds", m.verify_seconds);
   uint("image_cache_hits", m.image_cache_hits);

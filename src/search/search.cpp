@@ -168,6 +168,7 @@ void add_cost(const verify::TrialCost& c, SearchMetrics* m) {
   m->patch_seconds += secs(c.patch_ns);
   m->predecode_seconds += secs(c.predecode_ns);
   m->setup_seconds += secs(c.setup_ns);
+  m->jit_seconds += secs(c.jit_ns);
   m->run_seconds += secs(c.run_ns);
   m->verify_seconds += secs(c.verify_ns);
   m->patch_saved_seconds += secs(c.patch_saved_ns);
@@ -353,7 +354,6 @@ class Searcher {
     adopt_fleet_journal();
     setup_journal();
     profile_original();
-    setup_builder();
     setup_executor();
     seed_queue();
 
@@ -674,11 +674,6 @@ class Searcher {
     }
   }
 
-  void setup_builder() {
-    if (!options_.image_cache) return;
-    builder_ = std::make_unique<verify::TrialBuilder>(original_, ix_);
-  }
-
   /// Brings the distributed scheduler up when endpoints are configured.
   /// Any startup problem (bad addresses, unreachable fleet, platform
   /// without sockets) degrades to local execution with a warning.
@@ -745,37 +740,48 @@ class Searcher {
     ctx.index = &ix_;
     ctx.verifier = &verifier_;
     ctx.eval = plan.eval;
-    // Forked workers inherit the builder's warm caches (copy-on-write) and
-    // keep their private copies hot across requests for the worker's
-    // lifetime; each respawn starts from the driver's state at fork time.
-    ctx.eval.builder = builder_.get();
     ctx.injector = options_.fault_injector;
-    executor_ = std::make_unique<InProcessExecutor>(ctx, options_.num_threads);
     if (sched_ != nullptr) {
-      executor_ = std::make_unique<FleetExecutor>(sched_.get(),
-                                                  std::move(executor_));
+      // Batches are as wide as the fleet; the in-process fallback revotes
+      // at most one batch of unserved trials.
+      setup_builder(sched_->capacity(), &ctx);
+      executor_ = std::make_unique<FleetExecutor>(
+          sched_.get(),
+          std::make_unique<InProcessExecutor>(ctx, options_.num_threads));
       return;
     }
-    if (!options_.isolate_trials) return;
-    if (!runner::isolation_supported()) {
+    if (options_.isolate_trials && !runner::isolation_supported()) {
       log::warnf("search: trial isolation requested but fork is unavailable "
                  "on this platform; running trials in-process");
       metrics_.isolation_degraded = true;
-      return;
-    }
-
-    const std::size_t workers = options_.num_workers != 0
-                                    ? options_.num_workers
-                                    : options_.num_threads;
-    plan.pool.workers = static_cast<int>(workers);
-    auto pool = std::make_unique<runner::WorkerPool>(ctx, plan.pool);
-    if (!pool->start()) {
+    } else if (options_.isolate_trials) {
+      const std::size_t workers = options_.num_workers != 0
+                                      ? options_.num_workers
+                                      : options_.num_threads;
+      // Forked workers inherit the builder's warm caches (copy-on-write)
+      // and keep their private copies hot across requests for the worker's
+      // lifetime; each respawn starts from the driver's state at fork time.
+      setup_builder(workers, &ctx);
+      plan.pool.workers = static_cast<int>(workers);
+      auto pool = std::make_unique<runner::WorkerPool>(ctx, plan.pool);
+      if (pool->start()) {
+        executor_ = std::make_unique<PoolExecutor>(std::move(pool), workers);
+        return;
+      }
       log::warnf("search: could not spawn any sandboxed worker; running "
                  "trials in-process");
       metrics_.isolation_degraded = true;
-      return;
     }
-    executor_ = std::make_unique<PoolExecutor>(std::move(pool), workers);
+    setup_builder(options_.num_threads, &ctx);
+    executor_ = std::make_unique<InProcessExecutor>(ctx, options_.num_threads);
+  }
+
+  /// The shared patch+predecode front end (image_cache option), sized to
+  /// the lanes of the executor that will use it.
+  void setup_builder(std::size_t lanes, runner::WorkerContext* ctx) {
+    if (!options_.image_cache) return;
+    builder_ = std::make_unique<verify::TrialBuilder>(original_, ix_, lanes);
+    ctx->eval.builder = builder_.get();
   }
 
   Trial make_trial(Unit u) {

@@ -51,14 +51,14 @@ struct SearchOptions {
   std::uint64_t max_instructions_per_run = 1ull << 32;
   bool keep_log = true;
 
-  /// VM execution engine for every trial run (and the profiling run). All
-  /// engines are bit-identical -- journals, verdicts and profiles do not
-  /// depend on this choice, and it is deliberately NOT part of the search
-  /// fingerprint, so a journal written under one engine resumes under
-  /// another. kJit degrades to kMicroOp (with a warning and
+  /// VM execution engine for every trial run (and the profiling run); the
+  /// JIT by default. All engines are bit-identical -- journals, verdicts
+  /// and profiles do not depend on this choice, and it is deliberately NOT
+  /// part of the search fingerprint, so a journal written under one engine
+  /// resumes under another. kJit degrades to kMicroOp (with a warning and
   /// SearchMetrics::jit_downgraded) on hosts that cannot run compiled
   /// code; remote endpoints may do the same per-endpoint.
-  vm::Engine engine = vm::Engine::kMicroOp;
+  vm::Engine engine = vm::Engine::kJit;
 
   /// Second search phase (the paper's Section 3.1 suggestion: "a second
   /// search phase may be useful, to determine the largest subset of
@@ -123,8 +123,9 @@ struct SearchOptions {
   // ---- Incremental trial pipeline ------------------------------------------
   /// Reuse patch + predecode work across trials through a shared
   /// verify::TrialBuilder: per-function micro-op variant caching, spliced
-  /// segment predecode, and an LRU of whole built images -- used by the
-  /// in-process path and inherited by each long-lived sandboxed worker.
+  /// segment predecode, and an LRU of whole built images, one per executor
+  /// lane -- used by the in-process path and inherited by each long-lived
+  /// sandboxed worker.
   /// Never changes results (incremental builds are bit-identical to
   /// from-scratch builds); disable only for A/B benchmarking.
   bool image_cache = true;
@@ -252,10 +253,12 @@ struct SearchMetrics {
   /// Stage breakdown summed over every live evaluation attempt's
   /// verify::TrialCost: where each trial's time went (patch =
   /// instrument_image, predecode = ExecutableImage build, setup = Machine
-  /// construction, run = VM execution, verify = output check).
+  /// construction, jit = native compile + link of a new image, run = guest
+  /// execution, verify = output check).
   double patch_seconds = 0.0;
   double predecode_seconds = 0.0;
   double setup_seconds = 0.0;
+  double jit_seconds = 0.0;
   double run_seconds = 0.0;
   double verify_seconds = 0.0;
 

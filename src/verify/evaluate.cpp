@@ -120,7 +120,8 @@ EvalResult evaluate_config(const program::Image& original,
     result.cost.setup_ns = timer.elapsed_ns();
     timer.reset();
     const vm::RunResult run = machine.run();
-    result.cost.run_ns = timer.elapsed_ns();
+    result.cost.jit_ns = machine.jit_ns();
+    result.cost.run_ns = timer.elapsed_ns() - result.cost.jit_ns;
     result.run_status = run.status;
     result.instructions_retired = run.instructions_retired;
     result.outputs = machine.output_f64();

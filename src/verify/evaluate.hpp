@@ -21,8 +21,9 @@ struct EvalOptions {
   /// Per-instruction execution counts. Pass/fail trials never read them, so
   /// the search leaves this off and the VM takes its non-profiling run loop.
   bool profile = false;
-  /// Execution engine; kSwitch is the differential-testing oracle.
-  vm::Engine engine = vm::Engine::kMicroOp;
+  /// Execution engine: the JIT by default (falls back to the micro-op
+  /// engine where unsupported); kSwitch is the differential-testing oracle.
+  vm::Engine engine = vm::Engine::kJit;
   /// Wall-clock deadline for the VM run; 0 disables. A trial that exceeds
   /// it fails with FailureClass::kTimeout instead of hanging the search.
   std::uint64_t deadline_ns = 0;
@@ -72,7 +73,8 @@ struct TrialCost {
   std::uint64_t patch_ns = 0;      // instrument_image
   std::uint64_t predecode_ns = 0;  // ExecutableImage::build of the patch
   std::uint64_t setup_ns = 0;      // vm::Machine construction (guest memory)
-  std::uint64_t run_ns = 0;        // VM execution
+  std::uint64_t jit_ns = 0;        // JIT compile + link (image's first run)
+  std::uint64_t run_ns = 0;        // guest execution (jit_ns excluded)
   std::uint64_t verify_ns = 0;     // verifier.verify on the outputs
 
   // Incremental-pipeline accounting (all zero without EvalOptions::builder).

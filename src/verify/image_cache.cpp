@@ -1,10 +1,15 @@
 #include "verify/image_cache.hpp"
 
+#include <atomic>
 #include <utility>
 
 #include "support/hash.hpp"
 
 namespace fpmix::verify {
+
+namespace {
+std::atomic<std::size_t> g_peak{0};
+}  // namespace
 
 const ImageCache::Entry* ImageCache::find(std::uint64_t fingerprint,
                                           std::uint64_t config_hash,
@@ -36,7 +41,18 @@ void ImageCache::insert(std::uint64_t fingerprint, std::uint64_t config_hash,
     by_key_.erase(lru_.back().mixed_key);
     lru_.pop_back();
   }
+  std::size_t peak = g_peak.load(std::memory_order_relaxed);
+  while (lru_.size() > peak &&
+         !g_peak.compare_exchange_weak(peak, lru_.size(),
+                                       std::memory_order_relaxed)) {
+  }
 }
+
+std::size_t image_cache_peak() {
+  return g_peak.load(std::memory_order_relaxed);
+}
+
+void reset_image_cache_peak() { g_peak.store(0, std::memory_order_relaxed); }
 
 std::uint64_t image_fingerprint(const program::Image& image) {
   std::uint64_t h = fnv1a64(std::string_view(

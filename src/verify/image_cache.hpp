@@ -30,7 +30,7 @@ class ImageCache {
     instrument::InstrumentStats stats;
   };
 
-  explicit ImageCache(std::size_t capacity = 64) : capacity_(capacity) {}
+  explicit ImageCache(std::size_t capacity) : capacity_(capacity) {}
 
   /// Returns the cached entry (refreshing its recency) or nullptr. The
   /// pointer is invalidated by the next insert().
@@ -65,6 +65,12 @@ class ImageCache {
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };
+
+/// Most entries any ImageCache in this process has held at once since the
+/// last reset_image_cache_peak() (internally synchronised). Tests use it to
+/// bound the images a search's builder keeps alive.
+std::size_t image_cache_peak();
+void reset_image_cache_peak();
 
 /// Stable fingerprint of an original image (code, data, layout bases and
 /// entry): the cache-key half that invalidates every entry when the image

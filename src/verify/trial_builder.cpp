@@ -1,5 +1,6 @@
 #include "verify/trial_builder.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "support/hash.hpp"
@@ -8,14 +9,10 @@
 namespace fpmix::verify {
 
 TrialBuilder::TrialBuilder(const program::Image& original,
-                           const config::StructureIndex& index)
-    : TrialBuilder(original, index, Options()) {}
-
-TrialBuilder::TrialBuilder(const program::Image& original,
                            const config::StructureIndex& index,
-                           Options options)
-    : patcher_(original, index, options.instrument),
-      cache_(options.image_cache_capacity),
+                           std::size_t lanes)
+    : patcher_(original, index),
+      cache_(std::max<std::size_t>(1, lanes)),
       fingerprint_(image_fingerprint(original)) {}
 
 TrialBuilder::Built TrialBuilder::build(const config::PrecisionConfig& cfg) {

@@ -25,11 +25,6 @@ namespace fpmix::verify {
 
 class TrialBuilder {
  public:
-  struct Options {
-    instrument::InstrumentOptions instrument;
-    std::size_t image_cache_capacity = 64;
-  };
-
   /// One built trial plus the patch/predecode half of its cost (run and
   /// verify stay zero). An image-cache hit is credited the full cold
   /// baselines as savings.
@@ -52,10 +47,13 @@ class TrialBuilder {
   };
 
   /// `index` must have been built from `original` and outlive the builder.
+  /// `lanes` is how many trials the caller runs at once: its executor's
+  /// lanes, or its worker count. The image cache holds that many images. A
+  /// vote round re-runs exactly the previous round's configs, at most one
+  /// per lane, so every revote hits, and no more images (each pinning its
+  /// linked JIT code) stay alive than a round can reuse.
   TrialBuilder(const program::Image& original,
-               const config::StructureIndex& index);
-  TrialBuilder(const program::Image& original,
-               const config::StructureIndex& index, Options options);
+               const config::StructureIndex& index, std::size_t lanes = 1);
 
   /// Patches + predecodes `cfg`, reusing whatever the caches hold.
   /// Bit-identical to the from-scratch instrument_image +

@@ -1719,13 +1719,15 @@ struct JitExec {
   }
 
   /// Links (or fetches) the executable translation of a whole image. May
-  /// return null when executable memory is unavailable at link time.
+  /// return null when executable memory is unavailable at link time. A miss
+  /// adds its compile + link time to `*compile_ns`.
   static std::shared_ptr<const jit::JitImage> image_for(
-      const ExecutableImage& exec, bool profile) {
+      const ExecutableImage& exec, bool profile, std::uint64_t* compile_ns) {
     jit::ImageJitCache& cache = exec.jit_cache();
     std::lock_guard<std::mutex> lock(cache.mu);
     auto& slot = cache.variant[profile ? 1 : 0];
     if (slot != nullptr) return slot;
+    Timer timer;
 
     std::vector<jit::LinkSegment> links;
     const auto& segs = exec.segments();
@@ -1749,6 +1751,7 @@ struct JitExec {
                        /*first_index=*/0, /*byte_base=*/0});
     }
     slot = jit::JitImage::link(links, exec.uops().size());
+    *compile_ns += timer.elapsed_ns();
     return slot;
   }
 
@@ -1801,7 +1804,7 @@ struct JitExec {
   static RunResult run(Machine& m) {
     const jit::Runtime* rt = jit::runtime();
     FPMIX_CHECK(rt != nullptr);  // run_engine verified jit_supported()
-    const auto img = image_for(*m.exec_, m.options_.profile);
+    const auto img = image_for(*m.exec_, m.options_.profile, &m.jit_ns_);
     if (img == nullptr) {
       // Executable memory vanished after the capability probe (hardened
       // kernel tightening mid-flight); degrade for this run.

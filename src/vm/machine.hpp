@@ -10,15 +10,21 @@
 //    easier to debug than mis-rounded operations";
 //  - the intrinsic table (math library, output channel, mini-MPI).
 //
-// Two execution engines share all machine state and semantics:
-//  - Engine::kMicroOp (default): executes the ExecutableImage's predecoded
-//    micro-op stream through a token-threaded (computed-goto) core; operand
-//    kinds were classified at predecode time, so the inner loop does no
-//    per-step operand dispatch. Separate profiling and non-profiling run
-//    loops keep counter maintenance off the pass/fail-trial path.
+// Three execution engines share all machine state and semantics:
+//  - Engine::kJit (default): compiles the ExecutableImage's micro-op stream
+//    to native x86-64 code (src/vm/jit/) and runs that. The compiled code is
+//    cached on the image, so only the first Machine per image pays for it
+//    (reported by jit_ns()). Hosts that cannot run compiled code (non-x86-64,
+//    sanitizer builds, no executable memory) fall back to kMicroOp with a
+//    one-time warning.
+//  - Engine::kMicroOp: executes the predecoded micro-op stream through a
+//    token-threaded (computed-goto) core; operand kinds were classified at
+//    predecode time, so the inner loop does no per-step operand dispatch.
+//    Separate profiling and non-profiling run loops keep counter
+//    maintenance off the pass/fail-trial path.
 //  - Engine::kSwitch: the original decode-and-switch interpreter, retained
 //    as the differential-testing oracle (tests/vm_engine_test.cpp runs
-//    every program on both engines and demands bit-identical behaviour).
+//    every program on all engines and demands bit-identical behaviour).
 //    Use it when validating engine changes or bisecting a miscompare.
 #pragma once
 
@@ -38,10 +44,10 @@ namespace fpmix::vm {
 
 /// Execution engine selection (see file comment).
 enum class Engine : std::uint8_t {
-  kMicroOp = 0,  // predecoded micro-op handler table (fast path, default)
+  kMicroOp = 0,  // predecoded micro-op handler table
   kSwitch = 1,   // reference decode-and-switch interpreter (oracle)
-  kJit = 2,      // baseline template JIT (x86-64 hosts; degrades to
-                 // kMicroOp with a one-time warning when unsupported)
+  kJit = 2,      // baseline template JIT (default; x86-64 hosts, degrades
+                 // to kMicroOp with a one-time warning when unsupported)
 };
 
 struct RunResult {
@@ -84,7 +90,7 @@ class Machine {
     bool profile = true;
 
     /// Execution engine; kSwitch is the differential-testing oracle.
-    Engine engine = Engine::kMicroOp;
+    Engine engine = Engine::kJit;
 
     /// Wall-clock deadline for the whole run; 0 disables. Enforced on both
     /// engines by running in bounded retired-instruction chunks and
@@ -140,6 +146,12 @@ class Machine {
   std::uint64_t jit_helper_ns() const { return jit_helper_ns_; }
   /// Helper-call count alongside jit_helper_ns() (same gating).
   std::uint64_t jit_helper_calls() const { return jit_helper_calls_; }
+
+  /// Wall-clock nanoseconds run() spent compiling and linking native code
+  /// for this image (JIT engine, first run of an image only; later Machines
+  /// reuse the image's cached code and report 0). Included in run()'s wall
+  /// time; 0 on the interpreter engines.
+  std::uint64_t jit_ns() const { return jit_ns_; }
 
   /// The shared predecoded image this machine executes.
   const std::shared_ptr<const ExecutableImage>& executable() const {
@@ -263,6 +275,7 @@ class Machine {
   std::vector<std::int64_t> output_i64_;
   std::uint64_t jit_helper_ns_ = 0;     // see Options::time_jit_helpers
   std::uint64_t jit_helper_calls_ = 0;
+  std::uint64_t jit_ns_ = 0;            // see jit_ns()
   bool ran_ = false;
 };
 

@@ -13,9 +13,13 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstdio>
+#include <fstream>
 #include <optional>
+#include <sstream>
 
 #include "config/config.hpp"
+#include "config/textio.hpp"
 #include "instrument/incremental.hpp"
 #include "instrument/patch.hpp"
 #include "kernels/workload.hpp"
@@ -27,6 +31,7 @@
 #include "search/search.hpp"
 #include "support/fault.hpp"
 #include "support/rng.hpp"
+#include "support/strings.hpp"
 #include "verify/evaluate.hpp"
 #include "verify/image_cache.hpp"
 #include "verify/trial_builder.hpp"
@@ -285,7 +290,8 @@ TEST(ImageCache, LruEvictionAndCollisionGuard) {
 
 TEST(TrialBuilder, ReusesImagesAndAccountsSavings) {
   const Prepared p = prepare_structured();
-  verify::TrialBuilder builder(p.image, p.index);
+  // Two lanes: the image cache holds two images.
+  verify::TrialBuilder builder(p.image, p.index, 2);
 
   SplitMix64 rng(0x7B);
   const PrecisionConfig a = random_config(p.index, &rng, 6);
@@ -309,14 +315,32 @@ TEST(TrialBuilder, ReusesImagesAndAccountsSavings) {
   EXPECT_EQ(b2.cost.funcs_reused, b2.cost.funcs_total);
 
   // A neighbour misses the image cache but reuses most function variants.
-  const verify::TrialBuilder::Built b3 =
-      builder.build(mutate_config(p.index, a, &rng));
+  const PrecisionConfig b3_cfg = mutate_config(p.index, a, &rng);
+  const verify::TrialBuilder::Built b3 = builder.build(b3_cfg);
   EXPECT_FALSE(b3.cost.image_cache_hit);
   EXPECT_GT(b3.cost.funcs_reused, 0u);
 
+  // A third image evicts the least recently used one, `a`, keeping the
+  // cache at the lane count.
+  PrecisionConfig c = b3_cfg;
+  c.set_instr(0, b3_cfg.instr_flag(0) == Precision::kSingle
+                     ? Precision::kDouble
+                     : Precision::kSingle);
+  ASSERT_NE(c.canonical_key(), a.canonical_key());
+  ASSERT_NE(c.canonical_key(), b3_cfg.canonical_key());
+  EXPECT_FALSE(builder.build(c).cost.image_cache_hit);
+  EXPECT_TRUE(builder.build(b3_cfg).cost.image_cache_hit);
+  EXPECT_TRUE(builder.build(c).cost.image_cache_hit);
+  const verify::TrialBuilder::Built b4 = builder.build(a);
+  EXPECT_FALSE(b4.cost.image_cache_hit);
+  EXPECT_NE(b4.exec.get(), b1.exec.get());
+  // Rebuilding `a` evicted b3, then the LRU entry; c stays.
+  EXPECT_TRUE(builder.build(c).cost.image_cache_hit);
+  EXPECT_FALSE(builder.build(b3_cfg).cost.image_cache_hit);
+
   const verify::TrialBuilder::Stats s = builder.stats();
-  EXPECT_EQ(s.image_cache_hits, 1u);
-  EXPECT_EQ(s.image_cache_misses, 2u);
+  EXPECT_EQ(s.image_cache_hits, 4u);
+  EXPECT_EQ(s.image_cache_misses, 5u);
   EXPECT_GT(s.funcs_reused, 0u);
 }
 
@@ -431,6 +455,65 @@ TEST(SearchEquivalence, CacheOnOffIdenticalUnderFaultCampaign) {
     slot_respawns += slot.respawns;
   }
   EXPECT_EQ(slot_respawns, with_cache.metrics.worker_respawns);
+}
+
+// ---------------------------------------------------------------------------
+// The default engine (the JIT, or the micro-op engine it falls back to) must
+// never leak into the science: journals and configs are byte-identical to
+// the micro-op and switch engines, in-process and in sandboxed workers.
+
+TEST(SearchEquivalence, DefaultEngineJournalMatchesMicroOpAndSwitch) {
+  const SearchSetup s = search_setup();
+  for (const bool isolate : {false, true}) {
+    if (isolate && !runner::isolation_supported()) continue;
+    std::string journals[3];
+    std::string configs[3];
+    for (int e = 0; e < 3; ++e) {
+      search::SearchOptions opts;
+      if (e == 1) opts.engine = vm::Engine::kMicroOp;
+      if (e == 2) opts.engine = vm::Engine::kSwitch;
+      opts.keep_log = false;
+      opts.num_threads = 2;
+      opts.isolate_trials = isolate;
+      opts.num_workers = 2;
+      opts.max_retries = 1;
+      opts.journal_timings = false;
+      opts.journal_path = testing::TempDir() +
+                          strformat("engine_%d_%d.jsonl", e, isolate ? 1 : 0);
+      std::remove(opts.journal_path.c_str());
+      const search::SearchResult r = run_once(s, opts);
+      std::ifstream f(opts.journal_path, std::ios::binary);
+      std::ostringstream bytes;
+      bytes << f.rdbuf();
+      journals[e] = bytes.str();
+      configs[e] = config::to_text(s.index, r.final_config);
+      std::remove(opts.journal_path.c_str());
+    }
+    SCOPED_TRACE(isolate ? "isolated" : "in-process");
+    ASSERT_FALSE(journals[0].empty());
+    EXPECT_EQ(journals[1], journals[0]);
+    EXPECT_EQ(journals[2], journals[0]);
+    EXPECT_EQ(configs[1], configs[0]);
+    EXPECT_EQ(configs[2], configs[0]);
+  }
+}
+
+// The image cache holds one image per lane, which is all a vote round can
+// reuse: with two lanes and one retry, every trial builds once and its
+// revote hits, and the builder never holds more than two images.
+TEST(SearchEquivalence, LaneSizedImageCacheServesEveryRevote) {
+  const SearchSetup s = search_setup();
+  search::SearchOptions opts;
+  opts.keep_log = false;
+  opts.num_threads = 2;
+  opts.max_retries = 1;
+  verify::reset_image_cache_peak();
+  const search::SearchResult r = run_once(s, opts);
+  const search::SearchMetrics& m = r.metrics;
+  EXPECT_GT(m.trials_live, 2u);
+  EXPECT_EQ(m.image_cache_misses, m.trials_live);
+  EXPECT_EQ(m.image_cache_hits, m.trials_live);
+  EXPECT_EQ(verify::image_cache_peak(), 2u);
 }
 
 }  // namespace

@@ -1357,8 +1357,8 @@ TEST(DistributedSearch, WholeFleetLossMidSearchFallsBackByteIdentically) {
   EXPECT_EQ(read_file(fleet_journal), local_bytes);
   // The remote attempt spent before the loss stays on the trial's books.
   EXPECT_GE(m.eval_seconds, m.patch_seconds + m.predecode_seconds +
-                                m.setup_seconds + m.run_seconds +
-                                m.verify_seconds);
+                                m.setup_seconds + m.jit_seconds +
+                                m.run_seconds + m.verify_seconds);
   EXPECT_EQ(m.retries, lres.metrics.retries + 1);
 }
 

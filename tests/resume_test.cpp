@@ -426,7 +426,7 @@ TEST(Resume, MetricsAccounting) {
   // claims more time than the evaluations took.
   EXPECT_GT(m.setup_seconds, 0.0);
   EXPECT_LE(m.patch_seconds + m.predecode_seconds + m.setup_seconds +
-                m.run_seconds + m.verify_seconds,
+                m.jit_seconds + m.run_seconds + m.verify_seconds,
             m.eval_seconds);
   // Per-level attribution sums to the live total and includes the final
   // composition level.

@@ -115,6 +115,7 @@ TEST(Wire, RequestAndResultRoundTrip) {
   er.cost.patch_ns = 1;
   er.cost.predecode_ns = 2;
   er.cost.setup_ns = 0x1234;
+  er.cost.jit_ns = 0x5678;
   er.cost.run_ns = 3;
   er.cost.verify_ns = 4;
   er.cost.image_cache_hit = true;
@@ -141,6 +142,7 @@ TEST(Wire, RequestAndResultRoundTrip) {
             "0100000000000000"  // patch_ns
             "0200000000000000"  // predecode_ns
             "3412000000000000"  // setup_ns
+            "7856000000000000"  // jit_ns
             "0300000000000000"  // run_ns
             "0400000000000000"  // verify_ns
             "01"                // image_cache_hit
@@ -158,6 +160,7 @@ TEST(Wire, RequestAndResultRoundTrip) {
   EXPECT_EQ(er2.failure, er.failure);
   EXPECT_EQ(er2.instructions_retired, er.instructions_retired);
   EXPECT_EQ(er2.cost.setup_ns, er.cost.setup_ns);
+  EXPECT_EQ(er2.cost.jit_ns, er.cost.jit_ns);
   EXPECT_EQ(er2.cost.run_ns, er.cost.run_ns);
   EXPECT_EQ(er2.cost.image_cache_hit, er.cost.image_cache_hit);
   EXPECT_EQ(er2.cost.patch_saved_ns, er.cost.patch_saved_ns);

@@ -480,6 +480,28 @@ TEST(VoteLoop, UnservedTrialRevotesOnTheFallbackKeepingItsAccounting) {
 }
 
 // ---------------------------------------------------------------------------
+// Engine defaults: every trial runs on the JIT unless the host cannot run
+// compiled code, in which case the search says so.
+
+TEST(Engines, DefaultIsJitWhereSupported) {
+  EXPECT_EQ(SearchOptions{}.engine, vm::Engine::kJit);
+  EXPECT_EQ(vm::Machine::Options{}.engine, vm::Engine::kJit);
+  EXPECT_EQ(verify::EvalOptions{}.engine, vm::Engine::kJit);
+
+  Prepared p = prepare(two_module_program(), 1e-12);
+  const SearchResult res = run_search(p.image, &p.index, *p.verifier, {});
+  const SearchMetrics& m = res.metrics;
+  ASSERT_GT(m.trials_live, 0u);
+  if (vm::jit::jit_supported()) {
+    EXPECT_EQ(m.jit_downgraded, 0u);
+    EXPECT_GT(m.jit_seconds, 0.0);
+  } else {
+    EXPECT_EQ(m.jit_downgraded, 1u);
+    EXPECT_EQ(m.jit_seconds, 0.0);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // The --metrics-json serializer.
 
 /// A SearchResult in which every serialized field holds a distinct,
@@ -498,6 +520,7 @@ SearchResult full_result() {
   m.patch_seconds = 5.0625;
   m.predecode_seconds = 6.5;
   m.setup_seconds = 6.75;
+  m.jit_seconds = 6.875;
   m.run_seconds = 7.25;
   m.verify_seconds = 8.75;
   m.image_cache_hits = 104;
@@ -602,6 +625,7 @@ TEST(MetricsJson, MatchesParentWriterByteForByte) {
   "patch_seconds": 5.062500,
   "predecode_seconds": 6.500000,
   "setup_seconds": 6.750000,
+  "jit_seconds": 6.875000,
   "run_seconds": 7.250000,
   "verify_seconds": 8.750000,
   "image_cache_hits": 104,

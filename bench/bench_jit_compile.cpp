@@ -12,6 +12,12 @@
 // as an end-to-end differential check.
 //
 // After the MIPS table the binary prints:
+//  - an instrumented table: the same kernels patched module-single (every
+//    module's candidates replaced by single precision, the NaN-boxed
+//    snippets a search actually runs), with micro-op and JIT MIPS, JIT
+//    cold/warm ms, the image's JIT code bytes and its internal region
+//    branches. The JIT must match micro-op on outputs and retired counts
+//    here too;
 //  - a lowering-coverage table (suite totals per op family: how many uops
 //    compiled to inline native code vs an out-of-line helper call);
 //  - an Amdahl table splitting each kernel's JIT wall time into jitted
@@ -26,10 +32,11 @@
 //                          [--min-geomean X]
 //   --quick: class S, one repetition per engine (the CI smoke
 //   configuration; still prints the full table).
-//   --json FILE: also write the per-kernel rows, coverage census and
-//   geomean as one JSON object (seeds BENCH_JIT.json).
-//   --min-geomean X: exit non-zero when the jit/micro geomean falls below
-//   X (CI perf floor; ignored when the JIT is unavailable).
+//   --json FILE: also write the per-kernel rows, instrumented rows,
+//   coverage census and geomean as one JSON object (seeds BENCH_JIT.json).
+//   --min-geomean X: exit non-zero when the jit/micro geomean of the
+//   uninstrumented table falls below X (CI perf floor; ignored when the
+//   JIT is unavailable).
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -41,7 +48,10 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "config/config.hpp"
+#include "instrument/patch.hpp"
 #include "kernels/workload.hpp"
+#include "program/program.hpp"
 #include "support/strings.hpp"
 #include "support/timer.hpp"
 #include "vm/jit/jit.hpp"
@@ -136,6 +146,32 @@ struct KernelRow {
   double warm_ms = 0.0;
   AmdahlRun amdahl;
 };
+
+/// One module-single instrumented image: micro-op vs JIT speed plus the
+/// size of its compiled code.
+struct InstrumentedRow {
+  std::string name;
+  std::uint64_t retired = 0;
+  double micro_mips = 0.0;
+  double jit_mips = 0.0;
+  double speedup = 0.0;
+  double cold_ms = 0.0;
+  double warm_ms = 0.0;
+  std::size_t code_bytes = 0;
+  std::uint64_t region_branches = 0;
+};
+
+/// Every module of `img` at single precision: the instrumented shape a
+/// search evaluates most.
+fpmix::program::Image module_single(const fpmix::program::Image& img) {
+  using namespace fpmix;
+  const auto ix = config::StructureIndex::build(program::lift(img));
+  config::PrecisionConfig cfg;
+  for (std::size_t m = 0; m < ix.modules().size(); ++m) {
+    cfg.set_module(m, config::Precision::kSingle);
+  }
+  return instrument::instrument_image(img, ix, cfg);
+}
 
 }  // namespace
 
@@ -280,6 +316,71 @@ int main(int argc, char** argv) {
     std::printf("geomean speedup: %.2fx (jit over micro-op)\n", geomean);
   }
 
+  // Instrumented images: what a search's trials run. Compared against the
+  // micro-op engine only (the switch oracle is the slow part of the table
+  // above and adds nothing the 3-way tests do not already pin).
+  std::printf("\nInstrumented (module-single), class %c\n", cls);
+  bench::print_rule(100);
+  std::printf("%-8s %13s %10s %10s %8s %9s %9s %10s %8s\n", "bench",
+              "instructions", "micro MIPS", "jit MIPS", "jit/mic",
+              "cold ms", "warm ms", "code B", "regions");
+  bench::print_rule(100);
+  std::vector<InstrumentedRow> inst_rows;
+  for (const kernels::Workload& w : suite) {
+    const auto exec =
+        vm::ExecutableImage::build(module_single(kernels::build_image(w)));
+    InstrumentedRow row;
+    row.name = w.name;
+    if (jit) {
+      const auto blob = vm::jit::compile_stream(
+          exec->uops(), vm::jit::CompileMode{false, false});
+      row.code_bytes = blob->code.size();
+      row.region_branches = blob->stats.region_branches;
+    }
+    const EngineRun micro = run_best_of(exec, vm::Engine::kMicroOp,
+                                        w.max_instructions, reps);
+    const EngineRun jrun =
+        jit ? run_best_of(exec, vm::Engine::kJit, w.max_instructions,
+                          reps + 1)
+            : EngineRun{};
+    if (!micro.ok || (jit && !jrun.ok)) {
+      std::printf("%-8s FAILED: %s\n", w.name.c_str(),
+                  (!micro.ok ? micro.error : jrun.error).c_str());
+      all_match = false;
+      continue;
+    }
+    if (jit && !bit_identical(micro, jrun)) {
+      std::printf("%-8s ENGINE MISMATCH (outputs or retired count)\n",
+                  w.name.c_str());
+      all_match = false;
+      continue;
+    }
+    row.retired = micro.retired;
+    row.micro_mips =
+        static_cast<double>(micro.retired) / micro.best_seconds / 1e6;
+    if (jit) {
+      row.jit_mips =
+          static_cast<double>(jrun.retired) / jrun.best_seconds / 1e6;
+      row.speedup = row.jit_mips / row.micro_mips;
+      row.cold_ms = 1e3 * jrun.first_seconds;
+      row.warm_ms = 1e3 * jrun.best_seconds;
+      std::printf("%-8s %13llu %10.1f %10.1f %7.2fx %9.2f %9.2f %10zu "
+                  "%8llu\n",
+                  row.name.c_str(),
+                  static_cast<unsigned long long>(row.retired),
+                  row.micro_mips, row.jit_mips, row.speedup, row.cold_ms,
+                  row.warm_ms, row.code_bytes,
+                  static_cast<unsigned long long>(row.region_branches));
+    } else {
+      std::printf("%-8s %13llu %10.1f %10s %8s %9s %9s %10s %8s\n",
+                  row.name.c_str(),
+                  static_cast<unsigned long long>(row.retired),
+                  row.micro_mips, "-", "-", "-", "-", "-", "-");
+    }
+    inst_rows.push_back(row);
+  }
+  bench::print_rule(100);
+
   if (jit) {
     // Lowering-coverage census: suite totals per op family from the
     // compile probes above. "native" uops run as inline host code;
@@ -308,9 +409,10 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(th),
                 100.0 * static_cast<double>(tn) /
                     static_cast<double>(std::max<std::uint64_t>(1, tn + th)));
-    std::printf("fused cmp+jcc pairs: %llu   regalloc blocks: %llu   "
-                "promoted slots: %llu\n",
+    std::printf("fused cmp+jcc pairs: %llu   region branches: %llu   "
+                "regalloc blocks: %llu   promoted slots: %llu\n",
                 static_cast<unsigned long long>(coverage.fused_pairs),
+                static_cast<unsigned long long>(coverage.region_branches),
                 static_cast<unsigned long long>(coverage.reg_alloc_blocks),
                 static_cast<unsigned long long>(coverage.reg_alloc_slots));
 
@@ -361,6 +463,20 @@ int main(int argc, char** argv) {
     }
     j += "  ],\n";
     j += strformat("  \"geomean_speedup\": %.3f,\n", geomean);
+    j += "  \"instrumented\": [\n";
+    for (std::size_t i = 0; i < inst_rows.size(); ++i) {
+      const InstrumentedRow& r = inst_rows[i];
+      j += strformat(
+          "    {\"name\": \"%s\", \"instructions\": %llu, "
+          "\"micro_mips\": %.1f, \"jit_mips\": %.1f, \"speedup\": %.3f, "
+          "\"cold_ms\": %.3f, \"warm_ms\": %.3f, \"code_bytes\": %zu, "
+          "\"region_branches\": %llu}%s\n",
+          r.name.c_str(), static_cast<unsigned long long>(r.retired),
+          r.micro_mips, r.jit_mips, r.speedup, r.cold_ms, r.warm_ms,
+          r.code_bytes, static_cast<unsigned long long>(r.region_branches),
+          i + 1 < inst_rows.size() ? "," : "");
+    }
+    j += "  ],\n";
     j += "  \"lowering\": {\n";
     for (int f = 0; f < vm::jit::LoweringStats::kNumFamilies; ++f) {
       j += strformat(
@@ -371,6 +487,9 @@ int main(int argc, char** argv) {
     }
     j += strformat("    \"fused_pairs\": %llu,\n",
                    static_cast<unsigned long long>(coverage.fused_pairs));
+    j += strformat(
+        "    \"region_branches\": %llu,\n",
+        static_cast<unsigned long long>(coverage.region_branches));
     j += strformat(
         "    \"reg_alloc_blocks\": %llu,\n",
         static_cast<unsigned long long>(coverage.reg_alloc_blocks));

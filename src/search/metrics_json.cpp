@@ -143,9 +143,10 @@ std::string metrics_json(const SearchResult& res) {
                    static_cast<unsigned long long>(lw.helper[f]));
   }
   j += strformat(
-      ", \"fused_pairs\": %llu, \"reg_alloc_blocks\": %llu, "
-      "\"reg_alloc_slots\": %llu},\n",
+      ", \"fused_pairs\": %llu, \"region_branches\": %llu, "
+      "\"reg_alloc_blocks\": %llu, \"reg_alloc_slots\": %llu},\n",
       static_cast<unsigned long long>(lw.fused_pairs),
+      static_cast<unsigned long long>(lw.region_branches),
       static_cast<unsigned long long>(lw.reg_alloc_blocks),
       static_cast<unsigned long long>(lw.reg_alloc_slots));
   uint("configs_tested", res.configs_tested);

@@ -1,9 +1,11 @@
 // MicroOp stream -> position-independent x86-64 blob.
 //
-// Second-wave optimizing compiler. Every guest instruction still begins
-// with the interpreter's exact dispatch sequence (budget check, optional
-// profile count, retire) and operates on the Machine's own state through
-// the pinned base registers:
+// Second-wave optimizing compiler. Uncovered code (terminators, short
+// runs, the FPMIX_JIT_NO_REGALLOC leg) begins every guest instruction with
+// the interpreter's exact dispatch sequence (budget check, optional profile
+// count, retire); covered regions keep the per-instruction profile count
+// and batch the rest (see below). All code operates on the Machine's own
+// state through the pinned base registers:
 //
 //   r15 = JitContext*   r12 = gpr file   r13 = VM memory
 //   rbx = xmm file      r14 = retired    rbp = max_instructions
@@ -11,31 +13,44 @@
 // rax/rcx/rdx/rsi/rdi/r8 and xmm0-2 are scratch within a template. On top
 // of the per-op templates this compiler layers:
 //
-//  - Block-local register allocation: within each basic block the hottest
+//  - Region register allocation: within each covered region the hottest
 //    guest gpr slots are promoted to r9-r11 and the hottest xmm low qwords
-//    to xmm4-xmm15, loaded once at block entry and spilled back to the
-//    pinned arrays at block exit and in every trap stub. External entries
-//    into the middle of an allocated block (chunked resume, help_ret,
-//    delta re-JIT) land on out-of-line per-instruction thunks that reload
-//    the promoted registers and jump into the block body, so every
-//    instr_off entry remains a valid resume target. Blocks containing
-//    array-shaped templates (16-byte moves, packed SSE) opt out.
+//    to xmm4-xmm15, loaded once at region entry and spilled back to the
+//    pinned arrays at region exit and in every trap stub. External entries
+//    into the middle of a region (chunked resume, help_ret, branches from
+//    elsewhere, delta re-JIT) land on out-of-line per-instruction thunks
+//    that reload the promoted registers and jump into the region body, so
+//    every instr_off entry remains a valid resume target. Regions
+//    containing array-shaped templates (16-byte moves, packed SSE) promote
+//    nothing but keep their budget coverage.
 //  - Compare+branch fusion: a cmp/test followed by a jcc whose guest flag
 //    bytes are provably dead at both successors branches straight off the
-//    host flags. The branch keeps its own out-of-line resume path that
-//    reads the flag bytes like an unfused branch; the mid-pair budget stub
-//    materializes them, so stops and faults between the halves stay
-//    bit-identical with the interpreters.
+//    host flags. An external fused pair ends its region; its branch keeps
+//    an inline resume path that reads the flag bytes like an unfused
+//    branch. An *internal* pair -- a short forward branch with no breaker
+//    or other fused pair before its target, the shape of every NaN-box tag
+//    test the instrumenter emits -- stays inside the region: both edges
+//    keep the promoted registers live and the jcc jumps to an in-region
+//    label. Its resume path moves out of line next to the thunks.
+//  - Batched retire: a region entry (head or thunk) adds, in one lea, the
+//    count the region retires from that pc when every internal branch is
+//    taken; each internal fall-through adds the count its branch would have
+//    skipped. Every exit from inside a region (trap stubs, the out-of-line
+//    intrinsic helper) first subtracts a static per-pc correction, so
+//    ctx->retired and trap texts stay exact. The entry guard checks the
+//    longest path, so a budget stop inside a region always goes through the
+//    driver's interpreter tail and lands on the exact instruction.
 //  - Native idiv/irem, cvttsd2si/cvttss2si, packed SSE and 128-bit bitwise
 //    templates, and inline calls to the hot unary math intrinsics through
 //    JitContext::intrin_fn.
 //
 // Trap-shaped paths (bounds, tag sentinel, budget, divide/cvtt range)
 // branch to per-site out-of-line stubs emitted after the instruction
-// bodies; the stubs spill any promoted registers, load the faulting pc as
-// a link-patched immediate and call the C++ helpers through the context
-// block. The emit switch has a template for every MicroKind and no
-// default, so -Wswitch proves the translation total over the kinds.
+// bodies; the stubs spill any promoted registers, correct the batched
+// retired count, load the faulting pc as a link-patched immediate and call
+// the C++ helpers through the context block. The emit switch has a
+// template for every MicroKind and no default, so -Wswitch proves the
+// translation total over the kinds.
 //
 // Ordering subtleties are load-bearing and mirror machine.cpp exactly:
 // bounds traps fire before tag traps on the same load, the tag check on the
@@ -146,9 +161,10 @@ constexpr bool writes_flags(MicroKind k) {
          k == MicroKind::kUcomissXM;
 }
 
-/// Ends a basic block: control leaves the straight line or the template
-/// calls out of compiled code (helpers observe machine state, so promoted
+/// Ends a region: control leaves the straight line or the template calls
+/// out of compiled code (helpers observe machine state, so promoted
 /// registers must be spilled first and the terminator runs unallocated).
+/// Internal fused pairs are the one kind of jcc a region keeps.
 /// kIntrin is NOT a breaker: intrinsics always fall through, so the
 /// template spills/reloads around its call and the block survives --
 /// math-heavy kernels would otherwise fragment into unpromotable slivers.
@@ -183,13 +199,19 @@ LoweringStats::Family family_of(MicroKind k) {
   return kFamilyOf[static_cast<std::size_t>(k)];
 }
 
-// Host registers available for block-local promotion. All caller-saved is
-// fine: allocated regions contain no calls (helpers only run at block
-// terminators, after the spill).
+// Host registers available for region promotion. All caller-saved is fine:
+// the only calls inside a region (intrinsic call tiers) spill and reload
+// around themselves, and every other helper runs at a terminator, after
+// the region's spill.
 constexpr std::uint8_t kGprHosts[] = {R9, R10, R11};
 constexpr unsigned kMaxGprPromotions = 3;
 constexpr std::uint8_t kFirstXmmHost = 4;  // xmm4..xmm15
 constexpr unsigned kMaxXmmPromotions = 12;
+
+// Longest compare-to-target distance (in uops) of an internal branch. The
+// instrumenter's tag tests skip 1-4 uops; the bound keeps the entry guard's
+// longest-path count close to what a region really retires.
+constexpr std::uint64_t kMaxInternalSpan = 24;
 
 bool regalloc_enabled() {
   // Escape hatch (and the CI fallback-path leg): FPMIX_JIT_NO_REGALLOC=1
@@ -242,12 +264,19 @@ class Compiler {
     const std::size_t n = uops_.size();
     instr_off_.assign(n, 0);
     std::size_t pc = 0;
+    std::size_t next_target = 0;  // internal targets bind in pc order
     while (pc < n) {
       pc_ = pc;
+      if (next_target < branches_.size() &&
+          branches_[next_target].target == pc) {
+        // Taken edge of an internal branch: promoted registers are live,
+        // so the label precedes any terminator spill below.
+        e_.bind(branches_[next_target++].taken);
+      }
       if (spill_id_[pc] >= 0) {
-        // Terminator of the preceding allocated block: write the promoted
-        // registers back first, so the terminator's instr_off entry (an
-        // external resume target) sees current arrays.
+        // Terminator of the preceding region: write the promoted registers
+        // back first, so the terminator's instr_off entry (an external
+        // resume target) sees current arrays.
         set_alloc(-1);
         emit_spills(allocs_[static_cast<std::size_t>(spill_id_[pc])]);
       }
@@ -257,15 +286,17 @@ class Compiler {
         const Alloc& a = allocs_[static_cast<std::size_t>(head_id_[pc])];
         near_guard(pc, a.cover_end - static_cast<std::uint32_t>(pc));
         emit_loads(a);
+        retire_adjust(batch_[pc]);  // up front: the all-taken count
       } else if (aid >= 0) {
-        // Mid-block pc inside an allocated region: its external entry is an
-        // out-of-line thunk (loads + jmp here), emitted after the bodies.
+        // Mid-region pc: its external entry is an out-of-line thunk (guard,
+        // loads, batched retire, jmp here), emitted after the bodies.
         thunks_.push_back({static_cast<std::uint32_t>(pc),
-                           static_cast<std::uint32_t>(e_.size()), aid});
+                           static_cast<std::uint32_t>(e_.size()), aid, -1});
       } else {
         instr_off_[pc] = static_cast<std::uint32_t>(e_.size());
       }
       set_alloc(aid);
+      region_ = aid;
       if (fuse_at_[pc]) {
         emit_fused(pc);
         pc += 2;
@@ -276,7 +307,9 @@ class Compiler {
         ++pc;
       }
     }
+    FPMIX_CHECK(next_target == branches_.size());
     set_alloc(-1);
+    region_ = -1;
     if (spill_id_[n] >= 0)
       emit_spills(allocs_[static_cast<std::size_t>(spill_id_[n])]);
     // Falling off the last instruction continues at the next one in program
@@ -307,13 +340,13 @@ class Compiler {
 
   // --- analysis: flags liveness, fusion, block allocation ------------------
 
-  /// Promotion map for one basic block. Host register 0 means "not
-  /// promoted" (rax / xmm0 are never promotion hosts, so 0 is free). Every
-  /// straight-line run of length >= 2 gets an entry -- possibly with no
-  /// promoted slots (poisoned runs) -- because the entry also carries the
-  /// block's budget coverage: one guard at each entry point proves the
-  /// whole run fits in the remaining budget, and the covered body then
-  /// retires without per-instruction budget checks.
+  /// Promotion map for one region. Host register 0 means "not promoted"
+  /// (rax / xmm0 are never promotion hosts, so 0 is free). Every region of
+  /// length >= 2 gets an entry -- possibly with no promoted slots (poisoned
+  /// regions) -- because the entry also carries the region's budget
+  /// coverage: one guard at each entry point proves the longest path
+  /// through the region fits in the remaining budget, and the covered body
+  /// then runs without per-instruction budget checks or retires.
   struct Alloc {
     std::uint8_t gpr_host[arch::kNumGprs + 1] = {};
     std::uint8_t xmm_host[arch::kNumXmms] = {};
@@ -321,14 +354,30 @@ class Compiler {
     std::vector<std::pair<std::uint8_t, std::uint8_t>> xmms;  // (host, slot)
     std::uint32_t cover_end = 0;  // one past the last budget-covered uop
   };
+  /// An internal fused pair's edges: the taken edge jumps to the in-region
+  /// label `taken` (bound at `target`); the resume path re-enters the
+  /// fall-through edge at `fall`, ahead of its skip add.
+  struct RegionBranch {
+    std::uint32_t target;
+    Emitter::Label taken;
+    Emitter::Label fall;
+  };
   std::vector<Alloc> allocs_;
+  std::deque<RegionBranch> branches_;  // in pc order (targets ascend too)
   std::vector<std::uint8_t> live_;     // guest flags live before uop i
   std::vector<std::uint8_t> fuse_at_;  // cmp/test at i fuses with jcc at i+1
-  std::vector<std::int32_t> alloc_id_; // block map covering uop i, or -1
-  std::vector<std::int32_t> head_id_;  // block whose loads sit inline at i
-  std::vector<std::int32_t> spill_id_; // block spilled just before i
+  std::vector<std::int32_t> branch_id_;  // internal pair whose compare is i
+  std::vector<std::int32_t> alloc_id_; // region map covering uop i, or -1
+  std::vector<std::int32_t> head_id_;  // region whose loads sit inline at i
+  std::vector<std::int32_t> spill_id_; // region spilled just before i
+  /// Covered uop i: what its region retires from i on when every internal
+  /// branch is taken (the batch an entry at i adds to r14). Minus one, it
+  /// is how far r14 runs ahead of the exact count while i executes.
+  std::vector<std::uint32_t> batch_;
   const Alloc* alloc_ = nullptr;       // current emission map
   std::int32_t cur_alloc_ = -1;
+  std::int32_t region_ = -1;           // covering region (survives the
+                                       // intrinsic path's map clear)
 
   void set_alloc(std::int32_t id) {
     cur_alloc_ = id;
@@ -375,9 +424,11 @@ class Compiler {
     // the entry guard, whose interpreter tail materialises the bytes), so
     // the no-regalloc escape hatch disables it along with promotion.
     fuse_at_.assign(n, 0);
+    branch_id_.assign(n, -1);
     alloc_id_.assign(n, -1);
     head_id_.assign(n, -1);
     spill_id_.assign(n + 1, -1);
+    batch_.assign(n, 0);
     if (!regalloc_on_) return;
     for (std::size_t i = 0; i + 1 < n; ++i) {
       if (!is_cmp_or_test(kind_of(uops_[i]))) continue;
@@ -386,8 +437,25 @@ class Compiler {
       if (live_at(tgt) || live_at(i + 2)) continue;
       fuse_at_[i] = 1;
     }
-    // Basic blocks: maximal runs of non-breaker uops (a fused pair ends its
-    // block and its compare half joins the allocated region).
+    // Internal pairs: a short forward branch whose skipped uops hold no
+    // breaker and no other fused pair, so the region runs on past it to
+    // the target. (live_at(n) is 1, so the target is never the stream end.)
+    // Targets ascend with the pairs: a later pair's compare cannot sit
+    // inside an earlier pair's skip.
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      if (!fuse_at_[i]) continue;
+      const std::uint64_t tgt = static_cast<std::uint64_t>(uops_[i + 1].imm);
+      if (tgt < i + 2 || tgt - i > kMaxInternalSpan) continue;
+      bool clear = true;
+      for (std::size_t j = i + 2; j < tgt && clear; ++j)
+        clear = !fuse_at_[j] && !is_block_breaker(kind_of(uops_[j]));
+      if (!clear) continue;
+      branch_id_[i] = static_cast<std::int32_t>(branches_.size());
+      branches_.push_back({static_cast<std::uint32_t>(tgt), {}, {}});
+    }
+    // Regions: maximal runs of non-breaker uops and internal pairs (an
+    // external fused pair ends its region and its compare half joins the
+    // allocated part).
     std::size_t start = 0;
     while (start < n) {
       if (!fuse_at_[start] && is_block_breaker(kind_of(uops_[start]))) {
@@ -399,6 +467,10 @@ class Compiler {
       bool poisoned = false;
       while (end < n) {
         if (fuse_at_[end]) {
+          if (branch_id_[end] >= 0) {
+            end += 2;
+            continue;
+          }
           fused = true;
           break;
         }
@@ -415,12 +487,22 @@ class Compiler {
     }
   }
 
-  /// Creates the block entry: promotion map (unless poisoned) plus budget
+  /// Creates the region entry: promotion map (unless poisoned) plus budget
   /// coverage over [start, cover_end). A fused pair's coverage includes
   /// both halves; a plain terminator stays uncovered (full prologue).
   void make_alloc_block(std::size_t start, std::size_t aware_end,
                         std::size_t cover_end, bool fused, std::size_t term,
                         bool poisoned) {
+    // Batched retire counts, back to front: one per uop, less the skip of
+    // every internal branch at or after it.
+    std::uint32_t left = 0;
+    for (std::size_t j = cover_end; j-- > start;) {
+      left += 1;
+      if (j > 0 && branch_id_[j - 1] >= 0)
+        left -= static_cast<std::uint32_t>(uops_[j].imm) -
+                static_cast<std::uint32_t>(j) - 1;
+      batch_[j] = left;
+    }
     Alloc a;
     a.cover_end = static_cast<std::uint32_t>(cover_end);
     if (!poisoned) {
@@ -577,16 +659,18 @@ class Compiler {
   // --- stub bookkeeping ----------------------------------------------------
   // Every stub captures the allocation map live at its branch site: promoted
   // registers are spilled on entry so the helper (and the interpreter state
-  // it reports) sees current arrays. Deques keep Label references stable.
+  // it reports) sees current arrays. Trap stubs also capture the site's
+  // retire correction (see fix()). Deques keep Label references stable.
 
   struct BudgetStub {  // uncovered code only: arrays are always current
     Emitter::Label label;
     std::uint32_t pc;
   };
-  struct NearStub {  // a block-entry guard fired: fewer instructions remain
-                     // in the budget than the block retires. Fires before
-                     // the block's loads, so arrays are current and nothing
-                     // needs spilling; the driver interprets the tail.
+  struct NearStub {  // a region-head guard fired: fewer instructions remain
+                     // in the budget than the longest path retires. Fires
+                     // before the region's loads, so arrays are current and
+                     // nothing needs spilling; the driver interprets the
+                     // tail.
     Emitter::Label label;
     std::uint32_t pc;
   };
@@ -596,23 +680,27 @@ class Compiler {
     std::uint8_t bytes;
     bool is_store;
     std::int32_t alloc;
+    std::uint32_t fix;
   };
   struct TagStub {
     Emitter::Label label;
     std::uint32_t pc;
     int bits_reg;
     std::int32_t alloc;
+    std::uint32_t fix;
   };
   struct OpStub {  // divide/cvtt range traps -> help_op_trap
     Emitter::Label label;
     std::uint32_t pc;
     std::uint32_t msg;
     std::int32_t alloc;
+    std::uint32_t fix;
   };
-  struct Thunk {  // external entry into an allocated block's interior
+  struct Thunk {  // external entry into a region's interior
     std::uint32_t pc;
     std::uint32_t body;
     std::int32_t alloc;
+    std::int32_t branch;  // internal pair whose jcc is pc (resume path), or -1
   };
   std::deque<BudgetStub> budget_stubs_;
   std::deque<NearStub> near_stubs_;
@@ -620,8 +708,20 @@ class Compiler {
   std::deque<TagStub> tag_stubs_;
   std::deque<OpStub> op_stubs_;
   std::vector<Thunk> thunks_;
+  Emitter::Label thunk_near_;  // the thunks' shared near-budget exit
 
   std::uint32_t pc32() const { return static_cast<std::uint32_t>(pc_); }
+
+  /// How far r14 runs ahead of the exact retired count while the current
+  /// uop executes: zero in uncovered code; in a region, the batch still
+  /// unearned past this uop (entries add the all-taken count up front).
+  /// Every exit from inside a region subtracts it first.
+  std::uint32_t fix() const {
+    return region_ >= 0 ? batch_[pc_] - 1 : 0;
+  }
+  void retire_adjust(std::int64_t delta) {
+    if (delta != 0) e_.lea_bd(R14, R14, static_cast<std::int32_t>(delta));
+  }
 
   // --- reloc-carrying emission helpers -------------------------------------
 
@@ -746,37 +846,50 @@ class Compiler {
   }
 
   // --- the per-instruction dispatch prologue -------------------------------
-  // Same order as FPMIX_DISPATCH: budget check, profile count, retire.
-  // Inside a covered block (cur_alloc_ >= 0) the entry guard already proved
-  // the whole run fits in the remaining budget, so the per-instruction
-  // check drops out and the prologue is just the count and the retire.
+  // Uncovered code keeps FPMIX_DISPATCH's order: budget check, profile
+  // count, retire. Inside a region (region_ >= 0) the entry guard already
+  // proved the longest path fits in the remaining budget and the entry's
+  // batch already retired the instruction, so the prologue is just the
+  // profile count.
 
   void prologue(std::uint64_t pc) {
-    if (cur_alloc_ < 0) {
+    if (region_ < 0) {
       e_.alu_rr(Alu::kCmp, R14, RBP);  // cmp retired, max_instructions
       budget_stubs_.push_back({{}, static_cast<std::uint32_t>(pc)});
       e_.jcc(CC_AE, budget_stubs_.back().label);
     }
-    if (mode_.profile) {
-      e_.mov_rm(RAX, R15, kCtxCounts);
-      const std::size_t at = e_.inc_m_disp32(RAX);
-      relocs_.push_back(
-          {Reloc::Kind::kDisp32Counts, static_cast<std::uint32_t>(at), pc});
-    }
-    e_.inc_r(R14);
+    profile_count(pc);
+    if (region_ < 0) e_.inc_r(R14);
+  }
+  /// Clobbers RAX and the host flags.
+  void profile_count(std::uint64_t pc) {
+    if (!mode_.profile) return;
+    e_.mov_rm(RAX, R15, kCtxCounts);
+    const std::size_t at = e_.inc_m_disp32(RAX);
+    relocs_.push_back(
+        {Reloc::Kind::kDisp32Counts, static_cast<std::uint32_t>(at), pc});
   }
 
-  /// Block-entry budget guard: would retiring `n` more instructions cross
-  /// max_instructions? If so, nothing of the block has run yet and the
-  /// arrays are current, so exit kExitBudgetNear and let the driver
-  /// interpret up to the exact boundary (the interpreter is the semantic
-  /// oracle, so the stop is bit-identical: exact retired count, flags and
-  /// trap behaviour -- including a stop between a fused compare/branch).
+  /// Region-entry budget guard: would retiring `n` more instructions (the
+  /// longest path from pc) cross max_instructions? If so, nothing of the
+  /// region has run yet and the arrays are current, so exit
+  /// kExitBudgetNear and let the driver interpret up to the exact boundary
+  /// (the interpreter is the semantic oracle, so the stop is bit-identical:
+  /// exact retired count, flags and trap behaviour -- including a stop
+  /// between a fused compare/branch). Clobbers RCX.
   void near_guard(std::uint64_t pc, std::uint32_t n) {
     e_.lea_bd(RCX, R14, static_cast<std::int32_t>(n));
     e_.alu_rr(Alu::kCmp, RCX, RBP);
     near_stubs_.push_back({{}, static_cast<std::uint32_t>(pc)});
     e_.jcc(CC_A, near_stubs_.back().label);
+  }
+  /// The thunks' form of near_guard: the pc rides in RAX to one shared
+  /// exit per blob instead of a stub per thunk.
+  void thunk_guard(std::uint32_t pc, std::uint32_t n) {
+    mov_ri32_reloc(RAX, Reloc::Kind::kImm32Pc, pc);
+    e_.lea_bd(RCX, R14, static_cast<std::int32_t>(n));
+    e_.alu_rr(Alu::kCmp, RCX, RBP);
+    e_.jcc(CC_A, thunk_near_);
   }
 
   // --- effective address / memory / tag checks -----------------------------
@@ -836,8 +949,8 @@ class Compiler {
   /// access is 8 or 4 bytes (16-byte moves check each lane).
   /// Clobbers nothing; RAX still holds the address for the stub.
   void bounds(unsigned bytes, bool is_store) {
-    mem_stubs_.push_back(
-        {{}, pc32(), static_cast<std::uint8_t>(bytes), is_store, cur_alloc_});
+    mem_stubs_.push_back({{}, pc32(), static_cast<std::uint8_t>(bytes),
+                          is_store, cur_alloc_, fix()});
     e_.alu_rm(Alu::kCmp, RAX, R15,
               bytes == 8 ? kCtxMemLimit8 : kCtxMemLimit4);
     e_.jcc(CC_AE, mem_stubs_.back().label);
@@ -847,7 +960,7 @@ class Compiler {
   /// clobbers RSI). ctx->tag_cmp is unmatchable when the trap is off, so the
   /// same code serves both modes.
   void tag_check(int bits_reg) {
-    tag_stubs_.push_back({{}, pc32(), bits_reg, cur_alloc_});
+    tag_stubs_.push_back({{}, pc32(), bits_reg, cur_alloc_, fix()});
     e_.mov_rr(RSI, bits_reg);
     e_.shr_ri8(RSI, 32);
     e_.alu_rm(Alu::kCmp, RSI, R15, kCtxTagCmp);
@@ -890,27 +1003,41 @@ class Compiler {
     }
   }
 
-  /// Conditional guest branch on one flag byte: taken when the byte is
-  /// nonzero (want_set) or zero.
-  void jcc_flag(std::int32_t flag_off, bool want_set, std::uint64_t target) {
-    e_.cmp_mi8_b(R15, flag_off, 0);
-    jcc_target(want_set ? CC_NE : CC_E, target);
-  }
-  /// Guest branch on (lt|eq) or (ltu|eq) composites.
-  void jcc_or(std::int32_t flag_off, bool want_set, std::uint64_t target) {
-    e_.mov_rm8(RAX, R15, flag_off);
-    e_.mov_rm8(RCX, R15, kCtxFlagEq);
-    e_.or_rr8(RAX, RCX);
-    jcc_target(want_set ? CC_NE : CC_E, target);
+  /// Tests the guest flag bytes a conditional branch reads and returns the
+  /// host condition under which it is taken: one byte set (or clear), or
+  /// the (lt|eq) / (ltu|eq) composites. Clobbers RAX/RCX.
+  int flag_test(MicroKind jcc) {
+    const auto one = [&](std::int32_t flag_off, bool want_set) {
+      e_.cmp_mi8_b(R15, flag_off, 0);
+      return want_set ? CC_NE : CC_E;
+    };
+    const auto either = [&](std::int32_t flag_off, bool want_set) {
+      e_.mov_rm8(RAX, R15, flag_off);
+      e_.mov_rm8(RCX, R15, kCtxFlagEq);
+      e_.or_rr8(RAX, RCX);
+      return want_set ? CC_NE : CC_E;
+    };
+    switch (jcc) {
+      case MicroKind::kJe: return one(kCtxFlagEq, true);
+      case MicroKind::kJne: return one(kCtxFlagEq, false);
+      case MicroKind::kJl: return one(kCtxFlagLt, true);
+      case MicroKind::kJge: return one(kCtxFlagLt, false);
+      case MicroKind::kJb: return one(kCtxFlagLtu, true);
+      case MicroKind::kJae: return one(kCtxFlagLtu, false);
+      case MicroKind::kJle: return either(kCtxFlagLt, true);
+      case MicroKind::kJg: return either(kCtxFlagLt, false);
+      case MicroKind::kJbe: return either(kCtxFlagLtu, true);
+      default: return either(kCtxFlagLtu, false);  // kJa
+    }
   }
 
   /// Conditional trap through help_op_trap (integer divide / cvtt range).
   void op_trap_jcc(int cc, std::uint32_t msg) {
-    op_stubs_.push_back({{}, pc32(), msg, cur_alloc_});
+    op_stubs_.push_back({{}, pc32(), msg, cur_alloc_, fix()});
     e_.jcc(cc, op_stubs_.back().label);
   }
   void op_trap_jmp(std::uint32_t msg) {
-    op_stubs_.push_back({{}, pc32(), msg, cur_alloc_});
+    op_stubs_.push_back({{}, pc32(), msg, cur_alloc_, fix()});
     e_.jmp(op_stubs_.back().label);
   }
 
@@ -931,16 +1058,13 @@ class Compiler {
 
       // -- control flow (terminators; arrays are current here) --
       case MicroKind::kJmp: jmp_target(tgt); break;
-      case MicroKind::kJe: jcc_flag(kCtxFlagEq, true, tgt); break;
-      case MicroKind::kJne: jcc_flag(kCtxFlagEq, false, tgt); break;
-      case MicroKind::kJl: jcc_flag(kCtxFlagLt, true, tgt); break;
-      case MicroKind::kJge: jcc_flag(kCtxFlagLt, false, tgt); break;
-      case MicroKind::kJb: jcc_flag(kCtxFlagLtu, true, tgt); break;
-      case MicroKind::kJae: jcc_flag(kCtxFlagLtu, false, tgt); break;
-      case MicroKind::kJle: jcc_or(kCtxFlagLt, true, tgt); break;
-      case MicroKind::kJg: jcc_or(kCtxFlagLt, false, tgt); break;
-      case MicroKind::kJbe: jcc_or(kCtxFlagLtu, true, tgt); break;
-      case MicroKind::kJa: jcc_or(kCtxFlagLtu, false, tgt); break;
+      case MicroKind::kJe: case MicroKind::kJne:
+      case MicroKind::kJl: case MicroKind::kJge:
+      case MicroKind::kJb: case MicroKind::kJae:
+      case MicroKind::kJle: case MicroKind::kJg:
+      case MicroKind::kJbe: case MicroKind::kJa:
+        jcc_target(flag_test(kind_of(u)), tgt);
+        break;
 
       case MicroKind::kCall:
         // push64(aux): sp -= 8 commits before the store, as in the
@@ -1591,14 +1715,18 @@ class Compiler {
 
   /// The out-of-line intrinsic path: intrinsics touch neither flags nor pc,
   /// so the helper needs no flag sync or native-address lookup and control
-  /// always falls through.
+  /// always falls through. Inside a region the helper (and a trap exit)
+  /// sees the exact retired count; a normal return re-adds the batch.
   void intrin_helper() {
+    const std::uint32_t f = fix();
+    retire_adjust(-static_cast<std::int64_t>(f));
     e_.mov_mr(R15, kCtxRetired, R14);
     mov_ri32_reloc(RSI, Reloc::Kind::kImm32Pc, pc_);
     e_.mov_rr(RDI, R15);
     e_.call_m(R15, kCtxHelpIntrin);
     e_.test_rr(RAX, RAX);
     e_.jcc(CC_E, exit_tail_);
+    retire_adjust(f);
   }
 
   // --- allocation-aware integer helpers ------------------------------------
@@ -1966,37 +2094,54 @@ class Compiler {
 
   /// A fused pair: compare, conditional branch on the host flags, guest
   /// flag bytes never written (liveness proved no successor reads them).
-  /// Block spills sit between the compare and the branch -- plain movs,
-  /// flags preserved. A fused pair always sits in a covered block (its two
-  /// halves alone satisfy the length >= 2 rule), so the entry guard has
-  /// proved both retires fit the budget: a stop between the halves can only
-  /// happen through the guard, where the driver's interpreter tail runs the
-  /// compare and materialises the flag bytes itself. The R-path after the
-  /// branch is the plain byte-reading jcc template, so every external entry
-  /// at the branch pc (resume after such a stop, re-JIT splice, branch
-  /// target) sees interpreter-identical behaviour. Both retires precede the
-  /// compare because inc clobbers the host flags the branch consumes.
+  /// A fused pair always sits in a region (its two halves alone satisfy the
+  /// length >= 2 rule), so the entry guard has proved both retires fit the
+  /// budget: a stop between the halves can only happen through the guard,
+  /// where the driver's interpreter tail runs the compare and materialises
+  /// the flag bytes itself. Both profile counts precede the compare because
+  /// the count's inc clobbers the host flags the branch consumes.
+  ///
+  /// An internal pair branches to its in-region target label with the
+  /// promoted registers live; its fall-through edge adds the retires the
+  /// taken edge skips. An external pair ends the region: spills sit between
+  /// the compare and the branch (plain movs, flags preserved), and the
+  /// R-path after it is the plain byte-reading jcc template, so every
+  /// external entry at the branch pc (resume after a stop between the
+  /// halves, re-JIT splice, branch target) sees interpreter-identical
+  /// behaviour. An internal pair's R-path is an out-of-line thunk.
   void emit_fused(std::size_t cmp_pc) {
     const MicroOp& c = uops_[cmp_pc];
     const MicroOp& j = uops_[cmp_pc + 1];
     const std::uint64_t tgt = static_cast<std::uint64_t>(j.imm);
     pc_ = cmp_pc;
     prologue(cmp_pc);
-    prologue(cmp_pc + 1);  // covered: count + retire only, flags not yet set
+    prologue(cmp_pc + 1);  // covered: profile count only
     emit_compare(c);
+    stats_.fused_pairs += 1;
+    stats_.native[LoweringStats::kInt] += 1;
+    stats_.native[LoweringStats::kBranch] += 1;
+    const std::int32_t bid = branch_id_[cmp_pc];
+    if (bid >= 0) {
+      RegionBranch& b = branches_[static_cast<std::size_t>(bid)];
+      e_.jcc(fused_cc(kind_of(c), kind_of(j)), b.taken);
+      e_.bind(b.fall);
+      retire_adjust(static_cast<std::int64_t>(tgt - cmp_pc - 2));
+      thunks_.push_back({static_cast<std::uint32_t>(cmp_pc + 1), 0,
+                         cur_alloc_, bid});
+      stats_.region_branches += 1;
+      return;
+    }
     if (cur_alloc_ >= 0)
       emit_spills(allocs_[static_cast<std::size_t>(cur_alloc_)]);
     jcc_target(fused_cc(kind_of(c), kind_of(j)), tgt);
     jmp_target(cmp_pc + 2);
     // R-path: external entries at the branch pc take the unfused template.
     set_alloc(-1);
+    region_ = -1;
     instr_off_[cmp_pc + 1] = static_cast<std::uint32_t>(e_.size());
     pc_ = cmp_pc + 1;
     prologue(cmp_pc + 1);
     emit(j);
-    stats_.fused_pairs += 1;
-    stats_.native[LoweringStats::kInt] += 1;
-    stats_.native[LoweringStats::kBranch] += 1;
   }
 
   // --- coverage accounting -------------------------------------------------
@@ -2027,20 +2172,36 @@ class Compiler {
     e_.jmp_m(R15, kCtxEpilogue);
   }
 
-  /// Out-of-line external entries into allocated block interiors: guard the
-  /// remaining covered length, load the block's promoted registers, then
-  /// jump to the in-body position. Any entry here comes from outside the
-  /// block (resume, branch, re-JIT splice), so the arrays are current.
+  /// Out-of-line external entries into region interiors: guard the longest
+  /// remaining path, load the region's promoted registers, retire the
+  /// entry's batch, then jump to the in-body position. Any entry here comes
+  /// from outside the region (resume, branch, re-JIT splice), so the arrays
+  /// are current. An internal pair's jcc pc gets its R-path here: the
+  /// byte-reading branch into the region's two edges.
   void emit_thunks() {
     for (const Thunk& t : thunks_) {
       instr_off_[t.pc] = static_cast<std::uint32_t>(e_.size());
       const Alloc& a = allocs_[static_cast<std::size_t>(t.alloc)];
-      near_guard(t.pc, a.cover_end - t.pc);
+      thunk_guard(t.pc, a.cover_end - t.pc);
       emit_loads(a);
+      retire_adjust(batch_[t.pc]);
+      if (t.branch >= 0) {
+        RegionBranch& b = branches_[static_cast<std::size_t>(t.branch)];
+        profile_count(t.pc);
+        e_.jcc(flag_test(kind_of(uops_[t.pc])), b.taken);
+        e_.jmp(b.fall);
+        continue;
+      }
       e_.u8(0xE9);
       const std::int64_t rel = static_cast<std::int64_t>(t.body) -
                                (static_cast<std::int64_t>(e_.size()) + 4);
       e_.u32(static_cast<std::uint32_t>(rel));
+    }
+    if (!thunks_.empty()) {
+      e_.bind(thunk_near_);
+      e_.mov_mr(R15, kCtxExitPc, RAX);
+      e_.mov_mi32_d(R15, kCtxExitStatus, kExitBudgetNear);
+      e_.jmp_m(R15, kCtxEpilogue);
     }
   }
 
@@ -2054,9 +2215,9 @@ class Compiler {
       e_.mov_mi32_d(R15, kCtxExitStatus, kExitBudget);
       e_.jmp_m(R15, kCtxEpilogue);
     }
-    // Near stubs fire from a block-entry guard, before the block's loads:
-    // nothing of the block has run, the arrays are current, and the driver
-    // interprets from pc to the exact budget boundary.
+    // Near stubs fire from a region-head guard, before the region's loads
+    // and batch: nothing of the region has run, the arrays are current,
+    // and the driver interprets from pc to the exact budget boundary.
     for (auto& s : near_stubs_) {
       e_.bind(s.label);
       mov_ri32_reloc(RAX, Reloc::Kind::kImm32Pc, s.pc);
@@ -2067,6 +2228,7 @@ class Compiler {
     for (auto& s : mem_stubs_) {
       e_.bind(s.label);
       stub_spill(s.alloc);  // plain movs: RAX (faulting address) survives
+      retire_adjust(-static_cast<std::int64_t>(s.fix));
       e_.mov_rr(RSI, RAX);
       e_.mov_ri32(RDX, s.bytes);
       mov_ri32_reloc(RCX, Reloc::Kind::kImm32Pc, s.pc);
@@ -2079,6 +2241,7 @@ class Compiler {
     for (auto& s : tag_stubs_) {
       e_.bind(s.label);
       stub_spill(s.alloc);  // preserves the bits register (rdx/rcx)
+      retire_adjust(-static_cast<std::int64_t>(s.fix));
       if (s.bits_reg != RSI) e_.mov_rr(RSI, s.bits_reg);
       mov_ri32_reloc(RDX, Reloc::Kind::kImm32Pc, s.pc);
       e_.mov_mr(R15, kCtxRetired, R14);
@@ -2089,6 +2252,7 @@ class Compiler {
     for (auto& s : op_stubs_) {
       e_.bind(s.label);
       stub_spill(s.alloc);
+      retire_adjust(-static_cast<std::int64_t>(s.fix));
       mov_ri32_reloc(RSI, Reloc::Kind::kImm32Pc, s.pc);
       e_.mov_ri32(RDX, s.msg);
       e_.mov_mr(R15, kCtxRetired, R14);

@@ -21,9 +21,15 @@
 //   r15 = JitContext*        r12 = gpr file base     r13 = VM memory base
 //   rbx = xmm file base      r14 = retired counter   rbp = max_instructions
 //
-// Every guest instruction begins with the interpreter's exact sequencing:
-// budget check, (profiled: counter bump), retire. Trapping paths jump to
-// per-site out-of-line stubs that call C++ helpers through the context
+// Uncovered code begins every guest instruction with the interpreter's
+// exact sequencing: budget check, (profiled: counter bump), retire. Covered
+// regions -- straight-line runs that may keep short forward compare+branch
+// diamonds inside -- prove the longest path fits the budget once at entry
+// and retire in batches: each entry adds the all-branches-taken count, each
+// internal fall-through adds what its branch skips, and every exit from
+// inside a region subtracts a static per-pc correction first, so the
+// retired count a helper or trap sees is always exact. Trapping paths jump
+// to per-site out-of-line stubs that call C++ helpers through the context
 // block; helpers compose byte-identical trap messages and never unwind into
 // JIT frames. Every MicroKind has a native template, so compiled code never
 // runs an instruction through an interpreter; the 3-way differential tests
@@ -178,6 +184,7 @@ struct LoweringStats {
   std::uint64_t native[kNumFamilies] = {};
   std::uint64_t helper[kNumFamilies] = {};
   std::uint64_t fused_pairs = 0;  // cmp/test+jcc pairs with flags elided
+  std::uint64_t region_branches = 0;  // fused pairs kept inside a region
   std::uint64_t reg_alloc_blocks = 0;  // blocks that got host registers
   std::uint64_t reg_alloc_slots = 0;   // guest slots promoted across blocks
 
@@ -187,6 +194,7 @@ struct LoweringStats {
       helper[f] += o.helper[f];
     }
     fused_pairs += o.fused_pairs;
+    region_branches += o.region_branches;
     reg_alloc_blocks += o.reg_alloc_blocks;
     reg_alloc_slots += o.reg_alloc_slots;
   }

@@ -614,6 +614,8 @@ TEST(MetricsJson, MatchesParentWriterByteForByte) {
   vm::jit::reset_lowering_totals();
   // Captured from the serializer's previous home in examples/nas_search.cpp
   // on the same struct: keys, key order and number formats must not drift.
+  // Since captured, one key joined: jit_lowering's "region_branches", right
+  // after "fused_pairs".
   const std::string expected = R"json({
   "trials_total": 101,
   "trials_live": 102,
@@ -673,7 +675,7 @@ TEST(MetricsJson, MatchesParentWriterByteForByte) {
   "state_degraded": 142,
   "endpoints": [{"address": "127.0.0.1:7001", "workers": 200, "trials": 201, "cache_hits": 202, "failovers": 203, "reconnects": 204, "disconnects": 205, "busy_seconds": 1.500000, "lost": true, "jit_downgraded": false, "pings": 206, "pongs": 207, "missed_beats": 208, "lease_expiries": 209, "late_results": 210, "redispatched": 211, "breaker_trips": 212, "rtt_p50_us": 213, "rtt_p95_us": 214, "rtt_max_us": 215, "journal_records": 216, "gossip_rounds": 217, "records_repaired": 218, "shards_reloaded": 219, "disk_faults": 220, "state_degraded": false}, {"address": "host\\\"b\":7002", "workers": 230, "trials": 231, "cache_hits": 232, "failovers": 233, "reconnects": 234, "disconnects": 235, "busy_seconds": 1.750000, "lost": false, "jit_downgraded": true, "pings": 236, "pongs": 237, "missed_beats": 238, "lease_expiries": 239, "late_results": 240, "redispatched": 241, "breaker_trips": 242, "rtt_p50_us": 243, "rtt_p95_us": 244, "rtt_max_us": 245, "journal_records": 246, "gossip_rounds": 247, "records_repaired": 248, "shards_reloaded": 249, "disk_faults": 250, "state_degraded": true}],
   "workers": [{"slot": 0, "requests": 300, "respawns": 301, "crashes": 302, "timeouts": 303, "quarantines": 304}, {"slot": 1, "requests": 310, "respawns": 311, "crashes": 312, "timeouts": 313, "quarantines": 314}],
-  "jit_lowering": {"int": {"native": 0, "helper": 0}, "mem": {"native": 0, "helper": 0}, "branch": {"native": 0, "helper": 0}, "call/ret": {"native": 0, "helper": 0}, "f64": {"native": 0, "helper": 0}, "f32": {"native": 0, "helper": 0}, "packed": {"native": 0, "helper": 0}, "bitwise": {"native": 0, "helper": 0}, "convert": {"native": 0, "helper": 0}, "divrem": {"native": 0, "helper": 0}, "intrin": {"native": 0, "helper": 0}, "other": {"native": 0, "helper": 0}, "fused_pairs": 0, "reg_alloc_blocks": 0, "reg_alloc_slots": 0},
+  "jit_lowering": {"int": {"native": 0, "helper": 0}, "mem": {"native": 0, "helper": 0}, "branch": {"native": 0, "helper": 0}, "call/ret": {"native": 0, "helper": 0}, "f64": {"native": 0, "helper": 0}, "f32": {"native": 0, "helper": 0}, "packed": {"native": 0, "helper": 0}, "bitwise": {"native": 0, "helper": 0}, "convert": {"native": 0, "helper": 0}, "divrem": {"native": 0, "helper": 0}, "intrin": {"native": 0, "helper": 0}, "other": {"native": 0, "helper": 0}, "fused_pairs": 0, "region_branches": 0, "reg_alloc_blocks": 0, "reg_alloc_slots": 0},
   "configs_tested": 143,
   "refined": true,
   "final_passed": true

@@ -10,9 +10,11 @@
 // across threads.
 //
 // The JIT additionally gets engine-specific coverage: chunked supervision
-// (deadline + fault injection re-enter compiled code mid-run), and the
+// (deadline + fault injection re-enter compiled code mid-run), the
 // incremental path (a warm-cache re-JIT of a delta trial must behave
-// bit-identically to a cold compile of the same image).
+// bit-identically to a cold compile of the same image), and snippet
+// regions (budget sweeps and tag traps across the batched-retire regions
+// that keep the instrumenter's tag tests inside).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -27,6 +29,7 @@
 #include "config/config.hpp"
 #include "instrument/incremental.hpp"
 #include "instrument/patch.hpp"
+#include "kernels/workload.hpp"
 #include "lang/builder.hpp"
 #include "lang/compile.hpp"
 #include "program/layout.hpp"
@@ -82,19 +85,25 @@ void expect_same(const EngineOut& got, const EngineOut& ref,
   EXPECT_EQ(got.profile, ref.profile) << what;
 }
 
-/// Runs `img` on every engine this host supports (sharing one predecoded
-/// image) and demands bit-identical observable behaviour.
+/// Runs one predecoded image on every engine this host supports and
+/// demands bit-identical observable behaviour (the switch engine is the
+/// oracle).
+void expect_exec_identical(
+    const std::shared_ptr<const vm::ExecutableImage>& exec,
+    const vm::Machine::Options& opts, const std::string& what) {
+  const EngineOut ref = run_engine(exec, vm::Engine::kSwitch, opts);
+  expect_same(run_engine(exec, vm::Engine::kMicroOp, opts), ref,
+              what + " [microop]");
+  if (vm::jit::jit_supported()) {
+    expect_same(run_engine(exec, vm::Engine::kJit, opts), ref,
+                what + " [jit]");
+  }
+}
+
 void expect_engines_identical(const program::Image& img,
                               vm::Machine::Options opts = {},
                               const char* what = "") {
-  const auto exec = vm::ExecutableImage::build(img);
-  const EngineOut ref = run_engine(exec, vm::Engine::kSwitch, opts);
-  expect_same(run_engine(exec, vm::Engine::kMicroOp, opts), ref,
-              std::string(what) + " [microop]");
-  if (vm::jit::jit_supported()) {
-    expect_same(run_engine(exec, vm::Engine::kJit, opts), ref,
-                std::string(what) + " [jit]");
-  }
+  expect_exec_identical(vm::ExecutableImage::build(img), opts, what);
 }
 
 // ---------------------------------------------------------------------------
@@ -185,6 +194,16 @@ lang::ProgramModel random_model(std::uint64_t seed) {
   }
   b.end_func();
   return b.take_model();
+}
+
+/// Trial count for the env-scaled soaks: FPMIX_ENGINE_FUZZ_TRIALS when set
+/// (CI runs deeper), else `fallback` (light for local runs).
+int env_trials(int fallback) {
+  if (const char* env = std::getenv("FPMIX_ENGINE_FUZZ_TRIALS")) {
+    const long n = std::strtol(env, nullptr, 10);
+    if (n > 0) return static_cast<int>(n);
+  }
+  return fallback;
 }
 
 class EngineFuzz : public ::testing::TestWithParam<int> {};
@@ -581,6 +600,217 @@ TEST(EngineDiff, BudgetBoundarySweepOnFuzzedProgram) {
 }
 
 // ---------------------------------------------------------------------------
+// Snippet regions. The JIT keeps each NaN-box tag test the instrumenter
+// emits (a short forward compare+branch) inside one register-allocated
+// region and retires in batches: an entry adds the all-branches-taken count
+// up front, each fall-through adds what its branch skips, and every exit
+// from inside a region subtracts a per-pc correction. Budget stops, traps,
+// intrinsic helpers and profile counts inside such regions must stay exact.
+
+/// The instrumented shapes a search runs: all-double, module-single and two
+/// seeded per-instruction mixes.
+std::vector<std::pair<std::string, program::Image>> instrumented_variants(
+    const program::Image& orig, std::uint64_t seed) {
+  const auto ix = config::StructureIndex::build(program::lift(orig));
+  std::vector<std::pair<std::string, program::Image>> out;
+  out.emplace_back("all-double", instrument::instrument_image(
+                                     orig, ix, config::PrecisionConfig{}));
+  config::PrecisionConfig single;
+  for (std::size_t m = 0; m < ix.modules().size(); ++m) {
+    single.set_module(m, config::Precision::kSingle);
+  }
+  out.emplace_back("module-single",
+                   instrument::instrument_image(orig, ix, single));
+  for (std::uint64_t mix = 0; mix < 2; ++mix) {
+    SplitMix64 rng(seed * 31 + mix);
+    config::PrecisionConfig cfg;
+    for (const std::size_t i : ix.candidates()) {
+      if (rng.next_below(2) == 0) cfg.set_instr(i, config::Precision::kSingle);
+    }
+    out.emplace_back("mix" + std::to_string(mix),
+                     instrument::instrument_image(orig, ix, cfg));
+  }
+  return out;
+}
+
+/// Profile count of `addr` after a micro-op run stopped at `budget`.
+std::uint64_t count_at(const std::shared_ptr<const vm::ExecutableImage>& exec,
+                       std::uint64_t budget, std::uint64_t addr) {
+  vm::Machine::Options opts;
+  opts.profile = true;
+  opts.max_instructions = budget;
+  const EngineOut o = run_engine(exec, vm::Engine::kMicroOp, opts);
+  const auto it = o.profile.find(addr);
+  return it == o.profile.end() ? 0 : it->second;
+}
+
+/// Budgets that stop on every pc of one tag-test diamond (compare, branch,
+/// skipped arm, target), once where the branch is taken and once where it
+/// falls through. Empty when no short forward compare+branch runs both
+/// arms within its first 8 executions. `profile` is a full profiled run.
+std::vector<std::uint64_t> diamond_budgets(
+    const std::shared_ptr<const vm::ExecutableImage>& exec,
+    std::uint64_t full, const std::map<std::uint64_t, std::uint64_t>& profile) {
+  const auto& uops = exec->uops();
+  const auto& code = exec->code();
+  const auto runs = [&](std::size_t i) {
+    const auto it = profile.find(code[i].addr);
+    return it == profile.end() ? 0 : it->second;
+  };
+  for (std::size_t c = 0; c + 2 < uops.size(); ++c) {
+    const auto k = static_cast<vm::MicroKind>(uops[c + 1].kind);
+    if ((code[c].op != Opcode::kCmp && code[c].op != Opcode::kTest) ||
+        k < vm::MicroKind::kJe || k > vm::MicroKind::kJae) {
+      continue;
+    }
+    const auto t = static_cast<std::uint64_t>(uops[c + 1].imm);
+    if (t <= c + 2 || t > c + 24 || t >= uops.size()) continue;
+    // Both arms ran: the arm's first uop ran, but less often than the test.
+    if (runs(c + 2) == 0 || runs(c + 2) >= runs(c)) continue;
+    std::vector<std::uint64_t> budgets;
+    bool seen[2] = {false, false};  // [fell through, taken]
+    for (std::uint64_t nth = 1; nth <= 8 && !(seen[0] && seen[1]); ++nth) {
+      // Smallest budget whose run retires the compare for the nth time.
+      std::uint64_t lo = 1, hi = full;
+      if (count_at(exec, hi, code[c].addr) < nth) break;
+      while (lo < hi) {
+        const std::uint64_t mid = lo + (hi - lo) / 2;
+        if (count_at(exec, mid, code[c].addr) >= nth) {
+          hi = mid;
+        } else {
+          lo = mid + 1;
+        }
+      }
+      const bool fell = count_at(exec, lo + 2, code[c + 2].addr) >
+                        count_at(exec, lo, code[c + 2].addr);
+      if (seen[fell ? 0 : 1]) continue;
+      seen[fell ? 0 : 1] = true;
+      for (std::uint64_t b = lo - 1; b <= lo + (t - c) + 1 && b <= full; ++b) {
+        budgets.push_back(b);
+      }
+    }
+    if (seen[0] && seen[1]) return budgets;
+  }
+  return {};
+}
+
+/// Sweeps the budget over one instrumented image (seeded random values, the
+/// last 40, and a two-armed diamond) with profiling off and on.
+void sweep_budgets(const program::Image& img, std::uint64_t seed,
+                   const std::string& what, bool want_diamond) {
+  const auto exec = vm::ExecutableImage::build(img);
+  vm::Machine::Options profiled;
+  profiled.profile = true;
+  const EngineOut full = run_engine(exec, vm::Engine::kMicroOp, profiled);
+  std::vector<std::uint64_t> budgets;
+  SplitMix64 rng(seed);
+  for (int i = 0; i < 6; ++i) budgets.push_back(1 + rng.next_below(full.retired));
+  for (std::uint64_t b = full.retired > 39 ? full.retired - 39 : 1;
+       b <= full.retired; ++b) {
+    budgets.push_back(b);
+  }
+  if (want_diamond) {
+    const std::vector<std::uint64_t> d =
+        diamond_budgets(exec, full.retired, full.profile);
+    EXPECT_FALSE(d.empty()) << what << ": no two-armed diamond";
+    budgets.insert(budgets.end(), d.begin(), d.end());
+  }
+  for (const bool profile : {false, true}) {
+    vm::Machine::Options opts;
+    opts.profile = profile;
+    expect_exec_identical(exec, opts, what + (profile ? " profiled" : ""));
+    for (const std::uint64_t b : budgets) {
+      opts.max_instructions = b;
+      expect_exec_identical(exec, opts,
+                            what + " budget " + std::to_string(b) +
+                                (profile ? " profiled" : ""));
+    }
+  }
+}
+
+TEST(EngineDiff, InstrumentedBudgetSweepIdentical) {
+  // Fuzzed programs (env-scaled count) and two NAS class-S kernels, each
+  // instrumented four ways. The NAS kernels also sweep one diamond: their
+  // module-single and mixed images are where tag tests run both arms.
+  const int trials = env_trials(2);
+  for (int t = 0; t < trials; ++t) {
+    const std::uint64_t seed = 0x5E610 + static_cast<std::uint64_t>(t) * 977;
+    const program::Image orig = program::relayout(
+        lang::compile(random_model(seed), lang::Mode::kDouble));
+    for (const auto& [name, img] : instrumented_variants(orig, seed)) {
+      sweep_budgets(img, seed, "fuzz " + std::to_string(t) + " " + name,
+                    /*want_diamond=*/false);
+    }
+  }
+  for (const kernels::Workload& w :
+       {kernels::make_sp('S'), kernels::make_ft('S')}) {
+    const program::Image orig = kernels::build_image(w);
+    for (const auto& [name, img] : instrumented_variants(orig, 0x5A5)) {
+      sweep_budgets(img, 0x5A5, w.name + " " + name,
+                    /*want_diamond=*/name != "all-double");
+    }
+  }
+}
+
+TEST(EngineDiff, TagTrapInsideSnippetRegionIdentical) {
+  // One straight-line region holding a downcast-shaped tag test: movq, shr,
+  // cmp with the tag word, je over a retag arm. The addsd after the join
+  // then escapes the sentinel -- a tag trap after an internal branch, inside
+  // the same region, on both arms (boxed input: taken; plain input: the arm
+  // boxes it). The cmp before halt kills the flags, so the pair is fusable.
+  for (const bool boxed : {true, false}) {
+    casm::Assembler a;
+    a.begin_function("main", "main");
+    const std::uint64_t bits =
+        boxed ? arch::make_tagged(1.5f) : std::bit_cast<std::uint64_t>(2.5);
+    a.emit(Opcode::kMov, Operand::gpr(1),
+           Operand::make_imm(static_cast<std::int64_t>(bits)));
+    a.emit(Opcode::kMovqXR, Operand::xmm(0), Operand::gpr(1));
+    a.emit(Opcode::kMovqRX, Operand::gpr(2), Operand::xmm(0));
+    a.emit(Opcode::kShr, Operand::gpr(2), Operand::make_imm(32));
+    a.emit(Opcode::kCmp, Operand::gpr(2),
+           Operand::make_imm(static_cast<std::int64_t>(arch::kReplacedTag)));
+    const auto skip = a.new_label();
+    a.je(skip);
+    a.emit(Opcode::kCvtsd2ss, Operand::xmm(0), Operand::xmm(0));
+    a.emit(Opcode::kMovqRX, Operand::gpr(2), Operand::xmm(0));
+    a.emit(Opcode::kOr, Operand::gpr(2),
+           Operand::make_imm(static_cast<std::int64_t>(arch::kReplacedTagHigh)));
+    a.emit(Opcode::kMovqXR, Operand::xmm(0), Operand::gpr(2));
+    a.bind(skip);
+    a.emit(Opcode::kAddsd, Operand::xmm(0), Operand::xmm(0));
+    a.emit(Opcode::kCmp, Operand::gpr(3), Operand::make_imm(0));
+    a.halt();
+    a.end_function();
+    const program::Image img = program::relayout(a.finish("main"));
+    const auto exec = vm::ExecutableImage::build(img);
+    const std::string what = boxed ? "boxed" : "plain";
+
+    const EngineOut ref = run_engine(exec, vm::Engine::kSwitch, {});
+    EXPECT_EQ(ref.result.status, vm::RunResult::Status::kTrapped) << what;
+    EXPECT_TRUE(ref.result.sentinel_escape) << what;
+    const char* no_regalloc = std::getenv("FPMIX_JIT_NO_REGALLOC");
+    if (vm::jit::jit_supported() &&
+        !(no_regalloc && no_regalloc[0] && no_regalloc[0] != '0')) {
+      // The je really is an internal branch of a covered region.
+      const auto blob = vm::jit::compile_stream(exec->uops(), {});
+      EXPECT_EQ(blob->stats.region_branches, 1u) << what;
+    }
+    // Every budget, so stops land on each pc of the diamond and the trap.
+    for (const bool profile : {false, true}) {
+      vm::Machine::Options opts;
+      opts.profile = profile;
+      expect_exec_identical(exec, opts, what);
+      for (std::uint64_t b = 1; b <= ref.retired; ++b) {
+        opts.max_instructions = b;
+        expect_exec_identical(exec, opts,
+                              what + " budget " + std::to_string(b));
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Shared predecoded images.
 
 TEST(SharedExecImage, ManyMachinesAcrossThreads) {
@@ -730,14 +960,10 @@ TEST(JitEngine, DeltaReJitIsBitIdenticalToColdCompile) {
 }
 
 TEST(JitEngine, EnvScaledFuzzAcrossAllEngines) {
-  // Deeper soak for CI: FPMIX_ENGINE_FUZZ_TRIALS scales the trial count
-  // (default stays light for local runs). Every trial runs original and
-  // all-single instrumented builds on all available engines.
-  int trials = 6;
-  if (const char* env = std::getenv("FPMIX_ENGINE_FUZZ_TRIALS")) {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 0) trials = static_cast<int>(n);
-  }
+  // Deeper soak for CI: FPMIX_ENGINE_FUZZ_TRIALS scales the trial count.
+  // Every trial runs original and all-single instrumented builds on all
+  // available engines.
+  const int trials = env_trials(6);
   for (int t = 0; t < trials; ++t) {
     const std::uint64_t seed = 0x17F0 + static_cast<std::uint64_t>(t) * 131;
     const lang::ProgramModel model = random_model(seed);

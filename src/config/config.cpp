@@ -89,15 +89,6 @@ Precision PrecisionConfig::resolve(const StructureIndex& index,
   return Precision::kDouble;
 }
 
-std::map<std::uint64_t, Precision> PrecisionConfig::address_map(
-    const StructureIndex& index) const {
-  std::map<std::uint64_t, Precision> out;
-  for (std::size_t i = 0; i < index.instrs().size(); ++i) {
-    out[index.instrs()[i].addr] = resolve(index, i);
-  }
-  return out;
-}
-
 std::vector<std::size_t> PrecisionConfig::replaced_candidates(
     const StructureIndex& index) const {
   std::vector<std::size_t> out;

@@ -43,11 +43,6 @@ class PrecisionConfig {
   /// overrides: module > function > block > instruction > default(double).
   Precision resolve(const StructureIndex& index, std::size_t i) const;
 
-  /// Effective precision per original instruction address (what the
-  /// instrumenter consumes). Includes every instruction.
-  std::map<std::uint64_t, Precision> address_map(
-      const StructureIndex& index) const;
-
   /// Candidate instruction ids that resolve to kSingle.
   std::vector<std::size_t> replaced_candidates(
       const StructureIndex& index) const;

@@ -151,9 +151,6 @@ CancellationResult instrument_cancellation(
 
   // Pass 2: splice the analysis snippets.
   std::size_t next_slot = 0;
-  const auto would_wrap = [](const Instr& ins) {
-    return is_cancellation_site(ins);
-  };
   const auto factory =
       [&](const Instr& ins) -> std::optional<SnippetChain> {
     if (!is_cancellation_site(ins)) return std::nullopt;
@@ -164,7 +161,7 @@ CancellationResult instrument_cancellation(
   };
   InstrumentStats stats;
   const program::Program patched =
-      splice_snippets(prog, would_wrap, factory, &stats);
+      splice_snippets(prog, factory, &stats);
   FPMIX_CHECK(next_slot == sites);
   out.image = program::relayout(patched);
   return out;

@@ -1,6 +1,5 @@
 #include "instrument/incremental.hpp"
 
-#include <map>
 #include <utility>
 
 #include "support/error.hpp"
@@ -8,35 +7,11 @@
 namespace fpmix::instrument {
 
 IncrementalPatcher::IncrementalPatcher(const program::Image& original,
-                                       const config::StructureIndex& index,
-                                       InstrumentOptions options)
-    : prog_(program::lift(original)),
-      index_(index),
-      options_(std::move(options)) {
+                                       const config::StructureIndex& index)
+    : prog_(program::lift(original)), index_(index) {
   prog_.validate();
   FPMIX_CHECK(index_.funcs().size() == prog_.functions.size());
-  func_instrs_.resize(prog_.functions.size());
-  for (std::size_t i = 0; i < index_.instrs().size(); ++i) {
-    func_instrs_[index_.instrs()[i].func].push_back(i);
-  }
   variants_.resize(prog_.functions.size());
-}
-
-std::string IncrementalPatcher::signature_of(
-    std::size_t f, const config::PrecisionConfig& cfg) const {
-  const auto& instrs = func_instrs_[f];
-  std::string sig;
-  sig.reserve(instrs.size());
-  for (std::size_t i : instrs) {
-    config::Precision p = cfg.resolve(index_, i);
-    // Mirror instrument_function's demotion rule so configs that differ
-    // only in unreplaceable ways share a variant.
-    if (p == config::Precision::kSingle && !index_.instrs()[i].candidate) {
-      p = config::Precision::kDouble;
-    }
-    sig.push_back(config::precision_flag(p));
-  }
-  return sig;
 }
 
 IncrementalPatcher::Build IncrementalPatcher::patch(
@@ -47,22 +22,16 @@ IncrementalPatcher::Build IncrementalPatcher::patch(
   b.variants.resize(n);
   std::vector<const program::FuncLayout*> layouts(n);
   for (std::size_t f = 0; f < n; ++f) {
-    std::string sig = signature_of(f, cfg);
+    const program::Function& fn = prog_.functions[f];
+    std::string sig = precision_signature(index_, cfg, f, fn);
     auto& cache = variants_[f];
     auto it = cache.find(sig);
     if (it == cache.end()) {
       ++variant_misses_;
       if (cache.size() >= kMaxVariantsPerFunc) cache.clear();
-      // Un-demoted precisions: instrument_function applies the demotion
-      // rule itself, exactly as the from-scratch path does.
-      std::map<std::uint64_t, config::Precision> pmap;
-      for (std::size_t i : func_instrs_[f]) {
-        pmap[index_.instrs()[i].addr] = cfg.resolve(index_, i);
-      }
       FuncVariant v;
-      const program::Function pf =
-          instrument_function(prog_.functions[f], pmap, &v.stats, options_);
-      v.layout = program::layout_function(pf);
+      v.layout =
+          program::layout_function(instrument_function(fn, sig, &v.stats));
       it = cache.emplace(std::move(sig), std::move(v)).first;
     } else {
       ++variant_hits_;

@@ -4,20 +4,19 @@
 // that differ from a baseline in a single module/function/block/instruction
 // subtree, yet the straightforward pipeline re-instruments and re-encodes
 // the whole program for each of them. IncrementalPatcher keys each
-// function's instrumented form by its *effective precision signature* (the
-// resolved precision of every instruction in the function, after the
-// non-candidate demotion rule) and re-runs splice/layout only for functions
-// whose signature has not been seen before. Predecode results are cached
-// the same way as shared vm::CodeSegments, which
+// function's instrumented form by its *effective precision signature*
+// (instrument::precision_signature) and re-runs splice/layout only for
+// functions whose signature has not been seen before. Predecode results are
+// cached the same way as shared vm::CodeSegments, which
 // vm::ExecutableImage::build_spliced rebases into a full image without
 // re-decoding or re-lowering.
 //
-// Equivalence: the signature captures every input that instrument_function
-// reads for the function (tag-state dataflow is intra-block, so functions
-// patch independently), and layout_function + assemble is the exact code
-// path relayout() takes -- an incrementally built image is bit-identical to
-// a from-scratch instrument_image() by construction, which
-// tests/incremental_test.cpp verifies differentially.
+// Equivalence: the signature *is* instrument_function's input for the
+// function -- instrument() builds the same signature and patches from it --
+// and layout_function + assemble is the exact code path relayout() takes,
+// so an incrementally built image is bit-identical to a from-scratch
+// instrument_image() by construction, which tests/incremental_test.cpp
+// verifies differentially.
 #pragma once
 
 #include <cstdint>
@@ -63,13 +62,13 @@ class IncrementalPatcher {
   /// Lifts `original` once. `index` must have been built from this image
   /// and must outlive the patcher.
   IncrementalPatcher(const program::Image& original,
-                     const config::StructureIndex& index,
-                     InstrumentOptions options = {});
+                     const config::StructureIndex& index);
 
   /// Instruments + lays out only the functions whose effective precision
   /// signature under `cfg` is new, splicing cached layouts elsewhere, and
   /// assembles the full image. Bit-identical to
-  /// instrument_image(original, index, cfg, options).
+  /// instrument_image(original, index, cfg); throws ProgramError where it
+  /// would (a stale index).
   Build patch(const config::PrecisionConfig& cfg);
 
   /// Predecodes `build` into an executable, building segments only for
@@ -80,12 +79,6 @@ class IncrementalPatcher {
   std::size_t variant_misses() const { return variant_misses_; }
 
  private:
-  /// Effective precision of every instruction of function `f` under `cfg`,
-  /// one precision-flag char per instruction: the complete input of
-  /// instrument_function for this function.
-  std::string signature_of(std::size_t f,
-                           const config::PrecisionConfig& cfg) const;
-
   /// Per-function variant cap; a full cache is cleared wholesale (the
   /// search's locality makes thrashing here essentially impossible, the cap
   /// only bounds memory on adversarial workloads).
@@ -93,8 +86,6 @@ class IncrementalPatcher {
 
   program::Program prog_;
   const config::StructureIndex& index_;
-  InstrumentOptions options_;
-  std::vector<std::vector<std::size_t>> func_instrs_;  // instr ids per func
   std::vector<std::unordered_map<std::string, FuncVariant>> variants_;
   std::size_t variant_hits_ = 0;
   std::size_t variant_misses_ = 0;

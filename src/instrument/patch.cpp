@@ -41,9 +41,13 @@ program::BlockIndex decode_old(program::BlockIndex e) {
 /// live across an instrumented instruction (snippets clobber flags). Our
 /// code generator always emits compare+branch adjacently, so this never
 /// fires on DSL-built binaries; it protects hand-written programs.
-void check_flag_liveness(const program::Function& fn,
-                         const program::BasicBlock& blk,
-                         const WrapPredicate& would_wrap) {
+/// `chains[i]` is the factory's answer for `blk.instrs[i]`.
+void check_flag_liveness(
+    const program::Function& fn, const program::BasicBlock& blk,
+    const std::vector<std::optional<SnippetChain>>& chains) {
+  const auto would_wrap = [&](std::ptrdiff_t i) {
+    return chains[static_cast<std::size_t>(i)].has_value();
+  };
   if (!blk.ends_with_cond_branch()) return;
   // Find the last flag setter before the terminator.
   std::ptrdiff_t setter = -1;
@@ -53,8 +57,8 @@ void check_flag_liveness(const program::Function& fn,
   }
   for (std::ptrdiff_t i = setter + 1;
        i < static_cast<std::ptrdiff_t>(blk.instrs.size()) - 1; ++i) {
-    const Instr& ins = blk.instrs[static_cast<std::size_t>(i)];
-    if (would_wrap(ins)) {
+    if (would_wrap(i)) {
+      const Instr& ins = blk.instrs[static_cast<std::size_t>(i)];
       throw ProgramError(strformat(
           "function %s: flags are live across instrumented instruction "
           "'%s' at 0x%llx",
@@ -65,8 +69,9 @@ void check_flag_liveness(const program::Function& fn,
   if (setter == -1) {
     // Flags flow in from a predecessor; any snippet in this block would
     // clobber them before the terminator consumes them.
-    for (std::size_t i = 0; i + 1 < blk.instrs.size(); ++i) {
-      if (would_wrap(blk.instrs[i])) {
+    for (std::ptrdiff_t i = 0;
+         i + 1 < static_cast<std::ptrdiff_t>(blk.instrs.size()); ++i) {
+      if (would_wrap(i)) {
         throw ProgramError(strformat(
             "function %s: block consumes inherited flags but contains "
             "instrumented instructions", fn.name.c_str()));
@@ -114,16 +119,21 @@ class TagStateTracker {
     }
   }
 
-  /// Updates state after a wrapped instruction: checked inputs were
-  /// converted in place (write-back), and the result is boxed (single) or
-  /// plain (double).
+  /// Updates state after a wrapped instruction: exactly the registers the
+  /// snippet checked were converted in place (write-back), and an f64
+  /// result is boxed (single) or plain (double).
   void step_wrapped(const Instr& ins, bool single) {
     const arch::OpcodeInfo& info = arch::opcode_info(ins.op);
     const TagState converted =
         single ? TagState::kTagged : TagState::kPlain;
     if (ins.op == Opcode::kIntrin) {
-      states_[0] = converted;
-      states_[1] = converted;  // conservative: arg state after conversion
+      // Arguments live in xmm0.. and an f64 result replaces xmm0 in the
+      // same form as the converted arguments.
+      const in::IntrinInfo& ii =
+          in::intrin_info(static_cast<in::Id>(ins.src.imm));
+      for (std::uint8_t a = 0; a < ii.num_f64_args; ++a) {
+        states_[a] = converted;
+      }
       return;
     }
     if (info.fp_lanes == 2) {
@@ -138,8 +148,11 @@ class TagStateTracker {
     if (info.reads_src_f64 && ins.src.is_xmm()) {
       states_[ins.src.reg] = converted;
     }
-    if (info.writes_dst_f64 && ins.dst.is_xmm()) {
-      states_[ins.dst.reg] = converted;
+    if (ins.dst.is_xmm() && !sets_flags(ins.op)) {
+      // Compares only read their dst; any other xmm dst is overwritten, and
+      // a non-f64 result (cvtsd2ss's float) has no known tag state.
+      states_[ins.dst.reg] =
+          info.writes_dst_f64 ? converted : TagState::kUnknown;
     }
   }
 
@@ -163,14 +176,9 @@ program::Program copy_meta(const program::Program& prog) {
 }  // namespace
 
 program::Function splice_function(const program::Function& fn,
-                                  const WrapPredicate& would_wrap,
                                   const SnippetFactory& factory,
                                   InstrumentStats* stats,
                                   const std::function<void()>& on_block_start) {
-  for (const program::BasicBlock& blk : fn.blocks) {
-    check_flag_liveness(fn, blk, would_wrap);
-  }
-
   program::Function nf;
   nf.name = fn.name;
   nf.module = fn.module;
@@ -178,17 +186,22 @@ program::Function splice_function(const program::Function& fn,
 
   std::vector<program::BlockIndex> head_of_old(fn.blocks.size());
   std::vector<program::BasicBlock> blocks;
+  std::vector<std::optional<SnippetChain>> chains;
 
   for (std::size_t bi = 0; bi < fn.blocks.size(); ++bi) {
     const program::BasicBlock& blk = fn.blocks[bi];
     head_of_old[bi] = static_cast<program::BlockIndex>(blocks.size());
 
+    if (on_block_start) on_block_start();
+    chains.clear();
+    for (const Instr& ins : blk.instrs) chains.push_back(factory(ins));
+    check_flag_liveness(fn, blk, chains);
+
     program::BasicBlock cur;
     cur.orig_addr = blk.orig_addr;
-    if (on_block_start) on_block_start();
-
-    for (const Instr& ins : blk.instrs) {
-      std::optional<SnippetChain> chain = factory(ins);
+    for (std::size_t ii = 0; ii < blk.instrs.size(); ++ii) {
+      const Instr& ins = blk.instrs[ii];
+      std::optional<SnippetChain>& chain = chains[ii];
       if (!chain.has_value()) {
         cur.instrs.push_back(ins);
         continue;
@@ -250,7 +263,6 @@ program::Function splice_function(const program::Function& fn,
 }
 
 program::Program splice_snippets(const program::Program& prog,
-                                 const WrapPredicate& would_wrap,
                                  const SnippetFactory& factory,
                                  InstrumentStats* stats,
                                  const std::function<void()>& on_block_start) {
@@ -258,86 +270,94 @@ program::Program splice_snippets(const program::Program& prog,
   program::Program out = copy_meta(prog);
   for (const program::Function& fn : prog.functions) {
     out.functions.push_back(
-        splice_function(fn, would_wrap, factory, stats, on_block_start));
+        splice_function(fn, factory, stats, on_block_start));
   }
   out.validate();
   return out;
 }
 
-program::Function instrument_function(
-    const program::Function& fn,
-    const std::map<std::uint64_t, config::Precision>& pmap,
-    InstrumentStats* stats, const InstrumentOptions& options) {
-  InstrumentStats local;
-
-  const auto effective_precision = [&](const Instr& ins) {
-    auto it = pmap.find(ins.addr);
-    if (it == pmap.end()) {
-      throw ProgramError(strformat(
-          "instruction at 0x%llx is unknown to the structure index "
-          "(stale index?)",
-          static_cast<unsigned long long>(ins.addr)));
-    }
-    Precision p = it->second;
-    // A `single` flag on an aggregate also covers non-candidate FP
-    // instructions inside it (e.g. conversions, output calls); those
-    // execute in double precision with tag checks.
-    if (p == Precision::kSingle && !config::is_candidate_instr(ins)) {
-      p = Precision::kDouble;
-    }
-    return p;
+std::string precision_signature(const config::StructureIndex& index,
+                                const config::PrecisionConfig& cfg,
+                                std::size_t f, const program::Function& fn) {
+  const auto stale = [&] {
+    return ProgramError(strformat(
+        "function %s at 0x%llx is unknown to the structure index (stale "
+        "index?)",
+        fn.name.c_str(), static_cast<unsigned long long>(fn.orig_addr)));
   };
+  if (f >= index.funcs().size()) throw stale();
+  const config::FuncEntry& fe = index.funcs()[f];
+  if (fe.blocks.size() != fn.blocks.size()) throw stale();
+  std::string sig;
+  for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
+    const std::vector<Instr>& instrs = fn.blocks[b].instrs;
+    const std::vector<std::size_t>& ids = index.blocks()[fe.blocks[b]].instrs;
+    if (ids.size() != instrs.size()) throw stale();
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      const config::InstrEntry& ie = index.instrs()[ids[k]];
+      if (ie.addr != instrs[k].addr) throw stale();
+      Precision p = cfg.resolve(index, ids[k]);
+      // A `single` flag on an aggregate also covers non-candidate FP
+      // instructions inside it (e.g. conversions, output calls); those
+      // execute in double precision with tag checks.
+      if (p == Precision::kSingle && !ie.candidate) p = Precision::kDouble;
+      sig.push_back(config::precision_flag(p));
+    }
+  }
+  return sig;
+}
+
+program::Function instrument_function(const program::Function& fn,
+                                      std::string_view signature,
+                                      InstrumentStats* stats) {
+  InstrumentStats local;
 
   // The dataflow facts are strictly intra-block: the tracker resets at
   // every block head (blocks can have multiple predecessors with different
   // tag states).
   TagStateTracker tracker;
-  tracker.reset();
-
-  const auto would_wrap = [&](const Instr& ins) {
-    return needs_snippet(ins, effective_precision(ins));
-  };
+  std::size_t next = 0;
 
   const auto factory = [&](const Instr& ins) -> std::optional<SnippetChain> {
-    const Precision p = effective_precision(ins);
-    if (p == Precision::kIgnore) ++local.ignored;
-    if (!needs_snippet(ins, p)) {
-      if (options.dataflow_optimize) tracker.step_unwrapped(ins);
+    FPMIX_CHECK(next < signature.size());
+    const std::optional<Precision> p =
+        config::precision_from_flag(signature[next++]);
+    FPMIX_CHECK(p.has_value());
+    if (*p == Precision::kIgnore) ++local.ignored;
+    if (!needs_snippet(ins, *p)) {
+      tracker.step_unwrapped(ins);
       return std::nullopt;
     }
-    const bool single =
-        p == Precision::kSingle && config::is_candidate_instr(ins);
-    SnippetOptions sopts = options.snippet;
-    if (options.dataflow_optimize) {
-      sopts.dst_state = tracker.state_of(ins.dst);
-      sopts.src_state = tracker.state_of(ins.src);
-      if (sopts.dst_state != TagState::kUnknown) ++local.checks_elided;
-      if (sopts.src_state != TagState::kUnknown) ++local.checks_elided;
-      tracker.step_wrapped(ins, single);
-    }
+    SnippetOptions sopts;
+    sopts.dst_state = tracker.state_of(ins.dst);
+    sopts.src_state = tracker.state_of(ins.src);
+    if (sopts.dst_state != TagState::kUnknown) ++local.checks_elided;
+    if (sopts.src_state != TagState::kUnknown) ++local.checks_elided;
+    const bool single = *p == Precision::kSingle;
+    tracker.step_wrapped(ins, single);
     if (single) ++local.replaced_single;
-    return build_snippet(ins, p, sopts);
+    return build_snippet(ins, *p, sopts);
   };
 
   program::Function nf =
-      splice_function(fn, would_wrap, factory, &local, [&] { tracker.reset(); });
+      splice_function(fn, factory, &local, [&] { tracker.reset(); });
+  FPMIX_CHECK(next == signature.size());
   if (stats != nullptr) *stats = local;
   return nf;
 }
 
 InstrumentResult instrument(const program::Program& prog,
                             const config::StructureIndex& index,
-                            const config::PrecisionConfig& cfg,
-                            const InstrumentOptions& options) {
-  const std::map<std::uint64_t, Precision> pmap = cfg.address_map(index);
+                            const config::PrecisionConfig& cfg) {
   prog.validate();
 
   InstrumentResult result;
   result.patched = copy_meta(prog);
-  for (const program::Function& fn : prog.functions) {
+  for (std::size_t f = 0; f < prog.functions.size(); ++f) {
+    const program::Function& fn = prog.functions[f];
     InstrumentStats fs;
-    result.patched.functions.push_back(
-        instrument_function(fn, pmap, &fs, options));
+    result.patched.functions.push_back(instrument_function(
+        fn, precision_signature(index, cfg, f, fn), &fs));
     result.stats.add(fs);
   }
   result.patched.validate();
@@ -347,10 +367,9 @@ InstrumentResult instrument(const program::Program& prog,
 program::Image instrument_image(const program::Image& image,
                                 const config::StructureIndex& index,
                                 const config::PrecisionConfig& cfg,
-                                InstrumentStats* stats,
-                                const InstrumentOptions& options) {
+                                InstrumentStats* stats) {
   const program::Program prog = program::lift(image);
-  InstrumentResult r = instrument(prog, index, cfg, options);
+  InstrumentResult r = instrument(prog, index, cfg);
   if (stats != nullptr) *stats = r.stats;
   return program::relayout(r.patched);
 }

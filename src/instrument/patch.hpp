@@ -12,11 +12,11 @@
 // instrumenter (instrument/cancellation.hpp).
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
-#include <map>
 #include <optional>
-#include <vector>
+#include <string>
+#include <string_view>
 
 #include "config/config.hpp"
 #include "config/structure.hpp"
@@ -45,16 +45,6 @@ struct InstrumentStats {
   }
 };
 
-struct InstrumentOptions {
-  SnippetOptions snippet;
-  /// Intra-block tag-state dataflow (the paper's Section 2.5: "static data
-  /// flow analysis could improve overheads by detecting instructions that
-  /// never encounter replaced double-precision numbers"): when a register's
-  /// boxed/plain state is statically known, the snippet's sentinel test for
-  /// that operand is elided or strength-reduced.
-  bool dataflow_optimize = false;
-};
-
 struct InstrumentResult {
   program::Program patched;
   InstrumentStats stats;
@@ -64,62 +54,65 @@ struct InstrumentResult {
 /// have been built from this same program (instruction addresses are the
 /// join key). Throws ProgramError when the program violates the
 /// instrumentation preconditions (flags or scratch registers live across an
-/// instrumented instruction).
+/// instrumented instruction) or does not match the index.
 InstrumentResult instrument(const program::Program& prog,
                             const config::StructureIndex& index,
-                            const config::PrecisionConfig& cfg,
-                            const InstrumentOptions& options = {});
+                            const config::PrecisionConfig& cfg);
 
 /// End-to-end convenience: lift the image, patch it, rewrite it. This is the
 /// paper's whole pipeline: binary in, mixed-precision binary out.
 program::Image instrument_image(const program::Image& image,
                                 const config::StructureIndex& index,
                                 const config::PrecisionConfig& cfg,
-                                InstrumentStats* stats = nullptr,
-                                const InstrumentOptions& options = {});
+                                InstrumentStats* stats = nullptr);
 
 // ---------------------------------------------------------------------------
-// Incremental patching.
+// Per-function instrumentation.
 
-/// Patches ONE function against a whole-program address -> effective
-/// precision map (see PrecisionConfig::address_map; the map needs entries
-/// only for this function's instructions). Per-instruction decisions are
-/// identical to instrument()'s -- the tag-state dataflow is intra-block, so
-/// patching functions independently is equivalent by construction. `*stats`
-/// receives counters for this function alone.
-program::Function instrument_function(
-    const program::Function& fn,
-    const std::map<std::uint64_t, config::Precision>& pmap,
-    InstrumentStats* stats, const InstrumentOptions& options = {});
+/// The effective-precision signature of function `f` (`fn`, as lifted from
+/// the program `index` was built from) under `cfg`: one precision flag
+/// (config::precision_flag) per original instruction, in program order,
+/// after aggregate overrides and the non-candidate demotion. It is the whole
+/// per-function input of instrument_function, so equal signatures yield
+/// identical instrumented functions. Throws ProgramError when `fn`'s
+/// instructions are not the ones the index lists for `f` (stale index).
+std::string precision_signature(const config::StructureIndex& index,
+                                const config::PrecisionConfig& cfg,
+                                std::size_t f, const program::Function& fn);
+
+/// Patches ONE function from its precision_signature. Sentinel tests whose
+/// outcome the intra-block tag-state dataflow decides statically (the
+/// paper's Section 2.5) are elided or strength-reduced; the facts never
+/// cross a block head, so functions patch independently. `*stats` receives
+/// counters for this function alone.
+program::Function instrument_function(const program::Function& fn,
+                                      std::string_view signature,
+                                      InstrumentStats* stats);
 
 // ---------------------------------------------------------------------------
 // Generic splice engine.
 
 /// Returns the snippet chain replacing `ins`, or nullopt to keep the
 /// instruction untouched. Called exactly once per instruction, in program
-/// order within each block.
+/// order; its answers also decide the flags-liveness check.
 using SnippetFactory =
     std::function<std::optional<SnippetChain>(const arch::Instr& ins)>;
-
-/// Predicate used for the flags-liveness precondition check ("would this
-/// instruction be wrapped?").
-using WrapPredicate = std::function<bool(const arch::Instr& ins)>;
 
 /// Rebuilds every function of `prog`, replacing instructions selected by
 /// `factory` with their snippet chains (block split + edge rewire). Also
 /// enforces that condition flags are not live across any wrapped
 /// instruction.
 program::Program splice_snippets(const program::Program& prog,
-                                 const WrapPredicate& would_wrap,
                                  const SnippetFactory& factory,
                                  InstrumentStats* stats,
                                  const std::function<void()>& on_block_start =
                                      nullptr);
 
-/// Single-function core of splice_snippets: liveness precondition check for
-/// the function's blocks, then the block split/splice rebuild.
+/// Single-function core of splice_snippets. `on_block_start` runs before
+/// the factory sees each original block's instructions. With build_snippet
+/// and one explicit SnippetOptions as the factory, this is the unelided
+/// reference that instrument_function is tested against.
 program::Function splice_function(const program::Function& fn,
-                                  const WrapPredicate& would_wrap,
                                   const SnippetFactory& factory,
                                   InstrumentStats* stats,
                                   const std::function<void()>& on_block_start =

@@ -1,11 +1,13 @@
 // Tests for the extension features: intra-block dataflow check elision
-// (paper Section 2.5), the tag-check ablation knob, cancellation-detection
+// (paper Section 2.5) against the unelided splice-engine reference, the
+// tag-check ablation knob, cancellation-detection
 // instrumentation (Section 4.4), and the composition-refinement second
 // search phase (Section 3.1's suggestion).
 #include <gtest/gtest.h>
 
 #include <bit>
 
+#include "asm/assembler.hpp"
 #include "instrument/cancellation.hpp"
 #include "instrument/patch.hpp"
 #include "kernels/workload.hpp"
@@ -13,6 +15,7 @@
 #include "lang/compile.hpp"
 #include "program/layout.hpp"
 #include "program/program.hpp"
+#include "reference_instrument.hpp"
 #include "search/search.hpp"
 #include "verify/evaluate.hpp"
 #include "vm/machine.hpp"
@@ -33,8 +36,9 @@ class DataflowSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(DataflowSweep, ElisionPreservesResultsBitForBit) {
   // For several kernels and both all-double and all-single configurations,
-  // the dataflow-optimized binary must produce bit-identical outputs with
-  // strictly fewer snippet instructions.
+  // the production (dataflow-elided) binary must produce outputs
+  // bit-identical to the unelided reference with strictly fewer snippet
+  // instructions.
   const int param = GetParam();
   kernels::Workload w;
   switch (param % 4) {
@@ -56,11 +60,9 @@ TEST_P(DataflowSweep, ElisionPreservesResultsBitForBit) {
 
   instrument::InstrumentStats base_stats, opt_stats;
   const program::Image base =
-      instrument::instrument_image(orig, ix, cfg, &base_stats);
-  instrument::InstrumentOptions opts;
-  opts.dataflow_optimize = true;
+      reference::instrument_image(orig, ix, cfg, {}, &base_stats);
   const program::Image optimized =
-      instrument::instrument_image(orig, ix, cfg, &opt_stats, opts);
+      instrument::instrument_image(orig, ix, cfg, &opt_stats);
 
   vm::Machine mb(base), mo(optimized);
   const vm::RunResult rb = mb.run();
@@ -97,11 +99,84 @@ TEST(Dataflow, ElidesChainedRegisterChecks) {
   const auto ix = StructureIndex::build(program::lift(orig));
   PrecisionConfig cfg;
   cfg.set_module(0, Precision::kSingle);
-  instrument::InstrumentOptions opts;
-  opts.dataflow_optimize = true;
   instrument::InstrumentStats stats;
-  instrument::instrument_image(orig, ix, cfg, &stats, opts);
+  instrument::instrument_image(orig, ix, cfg, &stats);
   EXPECT_GT(stats.checks_elided, 0u);
+}
+
+/// Runs `orig` instrumented under `cfg` by production and by the unelided
+/// reference; returns both single outputs' bit patterns.
+std::pair<std::uint64_t, std::uint64_t> elided_and_reference_output(
+    casm::Assembler& as, const std::vector<Precision>& flags) {
+  const program::Image orig = program::relayout(as.finish("main"));
+  const auto ix = StructureIndex::build(program::lift(orig));
+  PrecisionConfig cfg;
+  for (std::size_t i = 0; i < flags.size(); ++i) cfg.set_instr(i, flags[i]);
+  const auto output = [](const program::Image& img) {
+    vm::Machine m(img);
+    const vm::RunResult r = m.run();
+    EXPECT_TRUE(r.ok()) << r.trap_message;
+    EXPECT_EQ(m.output_f64().size(), 1u);
+    return m.output_f64().empty()
+               ? 0
+               : std::bit_cast<std::uint64_t>(m.output_f64()[0]);
+  };
+  return {output(instrument::instrument_image(orig, ix, cfg)),
+          output(reference::instrument_image(orig, ix, cfg))};
+}
+
+TEST(Dataflow, WrappedIntrinsicConvertsOnlyItsArguments) {
+  // xmm1 = 4.0 (plain, from a double addsd); a single exp converts only its
+  // argument xmm0, so the single addsd must still narrow xmm1.
+  using arch::Opcode;
+  using arch::Operand;
+  casm::Assembler as;
+  as.begin_function("main", "main");
+  const auto two =
+      Operand::mem_abs(static_cast<std::int32_t>(as.data_f64(2.0)));
+  as.emit(Opcode::kMovsdXM, Operand::xmm(1), two);
+  as.emit(Opcode::kAddsd, Operand::xmm(1), Operand::xmm(1));   // double
+  as.emit(Opcode::kMovsdXM, Operand::xmm(0), two);
+  as.intrin(arch::intrinsics::Id::kExp);                       // single
+  as.emit(Opcode::kAddsd, Operand::xmm(1), Operand::xmm(1));   // single
+  as.emit(Opcode::kMovsdXX, Operand::xmm(0), Operand::xmm(1));
+  as.intrin(arch::intrinsics::Id::kOutputF64);
+  as.halt();
+  as.end_function();
+  const auto d = Precision::kDouble, s = Precision::kSingle;
+  const auto [elided, ref] =
+      elided_and_reference_output(as, {d, d, d, s, s, d, d, d});
+  EXPECT_EQ(ref, std::bit_cast<std::uint64_t>(8.0));
+  EXPECT_EQ(elided, ref);
+}
+
+TEST(Dataflow, ConversionToFloatForgetsTheDestinationState) {
+  // xmm1 is boxed by a single addsd, then overwritten by cvtsd2ss: its
+  // float result is neither boxed nor a double, so the double addsd that
+  // follows must run the full check.
+  using arch::Opcode;
+  using arch::Operand;
+  casm::Assembler as;
+  as.begin_function("main", "main");
+  const auto one =
+      Operand::mem_abs(static_cast<std::int32_t>(as.data_f64(1.0)));
+  const auto three =
+      Operand::mem_abs(static_cast<std::int32_t>(as.data_f64(3.0)));
+  as.emit(Opcode::kMovsdXM, Operand::xmm(1), one);
+  as.emit(Opcode::kAddsd, Operand::xmm(1), Operand::xmm(1));   // single
+  as.emit(Opcode::kMovsdXM, Operand::xmm(2), three);
+  as.emit(Opcode::kCvtsd2ss, Operand::xmm(1), Operand::xmm(2));
+  as.emit(Opcode::kAddsd, Operand::xmm(1), Operand::xmm(1));   // double
+  as.emit(Opcode::kMovsdXX, Operand::xmm(0), Operand::xmm(1));
+  as.intrin(arch::intrinsics::Id::kOutputF64);
+  as.halt();
+  as.end_function();
+  const auto d = Precision::kDouble, s = Precision::kSingle;
+  const auto [elided, ref] =
+      elided_and_reference_output(as, {d, s, d, d, d, d, d, d});
+  // 3.0f's bits in the low word, doubled as a denormal double.
+  EXPECT_EQ(ref, 2 * std::uint64_t{std::bit_cast<std::uint32_t>(3.0f)});
+  EXPECT_EQ(elided, ref);
 }
 
 // ---------------------------------------------------------------------------
@@ -127,17 +202,17 @@ TEST(TagCheckAblation, UnconditionalNarrowingBreaksReuse) {
 
   // With checks: correct value 4.0.
   {
-    const program::Image inst = instrument::instrument_image(orig, ix, cfg);
+    const program::Image inst = reference::instrument_image(orig, ix, cfg);
     vm::Machine m(inst);
     ASSERT_TRUE(m.run().ok());
     EXPECT_EQ(m.output_f64().at(0), 4.0);
   }
   // Without checks: the boxed intermediate is mangled.
   {
-    instrument::InstrumentOptions opts;
-    opts.snippet.check_tags = false;
+    instrument::SnippetOptions opts;
+    opts.check_tags = false;
     const program::Image inst =
-        instrument::instrument_image(orig, ix, cfg, nullptr, opts);
+        reference::instrument_image(orig, ix, cfg, opts);
     vm::Machine m(inst);
     const vm::RunResult r = m.run();
     const bool wrong =

@@ -9,17 +9,24 @@
 //     correctness properties hold: all-double instrumentation is
 //     bit-identical to the original, and all-single instrumentation is
 //     bit-identical to the manually converted single build.
+//  3. Elision differential: under random mixed configurations, production
+//     instrumentation (tag-state elision) behaves bit for bit like the
+//     unelided splice-engine reference on the micro-op and JIT engines.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstdlib>
+#include <string>
 
 #include "arch/encode.hpp"
+#include "asm/assembler.hpp"
 #include "config/config.hpp"
 #include "instrument/patch.hpp"
 #include "lang/builder.hpp"
 #include "lang/compile.hpp"
 #include "program/layout.hpp"
 #include "program/program.hpp"
+#include "reference_instrument.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "vm/machine.hpp"
@@ -170,6 +177,86 @@ RunOut run_image(const program::Image& img) {
   return {r.ok(), m.output_f64()};
 }
 
+/// Trial count for the env-scaled differential: FPMIX_ENGINE_FUZZ_TRIALS
+/// when set (CI runs deeper), else `fallback` (light for local runs).
+int env_trials(int fallback) {
+  if (const char* env = std::getenv("FPMIX_ENGINE_FUZZ_TRIALS")) {
+    const long n = std::strtol(env, nullptr, 10);
+    if (n > 0) return static_cast<int>(n);
+  }
+  return fallback;
+}
+
+/// Random block- and instruction-level single/double flags (a block flag
+/// overrides its instructions' flags). Flags land on non-candidates too, so
+/// the demotion rule is exercised; `ignore_one_in` > 0 also draws `ignore`
+/// at that rate.
+config::PrecisionConfig random_mixed_config(const config::StructureIndex& ix,
+                                            SplitMix64* rng,
+                                            std::uint64_t ignore_one_in = 0) {
+  const auto pick = [&] {
+    if (ignore_one_in > 0 && rng->next_below(ignore_one_in) == 0) {
+      return config::Precision::kIgnore;
+    }
+    return rng->next_below(2) == 0 ? config::Precision::kSingle
+                                   : config::Precision::kDouble;
+  };
+  config::PrecisionConfig cfg;
+  for (std::size_t b = 0; b < ix.blocks().size(); ++b) {
+    if (rng->next_below(4) == 0) cfg.set_block(b, pick());
+  }
+  for (std::size_t i = 0; i < ix.instrs().size(); ++i) {
+    if (rng->next_below(2) == 0) cfg.set_instr(i, pick());
+  }
+  return cfg;
+}
+
+struct EngineRun {
+  vm::RunResult result;
+  std::vector<double> out;
+};
+
+EngineRun run_on(const program::Image& img, vm::Engine engine) {
+  vm::Machine::Options opts;
+  opts.engine = engine;
+  opts.profile = false;
+  vm::Machine m(img, opts);
+  EngineRun r{m.run(), {}};
+  r.out = m.output_f64();
+  return r;
+}
+
+/// Production instrument_image() against the unelided reference under
+/// `cfg`: same status, sentinel flag and output bits on both engines, and
+/// never more retired instructions.
+void expect_elision_matches_reference(const program::Image& orig,
+                                      const config::StructureIndex& ix,
+                                      const config::PrecisionConfig& cfg,
+                                      const std::string& what) {
+  const program::Image elided = instrument::instrument_image(orig, ix, cfg);
+  const program::Image ref = reference::instrument_image(orig, ix, cfg);
+  for (const vm::Engine engine : {vm::Engine::kMicroOp, vm::Engine::kJit}) {
+    const EngineRun got = run_on(elided, engine);
+    const EngineRun want = run_on(ref, engine);
+    const std::string where =
+        what + (engine == vm::Engine::kJit ? " (jit)" : " (micro-op)");
+    ASSERT_EQ(got.result.status, want.result.status)
+        << where << ": " << got.result.trap_message << " vs "
+        << want.result.trap_message;
+    ASSERT_EQ(got.result.sentinel_escape, want.result.sentinel_escape)
+        << where;
+    ASSERT_EQ(got.out.size(), want.out.size()) << where;
+    for (std::size_t i = 0; i < want.out.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.out[i]),
+                std::bit_cast<std::uint64_t>(want.out[i]))
+          << where << " output " << i;
+    }
+    ASSERT_LE(got.result.instructions_retired,
+              want.result.instructions_retired)
+        << where;
+  }
+}
+
 class ProgramFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(ProgramFuzz, InstrumentationPropertiesHold) {
@@ -224,28 +311,23 @@ TEST_P(ProgramFuzz, InstrumentationPropertiesHold) {
       }
     }
 
-    // Property C: dataflow-optimized instrumentation matches baseline.
+    // Property C: production instrumentation (tag-state elision) matches
+    // the unelided reference, all-single and under mixed configurations.
     {
       config::PrecisionConfig cfg;
       for (std::size_t m = 0; m < ix.modules().size(); ++m) {
         cfg.set_module(m, config::Precision::kSingle);
       }
-      instrument::InstrumentOptions opts;
-      opts.dataflow_optimize = true;
-      const program::Image inst =
-          instrument::instrument_image(orig, ix, cfg, nullptr, opts);
-      const RunOut got = run_image(inst);
-      const program::Image base_inst =
-          instrument::instrument_image(orig, ix, cfg);
-      const RunOut want = run_image(base_inst);
-      ASSERT_EQ(got.ok, want.ok) << "seed " << seed;
-      if (want.ok) {
-        ASSERT_EQ(got.out.size(), want.out.size());
-        for (std::size_t i = 0; i < want.out.size(); ++i) {
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(got.out[i]),
-                    std::bit_cast<std::uint64_t>(want.out[i]))
-              << "seed " << seed << " output " << i;
-        }
+      expect_elision_matches_reference(orig, ix, cfg,
+                                       "seed " + std::to_string(seed));
+      if (::testing::Test::HasFatalFailure()) return;
+      SplitMix64 rng(seed ^ 0x5EED);
+      for (int c = 0; c < env_trials(1); ++c) {
+        expect_elision_matches_reference(
+            orig, ix, random_mixed_config(ix, &rng),
+            "seed " + std::to_string(seed) + " mixed config " +
+                std::to_string(c));
+        if (::testing::Test::HasFatalFailure()) return;
       }
     }
   }
@@ -254,7 +336,112 @@ TEST_P(ProgramFuzz, InstrumentationPropertiesHold) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ProgramFuzz, ::testing::Range(0, 6));
 
 // ---------------------------------------------------------------------------
-// 3. Config serialization fuzz: canonical-key round-trips over deep
+// 3. Elision differential on hand-shaped code (Property C above covers the
+// DSL programs).
+
+/// Random straight-line code over xmm0-5 in 1-3 blocks (joined by jumps to
+/// the next instruction, so the tag-state dataflow restarts at each head):
+/// scalar sd arithmetic (register and memory sources), 1- and 2-argument
+/// intrinsics, cvtsd2ss/cvtss2sd/cvtsi2sd and movsd, ending with every
+/// register emitted. These are the sequences that exercise which registers
+/// a wrapped instruction leaves in a known tag state.
+program::Image random_asm_image(std::uint64_t seed) {
+  using arch::Opcode;
+  using arch::Operand;
+  namespace in = arch::intrinsics;
+  SplitMix64 rng(seed);
+  casm::Assembler as;
+  as.begin_function("main", "fuzz");
+  std::vector<Operand> consts;
+  for (int k = 0; k < 4; ++k) {
+    consts.push_back(Operand::mem_abs(static_cast<std::int32_t>(
+        as.data_f64(rng.next_double(0.25, 4.0)))));
+  }
+  const auto xmm = [&] {
+    return Operand::xmm(static_cast<std::uint8_t>(rng.next_below(6)));
+  };
+  const auto konst = [&] { return consts[rng.next_below(consts.size())]; };
+  for (std::uint8_t r = 0; r < 6; ++r) {
+    as.emit(Opcode::kMovsdXM, Operand::xmm(r), konst());
+  }
+  constexpr Opcode kArith[] = {Opcode::kAddsd, Opcode::kSubsd,
+                               Opcode::kMulsd, Opcode::kDivsd,
+                               Opcode::kMinsd, Opcode::kMaxsd,
+                               Opcode::kSqrtsd};
+  constexpr in::Id kUnary[] = {in::Id::kSin, in::Id::kExp, in::Id::kFabs,
+                               in::Id::kFloor};
+  const int blocks = 1 + static_cast<int>(rng.next_below(3));
+  for (int blk = 0; blk < blocks; ++blk) {
+    if (blk > 0) {
+      const casm::Label next = as.new_label();
+      as.jmp(next);
+      as.bind(next);
+    }
+    const int len = 4 + static_cast<int>(rng.next_below(10));
+    for (int k = 0; k < len; ++k) {
+      switch (rng.next_below(8)) {
+        case 0: case 1: case 2:
+          as.emit(kArith[rng.next_below(std::size(kArith))], xmm(), xmm());
+          break;
+        case 3:
+          as.emit(kArith[rng.next_below(std::size(kArith))], xmm(),
+                  konst());
+          break;
+        case 4:
+          as.intrin(rng.next_below(3) == 0
+                        ? in::Id::kPow
+                        : kUnary[rng.next_below(std::size(kUnary))]);
+          break;
+        case 5:
+          as.emit(rng.next_below(2) == 0 ? Opcode::kCvtsd2ss
+                                         : Opcode::kCvtss2sd,
+                  xmm(), xmm());
+          break;
+        case 6:
+          as.emit(Opcode::kMov, Operand::gpr(2),
+                  Operand::make_imm(static_cast<std::int64_t>(
+                      rng.next_below(100))));
+          as.emit(Opcode::kCvtsi2sd, xmm(), Operand::gpr(2));
+          break;
+        default:
+          as.emit(Opcode::kMovsdXX, xmm(), xmm());
+          break;
+      }
+    }
+  }
+  for (std::uint8_t r = 0; r < 6; ++r) {
+    as.emit(Opcode::kMovsdXX, Operand::xmm(0), Operand::xmm(r));
+    as.intrin(in::Id::kOutputF64);
+  }
+  as.halt();
+  as.end_function();
+  return program::relayout(as.finish("main"));
+}
+
+class ElisionFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(ElisionFuzz, AsmMixedConfigsMatchReference) {
+  for (int trial = 0; trial < 24 * env_trials(1); ++trial) {
+    const std::uint64_t seed =
+        0xE1DE * static_cast<std::uint64_t>(GetParam() + 1) +
+        static_cast<std::uint64_t>(trial);
+    const program::Image orig = random_asm_image(seed);
+    const auto ix = config::StructureIndex::build(program::lift(orig));
+    SplitMix64 rng(seed ^ 0xC0F);
+    for (int c = 0; c < 3; ++c) {
+      expect_elision_matches_reference(
+          orig, ix, random_mixed_config(ix, &rng, c == 2 ? 16 : 0),
+          "asm seed " + std::to_string(seed) + " config " +
+              std::to_string(c));
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ElisionFuzz, ::testing::Range(0, 4));
+
+// ---------------------------------------------------------------------------
+// 4. Config serialization fuzz: canonical-key round-trips over deep
 // hierarchical configs (flags at every level, ids spanning sixteen orders
 // of binary magnitude), and damaged keys the parser must reject cleanly.
 

@@ -29,6 +29,7 @@
 #include "program/program.hpp"
 #include "runner/trial_runner.hpp"
 #include "search/search.hpp"
+#include "support/error.hpp"
 #include "support/fault.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
@@ -229,6 +230,7 @@ TEST(IncrementalPatcher, BitIdenticalToScratchOverRandomChain) {
     ASSERT_EQ(b.stats.wrapped, scratch_stats.wrapped) << what;
     ASSERT_EQ(b.stats.replaced_single, scratch_stats.replaced_single) << what;
     ASSERT_EQ(b.stats.snippet_instrs, scratch_stats.snippet_instrs) << what;
+    ASSERT_EQ(b.stats.checks_elided, scratch_stats.checks_elided) << what;
 
     const auto inc_exec = patcher.predecode(std::move(b));
     const auto scratch_exec = vm::ExecutableImage::build(scratch);
@@ -260,6 +262,42 @@ TEST(IncrementalPatcher, BitIdenticalOnKernelImage) {
     expect_images_identical(b.image, scratch,
                             "cg pair " + std::to_string(pair));
   }
+}
+
+TEST(IncrementalPatcher, StaleIndexIsAProgramErrorLikeScratch) {
+  // Same function count, different instructions: the index of one program
+  // must not silently drive the patching of another.
+  const auto one_function = [](bool longer) {
+    lang::Builder b;
+    b.begin_func("main", "m");
+    auto x = b.var_f64("x");
+    b.set(x, b.cf(1.5) + b.cf(2.5));
+    if (longer) b.set(x, lang::Expr(x) * b.cf(3.0));
+    b.output(x);
+    b.end_func();
+    return program::relayout(
+        lang::compile(b.take_model(), lang::Mode::kDouble));
+  };
+  const program::Image img = one_function(false);
+  const auto stale = StructureIndex::build(program::lift(one_function(true)));
+  ASSERT_EQ(stale.funcs().size(), program::lift(img).functions.size());
+  PrecisionConfig cfg;
+  cfg.set_module(0, Precision::kSingle);
+
+  const auto expect_stale = [](const auto& build) {
+    try {
+      build();
+      ADD_FAILURE() << "stale index accepted";
+    } catch (const ProgramError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "unknown to the structure index"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_stale([&] { instrument::instrument_image(img, stale, cfg); });
+  instrument::IncrementalPatcher patcher(img, stale);
+  expect_stale([&] { patcher.patch(cfg); });
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@
 // unit config per module, per function and per block (the breadth-first
 // frontier), then an accumulating function-composition chain. Every warm
 // build is asserted bit-identical to the from-scratch build of the same
-// config; the binary exits non-zero on any mismatch.
+// config; the binary exits 1 on any mismatch. The reuse columns sum each
+// build's own verify::TrialCost. --fast runs only cg, ep and mg (a CI
+// smoke).
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -106,8 +108,11 @@ KernelResult run_kernel(const kernels::Workload& w,
 
     // Warm: the shared TrialBuilder, exactly as the search drives it.
     const verify::TrialBuilder::Built built = builder.build(cfg);
-    const double warm_ns =
-        static_cast<double>(built.cost.patch_ns + built.cost.predecode_ns);
+    const verify::TrialCost& c = built.cost;
+    const double warm_ns = static_cast<double>(c.patch_ns + c.predecode_ns);
+    res.image_hits += c.image_cache_hit ? 1 : 0;
+    res.funcs_reused += c.funcs_reused;
+    res.funcs_patched += c.funcs_total - c.funcs_reused;
 
     if (!images_identical(built.exec->image(), scratch->image())) {
       std::fprintf(stderr,
@@ -124,10 +129,6 @@ KernelResult run_kernel(const kernels::Workload& w,
     speedups->push_back(speedup);
   }
   res.geomean_speedup = std::exp(log_sum / static_cast<double>(seq.size()));
-  const verify::TrialBuilder::Stats st = builder.stats();
-  res.image_hits = st.image_cache_hits;
-  res.funcs_reused = st.funcs_reused;
-  res.funcs_patched = st.funcs_patched;
   return res;
 }
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,19 +32,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  kernels::Workload w;
-  if (bench == "ep") w = kernels::make_ep(cls);
-  else if (bench == "cg") w = kernels::make_cg(cls);
-  else if (bench == "ft") w = kernels::make_ft(cls);
-  else if (bench == "mg") w = kernels::make_mg(cls);
-  else if (bench == "bt") w = kernels::make_bt(cls);
-  else if (bench == "lu") w = kernels::make_lu(cls);
-  else if (bench == "sp") w = kernels::make_sp(cls);
-  else if (bench == "amg") w = kernels::make_amg();
-  else {
+  const std::optional<kernels::Workload> workload =
+      kernels::make_workload(bench, cls);
+  if (!workload) {
     std::fprintf(stderr, "unknown benchmark '%s'\n", bench.c_str());
     return 2;
   }
+  const kernels::Workload& w = *workload;
 
   const program::Image img = kernels::build_image(w);
   const instrument::CancellationResult inst =

@@ -6,6 +6,7 @@
 //                         [--config FILE] [--search]
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -78,20 +79,14 @@ int main(int argc, char** argv) {
     else if (arg.size() == 1) cls = arg[0];
   }
 
-  kernels::Workload w;
-  if (bench == "ep") w = kernels::make_ep(cls);
-  else if (bench == "cg") w = kernels::make_cg(cls);
-  else if (bench == "ft") w = kernels::make_ft(cls);
-  else if (bench == "mg") w = kernels::make_mg(cls);
-  else if (bench == "bt") w = kernels::make_bt(cls);
-  else if (bench == "lu") w = kernels::make_lu(cls);
-  else if (bench == "sp") w = kernels::make_sp(cls);
-  else if (bench == "amg") w = kernels::make_amg();
-  else if (bench == "superlu") w = kernels::make_superlu(1e-4);
-  else {
+  const std::optional<kernels::Workload> workload =
+      bench == "superlu" ? kernels::make_superlu(1e-4)
+                         : kernels::make_workload(bench, cls);
+  if (!workload) {
     std::fprintf(stderr, "unknown benchmark '%s'\n", bench.c_str());
     return 2;
   }
+  const kernels::Workload& w = *workload;
 
   const program::Image img = kernels::build_image(w);
   auto index = config::StructureIndex::build(program::lift(img));

@@ -9,7 +9,7 @@
 //                    [--worker-rlimit-as MB] [--fault-seed N]
 //                    [--metrics-json FILE] [--no-image-cache]
 //                    [--connect HOST:PORT,...] [--shard-cache]
-//                    [--journal-deterministic] [--serve PORT]
+//                    [--journal-deterministic]
 //                    [--engine switch|microop|jit] [--adopt]
 //                    [--heartbeat-ms N] [--reconnect-max-ms N]
 //                    [--gossip-ms N]
@@ -44,8 +44,7 @@
 // one fleet-wide trial cache across every scheduler connected to the same
 // daemons. --journal-deterministic zeroes per-trial timing fields in the
 // journal so a distributed run's journal is byte-identical to a local
-// run's. --serve PORT skips the search entirely and runs this binary as a
-// runner_serve daemon on 127.0.0.1:PORT (--workers sizes its pool).
+// run's. The daemons themselves are runner_serve processes.
 //
 // While connected, the scheduler streams every journal record to the
 // fleet (each daemon retains a replicated shard) and pings endpoints
@@ -72,18 +71,15 @@
 // completed but the final composition fails verification; 2 usage error;
 // 3 internal failure (worker crash storm or internal-error trials) or an
 // --out / --metrics-json file that cannot be written.
-#include <algorithm>
-#include <atomic>
-#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "config/textio.hpp"
 #include "kernels/workload.hpp"
-#include "net/server.hpp"
 #include "net/socket.hpp"
 #include "program/program.hpp"
 #include "search/search.hpp"
@@ -105,42 +101,10 @@ bool write_file(const std::string& path, const std::string& text) {
   return !f.fail();
 }
 
-std::atomic<bool> g_stop{false};
-
-void handle_signal(int) { g_stop.store(true); }
-
-/// WorkloadFactory for --serve mode: any NAS analogue this binary can
-/// search, it can also serve.
-std::unique_ptr<net::ServedWorkload> build_served(const std::string& bench,
-                                                  char cls,
-                                                  std::string* error) {
-  kernels::Workload w;
-  if (bench == "ep") w = kernels::make_ep(cls);
-  else if (bench == "cg") w = kernels::make_cg(cls);
-  else if (bench == "ft") w = kernels::make_ft(cls);
-  else if (bench == "mg") w = kernels::make_mg(cls);
-  else if (bench == "bt") w = kernels::make_bt(cls);
-  else if (bench == "lu") w = kernels::make_lu(cls);
-  else if (bench == "sp") w = kernels::make_sp(cls);
-  else if (bench == "amg") w = kernels::make_amg();
-  else {
-    if (error != nullptr) {
-      *error = strformat("unknown benchmark '%s'", bench.c_str());
-    }
-    return nullptr;
-  }
-  auto out = std::make_unique<net::ServedWorkload>();
-  out->image = kernels::build_image(w);
-  out->index = config::StructureIndex::build(program::lift(out->image));
-  out->verifier = kernels::make_verifier(w, out->image);
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The benchmark is positional, but flag-only invocations (--serve) have
-  // no positional arguments at all.
+  // The benchmark is positional; a flag-only invocation searches ep.
   std::string bench = "ep";
   int first_flag = 2;
   if (argc > 1 && argv[1][0] != '-') {
@@ -156,8 +120,6 @@ int main(int argc, char** argv) {
   std::uint64_t fault_seed = 0;
   std::string out_path;
   std::string metrics_path;
-  bool serve_mode = false;
-  std::uint64_t serve_port = 0;
   search::SearchOptions opts;
   opts.keep_log = true;
   for (int i = first_flag; i < argc; ++i) {
@@ -275,13 +237,6 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    else if (arg == "--serve" && i + 1 < argc) {
-      if (!parse_u64(argv[++i], &serve_port) || serve_port > 65535) {
-        std::fprintf(stderr, "bad --serve port '%s'\n", argv[i]);
-        return 2;
-      }
-      serve_mode = true;
-    }
     else if (arg.size() == 1) cls = arg[0];
   }
   opts.refine_composition = refine;
@@ -290,37 +245,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--adopt rebuilds the local journal from the "
                          "fleet, which needs --connect and --journal\n");
     return 2;
-  }
-
-  // --serve: become a runner daemon instead of searching (same daemon core
-  // as the standalone runner_serve binary).
-  if (serve_mode) {
-    if (!net::supported()) {
-      std::fprintf(stderr, "sockets are unsupported on this platform\n");
-      return 3;
-    }
-    net::Listener listener;
-    std::string error;
-    if (!listener.listen_on("127.0.0.1",
-                            static_cast<std::uint16_t>(serve_port), &error)) {
-      std::fprintf(stderr, "cannot listen: %s\n", error.c_str());
-      return 3;
-    }
-    net::ServerOptions sopts;
-    sopts.workers = static_cast<int>(
-        opts.num_workers != 0 ? opts.num_workers
-                              : std::max<std::size_t>(2, opts.num_threads));
-    sopts.verbose = !quiet;
-    if (!quiet) log::set_level(log::Level::kInfo);
-    std::printf("nas_search: serving on 127.0.0.1:%u (%d workers per "
-                "backend)\n",
-                static_cast<unsigned>(listener.port()), sopts.workers);
-    std::fflush(stdout);
-    std::signal(SIGINT, handle_signal);
-    std::signal(SIGTERM, handle_signal);
-    net::RunnerServer server(std::move(listener), build_served, sopts);
-    server.serve(&g_stop);
-    return 0;
   }
 
   // The stock hard-fault campaign: process-destroying faults only, so the
@@ -349,19 +273,13 @@ int main(int argc, char** argv) {
     log::set_level(log::Level::kInfo);
   }
 
-  kernels::Workload w;
-  if (bench == "ep") w = kernels::make_ep(cls);
-  else if (bench == "cg") w = kernels::make_cg(cls);
-  else if (bench == "ft") w = kernels::make_ft(cls);
-  else if (bench == "mg") w = kernels::make_mg(cls);
-  else if (bench == "bt") w = kernels::make_bt(cls);
-  else if (bench == "lu") w = kernels::make_lu(cls);
-  else if (bench == "sp") w = kernels::make_sp(cls);
-  else if (bench == "amg") w = kernels::make_amg();
-  else {
+  const std::optional<kernels::Workload> workload =
+      kernels::make_workload(bench, cls);
+  if (!workload) {
     std::fprintf(stderr, "unknown benchmark '%s'\n", bench.c_str());
     return 2;
   }
+  const kernels::Workload& w = *workload;
 
   // The handshake re-announces the workload by name; the daemons build the
   // identical image and verifier on their side.
@@ -405,11 +323,9 @@ int main(int argc, char** argv) {
               m.jit_seconds, m.run_seconds, m.verify_seconds);
   if (m.image_cache_hits + m.image_cache_misses > 0) {
     std::printf("incremental: %zu image hit(s) / %zu miss(es), %zu func "
-                "segment(s) reused / %zu patched, ~%.3fs patch + %.3fs "
-                "predecode saved\n",
+                "segment(s) reused / %zu patched\n",
                 m.image_cache_hits, m.image_cache_misses, m.funcs_reused,
-                m.funcs_patched, m.patch_saved_seconds,
-                m.predecode_saved_seconds);
+                m.funcs_patched);
   }
   if (!m.failures_by_class.empty()) {
     std::printf("failed trials by class:\n");

@@ -48,6 +48,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "config/structure.hpp"
@@ -72,25 +73,18 @@ void handle_signal(int) { g_stop.store(true); }
 std::unique_ptr<net::ServedWorkload> build_workload(const std::string& bench,
                                                     char cls,
                                                     std::string* error) {
-  kernels::Workload w;
-  if (bench == "ep") w = kernels::make_ep(cls);
-  else if (bench == "cg") w = kernels::make_cg(cls);
-  else if (bench == "ft") w = kernels::make_ft(cls);
-  else if (bench == "mg") w = kernels::make_mg(cls);
-  else if (bench == "bt") w = kernels::make_bt(cls);
-  else if (bench == "lu") w = kernels::make_lu(cls);
-  else if (bench == "sp") w = kernels::make_sp(cls);
-  else if (bench == "amg") w = kernels::make_amg();
-  else {
+  const std::optional<kernels::Workload> w =
+      kernels::make_workload(bench, cls);
+  if (!w) {
     if (error != nullptr) {
       *error = strformat("unknown benchmark '%s'", bench.c_str());
     }
     return nullptr;
   }
   auto out = std::make_unique<net::ServedWorkload>();
-  out->image = kernels::build_image(w);
+  out->image = kernels::build_image(*w);
   out->index = config::StructureIndex::build(program::lift(out->image));
-  out->verifier = kernels::make_verifier(w, out->image);
+  out->verifier = kernels::make_verifier(*w, out->image);
   return out;
 }
 

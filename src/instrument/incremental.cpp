@@ -27,14 +27,12 @@ IncrementalPatcher::Build IncrementalPatcher::patch(
     auto& cache = variants_[f];
     auto it = cache.find(sig);
     if (it == cache.end()) {
-      ++variant_misses_;
       if (cache.size() >= kMaxVariantsPerFunc) cache.clear();
       FuncVariant v;
       v.layout =
           program::layout_function(instrument_function(fn, sig, &v.stats));
       it = cache.emplace(std::move(sig), std::move(v)).first;
     } else {
-      ++variant_hits_;
       ++b.funcs_reused;
     }
     b.variants[f] = &it->second;

@@ -75,9 +75,6 @@ class IncrementalPatcher {
   /// variants that have never been predecoded.
   std::shared_ptr<const vm::ExecutableImage> predecode(Build&& build);
 
-  std::size_t variant_hits() const { return variant_hits_; }
-  std::size_t variant_misses() const { return variant_misses_; }
-
  private:
   /// Per-function variant cap; a full cache is cleared wholesale (the
   /// search's locality makes thrashing here essentially impossible, the cap
@@ -87,8 +84,6 @@ class IncrementalPatcher {
   program::Program prog_;
   const config::StructureIndex& index_;
   std::vector<std::unordered_map<std::string, FuncVariant>> variants_;
-  std::size_t variant_hits_ = 0;
-  std::size_t variant_misses_ = 0;
 };
 
 }  // namespace fpmix::instrument

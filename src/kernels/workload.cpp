@@ -26,6 +26,18 @@ std::unique_ptr<verify::Verifier> make_verifier(
   return v;
 }
 
+std::optional<Workload> make_workload(std::string_view name, char cls) {
+  if (name == "ep") return make_ep(cls);
+  if (name == "cg") return make_cg(cls);
+  if (name == "ft") return make_ft(cls);
+  if (name == "mg") return make_mg(cls);
+  if (name == "bt") return make_bt(cls);
+  if (name == "lu") return make_lu(cls);
+  if (name == "sp") return make_sp(cls);
+  if (name == "amg") return make_amg();
+  return std::nullopt;
+}
+
 std::vector<Workload> all_serial_workloads() {
   std::vector<Workload> out;
   for (char cls : {'W', 'A'}) {

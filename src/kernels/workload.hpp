@@ -8,7 +8,9 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "lang/ast.hpp"
 #include "program/image.hpp"
@@ -69,6 +71,11 @@ Workload make_amg();
 /// `threshold` is the error bound the verification driver enforces
 /// (Figure 11 sweeps it from 1e-3 down to 1e-6).
 Workload make_superlu(double threshold);
+
+/// The single-rank workload a command line names: "ep", "cg", "ft", "mg",
+/// "bt", "lu", "sp" at class `cls`, or "amg" (which has no classes).
+/// nullopt for any other name.
+std::optional<Workload> make_workload(std::string_view name, char cls);
 
 /// Every single-rank workload (used by test sweeps).
 std::vector<Workload> all_serial_workloads();

@@ -59,7 +59,8 @@ namespace fpmix::net {
 /// v5: Hello carries the evaluation rules as one runner::SandboxSpec.
 /// v6: Result payloads carry TrialCost::setup_ns (Machine construction).
 /// v7: Result payloads carry TrialCost::jit_ns (JIT compile + link).
-constexpr std::uint32_t kProtocolVersion = 7;
+/// v8: Result payloads drop the estimated patch/predecode savings.
+constexpr std::uint32_t kProtocolVersion = 8;
 
 constexpr std::uint8_t kMsgHello = 1;
 constexpr std::uint8_t kMsgHelloAck = 2;

@@ -17,9 +17,8 @@
 // evaluate every configuration at most once.
 //
 // The net layer stays independent of the kernels library: the embedding
-// binary (runner_serve, nas_search --serve, the tests) supplies a
-// WorkloadFactory that maps a benchmark name to a built image + structure
-// index + verifier.
+// binary (runner_serve, the tests) supplies a WorkloadFactory that maps a
+// benchmark name to a built image + structure index + verifier.
 #pragma once
 
 #include <atomic>

@@ -172,8 +172,6 @@ std::string encode_result(const verify::EvalResult& res) {
   put_u64(&out, c.run_ns);
   put_u64(&out, c.verify_ns);
   put_u8(&out, c.image_cache_hit ? 1 : 0);
-  put_u64(&out, c.patch_saved_ns);
-  put_u64(&out, c.predecode_saved_ns);
   put_u32(&out, c.funcs_reused);
   put_u32(&out, c.funcs_total);
   return out;
@@ -203,8 +201,6 @@ bool decode_result(std::string_view payload, verify::EvalResult* out) {
   c.run_ns = r.u64();
   c.verify_ns = r.u64();
   c.image_cache_hit = r.u8() != 0;
-  c.patch_saved_ns = r.u64();
-  c.predecode_saved_ns = r.u64();
   c.funcs_reused = r.u32();
   c.funcs_total = r.u32();
   return r.done();

@@ -47,8 +47,6 @@ std::string metrics_json(const SearchResult& res) {
   num("verify_seconds", m.verify_seconds);
   uint("image_cache_hits", m.image_cache_hits);
   uint("image_cache_misses", m.image_cache_misses);
-  num("patch_saved_seconds", m.patch_saved_seconds);
-  num("predecode_saved_seconds", m.predecode_saved_seconds);
   uint("funcs_reused", m.funcs_reused);
   uint("funcs_patched", m.funcs_patched);
   census("failures_by_class", m.failures_by_class);

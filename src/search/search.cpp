@@ -171,8 +171,6 @@ void add_cost(const verify::TrialCost& c, SearchMetrics* m) {
   m->jit_seconds += secs(c.jit_ns);
   m->run_seconds += secs(c.run_ns);
   m->verify_seconds += secs(c.verify_ns);
-  m->patch_saved_seconds += secs(c.patch_saved_ns);
-  m->predecode_saved_seconds += secs(c.predecode_saved_ns);
   if (c.funcs_total == 0) return;
   ++(c.image_cache_hit ? m->image_cache_hits : m->image_cache_misses);
   m->funcs_reused += c.funcs_reused;
@@ -836,11 +834,9 @@ class Searcher {
       const double secs = 1e-9 * static_cast<double>(t->eval_ns);
       metrics_.eval_seconds += secs;
       metrics_.eval_seconds_per_level[level] += secs;
-      std::uint64_t saved_ns = 0;
       bool any_image_hit = false;
       for (const verify::TrialCost& c : t->attempts) {
         add_cost(c, &metrics_);
-        saved_ns += c.patch_saved_ns + c.predecode_saved_ns;
         any_image_hit =
             any_image_hit || (c.funcs_total > 0 && c.image_cache_hit);
       }
@@ -850,7 +846,7 @@ class Searcher {
       const bool times = options_.journal_timings;
       CachedTrial entry{t->result.passed, t->result.failure_class,
                         t->result.failure, times ? t->eval_ns : 0,
-                        times ? saved_ns : 0, times && any_image_hit};
+                        times && any_image_hit};
       if (journal_.is_open()) {
         // Commit locally, then replicate the exact sealed bytes to every
         // live shard: any N-1 subset of the fleet can reconstruct the

@@ -174,7 +174,7 @@ struct SearchOptions {
   /// predecessor's search byte-identically. Requires journal_path and
   /// endpoints.
   bool adopt_fleet = false;
-  /// Record per-trial timing fields (eval_ns, saved_ns, cache flags) in
+  /// Record per-trial timing fields (eval_ns, the image-cache flag) in
   /// the journal. Off, they are zeroed so two runs of the same search --
   /// local or distributed, any fleet shape -- produce byte-identical
   /// journals.
@@ -267,9 +267,6 @@ struct SearchMetrics {
   /// over both engines (sandboxed workers report theirs over the wire).
   std::size_t image_cache_hits = 0;
   std::size_t image_cache_misses = 0;
-  /// Estimated patch/predecode seconds avoided relative to a cold build.
-  double patch_saved_seconds = 0.0;
-  double predecode_saved_seconds = 0.0;
   /// Function-granularity reuse: segments spliced unchanged from the
   /// variant cache vs. re-lowered from scratch.
   std::size_t funcs_reused = 0;

@@ -39,13 +39,12 @@ std::string encode_trial_line(const std::string& key, const std::string& unit,
   return strformat(
       "{\"type\":\"trial\",\"key\":\"%s\",\"unit\":\"%s\",\"cand\":%zu,"
       "\"passed\":%s,\"class\":\"%s\",\"failure\":\"%s\",\"eval_ns\":%llu,"
-      "\"saved_ns\":%llu,\"img_hit\":%s}",
+      "\"img_hit\":%s}",
       json_escape(key).c_str(), json_escape(unit).c_str(), candidates,
       t.passed ? "true" : "false",
       verify::failure_class_name(t.failure_class),
       json_escape(t.failure).c_str(),
       static_cast<unsigned long long>(t.eval_ns),
-      static_cast<unsigned long long>(t.saved_ns),
       t.image_cache_hit ? "true" : "false");
 }
 
@@ -130,9 +129,7 @@ std::size_t load_journal(const std::string& path,
       parse_u64(ns->second, &t.eval_ns);
     }
     // Absent in version-1/2 records written before the incremental pipeline.
-    if (const auto sv = rec.find("saved_ns"); sv != rec.end()) {
-      parse_u64(sv->second, &t.saved_ns);
-    }
+    // Older records also carry a "saved_ns" estimate, which replay ignores.
     if (const auto ih = rec.find("img_hit"); ih != rec.end()) {
       t.image_cache_hit = ih->second == "true";
     }

@@ -22,7 +22,7 @@
 //   {"type":"meta","version":2,"search_fp":"<16-hex>","seq":1,"crc":"<8-hex>"}
 //   {"type":"trial","key":"<16-hex>","unit":"func cg","cand":12,
 //    "passed":false,"class":"trap","failure":"...","eval_ns":18234987,
-//    "seq":2,"crc":"<8-hex>"}
+//    "img_hit":false,"seq":2,"crc":"<8-hex>"}
 #pragma once
 
 #include <cstdint>
@@ -42,11 +42,9 @@ struct CachedTrial {
   verify::FailureClass failure_class = verify::FailureClass::kNone;
   std::string failure;
   std::uint64_t eval_ns = 0;  // live evaluation cost when first computed
-  /// Incremental-pipeline accounting when first computed: estimated
-  /// patch+predecode ns avoided vs. a cold build, and whether any attempt
-  /// was served whole from the image cache. Informational (journal
-  /// analysis); the search's decision procedure never reads them.
-  std::uint64_t saved_ns = 0;
+  /// Whether any attempt was served whole from the image cache when first
+  /// computed. Informational (journal analysis); the search's decision
+  /// procedure never reads it.
   bool image_cache_hit = false;
 };
 

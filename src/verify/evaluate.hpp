@@ -77,11 +77,9 @@ struct TrialCost {
   std::uint64_t run_ns = 0;        // guest execution (jit_ns excluded)
   std::uint64_t verify_ns = 0;     // verifier.verify on the outputs
 
-  // Incremental-pipeline accounting (all zero without EvalOptions::builder).
-  // `*_saved_ns` are estimates against the builder's first (cold) build.
+  // Incremental-pipeline accounting (all zero without EvalOptions::builder):
+  // the only record of trial-build reuse.
   bool image_cache_hit = false;       // whole image served from the LRU
-  std::uint64_t patch_saved_ns = 0;
-  std::uint64_t predecode_saved_ns = 0;
   std::uint32_t funcs_reused = 0;     // functions spliced from the cache
   /// Functions in the built image; 0 when the attempt never reached a
   /// TrialBuilder (no builder, or a verdict synthesized without a build).

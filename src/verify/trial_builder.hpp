@@ -2,48 +2,37 @@
 // pipeline.
 //
 // Wraps an instrument::IncrementalPatcher (per-function variant reuse) and
-// an ImageCache (whole-image reuse for repeated configs: retries,
-// majority-vote rounds, fault campaigns) behind one thread-safe build()
-// call. verify::evaluate_config uses it when EvalOptions::builder is set --
-// both the in-process search path and each long-lived sandboxed worker keep
-// one TrialBuilder alive across trials, which is where the cross-trial
-// savings come from.
+// a small LRU of whole built images keyed by the config's canonical key
+// (retries, majority-vote rounds, fault campaigns) behind one thread-safe
+// build() call. verify::evaluate_config uses it when EvalOptions::builder is
+// set -- both the in-process search path and each long-lived sandboxed
+// worker keep one TrialBuilder alive across trials, which is where the
+// cross-trial reuse comes from. Every build reports its reuse in its own
+// TrialCost; callers sum those, there are no builder-side totals.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
+#include <list>
 #include <memory>
 #include <mutex>
+#include <string>
 
 #include "config/config.hpp"
 #include "config/structure.hpp"
 #include "instrument/incremental.hpp"
 #include "program/image.hpp"
 #include "verify/evaluate.hpp"
-#include "verify/image_cache.hpp"
 
 namespace fpmix::verify {
 
 class TrialBuilder {
  public:
   /// One built trial plus the patch/predecode half of its cost (run and
-  /// verify stay zero). An image-cache hit is credited the full cold
-  /// baselines as savings.
+  /// verify stay zero).
   struct Built {
     std::shared_ptr<const vm::ExecutableImage> exec;
     instrument::InstrumentStats stats;
     TrialCost cost;
-  };
-
-  /// Aggregate counters across all build() calls.
-  struct Stats {
-    std::uint64_t image_cache_hits = 0;
-    std::uint64_t image_cache_misses = 0;
-    std::uint64_t variant_hits = 0;
-    std::uint64_t variant_misses = 0;
-    std::uint64_t patch_saved_ns = 0;
-    std::uint64_t predecode_saved_ns = 0;
-    std::uint64_t funcs_reused = 0;
-    std::uint64_t funcs_patched = 0;
   };
 
   /// `index` must have been built from `original` and outlive the builder.
@@ -62,21 +51,23 @@ class TrialBuilder {
   /// outcomes).
   Built build(const config::PrecisionConfig& cfg);
 
-  Stats stats() const;
-
  private:
-  mutable std::mutex mu_;
+  struct CachedImage {
+    std::string key;  // PrecisionConfig::canonical_key()
+    std::shared_ptr<const vm::ExecutableImage> exec;
+    instrument::InstrumentStats stats;
+  };
+
+  std::mutex mu_;
   instrument::IncrementalPatcher patcher_;
-  ImageCache cache_;
-  std::uint64_t fingerprint_;
-
-  // First-build stage times: the cold baseline the savings estimates are
-  // measured against.
-  bool have_cold_ = false;
-  std::uint64_t cold_patch_ns_ = 0;
-  std::uint64_t cold_predecode_ns_ = 0;
-
-  Stats totals_;
+  std::size_t capacity_;
+  std::list<CachedImage> images_;  // front = most recently used
 };
+
+/// Most images any TrialBuilder in this process has cached at once since
+/// the last reset_image_cache_peak() (internally synchronised). Tests use
+/// it to bound the images a search's builder keeps alive.
+std::size_t image_cache_peak();
+void reset_image_cache_peak();
 
 }  // namespace fpmix::verify

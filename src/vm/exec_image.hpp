@@ -320,7 +320,7 @@ class ExecutableImage {
   }
 
   /// Lazily-filled linked-native-code cache: the JIT engine links a whole
-  /// image at most once per profile variant, so a warm ImageCache hit
+  /// image at most once per profile variant, so a warm TrialBuilder hit
   /// carries compiled code along with the predecode.
   jit::ImageJitCache& jit_cache() const { return jit_cache_; }
 

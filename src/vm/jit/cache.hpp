@@ -4,7 +4,7 @@
 // and by the IncrementalPatcher's per-signature variant table), so a blob of
 // native code compiled from its micro-ops is reusable everywhere the segment
 // is: a delta trial that re-splices mostly-unchanged functions re-JITs only
-// the dirty ones. Likewise an ExecutableImage is shared (ImageCache, forked
+// the dirty ones. Likewise an ExecutableImage is shared (TrialBuilder, forked
 // workers), so the linked whole-image code buffer is compiled at most once
 // per image and profile variant. Both caches live behind a mutex on the
 // otherwise-const owner; exec_image.hpp embeds these handles by value, which

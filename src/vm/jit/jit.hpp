@@ -9,7 +9,8 @@
 //     blobs copied into one W^X buffer with all relocations resolved
 //     against the image's segment bases, plus a per-instruction native
 //     address table for resume/ret re-entry. Cached on the
-//     ExecutableImage, so a warm ImageCache hit carries compiled code.
+//     ExecutableImage, so a warm TrialBuilder image hit carries compiled
+//     code.
 //
 // Compiled code keeps VM state in host registers by role, not by copy: the
 // register file, xmm file and memory stay in the Machine's own arrays, and

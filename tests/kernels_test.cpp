@@ -4,6 +4,9 @@
 // covers the Section 3.1 bit-exactness property on real kernels.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "config/config.hpp"
 #include "instrument/patch.hpp"
 #include "kernels/workload.hpp"
@@ -109,6 +112,22 @@ TEST_P(WorkloadSweep, HasRealisticStructure) {
 }
 
 INSTANTIATE_TEST_SUITE_P(All, WorkloadSweep, ::testing::Range(0, 16));
+
+// ---------------------------------------------------------------------------
+// The command-line name -> workload factory.
+
+TEST(WorkloadFactory, NamesEveryServableWorkloadAndRejectsOthers) {
+  for (const char* name : {"ep", "cg", "ft", "mg", "bt", "lu", "sp"}) {
+    const std::optional<Workload> w = make_workload(name, 'W');
+    ASSERT_TRUE(w.has_value()) << name;
+    EXPECT_EQ(w->name, std::string(name) + ".W");
+  }
+  ASSERT_TRUE(make_workload("amg", 'W').has_value());
+  EXPECT_EQ(make_workload("amg", 'W')->name, make_amg().name);
+  for (const char* name : {"superlu", "EP", "", "cg.W"}) {
+    EXPECT_FALSE(make_workload(name, 'W').has_value()) << name;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Designed precision characteristics.

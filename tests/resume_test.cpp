@@ -8,6 +8,7 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "config/textio.hpp"
 #include "kernels/workload.hpp"
@@ -269,6 +270,86 @@ TEST(Resume, MixedVersionJournalReplaysBothFormats) {
   const SearchResult warm = run_search(p2.image, &p2.index, *p2.verifier,
                                        opts);
   EXPECT_EQ(warm.metrics.trials_live, 0u);
+  EXPECT_EQ(warm.final_config, cold_config);
+  std::remove(journal.c_str());
+}
+
+TEST(Resume, ParentFormatJournalWithSavedNsReplays) {
+  // Trial records written before the estimated savings were dropped carry
+  // a "saved_ns" key between "eval_ns" and "img_hit". Replay ignores it:
+  // every such record yields the verdict, class and failure text of its
+  // current-format twin, and a resumed search is fully warm.
+  const std::string journal = temp_journal("resume_parent_format.jsonl");
+
+  SearchOptions opts;
+  opts.journal_path = journal;
+  config::PrecisionConfig cold_config;
+  {
+    Prepared p = prepare();
+    cold_config = run_search(p.image, &p.index, *p.verifier, opts)
+                      .final_config;
+  }
+
+  // Rewrite every sealed trial record into the parent format and reseal it
+  // under its own sequence number.
+  const auto lines = Journal::read_lines(journal);
+  std::string search_fp;
+  std::vector<std::string> parent_lines;
+  std::size_t rewritten = 0;
+  for (const std::string& line : lines) {
+    JsonRecord rec;
+    ASSERT_TRUE(parse_flat_json(line, &rec)) << line;
+    if (rec["type"] == "meta") search_fp = rec["search_fp"];
+    const std::size_t img = line.find(",\"img_hit\":");
+    if (rec["type"] != "trial" || img == std::string::npos) {
+      parent_lines.push_back(line);
+      continue;
+    }
+    std::uint64_t seq = 0;
+    ASSERT_TRUE(sealed_seq(line, &seq)) << line;
+    const std::string body = line.substr(0, line.rfind(",\"seq\":")) + "}";
+    parent_lines.push_back(seal_record(
+        body.substr(0, img) + ",\"saved_ns\":" + std::to_string(1000 + seq) +
+            body.substr(img),
+        seq));
+    ASSERT_EQ(check_seal(parent_lines.back()), SealCheck::kOk);
+    ++rewritten;
+  }
+  ASSERT_FALSE(search_fp.empty());
+  ASSERT_GT(rewritten, 5u);
+
+  TrialCache current;
+  ASSERT_EQ(load_journal(journal, search_fp, &current), rewritten);
+  {
+    std::ofstream f(journal, std::ios::trunc | std::ios::binary);
+    for (const auto& l : parent_lines) f << l << '\n';
+  }
+  TrialCache parent;
+  JournalReplayStats stats;
+  ASSERT_EQ(load_journal(journal, search_fp, &parent, &stats), rewritten);
+  EXPECT_EQ(stats.malformed + stats.crc_mismatch + stats.duplicate_seq, 0u);
+
+  std::size_t failures = 0;
+  for (const std::string& line : lines) {
+    JsonRecord rec;
+    ASSERT_TRUE(parse_flat_json(line, &rec));
+    if (rec["type"] != "trial") continue;
+    const CachedTrial* want = current.lookup(rec["key"]);
+    const CachedTrial* got = parent.lookup(rec["key"]);
+    ASSERT_NE(want, nullptr);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->passed, want->passed) << rec["key"];
+    EXPECT_EQ(got->failure_class, want->failure_class) << rec["key"];
+    EXPECT_EQ(got->failure, want->failure) << rec["key"];
+    if (!want->passed && !want->failure.empty()) ++failures;
+  }
+  EXPECT_GT(failures, 0u);  // the failure text was actually compared
+
+  Prepared p2 = prepare();
+  const SearchResult warm = run_search(p2.image, &p2.index, *p2.verifier,
+                                       opts);
+  EXPECT_EQ(warm.metrics.trials_live, 0u);
+  EXPECT_EQ(warm.metrics.trials_cached, warm.configs_tested);
   EXPECT_EQ(warm.final_config, cold_config);
   std::remove(journal.c_str());
 }

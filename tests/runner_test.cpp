@@ -119,8 +119,6 @@ TEST(Wire, RequestAndResultRoundTrip) {
   er.cost.run_ns = 3;
   er.cost.verify_ns = 4;
   er.cost.image_cache_hit = true;
-  er.cost.patch_saved_ns = 111;
-  er.cost.predecode_saved_ns = 222;
   er.cost.funcs_reused = 5;
   er.cost.funcs_total = 9;
   // Fields the wire does not carry must not leak into the payload.
@@ -146,8 +144,6 @@ TEST(Wire, RequestAndResultRoundTrip) {
             "0300000000000000"  // run_ns
             "0400000000000000"  // verify_ns
             "01"                // image_cache_hit
-            "6f00000000000000"  // patch_saved_ns
-            "de00000000000000"  // predecode_saved_ns
             "05000000"          // funcs_reused
             "09000000");        // funcs_total
   verify::EvalResult er2;
@@ -163,8 +159,6 @@ TEST(Wire, RequestAndResultRoundTrip) {
   EXPECT_EQ(er2.cost.jit_ns, er.cost.jit_ns);
   EXPECT_EQ(er2.cost.run_ns, er.cost.run_ns);
   EXPECT_EQ(er2.cost.image_cache_hit, er.cost.image_cache_hit);
-  EXPECT_EQ(er2.cost.patch_saved_ns, er.cost.patch_saved_ns);
-  EXPECT_EQ(er2.cost.predecode_saved_ns, er.cost.predecode_saved_ns);
   EXPECT_EQ(er2.cost.funcs_reused, er.cost.funcs_reused);
   EXPECT_EQ(er2.cost.funcs_total, er.cost.funcs_total);
 }

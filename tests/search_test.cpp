@@ -525,8 +525,6 @@ SearchResult full_result() {
   m.verify_seconds = 8.75;
   m.image_cache_hits = 104;
   m.image_cache_misses = 105;
-  m.patch_saved_seconds = 9.5;
-  m.predecode_saved_seconds = 10.25;
   m.funcs_reused = 106;
   m.funcs_patched = 107;
   m.failures_by_class["divergence"] = 108;
@@ -615,7 +613,7 @@ TEST(MetricsJson, MatchesParentWriterByteForByte) {
   // Captured from the serializer's previous home in examples/nas_search.cpp
   // on the same struct: keys, key order and number formats must not drift.
   // Since captured, one key joined: jit_lowering's "region_branches", right
-  // after "fused_pairs".
+  // after "fused_pairs"; and the two estimated-savings keys left.
   const std::string expected = R"json({
   "trials_total": 101,
   "trials_live": 102,
@@ -632,8 +630,6 @@ TEST(MetricsJson, MatchesParentWriterByteForByte) {
   "verify_seconds": 8.750000,
   "image_cache_hits": 104,
   "image_cache_misses": 105,
-  "patch_saved_seconds": 9.500000,
-  "predecode_saved_seconds": 10.250000,
   "funcs_reused": 106,
   "funcs_patched": 107,
   "failures_by_class": {"divergence": 108, "trap": 109},

@@ -29,6 +29,9 @@ int main(int argc, char** argv) {
       opts.min_cancel_bits = std::atoi(argv[++i]);
     } else if (arg.size() == 1) {
       cls = arg[0];
+    } else {
+      std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
+      return 2;
     }
   }
 

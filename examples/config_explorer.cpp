@@ -77,6 +77,10 @@ int main(int argc, char** argv) {
     if (arg == "--config" && i + 1 < argc) config_path = argv[++i];
     else if (arg == "--search") do_search = true;
     else if (arg.size() == 1) cls = arg[0];
+    else {
+      std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
+      return 2;
+    }
   }
 
   const std::optional<kernels::Workload> workload =

@@ -238,6 +238,10 @@ int main(int argc, char** argv) {
       }
     }
     else if (arg.size() == 1) cls = arg[0];
+    else {
+      std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
+      return 2;
+    }
   }
   opts.refine_composition = refine;
   if (opts.adopt_fleet && (opts.endpoints.empty() ||

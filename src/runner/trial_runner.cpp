@@ -18,17 +18,6 @@
 #include <unistd.h>
 #endif
 
-// AddressSanitizer reserves terabytes of shadow address space; RLIMIT_AS
-// would kill every worker at startup, so sandboxed builds skip that one cap
-// (RLIMIT_CPU and RLIMIT_CORE still apply).
-#if defined(__SANITIZE_ADDRESS__)
-#define FPMIX_RUNNER_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define FPMIX_RUNNER_ASAN 1
-#endif
-#endif
-
 namespace fpmix::runner {
 
 bool isolation_supported() {
@@ -97,7 +86,10 @@ void apply_rlimits(const RlimitSpec& limits) {
   // and a core per crash would fill the disk.
   rlimit core{0, 0};
   ::setrlimit(RLIMIT_CORE, &core);
-#if !FPMIX_RUNNER_ASAN
+  // Sanitizers reserve terabytes of shadow address space; RLIMIT_AS would
+  // kill every worker at startup, so sanitizer builds skip that one cap
+  // (RLIMIT_CPU and RLIMIT_CORE still apply).
+#if !defined(FPMIX_SANITIZER_BUILD)
   if (limits.address_space_mb > 0) {
     const rlim_t bytes =
         static_cast<rlim_t>(limits.address_space_mb) * 1024 * 1024;
@@ -114,14 +106,14 @@ void apply_rlimits(const RlimitSpec& limits) {
 
 /// Allocation storm for HardFault::kOomStorm: grabs and touches memory
 /// until the allocator refuses (the rlimit path -- reported as a resource
-/// failure) or a cap is reached (the ASan / uncapped path -- the storm then
-/// SIGKILLs itself, modelling the kernel OOM-killer). Returns true when the
-/// rlimit stopped it.
+/// failure) or a cap is reached (the sanitizer / uncapped path -- the storm
+/// then SIGKILLs itself, modelling the kernel OOM-killer). Returns true when
+/// the rlimit stopped it.
 bool allocation_storm(const RlimitSpec& limits) {
   constexpr std::size_t kChunk = 8u << 20;  // 8 MiB
   // Under an address-space cap the storm must overrun it; otherwise stop
-  // at a fixed ceiling so an uncapped (ASan) worker does not take the
-  // machine down for real.
+  // at a fixed ceiling so an uncapped (sanitizer build) worker does not
+  // take the machine down for real.
   const std::size_t cap_bytes =
       limits.address_space_mb > 0
           ? static_cast<std::size_t>(limits.address_space_mb + 64) * 1024 *

@@ -36,8 +36,8 @@ bool isolation_supported();
 /// touching any trial data. A runaway patched image hits the cap instead
 /// of the machine.
 struct RlimitSpec {
-  /// RLIMIT_AS in MiB; 0 leaves the address space uncapped. Automatically
-  /// skipped under AddressSanitizer (its shadow mappings need terabytes of
+  /// RLIMIT_AS in MiB; 0 leaves the address space uncapped. Skipped in
+  /// sanitizer builds (their shadow mappings need terabytes of
   /// reservation).
   std::uint64_t address_space_mb = 512;
   /// RLIMIT_CPU in seconds; 0 leaves CPU time uncapped. A backstop under

@@ -661,7 +661,7 @@ class Searcher {
     }
     // When trials run in crash-prone sandboxed workers, every committed
     // record must survive a driver loss too: fsync each sealed line.
-    journal_.set_fsync(options_.journal_fsync || options_.isolate_trials);
+    journal_.set_fsync(options_.isolate_trials);
     if (adopted_) {
       // The adopted history already leads with this search's meta record;
       // appending another would restart sequence numbering and break the
@@ -709,7 +709,6 @@ class Searcher {
     h.search_fp = search_fp_;
     h.spec = spec_;
     sopts.connect_timeout_ms = static_cast<int>(options_.connect_timeout_ms);
-    sopts.hello_timeout_ms = static_cast<int>(options_.hello_timeout_ms);
     sopts.max_endpoint_failures = options_.max_endpoint_failures;
     sopts.max_trial_crashes = options_.max_trial_crashes;
     sopts.verifier_fp = verifier_.fingerprint();

@@ -106,19 +106,16 @@ struct SearchOptions {
   /// SearchMetrics::isolation_degraded) on platforms without fork. The
   /// driver stays single-threaded in this mode; the workers are the
   /// parallelism, so num_threads doubles as the worker count unless
-  /// num_workers overrides it.
+  /// num_workers overrides it. The journal fsyncs every sealed line in
+  /// this mode: a crashing fleet is exactly when it must survive.
   bool isolate_trials = false;
   /// Worker processes in isolate mode; 0 uses num_threads.
   std::size_t num_workers = 0;
   /// Per-config crash-loop circuit breaker threshold (see isolate_trials).
   std::uint32_t max_trial_crashes = 3;
   /// RLIMIT_AS each worker applies to itself, in MiB; 0 leaves the address
-  /// space uncapped. Ignored under AddressSanitizer.
+  /// space uncapped. Ignored in sanitizer builds.
   std::uint64_t worker_rlimit_as_mb = 512;
-  /// fsync the journal file after each sealed record, making every
-  /// committed trial power-loss durable. Forced on when isolate_trials is
-  /// set (a crashing fleet is exactly when the journal must survive).
-  bool journal_fsync = false;
 
   // ---- Incremental trial pipeline ------------------------------------------
   /// Reuse patch + predecode work across trials through a shared
@@ -148,9 +145,6 @@ struct SearchOptions {
   /// sharing a fleet evaluate every configuration at most once.
   bool shard_cache = false;
   std::uint64_t connect_timeout_ms = 2000;
-  /// Handshake-ack budget; cold endpoints build the workload and run the
-  /// reference computation inside the handshake.
-  std::uint64_t hello_timeout_ms = 60000;
   /// Consecutive failures before an endpoint is abandoned for the run.
   std::uint32_t max_endpoint_failures = 3;
   /// Heartbeat period: the scheduler pings every live endpoint this often

@@ -104,11 +104,13 @@ struct RuntimeHolder {
   const char* reason = "";
 };
 
+#ifndef FPMIX_JIT_OFF
 bool fill_and_seal(CodeBuffer& buf, const std::vector<std::uint8_t>& code) {
   if (!buf.map(code.size())) return false;
   std::memcpy(buf.data(), code.data(), code.size());
   return buf.seal();
 }
+#endif
 
 // Fills `r` in place (CodeBuffer pins an mmap'd region and is immovable).
 void init_runtime(RuntimeHolder& r) {

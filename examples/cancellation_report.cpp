@@ -38,7 +38,8 @@ int main(int argc, char** argv) {
   const std::optional<kernels::Workload> workload =
       kernels::make_workload(bench, cls);
   if (!workload) {
-    std::fprintf(stderr, "unknown benchmark '%s'\n", bench.c_str());
+    std::fprintf(stderr, "unknown benchmark '%s' or class '%c'\n",
+                 bench.c_str(), cls);
     return 2;
   }
   const kernels::Workload& w = *workload;

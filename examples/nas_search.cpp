@@ -33,9 +33,10 @@
 // SearchMetrics, including the per-signal worker-crash census and the
 // per-worker-slot request/respawn/quarantine counts, to FILE.
 //
-// --no-image-cache disables the incremental trial pipeline (per-function
-// variant reuse + warm image caches), rebuilding every trial from scratch.
-// Results are identical either way; the flag exists for A/B benchmarking.
+// --no-image-cache turns off reuse across trials (per-function variants
+// and warm whole images): every trial builds through a fresh one-shot
+// trial builder, the same pipeline with nothing cached. Results are
+// identical either way; the flag exists for A/B benchmarking.
 //
 // --connect dispatches trials to remote runner_serve daemons instead of
 // local execution: trials fan out across the fleet (least-loaded first),
@@ -280,7 +281,8 @@ int main(int argc, char** argv) {
   const std::optional<kernels::Workload> workload =
       kernels::make_workload(bench, cls);
   if (!workload) {
-    std::fprintf(stderr, "unknown benchmark '%s'\n", bench.c_str());
+    std::fprintf(stderr, "unknown benchmark '%s' or class '%c'\n",
+                 bench.c_str(), cls);
     return 2;
   }
   const kernels::Workload& w = *workload;

@@ -77,7 +77,8 @@ std::unique_ptr<net::ServedWorkload> build_workload(const std::string& bench,
       kernels::make_workload(bench, cls);
   if (!w) {
     if (error != nullptr) {
-      *error = strformat("unknown benchmark '%s'", bench.c_str());
+      *error = strformat("unknown benchmark '%s' or class '%c'",
+                         bench.c_str(), cls);
     }
     return nullptr;
   }

@@ -68,7 +68,6 @@ struct Operand {
     return make_mem(MemRef{kNoReg, kNoReg, 1, addr});
   }
 
-  bool is_none() const { return kind == OperandKind::kNone; }
   bool is_gpr() const { return kind == OperandKind::kGpr; }
   bool is_xmm() const { return kind == OperandKind::kXmm; }
   bool is_imm() const { return kind == OperandKind::kImm; }

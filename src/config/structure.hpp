@@ -61,7 +61,6 @@ class StructureIndex {
   const std::vector<FuncEntry>& funcs() const { return funcs_; }
   const std::vector<BlockEntry>& blocks() const { return blocks_; }
   const std::vector<InstrEntry>& instrs() const { return instrs_; }
-  std::vector<InstrEntry>& mutable_instrs() { return instrs_; }
 
   /// All candidate instruction indices, program order.
   const std::vector<std::size_t>& candidates() const { return candidates_; }

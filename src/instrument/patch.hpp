@@ -34,7 +34,7 @@ struct InstrumentStats {
   std::size_t checks_elided = 0;    // sentinel tests removed by dataflow
 
   /// Every counter is a per-instruction sum, so whole-program stats are the
-  /// sum of per-function stats -- the invariant IncrementalPatcher relies
+  /// sum of per-function stats -- the invariant verify::TrialBuilder relies
   /// on.
   void add(const InstrumentStats& s) {
     wrapped += s.wrapped;

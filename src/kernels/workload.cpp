@@ -27,6 +27,10 @@ std::unique_ptr<verify::Verifier> make_verifier(
 }
 
 std::optional<Workload> make_workload(std::string_view name, char cls) {
+  if (name == "amg") return make_amg();
+  if (std::string_view("SWAC").find(cls) == std::string_view::npos) {
+    return std::nullopt;
+  }
   if (name == "ep") return make_ep(cls);
   if (name == "cg") return make_cg(cls);
   if (name == "ft") return make_ft(cls);
@@ -34,7 +38,6 @@ std::optional<Workload> make_workload(std::string_view name, char cls) {
   if (name == "bt") return make_bt(cls);
   if (name == "lu") return make_lu(cls);
   if (name == "sp") return make_sp(cls);
-  if (name == "amg") return make_amg();
   return std::nullopt;
 }
 

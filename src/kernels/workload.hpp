@@ -74,7 +74,9 @@ Workload make_superlu(double threshold);
 
 /// The single-rank workload a command line names: "ep", "cg", "ft", "mg",
 /// "bt", "lu", "sp" at class `cls`, or "amg" (which has no classes).
-/// nullopt for any other name.
+/// nullopt for any other name, and for a NAS name with a class outside
+/// S, W, A, C (so remote or command-line input never reaches the kernels'
+/// "unknown class" throw).
 std::optional<Workload> make_workload(std::string_view name, char cls);
 
 /// Every single-rank workload (used by test sweeps).

@@ -79,13 +79,6 @@ T norm_inf(const std::vector<T>& v) {
   return m;
 }
 
-template <typename T>
-T norm2(const std::vector<T>& v) {
-  double acc = 0;
-  for (T x : v) acc += double(x) * double(x);
-  return static_cast<T>(std::sqrt(acc));
-}
-
 /// r = b - A x (computed in T precision).
 template <typename T>
 std::vector<T> residual(const Dense<T>& a, const std::vector<T>& x,

@@ -95,14 +95,6 @@ std::string write_matrix_market(const Csr<double>& a) {
   return out;
 }
 
-Csr<double> read_matrix_market_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw Error(strformat("cannot open %s", path.c_str()));
-  std::stringstream ss;
-  ss << f.rdbuf();
-  return read_matrix_market(ss.str());
-}
-
 void write_matrix_market_file(const Csr<double>& a, const std::string& path) {
   std::ofstream f(path);
   if (!f) throw Error(strformat("cannot open %s for writing", path.c_str()));

@@ -17,8 +17,7 @@ Csr<double> read_matrix_market(std::string_view text);
 /// Serializes a CSR matrix as coordinate general real.
 std::string write_matrix_market(const Csr<double>& a);
 
-/// File variants.
-Csr<double> read_matrix_market_file(const std::string& path);
+/// File variant.
 void write_matrix_market_file(const Csr<double>& a, const std::string& path);
 
 }  // namespace fpmix::linalg

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
 #include <map>
 #include <unordered_map>
 #include <vector>
@@ -231,7 +232,13 @@ struct RunnerServer::Impl {
     } else {
       auto nb = std::make_unique<Backend>();
       std::string error;
-      nb->wl = factory(h.bench, static_cast<char>(h.cls), &error);
+      // Hello fields are remote input: a factory that throws on them
+      // rejects this session, never the daemon.
+      try {
+        nb->wl = factory(h.bench, static_cast<char>(h.cls), &error);
+      } catch (const std::exception& e) {
+        error = strformat("cannot build workload: %s", e.what());
+      }
       if (nb->wl == nullptr) {
         ack.error = error.empty() ? "unknown workload" : error;
         ++stats->sessions_rejected;

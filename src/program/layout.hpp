@@ -7,7 +7,7 @@
 // re-encodes everything. This is the role Dyninst's binary rewriter plays in
 // Section 2.4 of the paper.
 //
-// The work is split into two phases so the incremental patcher can reuse
+// The work is split into two phases so verify::TrialBuilder can reuse
 // per-function results across trials:
 //
 //   layout_function()  encodes ONE function into a position-independent
@@ -35,7 +35,7 @@
 namespace fpmix::program {
 
 /// Position-independent encoding of one function. Immutable once built;
-/// the incremental patcher caches these per (function, precision signature)
+/// verify::TrialBuilder caches these per (function, precision signature)
 /// and assemble() splices them at any address.
 struct FuncLayout {
   /// Encoded body. Branch immediates hold the *local byte offset* of the

@@ -104,34 +104,42 @@ void apply_rlimits(const RlimitSpec& limits) {
   }
 }
 
-/// Allocation storm for HardFault::kOomStorm: grabs and touches memory
-/// until the allocator refuses (the rlimit path -- reported as a resource
-/// failure) or a cap is reached (the sanitizer / uncapped path -- the storm
-/// then SIGKILLs itself, modelling the kernel OOM-killer). Returns true when
-/// the rlimit stopped it.
+/// Allocation storm for HardFault::kOomStorm: allocates memory until the
+/// allocator refuses (the rlimit path -- reported as a resource failure)
+/// or a cap is reached (the sanitizer / uncapped path -- the storm then
+/// SIGKILLs itself, modelling the kernel OOM-killer). Returns true when the
+/// rlimit stopped it.
 bool allocation_storm(const RlimitSpec& limits) {
   constexpr std::size_t kChunk = 8u << 20;  // 8 MiB
-  // Under an address-space cap the storm must overrun it; otherwise stop
-  // at a fixed ceiling so an uncapped (sanitizer build) worker does not
-  // take the machine down for real.
+  // Under an address-space cap the reservation alone overruns it, so no
+  // page needs touching. Uncapped (no cap asked for, or a sanitizer build
+  // that skipped it), the storm touches every page up to a fixed ceiling
+  // so the allocation is real, and stops there so the worker does not take
+  // the machine down for real.
+  rlimit as{};
+  const bool capped = limits.address_space_mb > 0 &&
+                      ::getrlimit(RLIMIT_AS, &as) == 0 &&
+                      as.rlim_cur != RLIM_INFINITY;
   const std::size_t cap_bytes =
-      limits.address_space_mb > 0
-          ? static_cast<std::size_t>(limits.address_space_mb + 64) * 1024 *
-                1024
-          : 256u << 20;
+      capped ? static_cast<std::size_t>(limits.address_space_mb + 64) *
+                   1024 * 1024
+             : 256u << 20;
+  const std::size_t stride = capped ? kChunk : 4096;
   std::vector<char*> chunks;
+  chunks.reserve(cap_bytes / kChunk);
   bool refused = false;
-  std::size_t total = 0;
-  while (total < cap_bytes) {
+  for (std::size_t total = 0; total < cap_bytes; total += kChunk) {
     char* p = new (std::nothrow) char[kChunk];
     if (p == nullptr) {
       refused = true;
       break;
     }
-    // Touch every page so the allocation is real, not a lazy reservation.
-    for (std::size_t i = 0; i < kChunk; i += 4096) p[i] = 1;
+    // Volatile stores keep each allocation observable, so the compiler
+    // cannot elide it: one per chunk when capped, one per page otherwise.
+    for (std::size_t i = 0; i < kChunk; i += stride) {
+      static_cast<volatile char*>(p)[i] = 1;
+    }
     chunks.push_back(p);
-    total += kChunk;
   }
   for (char* p : chunks) delete[] p;
   return refused;

@@ -196,7 +196,6 @@ class WorkerPool {
   bool is_quarantined(const std::string& key) const {
     return quarantined_.count(key) != 0;
   }
-  const std::set<std::string>& quarantined_keys() const { return quarantined_; }
 
  private:
   struct Slot;

@@ -479,7 +479,11 @@ bool Scheduler::heal_from_digest(Shard* s, const net::ShardDigestMsg& d) {
 }
 
 std::size_t Scheduler::gossip_now(int timeout_ms) {
-  reconnect_due();
+  // Healing is the point of an explicit round, so it redials every
+  // endpoint that is down but not lost without waiting out its backoff.
+  for (Shard& s : shards_) {
+    if (s.client == nullptr && !s.lost) try_connect(&s);
+  }
   std::size_t total = 0;
   for (Shard& s : shards_) {
     if (s.client == nullptr) continue;

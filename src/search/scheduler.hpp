@@ -108,11 +108,13 @@ class Scheduler {
   /// any trials -- the fetch is synchronous per session.
   std::size_t fetch_fleet_journal(std::vector<std::string>* lines);
 
-  /// Runs one synchronous gossip round right now: asks every live shard
-  /// for a digest, waits (bounded) for each answer, and re-streams what
-  /// the comparison shows missing. Returns the number of records
-  /// re-streamed. run_batch gossips on its own period; this entry point is
-  /// for healing between batches (and for tests).
+  /// Runs one synchronous gossip round right now: redials every endpoint
+  /// that is down but not lost (backoff or not), asks every live shard for
+  /// a digest, waits (bounded) for each answer, and re-streams what the
+  /// comparison shows missing. Returns the number of records re-streamed.
+  /// run_batch gossips on its own period; the search ends with one of
+  /// these rounds, because the records it commits after its last batch
+  /// (the final composition's) are never gossiped otherwise.
   std::size_t gossip_now(int timeout_ms = 5000);
 
   std::vector<EndpointMetrics> endpoint_metrics() const;

@@ -158,9 +158,9 @@ std::string unit_name(const StructureIndex& ix, const Unit& u) {
 }
 
 /// Adds one live attempt's cost to the search totals. An attempt with
-/// funcs_total == 0 never reached a TrialBuilder (image cache off, or a
-/// breaker/storm verdict made without a build), so it is neither an image
-/// hit nor a miss.
+/// funcs_total == 0 finished no build (a breaker or storm verdict made
+/// without one, or a build that threw), so it is neither an image hit nor
+/// a miss.
 void add_cost(const verify::TrialCost& c, SearchMetrics* m) {
   const auto secs = [](std::uint64_t ns) {
     return 1e-9 * static_cast<double>(ns);
@@ -407,6 +407,13 @@ class Searcher {
       out.refined = true;
       out.refined_config = composed;
       out.refined_stats = config::replacement_stats(ix_, composed);
+    }
+
+    // The last records were streamed after the last batch's gossip: an
+    // endpoint that was down or reconnecting then would keep a shard
+    // without them. One bounded heal round redials it and re-streams them.
+    if (sched_ != nullptr && options_.gossip_ms != 0) {
+      sched_->gossip_now(static_cast<int>(options_.connect_timeout_ms));
     }
 
     out.configs_tested = tested_;

@@ -122,7 +122,8 @@ struct SearchOptions {
   /// verify::TrialBuilder: per-function micro-op variant caching, spliced
   /// segment predecode, and an LRU of whole built images, one per executor
   /// lane -- used by the in-process path and inherited by each long-lived
-  /// sandboxed worker.
+  /// sandboxed worker. Off, every evaluation builds through a one-shot
+  /// TrialBuilder: the same pipeline with no reuse across trials.
   /// Never changes results (incremental builds are bit-identical to
   /// from-scratch builds); disable only for A/B benchmarking.
   bool image_cache = true;
@@ -245,10 +246,10 @@ struct SearchMetrics {
   /// "composition").
   std::map<std::string, double> eval_seconds_per_level;
   /// Stage breakdown summed over every live evaluation attempt's
-  /// verify::TrialCost: where each trial's time went (patch =
-  /// instrument_image, predecode = ExecutableImage build, setup = Machine
-  /// construction, jit = native compile + link of a new image, run = guest
-  /// execution, verify = output check).
+  /// verify::TrialCost: where each trial's time went (patch = instrument
+  /// and assemble, predecode = segments + spliced ExecutableImage, setup =
+  /// Machine construction, jit = native compile + link of a new image,
+  /// run = guest execution, verify = output check).
   double patch_seconds = 0.0;
   double predecode_seconds = 0.0;
   double setup_seconds = 0.0;

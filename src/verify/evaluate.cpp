@@ -89,21 +89,17 @@ EvalResult evaluate_config(const program::Image& original,
   // memory, ...) are a trial outcome, not a search abort: the paper's
   // premise is that a failed trial is ordinary data.
   try {
-    std::shared_ptr<const vm::ExecutableImage> exec;
+    TrialBuilder::Built built;
     if (options.builder != nullptr) {
-      TrialBuilder::Built built = options.builder->build(cfg);
-      exec = std::move(built.exec);
-      result.stats = built.stats;
-      result.cost = built.cost;
+      built = options.builder->build(cfg);
     } else {
-      program::Image patched =
-          instrument::instrument_image(original, index, cfg, &result.stats);
-      result.cost.patch_ns = timer.elapsed_ns();
-
-      timer.reset();
-      exec = vm::ExecutableImage::build(std::move(patched));
-      result.cost.predecode_ns = timer.elapsed_ns();
+      // No reuse across trials: a one-shot builder, whose lift and teardown
+      // are patch work just as they are inside instrument_image.
+      built = TrialBuilder(original, index).build(cfg);
+      built.cost.patch_ns = timer.elapsed_ns() - built.cost.predecode_ns;
     }
+    result.stats = built.stats;
+    result.cost = built.cost;
 
     vm::Machine::Options mopts;
     mopts.max_instructions = options.max_instructions;
@@ -116,7 +112,7 @@ EvalResult evaluate_config(const program::Image& original,
       mopts.fault = &options.faults->vm;
     }
     timer.reset();
-    vm::Machine machine(exec, mopts);
+    vm::Machine machine(std::move(built.exec), mopts);
     result.cost.setup_ns = timer.elapsed_ns();
     timer.reset();
     const vm::RunResult run = machine.run();

@@ -32,10 +32,10 @@ struct EvalOptions {
   /// Planned faults for this evaluation attempt (fault-injection
   /// campaigns); nullptr evaluates clean.
   const fault::TrialFaults* faults = nullptr;
-  /// Incremental patch+predecode front end (see verify/trial_builder.hpp).
-  /// When set, trial construction reuses per-function variants and whole
-  /// cached images across evaluations; when null, every evaluation builds
-  /// from scratch. Both paths produce bit-identical executables.
+  /// The trial-image builder (see verify/trial_builder.hpp). A shared one
+  /// reuses per-function variants and whole cached images across
+  /// evaluations; null builds each evaluation with a one-shot builder (no
+  /// reuse across trials). Both produce bit-identical executables.
   TrialBuilder* builder = nullptr;
 };
 
@@ -70,19 +70,20 @@ FailureClass classify_failure_message(std::string_view message);
 /// and the search sums into SearchMetrics.
 struct TrialCost {
   // Stage breakdown.
-  std::uint64_t patch_ns = 0;      // instrument_image
-  std::uint64_t predecode_ns = 0;  // ExecutableImage::build of the patch
+  std::uint64_t patch_ns = 0;      // instrument + assemble (+ lift, one-shot)
+  std::uint64_t predecode_ns = 0;  // segments + ExecutableImage::build_spliced
   std::uint64_t setup_ns = 0;      // vm::Machine construction (guest memory)
   std::uint64_t jit_ns = 0;        // JIT compile + link (image's first run)
   std::uint64_t run_ns = 0;        // guest execution (jit_ns excluded)
   std::uint64_t verify_ns = 0;     // verifier.verify on the outputs
 
-  // Incremental-pipeline accounting (all zero without EvalOptions::builder):
-  // the only record of trial-build reuse.
+  // Trial-build reuse accounting, the only record of it (a one-shot
+  // builder reports a miss that reused nothing).
   bool image_cache_hit = false;       // whole image served from the LRU
   std::uint32_t funcs_reused = 0;     // functions spliced from the cache
-  /// Functions in the built image; 0 when the attempt never reached a
-  /// TrialBuilder (no builder, or a verdict synthesized without a build).
+  /// Functions in the built image; 0 when the attempt never finished a
+  /// build (a breaker or storm verdict synthesized without one, or a build
+  /// that threw).
   std::uint32_t funcs_total = 0;
 };
 

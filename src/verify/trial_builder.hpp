@@ -1,14 +1,31 @@
-// TrialBuilder: the shared patch+predecode front end of the evaluation
-// pipeline.
+// TrialBuilder: the one place a trial image is built.
 //
-// Wraps an instrument::IncrementalPatcher (per-function variant reuse) and
-// a small LRU of whole built images keyed by the config's canonical key
-// (retries, majority-vote rounds, fault campaigns) behind one thread-safe
-// build() call. verify::evaluate_config uses it when EvalOptions::builder is
-// set -- both the in-process search path and each long-lived sandboxed
-// worker keep one TrialBuilder alive across trials, which is where the
-// cross-trial reuse comes from. Every build reports its reuse in its own
-// TrialCost; callers sum those, there are no builder-side totals.
+// The search's breadth-first descent evaluates thousands of configurations
+// that differ from a baseline in a single module/function/block/instruction
+// subtree. TrialBuilder lifts the original once and keys each function's
+// instrumented form by its *effective precision signature*
+// (instrument::precision_signature): only functions whose signature is new
+// are re-instrumented and laid out, every other one is spliced from the
+// variant cache, and program::assemble builds the full byte image. Each
+// variant's predecoded vm::CodeSegment is cached with it, so
+// vm::ExecutableImage::build_spliced rebases the segments into a full
+// executable without re-decoding or re-lowering. On top sits a small LRU of
+// whole built images keyed by the config's canonical key (retries,
+// majority-vote rounds, fault campaigns).
+//
+// Equivalence: the signature *is* instrument_function's input for the
+// function -- instrument() builds the same signature and patches from it --
+// and layout_function + assemble is the exact code path relayout() takes,
+// so a built image is bit-identical to a from-scratch instrument_image() +
+// ExecutableImage::build by construction, which tests/incremental_test.cpp
+// verifies differentially.
+//
+// verify::evaluate_config builds every trial through one: the in-process
+// search path and each long-lived sandboxed worker keep one alive across
+// trials, which is where the cross-trial reuse comes from, and a null
+// EvalOptions::builder means a one-shot builder per evaluation. Every build
+// reports its reuse in its own TrialCost; callers sum those, there are no
+// builder-side totals.
 #pragma once
 
 #include <cstddef>
@@ -16,12 +33,16 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "config/config.hpp"
 #include "config/structure.hpp"
-#include "instrument/incremental.hpp"
+#include "instrument/patch.hpp"
 #include "program/image.hpp"
+#include "program/layout.hpp"
 #include "verify/evaluate.hpp"
+#include "vm/exec_image.hpp"
 
 namespace fpmix::verify {
 
@@ -35,31 +56,47 @@ class TrialBuilder {
     TrialCost cost;
   };
 
-  /// `index` must have been built from `original` and outlive the builder.
-  /// `lanes` is how many trials the caller runs at once: its executor's
-  /// lanes, or its worker count. The image cache holds that many images. A
-  /// vote round re-runs exactly the previous round's configs, at most one
-  /// per lane, so every revote hits, and no more images (each pinning its
-  /// linked JIT code) stay alive than a round can reuse.
+  /// Lifts `original` once. `index` must have been built from `original`
+  /// and outlive the builder. `lanes` is how many trials the caller runs at
+  /// once: its executor's lanes, or its worker count. The image cache holds
+  /// that many images. A vote round re-runs exactly the previous round's
+  /// configs, at most one per lane, so every revote hits, and no more
+  /// images (each pinning its linked JIT code) stay alive than a round can
+  /// reuse.
   TrialBuilder(const program::Image& original,
                const config::StructureIndex& index, std::size_t lanes = 1);
 
   /// Patches + predecodes `cfg`, reusing whatever the caches hold.
   /// Bit-identical to the from-scratch instrument_image +
   /// ExecutableImage::build pipeline. Thread-safe; throws exactly where the
-  /// from-scratch path would (callers already treat those as trial
-  /// outcomes).
+  /// from-scratch path would (a stale index is a ProgramError; callers
+  /// already treat those as trial outcomes).
   Built build(const config::PrecisionConfig& cfg);
 
  private:
+  /// One cached per-function result: the instrumented position-independent
+  /// encoding, its stats, and (at first predecode) its segment.
+  struct FuncVariant {
+    program::FuncLayout layout;
+    instrument::InstrumentStats stats;
+    std::shared_ptr<const vm::CodeSegment> segment;
+  };
+
   struct CachedImage {
     std::string key;  // PrecisionConfig::canonical_key()
     std::shared_ptr<const vm::ExecutableImage> exec;
     instrument::InstrumentStats stats;
   };
 
+  /// Per-function variant cap; a full cache is cleared wholesale (the
+  /// search's locality makes thrashing here essentially impossible, the cap
+  /// only bounds memory on adversarial workloads).
+  static constexpr std::size_t kMaxVariantsPerFunc = 128;
+
   std::mutex mu_;
-  instrument::IncrementalPatcher patcher_;
+  program::Program prog_;
+  const config::StructureIndex& index_;
+  std::vector<std::unordered_map<std::string, FuncVariant>> variants_;
   std::size_t capacity_;
   std::list<CachedImage> images_;  // front = most recently used
 };

@@ -228,7 +228,7 @@ MicroOp lower_instr(const arch::Instr& ins);
 /// transfers kept in local form (branch imm = instruction index *within the
 /// segment*, or one-past-the-end for a branch to the function's end; call
 /// imm = callee *function index*; call aux = local return offset; instr
-/// addr = local byte offset). Immutable and shared: the incremental patcher
+/// addr = local byte offset). Immutable and shared: verify::TrialBuilder
 /// caches segments per (function, precision signature) and
 /// ExecutableImage::build_spliced rebases any mix of them into a full
 /// image without re-decoding or re-lowering.

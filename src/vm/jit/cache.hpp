@@ -1,7 +1,7 @@
 // Lazily-filled JIT compilation caches embedded in the predecode layer.
 //
 // A CodeSegment is immutable and shared (by ExecutableImages that splice it
-// and by the IncrementalPatcher's per-signature variant table), so a blob of
+// and by the TrialBuilder's per-signature variant table), so a blob of
 // native code compiled from its micro-ops is reusable everywhere the segment
 // is: a delta trial that re-splices mostly-unchanged functions re-JITs only
 // the dirty ones. Likewise an ExecutableImage is shared (TrialBuilder, forked

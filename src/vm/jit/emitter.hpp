@@ -91,10 +91,6 @@ class Emitter {
                            ((index >> 3) << 1) | (base >> 3);
     if (r != 0x40 || w) u8(r);
   }
-  void rex_required(bool w, int reg, int index, int base) {
-    u8(static_cast<std::uint8_t>(0x40 | (w ? 8 : 0) | ((reg >> 3) << 2) |
-                                 ((index >> 3) << 1) | (base >> 3)));
-  }
 
   void modrm(int mod, int reg, int rm) {
     u8(static_cast<std::uint8_t>((mod << 6) | ((reg & 7) << 3) | (rm & 7)));
@@ -174,9 +170,6 @@ class Emitter {
 
   void mov_rm32(int dst, int base, std::int32_t disp) {
     rex(false, dst, 0, base); u8(0x8B); mem_bd(dst, base, disp);
-  }
-  void mov_mr32(int base, std::int32_t disp, int src) {
-    rex(false, src, 0, base); u8(0x89); mem_bd(src, base, disp);
   }
 
   // --- guest-memory forms: [base + index] (scale 1, no disp unless given) --
@@ -281,10 +274,6 @@ class Emitter {
     const std::size_t at = code.size();
     u32(0);
     return at;
-  }
-  void inc_mx(int base, int index, int scale, std::int32_t disp) {
-    // inc qword [base + index*2^scale + disp]
-    rex(true, 0, index, base); u8(0xFF); mem_bisd(0, base, index, scale, disp);
   }
   void cmp_mi8_b(int base, std::int32_t disp, std::uint8_t imm) {
     // cmp byte [base+disp], imm8
@@ -415,12 +404,6 @@ class Emitter {
   void cvttss2si(int rdst, int xsrc) { sse_rr(0xF3, 0x2C, rdst, xsrc, true); }
   void movq_xm(int xdst, int base, std::int32_t disp) {  // movq xmm, m64
     sse_rm(0xF3, 0x7E, xdst, base, disp);                // (zeroes upper lane)
-  }
-  void movq_xmx(int xdst, int base, int index, std::int32_t disp) {
-    sse_rmx(0xF3, 0x7E, xdst, base, index, disp);
-  }
-  void movq_mxx(int base, int index, std::int32_t disp, int xsrc) {
-    sse_rmx(0x66, 0xD6, xsrc, base, index, disp);
   }
   void movq_xx(int xdst, int xsrc) {  // copy low qword, zero upper lane
     sse_rr(0xF3, 0x7E, xdst, xsrc);

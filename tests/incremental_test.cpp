@@ -1,8 +1,8 @@
 // Differential tests for the incremental trial pipeline: per-function
-// variant caching (instrument::IncrementalPatcher), segment-spliced
-// predecode, the shared TrialBuilder front end with its whole-image LRU, and
-// cache-on/cache-off search equivalence on both execution engines and under
-// process isolation with an active hard-fault campaign.
+// variant caching and segment-spliced predecode in verify::TrialBuilder,
+// its whole-image LRU, evaluate_config with a shared and a one-shot
+// builder, and cache-on/cache-off search equivalence on both execution
+// engines and under process isolation with an active hard-fault campaign.
 //
 // The non-negotiable property throughout: an incrementally built trial is
 // BIT-identical to the from-scratch instrument_image + ExecutableImage::build
@@ -15,11 +15,11 @@
 #include <cstdio>
 #include <fstream>
 #include <optional>
+#include <set>
 #include <sstream>
 
 #include "config/config.hpp"
 #include "config/textio.hpp"
-#include "instrument/incremental.hpp"
 #include "instrument/patch.hpp"
 #include "kernels/workload.hpp"
 #include "lang/builder.hpp"
@@ -115,6 +115,16 @@ void expect_images_identical(const program::Image& a, const program::Image& b,
   }
 }
 
+void expect_stats_identical(const instrument::InstrumentStats& a,
+                            const instrument::InstrumentStats& b,
+                            const std::string& what) {
+  EXPECT_EQ(a.wrapped, b.wrapped) << what;
+  EXPECT_EQ(a.replaced_single, b.replaced_single) << what;
+  EXPECT_EQ(a.ignored, b.ignored) << what;
+  EXPECT_EQ(a.snippet_instrs, b.snippet_instrs) << what;
+  EXPECT_EQ(a.checks_elided, b.checks_elided) << what;
+}
+
 std::vector<double> run_engine(std::shared_ptr<const vm::ExecutableImage> exec,
                                vm::Engine engine) {
   vm::Machine::Options mopts;
@@ -203,12 +213,12 @@ Prepared prepare_structured() {
 }
 
 // ---------------------------------------------------------------------------
-// IncrementalPatcher: delta-built images are bit-identical to from-scratch
+// TrialBuilder: delta-built images are bit-identical to from-scratch
 // builds, and both engines agree, over a long random parent/child chain.
 
-TEST(IncrementalPatcher, BitIdenticalToScratchOverRandomChain) {
+TEST(TrialBuilder, BitIdenticalToScratchOverRandomChain) {
   const Prepared p = prepare_structured();
-  instrument::IncrementalPatcher patcher(p.image, p.index);
+  verify::TrialBuilder builder(p.image, p.index);
 
   SplitMix64 rng(0x1CC0FFEE);
   PrecisionConfig cfg;  // chain starts at all-double
@@ -224,21 +234,18 @@ TEST(IncrementalPatcher, BitIdenticalToScratchOverRandomChain) {
     instrument::InstrumentStats scratch_stats;
     const program::Image scratch =
         instrument::instrument_image(p.image, p.index, cfg, &scratch_stats);
-    instrument::IncrementalPatcher::Build b = patcher.patch(cfg);
-    funcs_reused += b.funcs_reused;
-    expect_images_identical(b.image, scratch, what);
-    ASSERT_EQ(b.stats.wrapped, scratch_stats.wrapped) << what;
-    ASSERT_EQ(b.stats.replaced_single, scratch_stats.replaced_single) << what;
-    ASSERT_EQ(b.stats.snippet_instrs, scratch_stats.snippet_instrs) << what;
-    ASSERT_EQ(b.stats.checks_elided, scratch_stats.checks_elided) << what;
+    const verify::TrialBuilder::Built b = builder.build(cfg);
+    // Whole-image hits reuse everything; count only the variant cache.
+    if (!b.cost.image_cache_hit) funcs_reused += b.cost.funcs_reused;
+    expect_images_identical(b.exec->image(), scratch, what);
+    expect_stats_identical(b.stats, scratch_stats, what);
 
-    const auto inc_exec = patcher.predecode(std::move(b));
     const auto scratch_exec = vm::ExecutableImage::build(scratch);
-    expect_outputs_bit_identical(run_engine(inc_exec, vm::Engine::kMicroOp),
+    expect_outputs_bit_identical(run_engine(b.exec, vm::Engine::kMicroOp),
                                  run_engine(scratch_exec,
                                             vm::Engine::kMicroOp),
                                  what + " micro-op");
-    expect_outputs_bit_identical(run_engine(inc_exec, vm::Engine::kSwitch),
+    expect_outputs_bit_identical(run_engine(b.exec, vm::Engine::kSwitch),
                                  run_engine(scratch_exec, vm::Engine::kSwitch),
                                  what + " switch");
   }
@@ -247,26 +254,30 @@ TEST(IncrementalPatcher, BitIdenticalToScratchOverRandomChain) {
   EXPECT_GT(funcs_reused, 100u);
 }
 
-TEST(IncrementalPatcher, BitIdenticalOnKernelImage) {
+TEST(TrialBuilder, BitIdenticalOnKernelImage) {
   const kernels::Workload w = kernels::make_cg('S');
   const program::Image img = kernels::build_image(w);
   const auto ix = StructureIndex::build(program::lift(img));
-  instrument::IncrementalPatcher patcher(img, ix);
+  verify::TrialBuilder builder(img, ix);
 
   SplitMix64 rng(0xCC5);
   PrecisionConfig cfg;
   for (int pair = 0; pair < 24; ++pair) {
     cfg = mutate_config(ix, cfg, &rng);
     const program::Image scratch = instrument::instrument_image(img, ix, cfg);
-    instrument::IncrementalPatcher::Build b = patcher.patch(cfg);
-    expect_images_identical(b.image, scratch,
+    expect_images_identical(builder.build(cfg).exec->image(), scratch,
                             "cg pair " + std::to_string(pair));
   }
 }
 
-TEST(IncrementalPatcher, StaleIndexIsAProgramErrorLikeScratch) {
-  // Same function count, different instructions: the index of one program
-  // must not silently drive the patching of another.
+/// Two one-function programs with the same function count but different
+/// instructions: the index of the longer one is stale for the shorter.
+struct StaleIndexCase {
+  program::Image image;
+  StructureIndex stale;
+};
+
+StaleIndexCase stale_index_case() {
   const auto one_function = [](bool longer) {
     lang::Builder b;
     b.begin_func("main", "m");
@@ -278,9 +289,17 @@ TEST(IncrementalPatcher, StaleIndexIsAProgramErrorLikeScratch) {
     return program::relayout(
         lang::compile(b.take_model(), lang::Mode::kDouble));
   };
-  const program::Image img = one_function(false);
-  const auto stale = StructureIndex::build(program::lift(one_function(true)));
-  ASSERT_EQ(stale.funcs().size(), program::lift(img).functions.size());
+  StaleIndexCase c{one_function(false), {}};
+  c.stale = StructureIndex::build(program::lift(one_function(true)));
+  return c;
+}
+
+TEST(TrialBuilder, StaleIndexIsAProgramErrorLikeScratch) {
+  // The index of one program must not silently drive the patching of
+  // another.
+  const StaleIndexCase sc = stale_index_case();
+  ASSERT_EQ(sc.stale.funcs().size(),
+            program::lift(sc.image).functions.size());
   PrecisionConfig cfg;
   cfg.set_module(0, Precision::kSingle);
 
@@ -295,9 +314,140 @@ TEST(IncrementalPatcher, StaleIndexIsAProgramErrorLikeScratch) {
           << e.what();
     }
   };
-  expect_stale([&] { instrument::instrument_image(img, stale, cfg); });
-  instrument::IncrementalPatcher patcher(img, stale);
-  expect_stale([&] { patcher.patch(cfg); });
+  expect_stale([&] { instrument::instrument_image(sc.image, sc.stale, cfg); });
+  verify::TrialBuilder builder(sc.image, sc.stale);
+  expect_stale([&] { builder.build(cfg); });
+}
+
+// ---------------------------------------------------------------------------
+// evaluate_config: a shared builder, a null builder (one-shot) and the
+// from-scratch reference reach the same outcome, field for field.
+
+/// The from-scratch reference: instrument_image + ExecutableImage::build +
+/// Machine, judged by the verdict rules evaluate_config documents.
+verify::EvalResult scratch_evaluate(const program::Image& img,
+                                    const StructureIndex& ix,
+                                    const PrecisionConfig& cfg,
+                                    const verify::Verifier& verifier,
+                                    const verify::EvalOptions& eopts) {
+  using verify::FailureClass;
+  verify::EvalResult r;
+  std::shared_ptr<const vm::ExecutableImage> exec;
+  try {
+    exec = vm::ExecutableImage::build(
+        instrument::instrument_image(img, ix, cfg, &r.stats));
+  } catch (const std::exception& e) {
+    r.failure_class = FailureClass::kInternalError;
+    r.failure = strformat("internal error: %s", e.what());
+    return r;
+  }
+  vm::Machine::Options mopts;
+  mopts.engine = eopts.engine;
+  mopts.max_instructions = eopts.max_instructions;
+  vm::Machine m(exec, mopts);
+  const vm::RunResult run = m.run();
+  r.run_status = run.status;
+  r.instructions_retired = run.instructions_retired;
+  r.outputs = m.output_f64();
+  switch (run.status) {
+    case vm::RunResult::Status::kHalted:
+      r.passed = verifier.verify(r.outputs);
+      if (!r.passed) {
+        r.failure_class = FailureClass::kDivergence;
+        r.failure = "verification failed";
+      }
+      return r;
+    case vm::RunResult::Status::kTrapped:
+      r.failure_class = run.sentinel_escape ? FailureClass::kSentinelEscape
+                                            : FailureClass::kTrap;
+      break;
+    case vm::RunResult::Status::kOutOfBudget:
+      r.failure_class = FailureClass::kBudget;
+      break;
+    case vm::RunResult::Status::kDeadline:
+      r.failure_class = FailureClass::kTimeout;
+      break;
+  }
+  r.failure = run.trap_message.empty() ? "run failed" : run.trap_message;
+  return r;
+}
+
+void expect_same_outcome(const verify::EvalResult& a,
+                         const verify::EvalResult& b,
+                         const std::string& what) {
+  EXPECT_EQ(a.passed, b.passed) << what;
+  EXPECT_EQ(a.failure_class, b.failure_class) << what;
+  EXPECT_EQ(a.failure, b.failure) << what;
+  EXPECT_EQ(a.run_status, b.run_status) << what;
+  EXPECT_EQ(a.instructions_retired, b.instructions_retired) << what;
+  expect_outputs_bit_identical(a.outputs, b.outputs, what);
+  expect_stats_identical(a.stats, b.stats, what);
+}
+
+TEST(TrialBuilder, SharedOneShotAndScratchEvaluationsAgree) {
+  const Prepared s = prepare_structured();
+  // Tight enough that single-precision trials diverge.
+  const verify::RelativeErrorVerifier verifier(
+      verify::reference_outputs(s.image), 1e-12);
+  verify::TrialBuilder shared(s.image, s.index);
+  SplitMix64 rng(0xD1FF);
+  PrecisionConfig cfg;
+  std::set<verify::FailureClass> classes;
+  std::size_t shared_reused = 0;
+  for (int t = 0; t < 60; ++t) {
+    cfg = t % 6 == 5 ? random_config(s.index, &rng, 10)
+                     : mutate_config(s.index, cfg, &rng);
+    verify::EvalOptions eopts;
+    // Every fifth trial runs out of its budget mid-run.
+    if (t % 5 == 4) eopts.max_instructions = 200 + rng.next_below(400);
+    const std::string what = "trial " + std::to_string(t) + " key " +
+                             cfg.canonical_key();
+
+    const verify::EvalResult scratch =
+        scratch_evaluate(s.image, s.index, cfg, verifier, eopts);
+    const verify::EvalResult one_shot =
+        verify::evaluate_config(s.image, s.index, cfg, verifier, eopts);
+    eopts.builder = &shared;
+    const verify::EvalResult warm =
+        verify::evaluate_config(s.image, s.index, cfg, verifier, eopts);
+    expect_same_outcome(one_shot, scratch, what + " one-shot");
+    expect_same_outcome(warm, scratch, what + " shared");
+    classes.insert(scratch.failure_class);
+
+    // A one-shot build is a miss that reuses nothing.
+    EXPECT_FALSE(one_shot.cost.image_cache_hit) << what;
+    EXPECT_EQ(one_shot.cost.funcs_reused, 0u) << what;
+    EXPECT_EQ(one_shot.cost.funcs_total, warm.cost.funcs_total) << what;
+    if (!warm.cost.image_cache_hit) shared_reused += warm.cost.funcs_reused;
+  }
+  // The sweep covered passing, diverging and out-of-budget trials, and the
+  // shared builder actually reused variants.
+  EXPECT_TRUE(classes.count(verify::FailureClass::kNone)) << classes.size();
+  EXPECT_TRUE(classes.count(verify::FailureClass::kDivergence));
+  EXPECT_TRUE(classes.count(verify::FailureClass::kBudget));
+  EXPECT_GT(shared_reused, 0u);
+
+  // A stale index with the same function count: the same internal error
+  // on all three paths, with no build recorded.
+  const StaleIndexCase sc = stale_index_case();
+  const verify::RelativeErrorVerifier v(verify::reference_outputs(sc.image),
+                                        1e-6);
+  PrecisionConfig single;
+  single.set_module(0, Precision::kSingle);
+  verify::EvalOptions eopts;
+  const verify::EvalResult scratch =
+      scratch_evaluate(sc.image, sc.stale, single, v, eopts);
+  ASSERT_EQ(scratch.failure_class, verify::FailureClass::kInternalError);
+  verify::TrialBuilder stale_builder(sc.image, sc.stale);
+  for (verify::TrialBuilder* b : {static_cast<verify::TrialBuilder*>(nullptr),
+                                  &stale_builder}) {
+    eopts.builder = b;
+    const verify::EvalResult r =
+        verify::evaluate_config(sc.image, sc.stale, single, v, eopts);
+    const std::string what = b == nullptr ? "stale one-shot" : "stale shared";
+    expect_same_outcome(r, scratch, what);
+    EXPECT_EQ(r.cost.funcs_total, 0u) << what;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -413,8 +563,14 @@ TEST(SearchEquivalence, CacheOnOffIdenticalInProcess) {
   EXPECT_EQ(with_cache.configs_tested, without_cache.configs_tested);
   EXPECT_GT(with_cache.metrics.image_cache_hits, 0u);
   EXPECT_GT(with_cache.metrics.funcs_reused, 0u);
+  // Without the cache every trial still builds through a (one-shot)
+  // TrialBuilder: all misses, nothing reused.
   EXPECT_EQ(without_cache.metrics.image_cache_hits, 0u);
   EXPECT_EQ(without_cache.metrics.funcs_reused, 0u);
+  EXPECT_EQ(without_cache.metrics.image_cache_misses,
+            without_cache.metrics.trials_live +
+                without_cache.metrics.retries);
+  EXPECT_GT(without_cache.metrics.funcs_patched, 0u);
 }
 
 TEST(SearchEquivalence, CacheOnOffIdenticalIsolated) {

@@ -127,6 +127,14 @@ TEST(WorkloadFactory, NamesEveryServableWorkloadAndRejectsOthers) {
   for (const char* name : {"superlu", "EP", "", "cg.W"}) {
     EXPECT_FALSE(make_workload(name, 'W').has_value()) << name;
   }
+  // Every NAS kernel takes exactly the classes S, W, A, C; any other class
+  // is no workload (not a throw), while amg has no classes at all.
+  for (const char* name : {"ep", "cg", "ft", "mg", "bt", "lu", "sp"}) {
+    for (const char cls : {'Q', 'B', 's', '2', '\0'}) {
+      EXPECT_FALSE(make_workload(name, cls).has_value()) << name << cls;
+    }
+  }
+  EXPECT_TRUE(make_workload("amg", 'Q').has_value());
 }
 
 // ---------------------------------------------------------------------------

@@ -41,12 +41,14 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "config/textio.hpp"
+#include "kernels/workload.hpp"
 #include "lang/builder.hpp"
 #include "lang/compile.hpp"
 #include "net/client.hpp"
@@ -59,6 +61,7 @@
 #include "runner/wire.hpp"
 #include "search/scheduler.hpp"
 #include "search/search.hpp"
+#include "support/error.hpp"
 #include "support/fault.hpp"
 #include "support/hash.hpp"
 #include "support/journal.hpp"
@@ -620,13 +623,25 @@ std::string read_file(const std::string& path) {
 
 #if defined(__unix__) || defined(__APPLE__)
 
-/// The test fleet serves exactly one workload id.
+/// The test fleet serves the "iso" workload; "throw" makes the factory
+/// throw, and any other name goes through kernels::make_workload as
+/// runner_serve's factory does.
 std::unique_ptr<net::ServedWorkload> serve_factory(const std::string& bench,
-                                                   char /*cls*/,
+                                                   char cls,
                                                    std::string* error) {
+  if (bench == "throw") throw Error("factory failure");
   if (bench != "iso") {
-    if (error != nullptr) *error = "unknown benchmark '" + bench + "'";
-    return nullptr;
+    const std::optional<kernels::Workload> k =
+        kernels::make_workload(bench, cls);
+    if (!k) {
+      if (error != nullptr) *error = "unknown benchmark '" + bench + "'";
+      return nullptr;
+    }
+    auto out = std::make_unique<net::ServedWorkload>();
+    out->image = kernels::build_image(*k);
+    out->index = config::StructureIndex::build(program::lift(out->image));
+    out->verifier = kernels::make_verifier(*k, out->image);
+    return out;
   }
   NetWorkload w = make_workload();
   auto out = std::make_unique<net::ServedWorkload>();
@@ -798,6 +813,52 @@ TEST(DistributedClient, ServerRejectsUnknownWorkloadAndBadVersion) {
   ASSERT_NE(client, nullptr) << error;
   EXPECT_EQ(client->workers(), 1u);
   EXPECT_EQ(client->verifier_fp(), w.verifier->fingerprint());
+}
+
+TEST(DistributedClient, BadWorkloadClassIsRejectedAndDaemonKeepsServing) {
+  SKIP_WITHOUT_NET();
+  ServerProc sp = spawn_server(1);
+  ASSERT_GT(sp.pid, 0);
+
+  // A known NAS name at a class no kernel has: a rejecting HelloAck, not a
+  // daemon abort.
+  net::HelloMsg bad_class = make_hello();
+  bad_class.bench = "ep";
+  bad_class.cls = 'Q';
+  std::string error;
+  EXPECT_EQ(net::EndpointClient::connect(sp.ep, bad_class, 2000, 30000,
+                                         &error),
+            nullptr);
+  EXPECT_NE(error.find("unknown benchmark"), std::string::npos) << error;
+
+  // A factory that throws on a hello rejects that session only.
+  net::HelloMsg throwing = make_hello();
+  throwing.bench = "throw";
+  EXPECT_EQ(net::EndpointClient::connect(sp.ep, throwing, 2000, 30000,
+                                         &error),
+            nullptr);
+  EXPECT_NE(error.find("cannot build workload: factory failure"),
+            std::string::npos)
+      << error;
+
+  // The same daemon then serves a whole valid session.
+  NetWorkload w = make_workload();
+  search::SchedulerOptions so;
+  so.endpoints = {sp.ep};
+  so.hello = make_hello();
+  so.verifier_fp = w.verifier->fingerprint();
+  {
+    search::Scheduler sched(so);
+    ASSERT_EQ(sched.connect(), 1u);
+    config::PrecisionConfig all_double;
+    const std::vector<runner::TrialOutcome> outs =
+        sched.run_batch({runner::TrialJob{"all-double", &all_double}});
+    ASSERT_EQ(outs.size(), 1u);
+    EXPECT_TRUE(outs[0].served);
+    EXPECT_TRUE(outs[0].result.passed) << outs[0].result.failure;
+  }
+  // One backend: the rejected hello built none.
+  EXPECT_EQ(sp.terminate(), 1);
 }
 
 TEST(DistributedClient, SessionsWithEqualSpecsShareOneBackend) {
@@ -1909,6 +1970,66 @@ TEST(DistributedGossip, GossipRepairsBlankedShardWithoutAdoption) {
   ASSERT_EQ(em.size(), 2u);
   EXPECT_GE(em[1].records_repaired, committed.size());
   EXPECT_GT(em[1].gossip_rounds, 0u);
+}
+
+// A record committed while an endpoint is down (the search's final
+// composition, streamed after its last batch) reaches that endpoint only
+// through the search's closing heal round: one gossip_now that redials the
+// endpoint at once, however long its reconnect backoff still runs.
+TEST(DistributedGossip, HealRoundRedialsAnEndpointDownAcrossTheFinalCommit) {
+  SKIP_WITHOUT_NET();
+  ServerProc s1 = spawn_server(1);
+  SpawnOpts o2;
+  o2.workers = 1;
+  ServerProc s2 = spawn_server_with(o2);
+  ASSERT_GT(s1.pid, 0);
+  ASSERT_GT(s2.pid, 0);
+  const std::uint16_t port2 = s2.ep.port;
+
+  search::SchedulerOptions so;
+  so.endpoints = {s1.ep, s2.ep};
+  so.hello = make_hello();
+  so.hello.search_fp = "fp:final-heal";
+  // Backoff far longer than the test: only an explicit redial reconnects.
+  so.reconnect_backoff.base_ms = 600000;
+  so.reconnect_backoff.cap_ms = 600000;
+  search::Scheduler sched(so);
+  ASSERT_EQ(sched.connect(), 2u);
+
+  std::vector<std::string> committed;
+  committed.push_back(seal_record(
+      "{\"type\":\"meta\",\"version\":2,\"search_fp\":\"fp:final-heal\"}",
+      1));
+  for (std::uint64_t seq = 2; seq <= 5; ++seq) {
+    committed.push_back(seal_record(
+        "{\"type\":\"trial\",\"key\":\"k" + std::to_string(seq) + "\"}",
+        seq));
+  }
+  for (const std::string& l : committed) sched.stream_journal(l);
+  EXPECT_EQ(sched.gossip_now(5000), 0u);
+
+  // Endpoint 2 dies; the next round sees it go (and arms its backoff).
+  s2.stop();
+  EXPECT_EQ(sched.gossip_now(5000), 0u);
+  ASSERT_EQ(sched.endpoint_metrics()[1].disconnects, 1u);
+
+  // The final record commits while it is down, then it restarts blank.
+  committed.push_back(seal_record(
+      "{\"type\":\"trial\",\"key\":\"final composition\"}", 6));
+  sched.stream_journal(committed.back());
+  s2 = respawn_at(port2, o2);
+  ASSERT_GT(s2.pid, 0);
+
+  // One round heals it: redial, digest, full re-stream.
+  EXPECT_EQ(sched.gossip_now(5000), committed.size());
+  std::string error;
+  auto check = net::EndpointClient::connect(s2.ep, so.hello, 2000, 60000,
+                                            &error);
+  ASSERT_NE(check, nullptr) << error;
+  std::vector<std::string> lines;
+  ASSERT_TRUE(check->fetch_journal(&lines, 10000, &error)) << error;
+  EXPECT_EQ(lines, committed);
+  EXPECT_EQ(sched.endpoint_metrics()[1].reconnects, 1u);
 }
 
 TEST(DistributedDurable, DaemonSigkilledMidSearchRestartsFromStateDir) {

@@ -27,7 +27,6 @@
 #include "arch/tag.hpp"
 #include "asm/assembler.hpp"
 #include "config/config.hpp"
-#include "instrument/incremental.hpp"
 #include "instrument/patch.hpp"
 #include "kernels/workload.hpp"
 #include "lang/builder.hpp"
@@ -36,6 +35,7 @@
 #include "program/program.hpp"
 #include "support/fault.hpp"
 #include "support/rng.hpp"
+#include "verify/trial_builder.hpp"
 #include "vm/jit/jit.hpp"
 #include "vm/machine.hpp"
 
@@ -925,7 +925,7 @@ TEST(JitEngine, InjectedFaultsFireIdenticallyInCompiledCode) {
 
 TEST(JitEngine, DeltaReJitIsBitIdenticalToColdCompile) {
   FPMIX_REQUIRE_JIT();
-  // Two configs that differ in one module: the incremental patcher re-uses
+  // Two configs that differ in one module: the trial builder re-uses
   // every unchanged function's CodeSegment, so the second predecode's JIT
   // pass links mostly warm blobs (compiled while running the first trial).
   // The warm-linked image must behave bit-identically to a from-scratch
@@ -934,10 +934,10 @@ TEST(JitEngine, DeltaReJitIsBitIdenticalToColdCompile) {
   const program::Image orig =
       program::relayout(lang::compile(model, lang::Mode::kDouble));
   const auto ix = config::StructureIndex::build(program::lift(orig));
-  instrument::IncrementalPatcher patcher(orig, ix);
+  verify::TrialBuilder builder(orig, ix);
 
   config::PrecisionConfig base;  // all-double baseline
-  const auto exec_a = patcher.predecode(patcher.patch(base));
+  const auto exec_a = builder.build(base).exec;
   vm::Machine::Options opts;
   opts.engine = vm::Engine::kJit;
   // Warm the blob caches of every shared segment.
@@ -945,7 +945,7 @@ TEST(JitEngine, DeltaReJitIsBitIdenticalToColdCompile) {
 
   config::PrecisionConfig delta;
   delta.set_module(0, config::Precision::kSingle);
-  const auto exec_b = patcher.predecode(patcher.patch(delta));
+  const auto exec_b = builder.build(delta).exec;
   const EngineOut warm_b = run_engine(exec_b, vm::Engine::kJit, opts);
 
   // Cold reference: identical image bytes, fresh predecode, fresh JIT.

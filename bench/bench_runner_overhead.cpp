@@ -1,6 +1,6 @@
 // Process-isolation overhead: in-process trials vs sandboxed workers.
 //
-// In-process: the seed path -- trials run on a thread pool inside the
+// In-process: the seed path -- trials run on in-process lanes inside the
 // driver, sharing its address space.
 // Isolated: every trial crosses a fork boundary -- canonical-key request
 // out, CRC-framed verdict back, rlimits armed in the child. The gap

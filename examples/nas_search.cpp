@@ -24,9 +24,14 @@
 // journaled verdict instead of re-evaluating (an interrupted search loses
 // at most the trial in flight).
 //
+// --threads N evaluates up to N trials at once (1..256). Lanes take queued
+// units as they free up, and results commit in the order a 1-lane search
+// pops them, so the journal, trace and configuration do not depend on N.
+//
 // --isolate runs every trial in a forked, rlimit-capped worker process:
 // a trial that crashes or OOMs kills its worker, never the search.
-// --workers N sizes the worker fleet (default: --threads), --max-crashes N
+// --workers N (1..256) sizes the worker fleet (default: --threads),
+// --max-crashes N
 // sets the per-config crash-loop breaker, and --fault-seed N arms a
 // deterministic hard-fault campaign (SIGSEGV/SIGKILL/OOM/corrupt-frame
 // injection) for exercising the supervisor. --metrics-json dumps the full
@@ -136,7 +141,7 @@ int main(int argc, char** argv) {
     else if (arg == "--metrics-json" && i + 1 < argc) metrics_path = argv[++i];
     else if (arg == "--threads" && i + 1 < argc) {
       std::uint64_t n = 1;
-      if (!parse_u64(argv[++i], &n) || n == 0) {
+      if (!parse_u64(argv[++i], &n) || n == 0 || n > search::kMaxLanes) {
         std::fprintf(stderr, "bad --threads value '%s'\n", argv[i]);
         return 2;
       }
@@ -144,7 +149,7 @@ int main(int argc, char** argv) {
     }
     else if (arg == "--workers" && i + 1 < argc) {
       std::uint64_t n = 1;
-      if (!parse_u64(argv[++i], &n) || n == 0 || n > 256) {
+      if (!parse_u64(argv[++i], &n) || n == 0 || n > search::kMaxLanes) {
         std::fprintf(stderr, "bad --workers value '%s'\n", argv[i]);
         return 2;
       }
@@ -327,6 +332,8 @@ int main(int argc, char** argv) {
               "jit %.2fs, run %.2fs, verify %.2fs\n",
               m.patch_seconds, m.predecode_seconds, m.setup_seconds,
               m.jit_seconds, m.run_seconds, m.verify_seconds);
+  std::printf("  unattributed %.3fs of evaluation, driver %.3fs of wall\n",
+              m.unattributed_seconds, m.driver_seconds);
   if (m.image_cache_hits + m.image_cache_misses > 0) {
     std::printf("incremental: %zu image hit(s) / %zu miss(es), %zu func "
                 "segment(s) reused / %zu patched\n",

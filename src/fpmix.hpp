@@ -67,5 +67,4 @@
 #include "support/error.hpp"
 #include "support/log.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 #include "support/timer.hpp"

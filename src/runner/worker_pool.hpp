@@ -22,10 +22,11 @@
 // work instead of fork-bombing the machine.
 //
 // The pool exposes two interfaces over one engine:
-//   * run_batch(): the synchronous driver loop the search uses -- submit a
-//     batch, pump until every outcome is in, return them in job order;
-//   * submit()/pump()/take_finished(): the asynchronous form the network
-//     runner daemon uses to multiplex many client sessions over one pool.
+//   * run_batch(): a synchronous driver loop -- submit a batch, pump until
+//     every outcome is in, return them in job order;
+//   * submit()/pump()/take_finished(): the asynchronous form the search's
+//     lane loop drives (one trial at a time, as lanes free up) and the
+//     network runner daemon uses to multiplex many client sessions.
 //     poll_fds()/next_deadline_ns() let an external event loop (the
 //     daemon's socket loop) sleep on worker pipes and supervisor deadlines
 //     alongside its own fds.

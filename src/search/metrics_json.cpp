@@ -45,6 +45,8 @@ std::string metrics_json(const SearchResult& res) {
   num("jit_seconds", m.jit_seconds);
   num("run_seconds", m.run_seconds);
   num("verify_seconds", m.verify_seconds);
+  num("driver_seconds", m.driver_seconds);
+  num("unattributed_seconds", m.unattributed_seconds);
   uint("image_cache_hits", m.image_cache_hits);
   uint("image_cache_misses", m.image_cache_misses);
   uint("funcs_reused", m.funcs_reused);

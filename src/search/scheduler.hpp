@@ -80,7 +80,8 @@ class Scheduler {
   /// live sessions (0 means the caller should degrade to local execution).
   std::size_t connect();
 
-  /// Total workers across live endpoints (the search sizes batches to it).
+  /// Total workers across live endpoints (the search keeps that many
+  /// trials open on the fleet).
   std::size_t capacity() const;
   bool any_live() const;
 

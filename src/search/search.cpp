@@ -1,10 +1,17 @@
 #include "search/search.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
 #include <cstdio>
 #include <deque>
+#include <exception>
 #include <fstream>
 #include <memory>
+#include <mutex>
+#include <optional>
+#include <thread>
+#include <utility>
 
 #include "net/socket.hpp"
 #include "runner/worker_pool.hpp"
@@ -16,7 +23,6 @@
 #include "support/journal.hpp"
 #include "support/log.hpp"
 #include "support/strings.hpp"
-#include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 #include "verify/trial_builder.hpp"
 #include "vm/jit/jit.hpp"
@@ -194,46 +200,192 @@ void apply_majority_verdict(TrialEval* t, std::uint32_t passes,
 }
 
 /// In-process backend: verify::evaluate_config with the injector's
-/// per-(key, attempt) faults, fanned out on a ThreadPool.
+/// per-(key, attempt) faults, on persistent lanes. The polling thread is
+/// lane 0; lanes 1.. are threads the first poll() starts, so none exists
+/// while isolate mode forks its workers, and a fleet starts them only once
+/// it falls back. A lane that finishes an attempt calls `done` itself, and
+/// the first attempt `done` submits is that lane's next one: a revote or
+/// the next unit starts with no hand-off, and a revote finds the image the
+/// lane just built. Other submissions wait in a shared queue. A lane with
+/// nothing to run spins for kIdleSpinNs before it sleeps, so work that
+/// turns up within that window never waits on a wake-up.
 class InProcessExecutor final : public TrialExecutor {
  public:
-  InProcessExecutor(const runner::WorkerContext& ctx, std::size_t threads)
-      : TrialExecutor(/*sandboxed=*/false, threads), ctx_(ctx) {}
-
-  std::vector<runner::TrialOutcome> run_batch(
-      const std::vector<runner::TrialJob>& jobs,
-      std::uint32_t attempt) override {
-    std::vector<runner::TrialOutcome> outs(jobs.size());
-    // Private state per evaluation; each task writes only its own outcome.
-    const auto run_one = [&](std::size_t i) {
-      verify::EvalOptions eopts = ctx_.eval;
-      fault::TrialFaults faults;
-      if (ctx_.injector != nullptr) {
-        faults = ctx_.injector->for_trial(jobs[i].key, attempt);
-        eopts.faults = &faults;
-      }
-      Timer timer;
-      outs[i].result = verify::evaluate_config(
-          *ctx_.image, *ctx_.index, *jobs[i].config, *ctx_.verifier, eopts);
-      outs[i].wall_ns = timer.elapsed_ns();
-    };
-    if (jobs.size() == 1 || lanes() == 1) {
-      for (std::size_t i = 0; i < jobs.size(); ++i) run_one(i);
-    } else {
-      // Created on first use: no thread exists while isolate mode forks
-      // its workers, and a fleet needs threads only once it is lost.
-      if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(lanes());
-      for (std::size_t i = 0; i < jobs.size(); ++i) {
-        pool_->submit([&run_one, i] { run_one(i); });
-      }
-      pool_->wait_idle();
+  InProcessExecutor(const runner::WorkerContext& ctx, std::size_t lanes)
+      : TrialExecutor(/*sandboxed=*/false, lanes), ctx_(ctx),
+        lane_(this->lanes()) {
+    for (std::size_t i = 0; i < lane_.size(); ++i) {
+      lane_[i].owner = this;
+      lane_[i].index = i;
     }
-    return outs;
+  }
+
+  ~InProcessExecutor() override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    idle_cv_.notify_all();
+    for (std::thread& t : threads_) t.join();
+  }
+
+  void submit(std::uint64_t ticket, const runner::TrialJob& job,
+              std::uint32_t attempt) override {
+    outstanding_.fetch_add(1, std::memory_order_acq_rel);
+    Lane* me = current_lane_;
+    if (me != nullptr && me->owner == this && !me->next) {
+      me->next = Job{ticket, job, attempt};
+      return;
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    shared_.push_back(Job{ticket, job, attempt});
+    queued_.store(shared_.size(), std::memory_order_release);
+    if (sleeping_ > 0) work_cv_.notify_one();
+  }
+
+  void poll(const Done& done) override {
+    if (outstanding_.load(std::memory_order_acquire) == 0) return;
+    if (threads_.empty()) {
+      for (std::size_t i = 1; i < lane_.size(); ++i) {
+        threads_.emplace_back([this, i] { helper(&lane_[i]); });
+      }
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      done_ = &done;
+      ++poll_epoch_;
+    }
+    idle_cv_.notify_all();
+    run_lane(&lane_[0]);
+    std::unique_lock<std::mutex> lock(mu_);
+    idle_cv_.wait(lock, [this] { return active_ == 0; });
+    done_ = nullptr;
+    if (error_ != nullptr) {
+      aborted_.store(false, std::memory_order_relaxed);
+      std::rethrow_exception(std::exchange(error_, nullptr));
+    }
   }
 
  private:
+  /// How long an idle lane spins before it sleeps.
+  static constexpr std::uint64_t kIdleSpinNs = 1000000;
+
+  struct Job {
+    std::uint64_t ticket = 0;
+    runner::TrialJob job;
+    std::uint32_t attempt = 0;
+  };
+  struct Lane {
+    InProcessExecutor* owner = nullptr;
+    std::size_t index = 0;
+    std::optional<Job> next;  // touched only by the lane's own thread
+  };
+
+  /// Lanes 1..: join every poll until the executor is destroyed.
+  void helper(Lane* me) {
+    std::uint64_t seen = 0;
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      idle_cv_.wait(lock, [&] {
+        return stop_ || (done_ != nullptr && poll_epoch_ != seen);
+      });
+      if (stop_) return;
+      seen = poll_epoch_;
+      ++active_;
+      lock.unlock();
+      run_lane(me);
+      lock.lock();
+      if (--active_ == 0) idle_cv_.notify_all();
+    }
+  }
+
+  /// Runs attempts until none is outstanding. Once an attempt or its
+  /// `done` threw, the remaining attempts are dropped unrun and poll()
+  /// rethrows.
+  void run_lane(Lane* me) {
+    current_lane_ = me;
+    for (;;) {
+      std::optional<Job> j;
+      j.swap(me->next);
+      if (!j) j = take_shared();
+      if (!j) break;
+      if (!aborted_.load(std::memory_order_acquire)) {
+        try {
+          (*done_)(j->ticket, run_one(*j, me->index));
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(mu_);
+          if (error_ == nullptr) error_ = std::current_exception();
+          aborted_.store(true, std::memory_order_release);
+        }
+      }
+      if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        std::lock_guard<std::mutex> lock(mu_);
+        work_cv_.notify_all();
+      }
+    }
+    current_lane_ = nullptr;
+  }
+
+  /// The next shared attempt; nullopt once nothing is outstanding.
+  std::optional<Job> take_shared() {
+    const std::uint64_t spin_until = steady_ns() + kIdleSpinNs;
+    while (queued_.load(std::memory_order_acquire) == 0 &&
+           outstanding_.load(std::memory_order_acquire) != 0 &&
+           steady_ns() < spin_until) {
+      std::this_thread::yield();
+    }
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      if (!shared_.empty()) {
+        Job j = std::move(shared_.front());
+        shared_.pop_front();
+        queued_.store(shared_.size(), std::memory_order_release);
+        return j;
+      }
+      if (outstanding_.load(std::memory_order_acquire) == 0) {
+        return std::nullopt;
+      }
+      ++sleeping_;
+      work_cv_.wait(lock);
+      --sleeping_;
+    }
+  }
+
+  runner::TrialOutcome run_one(const Job& j, std::size_t lane) const {
+    verify::EvalOptions eopts = ctx_.eval;
+    eopts.builder_lane = lane;
+    fault::TrialFaults faults;
+    if (ctx_.injector != nullptr) {
+      faults = ctx_.injector->for_trial(j.job.key, j.attempt);
+      eopts.faults = &faults;
+    }
+    runner::TrialOutcome o;
+    Timer timer;
+    o.result = verify::evaluate_config(*ctx_.image, *ctx_.index,
+                                       *j.job.config, *ctx_.verifier, eopts);
+    o.wall_ns = timer.elapsed_ns();
+    return o;
+  }
+
+  static inline thread_local Lane* current_lane_ = nullptr;
+
   const runner::WorkerContext ctx_;
-  std::unique_ptr<ThreadPool> pool_;
+  std::vector<Lane> lane_;
+  std::vector<std::thread> threads_;
+  /// Submitted attempts whose `done` has not returned.
+  std::atomic<std::size_t> outstanding_{0};
+  std::atomic<std::size_t> queued_{0};  // shared_.size(), for spinning lanes
+  std::atomic<bool> aborted_{false};
+  std::mutex mu_;
+  std::condition_variable work_cv_;  // shared_ filled or nothing outstanding
+  std::condition_variable idle_cv_;  // a poll started, or its lanes left
+  std::deque<Job> shared_;
+  std::size_t sleeping_ = 0;  // lanes waiting on work_cv_
+  const Done* done_ = nullptr;  // non-null while a poll runs
+  std::uint64_t poll_epoch_ = 0;
+  std::size_t active_ = 0;  // helpers inside run_lane
+  std::exception_ptr error_;
+  bool stop_ = false;
 };
 
 /// Sandboxed-worker backend over a started runner::WorkerPool.
@@ -242,10 +394,20 @@ class PoolExecutor final : public TrialExecutor {
   PoolExecutor(std::unique_ptr<runner::WorkerPool> pool, std::size_t workers)
       : TrialExecutor(/*sandboxed=*/true, workers), pool_(std::move(pool)) {}
 
-  std::vector<runner::TrialOutcome> run_batch(
-      const std::vector<runner::TrialJob>& jobs,
-      std::uint32_t /*attempt*/) override {
-    return pool_->run_batch(jobs);
+  void submit(std::uint64_t ticket, const runner::TrialJob& job,
+              std::uint32_t /*attempt*/) override {
+    pool_->submit(ticket, job.key, *job.config);
+    ++outstanding_;
+  }
+
+  void poll(const Done& done) override {
+    while (outstanding_ > 0) {
+      pool_->pump(/*max_wait_ms=*/-1);
+      for (runner::WorkerPool::Finished& f : pool_->take_finished()) {
+        --outstanding_;
+        done(f.ticket, std::move(f.outcome));
+      }
+    }
   }
 
   void fold_metrics(SearchMetrics* m) const override {
@@ -267,24 +429,35 @@ class PoolExecutor final : public TrialExecutor {
 
  private:
   std::unique_ptr<runner::WorkerPool> pool_;
+  std::size_t outstanding_ = 0;
 };
 
 /// Remote-fleet backend over a borrowed Scheduler, as wide as the fleet at
-/// connect time; trials it cannot serve fall back to in-process.
+/// connect time; trials it cannot serve fall back to in-process. Each poll
+/// round runs everything submitted so far as one Scheduler batch.
 class FleetExecutor final : public TrialExecutor {
  public:
   FleetExecutor(Scheduler* sched, std::unique_ptr<TrialExecutor> local)
       : TrialExecutor(/*sandboxed=*/true, sched->capacity()), sched_(sched),
         local_(std::move(local)) {}
 
-  std::vector<runner::TrialOutcome> run_batch(
-      const std::vector<runner::TrialJob>& jobs,
-      std::uint32_t /*attempt*/) override {
-    std::vector<runner::TrialOutcome> outs = sched_->run_batch(jobs);
-    for (const runner::TrialOutcome& o : outs) {
-      if (!o.served) ++unserved_;
+  void submit(std::uint64_t ticket, const runner::TrialJob& job,
+              std::uint32_t /*attempt*/) override {
+    pending_.emplace_back(ticket, job);
+  }
+
+  void poll(const Done& done) override {
+    while (!pending_.empty()) {
+      std::vector<std::pair<std::uint64_t, runner::TrialJob>> batch;
+      batch.swap(pending_);
+      std::vector<runner::TrialJob> jobs;
+      for (const auto& [ticket, job] : batch) jobs.push_back(job);
+      std::vector<runner::TrialOutcome> outs = sched_->run_batch(jobs);
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        if (!outs[i].served) ++unserved_;
+        done(batch[i].first, std::move(outs[i]));
+      }
     }
-    return outs;
   }
 
   TrialExecutor* fallback() override { return local_.get(); }
@@ -316,6 +489,7 @@ class FleetExecutor final : public TrialExecutor {
  private:
   Scheduler* const sched_;
   std::unique_ptr<TrialExecutor> local_;
+  std::vector<std::pair<std::uint64_t, runner::TrialJob>> pending_;
   std::size_t unserved_ = 0;
 };
 
@@ -339,9 +513,11 @@ runner::SandboxSpec sandbox_spec(const SearchOptions& o) {
 class Searcher {
  public:
   Searcher(const program::Image& original, StructureIndex* index,
-           const verify::Verifier& verifier, const SearchOptions& options)
+           const verify::Verifier& verifier, const SearchOptions& options,
+           TrialExecutor* external)
       : original_(original), ix_(*index), verifier_(verifier),
-        options_(options), spec_(sandbox_spec(options)) {}
+        options_(options), spec_(sandbox_spec(options)),
+        external_(external) {}
 
   SearchResult run() {
     resolve_engine();
@@ -353,32 +529,20 @@ class Searcher {
     setup_journal();
     profile_original();
     setup_executor();
+    votes_.emplace(*exec_, options_.max_retries);
+
+    // The lane loop. Lanes take queued units as they free up; results are
+    // held and committed in the order a 1-lane search pops them (see
+    // advance()), so the journal, the trace and the children each commit
+    // pushes do not depend on the lane count, the executor or the order in
+    // which attempts finish.
     seed_queue();
-
-    while (!queue_.empty()) {
-      // Pop a batch (highest priority first), resolve cache hits, and
-      // evaluate the misses concurrently. Trials are committed in pop
-      // order, so trace/journal order is deterministic for any lane count.
-      const std::size_t batch = std::min(queue_.size(), executor_->lanes());
-      std::vector<Trial> trials;
-      trials.reserve(batch);
-      for (std::size_t i = 0; i < batch; ++i) {
-        trials.push_back(make_trial(pop_unit()));
-      }
-
-      std::vector<TrialEval*> live;
-      for (Trial& t : trials) {
-        if (!t.cached) live.push_back(&t);
-      }
-      vote_batch(*executor_, live, options_.max_retries);
-
-      for (Trial& t : trials) {
-        commit_trial(&t, unit_name(ix_, t.unit),
-                     unit_candidates(ix_, t.unit).size(),
-                     level_name(t.unit.kind));
-        process_result(t.unit, t.result);
-      }
-    }
+    advance();
+    votes_->run([this](TrialEval* t) {
+      static_cast<Trial*>(t)->settled = true;
+      advance();
+    });
+    FPMIX_CHECK(queue_.empty() && evals_.empty());
 
     // Compose and test the final configuration (Section 2.2: "the union of
     // all previously-found successful individual configurations").
@@ -431,7 +595,15 @@ class Searcher {
         metrics_.wall_seconds > 0.0
             ? static_cast<double>(tested_) / metrics_.wall_seconds
             : 0.0;
-    executor_->fold_metrics(&metrics_);
+    metrics_.driver_seconds =
+        metrics_.wall_seconds -
+        metrics_.eval_seconds / static_cast<double>(exec_->lanes());
+    metrics_.unattributed_seconds =
+        metrics_.eval_seconds -
+        (metrics_.patch_seconds + metrics_.predecode_seconds +
+         metrics_.setup_seconds + metrics_.jit_seconds +
+         metrics_.run_seconds + metrics_.verify_seconds);
+    exec_->fold_metrics(&metrics_);
     out.metrics = metrics_;
     if (options_.progress_log) {
       log::infof("search done: %zu trials (%zu live, %zu cached, %.1f%% "
@@ -496,33 +668,67 @@ class Searcher {
     if (cands.empty()) return;
     u.weight = weight_of(ix_, cands);
     u.seq = next_seq_++;
-    queue_.push_back(std::move(u));
+    // The 1-lane pop order: heaviest first, then oldest (only oldest when
+    // profile prioritisation is off).
+    const Order order{options_.prioritize_by_profile ? ~u.weight : 0, u.seq};
+    Queued q;
+    q.cfg = config_for(u);
+    q.key = hex_digest(q.cfg.stable_hash());
+    q.unit = std::move(u);
+    queue_.emplace(order, std::move(q));
   }
 
-  Unit pop_unit() {
-    FPMIX_CHECK(!queue_.empty());
-    std::size_t best = 0;
-    if (options_.prioritize_by_profile) {
-      for (std::size_t i = 1; i < queue_.size(); ++i) {
-        const Unit& a = queue_[i];
-        const Unit& b = queue_[best];
-        if (a.weight > b.weight ||
-            (a.weight == b.weight && a.seq < b.seq)) {
-          best = i;
-        }
+  /// Commits, in 1-lane pop order, every queued unit whose result is known
+  /// (the trial cache has its key, or its live evaluation settled), pushing
+  /// each one's children; then opens votes on the highest-priority queued
+  /// units until every lane is busy. A unit whose key is cached, in flight
+  /// or held never runs: it waits for that result, and the first unit with
+  /// the key in pop order commits it live, later ones as cached -- exactly
+  /// what a 1-lane search does. Runs under the vote loop's lock.
+  void advance() {
+    while (!queue_.empty()) {
+      const auto head = queue_.begin();
+      Queued& q = head->second;
+      std::unique_ptr<Trial> t = cached_trial(q.key);
+      if (t == nullptr) {
+        const auto it = evals_.find(q.key);
+        if (it == evals_.end() || !it->second->settled) break;
+        t = std::move(it->second);
+        evals_.erase(it);
       }
+      const Unit u = std::move(q.unit);
+      queue_.erase(head);
+      commit_trial(t.get(), unit_name(ix_, u), unit_candidates(ix_, u).size(),
+                   level_name(u.kind));
+      process_result(u, t->result);
     }
-    Unit u = std::move(queue_[best]);
-    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(best));
-    return u;
+    for (const auto& [order, q] : queue_) {
+      if (votes_->open() >= exec_->lanes()) break;
+      if (evals_.count(q.key) != 0 || cache_.lookup(q.key) != nullptr) {
+        continue;
+      }
+      auto t = std::make_unique<Trial>();
+      t->cfg = q.cfg;
+      t->key = q.key;
+      votes_->start(t.get());
+      evals_.emplace(q.key, std::move(t));
+    }
   }
+
+  /// A queued unit, with the config and key it is tested under.
+  struct Queued {
+    Unit unit;
+    PrecisionConfig cfg;
+    std::string key;
+  };
+  /// (priority, seq): ascending order is the 1-lane pop order.
+  using Order = std::pair<std::uint64_t, std::uint64_t>;
 
   /// One configuration on its way through the cache -> evaluate -> commit
-  /// pipeline. `unit` is only meaningful for frontier trials; composition
-  /// trials carry an empty default.
+  /// pipeline.
   struct Trial : TrialEval {
-    Unit unit;
     bool cached = false;
+    bool settled = false;  // live vote done, waiting for its commit turn
   };
 
   void compute_fingerprint() {
@@ -745,13 +951,17 @@ class Searcher {
     ctx.verifier = &verifier_;
     ctx.eval = plan.eval;
     ctx.injector = options_.fault_injector;
+    if (external_ != nullptr) {
+      exec_ = external_;
+      return;
+    }
     if (sched_ != nullptr) {
-      // Batches are as wide as the fleet; the in-process fallback revotes
-      // at most one batch of unserved trials.
-      setup_builder(sched_->capacity(), &ctx);
+      // The builder serves the in-process fallback's lanes.
+      setup_builder(options_.num_threads, &ctx);
       executor_ = std::make_unique<FleetExecutor>(
           sched_.get(),
           std::make_unique<InProcessExecutor>(ctx, options_.num_threads));
+      exec_ = executor_.get();
       return;
     }
     if (options_.isolate_trials && !runner::isolation_supported()) {
@@ -770,6 +980,7 @@ class Searcher {
       auto pool = std::make_unique<runner::WorkerPool>(ctx, plan.pool);
       if (pool->start()) {
         executor_ = std::make_unique<PoolExecutor>(std::move(pool), workers);
+        exec_ = executor_.get();
         return;
       }
       log::warnf("search: could not spawn any sandboxed worker; running "
@@ -778,6 +989,7 @@ class Searcher {
     }
     setup_builder(options_.num_threads, &ctx);
     executor_ = std::make_unique<InProcessExecutor>(ctx, options_.num_threads);
+    exec_ = executor_.get();
   }
 
   /// The shared patch+predecode front end (image_cache option), sized to
@@ -788,39 +1000,41 @@ class Searcher {
     ctx->eval.builder = builder_.get();
   }
 
-  Trial make_trial(Unit u) {
-    Trial t;
-    t.unit = std::move(u);
-    t.cfg = config_for(t.unit);
-    fill_from_cache(&t);
-    return t;
-  }
-
-  void fill_from_cache(Trial* t) {
-    t->key = hex_digest(t->cfg.stable_hash());
-    if (const CachedTrial* hit = cache_.lookup(t->key)) {
-      t->cached = true;
-      t->result.passed = hit->passed;
-      t->result.failure_class = hit->failure_class;
-      t->result.failure = hit->failure;
-    }
-  }
-
   /// Cache-aware evaluation of a composed configuration (final union and
   /// refinement steps), sharing journal/metrics with frontier trials.
   verify::EvalResult run_config_trial(const PrecisionConfig& cfg,
                                       const std::string& name) {
-    Trial t;
-    t.cfg = cfg;
-    fill_from_cache(&t);
-    if (!t.cached) vote_batch(*executor_, {&t}, options_.max_retries);
-    commit_trial(&t, name, config::replacement_stats(ix_, cfg).replaced_static,
+    const std::string key = hex_digest(cfg.stable_hash());
+    std::unique_ptr<Trial> t = cached_trial(key);
+    if (t == nullptr) {
+      t = std::make_unique<Trial>();
+      t->cfg = cfg;
+      t->key = key;
+      votes_->start(t.get());
+      votes_->run([](TrialEval*) {});
+    }
+    commit_trial(t.get(), name,
+                 config::replacement_stats(ix_, cfg).replaced_static,
                  "composition");
-    return std::move(t.result);
+    return std::move(t->result);
   }
 
-  /// Counts, journals, caches and traces a finished trial. Serial-section
-  /// only: journal appends and cache inserts are not synchronized.
+  /// The trial cache's verdict for `key`, or nullptr when it has none.
+  std::unique_ptr<Trial> cached_trial(const std::string& key) const {
+    const CachedTrial* hit = cache_.lookup(key);
+    if (hit == nullptr) return nullptr;
+    auto t = std::make_unique<Trial>();
+    t->key = key;
+    t->cached = true;
+    t->result.passed = hit->passed;
+    t->result.failure_class = hit->failure_class;
+    t->result.failure = hit->failure;
+    return t;
+  }
+
+  /// Counts, journals, caches and traces a finished trial. Callers hold the
+  /// vote loop's lock (or run before or after it): journal appends and
+  /// cache inserts are not synchronized otherwise.
   void commit_trial(Trial* t, const std::string& name, std::size_t candidates,
                     const char* level) {
     ++tested_;
@@ -902,7 +1116,7 @@ class Searcher {
       const double per_live =
           metrics_.eval_seconds / static_cast<double>(metrics_.trials_live);
       eta = static_cast<double>(queue_.size()) * per_live /
-            static_cast<double>(executor_->lanes());
+            static_cast<double>(exec_->lanes());
     }
     log::infof("search: %zu trials (%zu cached, %.1f%% hit), %.1f trials/s, "
                "%zu queued, eta >= %.1fs",
@@ -1042,7 +1256,11 @@ class Searcher {
     std::uint64_t weight;
   };
 
-  std::deque<Unit> queue_;
+  /// Units pushed and not yet committed, in 1-lane pop order.
+  std::map<Order, Queued> queue_;
+  /// Live evaluations by config key: voting, or settled and held until
+  /// their first unit reaches the head of queue_.
+  std::map<std::string, std::unique_ptr<Trial>> evals_;
   std::uint64_t next_seq_ = 0;
   std::size_t tested_ = 0;
   PrecisionConfig final_config_;
@@ -1069,61 +1287,105 @@ class Searcher {
   /// Where trials run (see setup_executor); declared after sched_, which
   /// the fleet backend borrows.
   std::unique_ptr<TrialExecutor> executor_;
+  /// A caller-supplied executor (the run_search overload for tests).
+  TrialExecutor* const external_;
+  /// The executor in use: executor_ or external_.
+  TrialExecutor* exec_ = nullptr;
+  /// The one vote loop over exec_; declared last, as it borrows exec_.
+  std::optional<VoteLoop> votes_;
 };
 
 }  // namespace
 
-void vote_batch(TrialExecutor& executor, const std::vector<TrialEval*>& trials,
-                std::uint32_t max_retries) {
-  const std::uint32_t max_attempts = 1 + max_retries;
-  struct Vote {
-    TrialEval* t;
-    std::uint32_t passes = 0;
-    std::uint32_t fails = 0;
-  };
-  std::vector<Vote> open;
-  for (TrialEval* t : trials) open.push_back(Vote{t});
-  std::vector<TrialEval*> unserved;
-  for (std::uint32_t attempt = 0; !open.empty(); ++attempt) {
-    std::vector<runner::TrialJob> jobs;
-    for (const Vote& v : open) jobs.push_back({v.t->key, &v.t->cfg});
-    std::vector<runner::TrialOutcome> outs = executor.run_batch(jobs, attempt);
-    std::vector<Vote> next;
-    for (std::size_t j = 0; j < open.size(); ++j) {
-      Vote v = open[j];
-      TrialEval* t = v.t;
-      if (!outs[j].served) {
-        unserved.push_back(t);
-        continue;
-      }
-      const bool settled = executor.settles(outs[j]);
-      t->result = std::move(outs[j].result);
-      t->eval_ns += outs[j].wall_ns;
-      t->attempts.push_back(t->result.cost);
-      if (settled) continue;
-      ++(t->result.passed ? v.passes : v.fails);
-      if (attempt + 1 < max_attempts && v.passes <= max_attempts / 2 &&
-          v.fails <= max_attempts / 2) {
-        next.push_back(v);
-      } else {
-        t->mixed_votes = v.passes > 0 && v.fails > 0;
-        apply_majority_verdict(t, v.passes, v.fails);
-      }
-    }
-    open = std::move(next);
-  }
-  if (unserved.empty()) return;
-  TrialExecutor* fallback = executor.fallback();
-  FPMIX_CHECK(fallback != nullptr);
-  vote_batch(*fallback, unserved, max_retries);
+void VoteLoop::start(TrialEval* t) {
+  Vote v;
+  v.t = t;
+  v.executor = &executor_;
+  submit(v);
 }
+
+void VoteLoop::submit(const Vote& v) {
+  const std::uint64_t ticket = next_ticket_++;
+  votes_.emplace(ticket, v);
+  v.executor->submit(ticket, runner::TrialJob{v.t->key, &v.t->cfg},
+                     v.attempt);
+}
+
+TrialEval* VoteLoop::record(std::uint64_t ticket, runner::TrialOutcome o) {
+  const auto it = votes_.find(ticket);
+  FPMIX_CHECK(it != votes_.end());
+  Vote v = it->second;
+  votes_.erase(it);
+  TrialEval* t = v.t;
+  if (!o.served) {
+    // Revote from attempt 0 on the fallback; the attempts already spent
+    // stay in the accounting.
+    FPMIX_CHECK(v.executor->fallback() != nullptr);
+    submit(Vote{t, v.executor->fallback()});
+    return nullptr;
+  }
+  const bool settled = v.executor->settles(o);
+  t->result = std::move(o.result);
+  t->eval_ns += o.wall_ns;
+  t->attempts.push_back(t->result.cost);
+  if (settled) return t;
+  ++(t->result.passed ? v.passes : v.fails);
+  if (v.attempt + 1 < max_attempts_ && v.passes <= max_attempts_ / 2 &&
+      v.fails <= max_attempts_ / 2) {
+    ++v.attempt;
+    submit(v);
+    return nullptr;
+  }
+  t->mixed_votes = v.passes > 0 && v.fails > 0;
+  apply_majority_verdict(t, v.passes, v.fails);
+  return t;
+}
+
+void VoteLoop::run(const Settled& settled) {
+  const TrialExecutor::Done done = [&](std::uint64_t ticket,
+                                       runner::TrialOutcome o) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (TrialEval* t = record(ticket, std::move(o))) settled(t);
+  };
+  // Between polls no lane runs, so votes_ is read without the lock.
+  while (!votes_.empty()) {
+    executor_.poll(done);
+    if (TrialExecutor* fallback = executor_.fallback()) fallback->poll(done);
+  }
+}
+
+namespace {
+
+/// Lane counts past kMaxLanes are refused before any thread or process
+/// starts.
+void check_lane_counts(const SearchOptions& o) {
+  if (o.num_threads > kMaxLanes || o.num_workers > kMaxLanes) {
+    throw Error(strformat("search: %zu threads / %zu workers requested; at "
+                          "most %zu lanes are supported",
+                          o.num_threads, o.num_workers, kMaxLanes));
+  }
+}
+
+}  // namespace
 
 SearchResult run_search(const program::Image& original,
                         config::StructureIndex* index,
                         const verify::Verifier& verifier,
                         const SearchOptions& options) {
   FPMIX_CHECK(index != nullptr);
-  Searcher s(original, index, verifier, options);
+  check_lane_counts(options);
+  Searcher s(original, index, verifier, options, nullptr);
+  return s.run();
+}
+
+SearchResult run_search(const program::Image& original,
+                        config::StructureIndex* index,
+                        const verify::Verifier& verifier,
+                        const SearchOptions& options,
+                        TrialExecutor& executor) {
+  FPMIX_CHECK(index != nullptr);
+  check_lane_counts(options);
+  Searcher s(original, index, verifier, options, &executor);
   return s.run();
 }
 

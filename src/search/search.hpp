@@ -15,8 +15,11 @@
 //      are ruled in or out early.
 //
 // Evaluations are independent (patch + run + verify on private state), so
-// each batch goes to one TrialExecutor -- in-process threads, sandboxed
-// workers or a remote fleet -- and one vote loop (trial_executor.hpp).
+// lanes -- in-process threads, sandboxed workers or a remote fleet, behind
+// one TrialExecutor and one vote loop (trial_executor.hpp) -- evaluate
+// queued units as they free up, and results commit in the order a 1-lane
+// search would pop them: journals and traces do not depend on the lane
+// count or the executor.
 #pragma once
 
 #include <cstdint>
@@ -43,10 +46,16 @@ enum class StopLevel : std::uint8_t {
   kInstruction = 3,
 };
 
+/// Most lanes (num_threads, num_workers) a search runs; run_search throws
+/// fpmix::Error for more, before it starts any thread or process.
+inline constexpr std::size_t kMaxLanes = 256;
+
 struct SearchOptions {
   StopLevel stop_level = StopLevel::kInstruction;
   bool binary_split = true;           // optimization 1 (Section 2.2)
   bool prioritize_by_profile = true;  // optimization 2 (Section 2.2)
+  /// In-process lanes (1..kMaxLanes): trials evaluated at once. Results
+  /// commit in 1-lane order whatever the count.
   std::size_t num_threads = 1;
   std::uint64_t max_instructions_per_run = 1ull << 32;
   bool keep_log = true;
@@ -256,6 +265,13 @@ struct SearchMetrics {
   double jit_seconds = 0.0;
   double run_seconds = 0.0;
   double verify_seconds = 0.0;
+  /// Search wall time outside the lanes' share of evaluation: wall_seconds
+  /// - eval_seconds / lanes (profiling, commits, waiting on the commit
+  /// order and on idle lanes).
+  double driver_seconds = 0.0;
+  /// Evaluation time no stage accounts for: eval_seconds minus the six
+  /// stage sums above (dispatch, result hand-off, transport).
+  double unattributed_seconds = 0.0;
 
   // ---- Incremental trial pipeline -----------------------------------------
   /// Whole-image cache hits/misses across live evaluation attempts, summed

@@ -91,7 +91,7 @@ EvalResult evaluate_config(const program::Image& original,
   try {
     TrialBuilder::Built built;
     if (options.builder != nullptr) {
-      built = options.builder->build(cfg);
+      built = options.builder->build(cfg, options.builder_lane);
     } else {
       // No reuse across trials: a one-shot builder, whose lift and teardown
       // are patch work just as they are inside instrument_image.

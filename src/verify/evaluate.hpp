@@ -37,6 +37,9 @@ struct EvalOptions {
   /// evaluations; null builds each evaluation with a one-shot builder (no
   /// reuse across trials). Both produce bit-identical executables.
   TrialBuilder* builder = nullptr;
+  /// The caller's lane on a shared builder (TrialBuilder::build): the image
+  /// a lane built last stays cached for that lane's revote.
+  std::size_t builder_lane = 0;
 };
 
 /// Why a trial failed -- the per-trial taxonomy the search aggregates,

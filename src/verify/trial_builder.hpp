@@ -59,23 +59,27 @@ class TrialBuilder {
   /// Lifts `original` once. `index` must have been built from `original`
   /// and outlive the builder. `lanes` is how many trials the caller runs at
   /// once: its executor's lanes, or its worker count. The image cache holds
-  /// that many images. A vote round re-runs exactly the previous round's
-  /// configs, at most one per lane, so every revote hits, and no more
-  /// images (each pinning its linked JIT code) stay alive than a round can
-  /// reuse.
+  /// that many images, and the one each lane built or served last is never
+  /// evicted by another lane: a revote runs on the lane that ran the
+  /// previous attempt, so every revote hits, and no more images (each
+  /// pinning its linked JIT code) stay alive than the lanes can reuse.
   TrialBuilder(const program::Image& original,
                const config::StructureIndex& index, std::size_t lanes = 1);
 
-  /// Patches + predecodes `cfg`, reusing whatever the caches hold.
-  /// Bit-identical to the from-scratch instrument_image +
-  /// ExecutableImage::build pipeline. Thread-safe; throws exactly where the
-  /// from-scratch path would (a stale index is a ProgramError; callers
-  /// already treat those as trial outcomes).
-  Built build(const config::PrecisionConfig& cfg);
+  /// Patches + predecodes `cfg` for the caller's `lane` (taken modulo the
+  /// lane count), reusing whatever the caches hold. Bit-identical to the
+  /// from-scratch instrument_image + ExecutableImage::build pipeline.
+  /// Thread-safe: the lock covers only cache lookups and inserts, so lanes
+  /// instrument, assemble and predecode in parallel; when two lanes race to
+  /// build the same variant or image, the first insert wins. Throws exactly
+  /// where the from-scratch path would (a stale index is a ProgramError;
+  /// callers already treat those as trial outcomes).
+  Built build(const config::PrecisionConfig& cfg, std::size_t lane = 0);
 
  private:
   /// One cached per-function result: the instrumented position-independent
-  /// encoding, its stats, and (at first predecode) its segment.
+  /// encoding, its stats and its predecoded segment. Published immutable;
+  /// a lane that holds one keeps it alive across a variant-cache clear.
   struct FuncVariant {
     program::FuncLayout layout;
     instrument::InstrumentStats stats;
@@ -93,12 +97,18 @@ class TrialBuilder {
   /// only bounds memory on adversarial workloads).
   static constexpr std::size_t kMaxVariantsPerFunc = 128;
 
-  std::mutex mu_;
-  program::Program prog_;
+  /// Makes `e` the most recent image and `lane`'s own (under mu_).
+  void touch(std::list<CachedImage>::iterator e, std::size_t lane);
+
+  const program::Program prog_;
   const config::StructureIndex& index_;
-  std::vector<std::unordered_map<std::string, FuncVariant>> variants_;
-  std::size_t capacity_;
+  std::mutex mu_;  // guards the two caches below
+  std::vector<std::unordered_map<std::string,
+                                 std::shared_ptr<const FuncVariant>>>
+      variants_;
   std::list<CachedImage> images_;  // front = most recently used
+  /// Per lane: the key of the image it built or served last (pinned).
+  std::vector<std::string> lane_keys_;
 };
 
 /// Most images any TrialBuilder in this process has cached at once since

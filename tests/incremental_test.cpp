@@ -17,6 +17,7 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include "config/config.hpp"
 #include "config/textio.hpp"
@@ -252,6 +253,62 @@ TEST(TrialBuilder, BitIdenticalToScratchOverRandomChain) {
   // The chain's locality must actually exercise the cache, or this test
   // proves nothing about incremental builds.
   EXPECT_GT(funcs_reused, 100u);
+}
+
+TEST(TrialBuilder, ConcurrentLanesBuildImagesIdenticalToScratch) {
+  const Prepared p = prepare_structured();
+  constexpr std::size_t kLanes = 4;
+  constexpr int kSteps = 60;
+  verify::TrialBuilder builder(p.image, p.index, kLanes);
+  // One random walk, which every lane follows or steps off by one
+  // mutation: lanes race on the same variants and the same images.
+  SplitMix64 rng(0x4A4E5);
+  std::vector<std::vector<PrecisionConfig>> cfgs(kLanes);
+  PrecisionConfig walk;
+  for (int i = 0; i < kSteps; ++i) {
+    walk = i % 8 == 7 ? random_config(p.index, &rng, 12)
+                      : mutate_config(p.index, walk, &rng);
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      cfgs[lane].push_back(rng.next_u64() % 2 == 0
+                               ? walk
+                               : mutate_config(p.index, walk, &rng));
+    }
+  }
+  std::vector<std::vector<verify::TrialBuilder::Built>> built(kLanes);
+  std::vector<std::thread> threads;
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    threads.emplace_back([&, lane] {
+      for (const PrecisionConfig& cfg : cfgs[lane]) {
+        built[lane].push_back(builder.build(cfg, lane));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  std::size_t hits = 0;
+  std::size_t reused = 0;
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    for (int i = 0; i < kSteps; ++i) {
+      const PrecisionConfig& cfg = cfgs[lane][i];
+      const verify::TrialBuilder::Built& b = built[lane][i];
+      const std::string what = "lane " + std::to_string(lane) + " step " +
+                               std::to_string(i) + " key " +
+                               cfg.canonical_key();
+      instrument::InstrumentStats scratch_stats;
+      const program::Image scratch = instrument::instrument_image(
+          p.image, p.index, cfg, &scratch_stats);
+      expect_images_identical(b.exec->image(), scratch, what);
+      expect_stats_identical(b.stats, scratch_stats, what);
+      const auto scratch_exec = vm::ExecutableImage::build(scratch);
+      EXPECT_TRUE(b.exec->code() == scratch_exec->code()) << what;
+      EXPECT_EQ(b.exec->uops().size(), scratch_exec->uops().size()) << what;
+      hits += b.cost.image_cache_hit ? 1 : 0;
+      reused += b.cost.funcs_reused;
+    }
+  }
+  // The lanes really shared work, or this proves nothing about the locks.
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(reused, 0u);
 }
 
 TEST(TrialBuilder, BitIdenticalOnKernelImage) {

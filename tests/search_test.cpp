@@ -3,6 +3,7 @@
 // key claims (coarsest-granularity results, pruning effectiveness).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -17,6 +18,8 @@
 #include "runner/trial_runner.hpp"
 #include "search/search.hpp"
 #include "search/trial_executor.hpp"
+#include "support/error.hpp"
+#include "support/rng.hpp"
 #include "verify/evaluate.hpp"
 #include "vm/jit/jit.hpp"
 
@@ -316,49 +319,66 @@ runner::TrialOutcome unserved() {
 }
 
 /// Plays back a fixed outcome sequence per trial key, one per execution,
-/// and records every (key, attempt) it is asked to run.
+/// and records every (key, attempt) it is asked to run. Each poll finishes
+/// the queued attempts oldest first, or newest first when `lifo`.
 class ScriptedExecutor final : public TrialExecutor {
  public:
   ScriptedExecutor(bool sandboxed,
                    std::map<std::string, std::vector<runner::TrialOutcome>> s,
-                   TrialExecutor* fallback = nullptr)
+                   TrialExecutor* fallback = nullptr, bool lifo = false)
       : TrialExecutor(sandboxed, /*lanes=*/4), script_(std::move(s)),
-        fallback_(fallback) {}
+        fallback_(fallback), lifo_(lifo) {}
 
-  std::vector<runner::TrialOutcome> run_batch(
-      const std::vector<runner::TrialJob>& jobs,
-      std::uint32_t attempt) override {
-    batch_sizes.push_back(jobs.size());
-    std::vector<runner::TrialOutcome> outs;
-    for (const runner::TrialJob& job : jobs) {
-      calls.emplace_back(job.key, attempt);
-      const std::vector<runner::TrialOutcome>& seq = script_.at(job.key);
-      std::size_t& next = next_[job.key];
+  void submit(std::uint64_t ticket, const runner::TrialJob& job,
+              std::uint32_t attempt) override {
+    queued_.push_back({ticket, job.key, attempt});
+  }
+
+  void poll(const Done& done) override {
+    while (!queued_.empty()) {
+      Queued q;
+      if (lifo_) {
+        q = queued_.back();
+        queued_.pop_back();
+      } else {
+        q = queued_.front();
+        queued_.erase(queued_.begin());
+      }
+      calls.emplace_back(q.key, q.attempt);
+      const std::vector<runner::TrialOutcome>& seq = script_.at(q.key);
+      std::size_t& next = next_[q.key];
       if (next >= seq.size()) {
-        ADD_FAILURE() << job.key << " ran past its script";
-        outs.push_back(fail());
+        ADD_FAILURE() << q.key << " ran past its script";
+        done(q.ticket, fail());
         continue;
       }
-      outs.push_back(seq[next++]);
+      done(q.ticket, seq[next++]);
     }
-    return outs;
   }
 
   TrialExecutor* fallback() override { return fallback_; }
 
   std::vector<std::pair<std::string, std::uint32_t>> calls;
-  std::vector<std::size_t> batch_sizes;
 
  private:
+  struct Queued {
+    std::uint64_t ticket = 0;
+    std::string key;
+    std::uint32_t attempt = 0;
+  };
   std::map<std::string, std::vector<runner::TrialOutcome>> script_;
   std::map<std::string, std::size_t> next_;
   TrialExecutor* fallback_;
+  const bool lifo_;
+  std::vector<Queued> queued_;
 };
 
 TrialEval vote_one(TrialExecutor& ex, std::uint32_t max_retries) {
   TrialEval t;
   t.key = "k";
-  vote_batch(ex, {&t}, max_retries);
+  VoteLoop loop(ex, max_retries);
+  loop.start(&t);
+  loop.run([](TrialEval*) {});
   return t;
 }
 
@@ -410,17 +430,29 @@ TEST(VoteLoop, StrictMajorityOfTheAllowedAttemptsAndTiesFail) {
   }
 }
 
-TEST(VoteLoop, RunsWholeBatchRoundsOverTheTrialsStillOpen) {
+TEST(VoteLoop, SubmitsEachTrialsNextAttemptAsSoonAsItFinishes) {
+  // Newest-first completion: c's attempts finish before a's first one runs,
+  // which no whole-batch round could do.
   ScriptedExecutor ex(/*sandboxed=*/false,
                       {{"a", {pass(), pass()}},
                        {"b", {pass(), fail(), fail()}},
-                       {"c", {fail(), fail()}}});
+                       {"c", {fail(), fail()}}},
+                      /*fallback=*/nullptr, /*lifo=*/true);
   TrialEval a, b, c;
   a.key = "a";
   b.key = "b";
   c.key = "c";
-  vote_batch(ex, {&a, &b, &c}, /*max_retries=*/2);
-  EXPECT_EQ(ex.batch_sizes, (std::vector<std::size_t>{3, 3, 1}));
+  VoteLoop loop(ex, /*max_retries=*/2);
+  for (TrialEval* t : {&a, &b, &c}) loop.start(t);
+  EXPECT_EQ(loop.open(), 3u);
+  std::vector<std::string> settled;
+  loop.run([&](TrialEval* t) { settled.push_back(t->key); });
+  EXPECT_EQ(loop.open(), 0u);
+  using Call = std::pair<std::string, std::uint32_t>;
+  EXPECT_EQ(ex.calls, (std::vector<Call>{{"c", 0}, {"c", 1}, {"b", 0},
+                                         {"b", 1}, {"b", 2}, {"a", 0},
+                                         {"a", 1}}));
+  EXPECT_EQ(settled, (std::vector<std::string>{"c", "b", "a"}));
   EXPECT_TRUE(a.result.passed);
   EXPECT_FALSE(a.mixed_votes);
   // Mixed votes settle by majority and flag the trial for quarantine.
@@ -480,6 +512,131 @@ TEST(VoteLoop, UnservedTrialRevotesOnTheFallbackKeepingItsAccounting) {
 }
 
 // ---------------------------------------------------------------------------
+// The lane loop: whatever order attempts finish in, results commit in the
+// order a 1-lane search pops them.
+
+std::string read_file(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << f.rdbuf();
+  return bytes.str();
+}
+
+/// Evaluates every attempt for real, but finishes each poll round (all
+/// attempts submitted so far) newest first, or in a seeded shuffle.
+class ReorderingExecutor final : public TrialExecutor {
+ public:
+  ReorderingExecutor(const program::Image& image,
+                     const config::StructureIndex& index,
+                     const verify::Verifier& verifier, std::size_t lanes,
+                     std::uint64_t shuffle_seed)
+      : TrialExecutor(/*sandboxed=*/false, lanes), image_(image),
+        index_(index), verifier_(verifier), rng_(shuffle_seed),
+        shuffle_(shuffle_seed != 0) {}
+
+  void submit(std::uint64_t ticket, const runner::TrialJob& job,
+              std::uint32_t /*attempt*/) override {
+    queued_.push_back({ticket, job.config});
+    peak_open = std::max(peak_open, queued_.size());
+  }
+
+  void poll(const Done& done) override {
+    while (!queued_.empty()) {
+      std::vector<Queued> round;
+      round.swap(queued_);
+      if (shuffle_) {
+        for (std::size_t i = round.size(); i > 1; --i) {
+          std::swap(round[i - 1], round[rng_.next_u64() % i]);
+        }
+      } else {
+        std::reverse(round.begin(), round.end());
+      }
+      for (const Queued& q : round) {
+        runner::TrialOutcome o;
+        o.result = verify::evaluate_config(image_, index_, *q.config,
+                                           verifier_, {});
+        done(q.ticket, std::move(o));
+      }
+    }
+  }
+
+  std::size_t peak_open = 0;
+
+ private:
+  struct Queued {
+    std::uint64_t ticket;
+    const config::PrecisionConfig* config;
+  };
+  const program::Image& image_;
+  const config::StructureIndex& index_;
+  const verify::Verifier& verifier_;
+  SplitMix64 rng_;
+  const bool shuffle_;
+  std::vector<Queued> queued_;
+};
+
+TEST(LaneLoop, CommitsInOneLaneOrderWhateverOrderAttemptsFinish) {
+  const kernels::Workload w = kernels::make_mg('S');
+  const program::Image img = kernels::build_image(w);
+  const auto verifier = kernels::make_verifier(w, img);
+  const auto run = [&](const std::string& name, std::uint32_t retries,
+                       ReorderingExecutor* ex, SearchResult* out) {
+    SearchOptions opts;
+    opts.max_retries = retries;
+    opts.journal_timings = false;
+    opts.journal_path = testing::TempDir() + "lane_loop_" + name + ".jsonl";
+    std::remove(opts.journal_path.c_str());
+    auto ix = config::StructureIndex::build(program::lift(img));
+    *out = ex == nullptr ? run_search(img, &ix, *verifier, opts)
+                         : run_search(img, &ix, *verifier, opts, *ex);
+    return read_file(opts.journal_path);
+  };
+  for (const std::uint32_t retries : {0u, 1u}) {
+    SCOPED_TRACE(retries);
+    SearchResult serial;
+    const std::string oracle = run("serial", retries, nullptr, &serial);
+    ASSERT_FALSE(oracle.empty());
+    for (const std::uint64_t seed : {0ull, 7ull, 1234ull}) {
+      SCOPED_TRACE(seed);
+      auto ix = config::StructureIndex::build(program::lift(img));
+      ReorderingExecutor ex(img, ix, *verifier, /*lanes=*/6, seed);
+      SearchResult r;
+      EXPECT_EQ(run("reordered", retries, &ex, &r), oracle);
+      // More than one attempt was outstanding, or nothing was reordered.
+      EXPECT_GT(ex.peak_open, 2u);
+      EXPECT_EQ(config::to_text(ix, r.final_config),
+                config::to_text(ix, serial.final_config));
+      ASSERT_EQ(r.trace.size(), serial.trace.size());
+      for (std::size_t i = 0; i < r.trace.size(); ++i) {
+        EXPECT_EQ(r.trace[i].unit, serial.trace[i].unit) << i;
+        EXPECT_EQ(r.trace[i].key, serial.trace[i].key) << i;
+        EXPECT_EQ(r.trace[i].passed, serial.trace[i].passed) << i;
+        EXPECT_EQ(r.trace[i].cached, serial.trace[i].cached) << i;
+      }
+    }
+  }
+}
+
+TEST(SearchOptions, LaneCountsPastTheCapThrowBeforeAnythingStarts) {
+  Prepared p = prepare(two_module_program(), 1e-12);
+  const std::string journal = testing::TempDir() + "lane_cap.jsonl";
+  for (const bool isolate : {false, true}) {
+    SearchOptions opts;
+    opts.journal_path = journal;
+    opts.isolate_trials = isolate;
+    (isolate ? opts.num_workers : opts.num_threads) = kMaxLanes + 1;
+    std::remove(journal.c_str());
+    EXPECT_THROW(run_search(p.image, &p.index, *p.verifier, opts), Error);
+    // Refused before the journal (or any lane) came up.
+    EXPECT_FALSE(std::ifstream(journal).good());
+  }
+  SearchOptions opts;
+  opts.isolate_trials = true;
+  opts.num_threads = kMaxLanes + 1;  // --isolate without --workers
+  EXPECT_THROW(run_search(p.image, &p.index, *p.verifier, opts), Error);
+}
+
+// ---------------------------------------------------------------------------
 // Engine defaults: every trial runs on the JIT unless the host cannot run
 // compiled code, in which case the search says so.
 
@@ -523,6 +680,8 @@ SearchResult full_result() {
   m.jit_seconds = 6.875;
   m.run_seconds = 7.25;
   m.verify_seconds = 8.75;
+  m.driver_seconds = 8.875;
+  m.unattributed_seconds = 8.9375;
   m.image_cache_hits = 104;
   m.image_cache_misses = 105;
   m.funcs_reused = 106;
@@ -613,7 +772,9 @@ TEST(MetricsJson, MatchesParentWriterByteForByte) {
   // Captured from the serializer's previous home in examples/nas_search.cpp
   // on the same struct: keys, key order and number formats must not drift.
   // Since captured, one key joined: jit_lowering's "region_branches", right
-  // after "fused_pairs"; and the two estimated-savings keys left.
+  // after "fused_pairs"; the two estimated-savings keys left; and
+  // "driver_seconds" and "unattributed_seconds" joined after
+  // "verify_seconds".
   const std::string expected = R"json({
   "trials_total": 101,
   "trials_live": 102,
@@ -628,6 +789,8 @@ TEST(MetricsJson, MatchesParentWriterByteForByte) {
   "jit_seconds": 6.875000,
   "run_seconds": 7.250000,
   "verify_seconds": 8.750000,
+  "driver_seconds": 8.875000,
+  "unattributed_seconds": 8.937500,
   "image_cache_hits": 104,
   "image_cache_misses": 105,
   "funcs_reused": 106,

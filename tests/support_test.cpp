@@ -15,7 +15,6 @@
 #include "support/journal.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
-#include "support/thread_pool.hpp"
 
 namespace fpmix {
 namespace {
@@ -255,38 +254,6 @@ TEST(Rng, NasLcgMatchesKnownStream) {
   // Determinism across instances.
   NasLcg l1, l2;
   for (int i = 0; i < 100; ++i) EXPECT_EQ(l1.next(), l2.next());
-}
-
-// ---------------------------------------------------------------------------
-// Thread pool.
-
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.submit([&count] { ++count; });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ThreadPool, WaitIdleIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 20; ++i) pool.submit([&count] { ++count; });
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), 20 * (round + 1));
-  }
-}
-
-TEST(ThreadPool, DestructionDrainsQueue) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) pool.submit([&count] { ++count; });
-  }
-  EXPECT_EQ(count.load(), 50);
 }
 
 // ---------------------------------------------------------------------------

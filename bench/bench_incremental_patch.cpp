@@ -8,11 +8,18 @@
 // frontier), then an accumulating function-composition chain. Every warm
 // build is asserted bit-identical to the from-scratch build of the same
 // config; the binary exits 1 on any mismatch. The reuse columns sum each
-// build's own verify::TrialCost. --fast runs only cg, ep and mg (a CI
-// smoke).
+// build's own verify::TrialCost.
+//
+// Where the JIT is available, each warm image is also linked, as a trial's
+// first run does (a Machine run with a zero budget: compile and place the
+// blobs no image has needed yet, then fill the image's function table),
+// and the second line per kernel prints warm build+link time per trial
+// and the segments whose blobs were compiled vs reused. --fast runs only
+// cg, ep and mg (a CI smoke).
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
 #include <string_view>
 #include <vector>
 
@@ -21,6 +28,8 @@
 #include "instrument/patch.hpp"
 #include "verify/trial_builder.hpp"
 #include "vm/exec_image.hpp"
+#include "vm/jit/jit.hpp"
+#include "vm/machine.hpp"
 
 namespace {
 
@@ -84,7 +93,28 @@ struct KernelResult {
   std::uint64_t image_hits = 0;
   std::uint64_t funcs_reused = 0;
   std::uint64_t funcs_patched = 0;
+  double link_total_ms = 0;  // warm JIT compile + place + link
+  std::uint64_t blobs_compiled = 0;
+  std::uint64_t blobs_reused = 0;
 };
+
+/// Links `exec` for the JIT the way a trial's first run does, and counts
+/// the segments whose blob was already placed. Returns the link time (ns).
+double jit_link(const std::shared_ptr<const vm::ExecutableImage>& exec,
+                KernelResult* res) {
+  for (const auto& seg : exec->segments()) {
+    vm::jit::BlobCache& bc = seg->jit_cache();
+    std::lock_guard<std::mutex> lock(bc.mu);
+    (bc.blob != nullptr ? res->blobs_reused : res->blobs_compiled) += 1;
+  }
+  vm::Machine::Options opts;
+  opts.engine = vm::Engine::kJit;
+  opts.profile = false;  // as trials run
+  opts.max_instructions = 0;
+  vm::Machine m(exec, opts);
+  m.run();
+  return static_cast<double>(m.jit_ns());
+}
 
 KernelResult run_kernel(const kernels::Workload& w,
                         std::vector<double>* speedups) {
@@ -120,6 +150,10 @@ KernelResult run_kernel(const kernels::Workload& w,
                    "build for config '%s'\n",
                    w.name.c_str(), cfg.canonical_key().c_str());
       std::exit(1);
+    }
+
+    if (vm::jit::jit_supported()) {
+      res.link_total_ms += jit_link(built.exec, &res) * 1e-6;
     }
 
     res.cold_total_ms += cold_ns * 1e-6;
@@ -172,6 +206,16 @@ int main(int argc, char** argv) {
                 "", static_cast<unsigned long long>(r.funcs_reused),
                 static_cast<unsigned long long>(r.funcs_patched),
                 static_cast<unsigned long long>(r.image_hits));
+    if (vm::jit::jit_supported()) {
+      std::printf("%-8s         warm build+link %.1fus/trial (link %.1fus), "
+                  "segment blobs compiled/reused %llu/%llu\n",
+                  "",
+                  (r.warm_total_ms + r.link_total_ms) * 1e3 /
+                      static_cast<double>(r.trials),
+                  r.link_total_ms * 1e3 / static_cast<double>(r.trials),
+                  static_cast<unsigned long long>(r.blobs_compiled),
+                  static_cast<unsigned long long>(r.blobs_reused));
+    }
     std::fflush(stdout);
     total_trials += r.trials;
   }

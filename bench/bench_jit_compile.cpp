@@ -229,24 +229,28 @@ int main(int argc, char** argv) {
   for (const kernels::Workload& w : suite) {
     const program::Image img = kernels::build_image(w);
 
-    // Standalone compile+link cost, measured outside the Machine so the
-    // table separates translation from execution. Monolithic (global-form)
-    // compile of the whole stream, the same work a cold Machine run does.
-    // The blob's per-family lowering census is accumulated into `coverage`.
+    // Standalone compile+place+link cost, measured outside the Machine so
+    // the table separates translation from execution. Monolithic
+    // (global-form) compile of the whole stream, the same work a cold
+    // Machine run does. The blob's per-family lowering census is
+    // accumulated into `coverage`.
     double compile_seconds = 0.0;
     if (jit) {
       const auto exec_probe = vm::ExecutableImage::build(img);
       Timer ct;
       const auto blob = vm::jit::compile_stream(
           exec_probe->uops(), vm::jit::CompileMode{false, false});
-      std::vector<vm::jit::LinkSegment> segs;
-      segs.push_back({blob, 0, 0});
-      const auto linked =
-          vm::jit::JitImage::link(segs, exec_probe->uops().size());
+      const bool placed = vm::jit::place_blobs({blob.get()});
+      if (placed) {
+        std::vector<vm::jit::LinkSegment> segs;
+        segs.push_back({blob, 0, 0});
+        vm::jit::JitImage::link(std::move(segs), exec_probe->uops().size());
+      }
       compile_seconds = ct.elapsed_seconds();
       coverage.add(blob->stats);
-      if (linked == nullptr) {
-        std::printf("%-8s FAILED: jit link refused\n", w.name.c_str());
+      if (!placed) {
+        std::printf("%-8s FAILED: executable memory refused\n",
+                    w.name.c_str());
         all_match = false;
         continue;
       }
@@ -334,7 +338,7 @@ int main(int argc, char** argv) {
     if (jit) {
       const auto blob = vm::jit::compile_stream(
           exec->uops(), vm::jit::CompileMode{false, false});
-      row.code_bytes = blob->code.size();
+      row.code_bytes = blob->code_size();
       row.region_branches = blob->stats.region_branches;
     }
     const EngineRun micro = run_best_of(exec, vm::Engine::kMicroOp,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "program/program.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
 
@@ -51,18 +52,31 @@ void Image::validate() const {
   if (prev_end != code_end()) {
     throw ProgramError("symbols do not cover the code segment");
   }
-  if (find_function_at(entry) == nullptr) {
+  validate_sections(*this, code_end(), entry);
+}
+
+template <typename Sections>
+void validate_sections(const Sections& s, std::uint64_t code_end,
+                       std::uint64_t entry) {
+  // The symbols tile [code_base, code_end), so "inside some function" is
+  // this range test.
+  if (entry < s.code_base || entry >= code_end) {
     throw ProgramError("entry point is not inside any function");
   }
-  if (data_base < code_end()) {
+  if (s.data_base < code_end) {
     throw ProgramError("data segment overlaps code segment");
   }
-  if (bss_base != 0 && data_base + data.size() > bss_base) {
+  if (s.bss_base != 0 && s.data_base + s.data.size() > s.bss_base) {
     throw ProgramError("data segment overlaps bss segment");
   }
-  if (effective_bss_base() + bss_size > memory_size) {
+  const std::uint64_t bss_base =
+      s.bss_base != 0 ? s.bss_base : s.data_base + s.data.size();
+  if (bss_base + s.bss_size > s.memory_size) {
     throw ProgramError("data/bss segments do not fit in VM memory");
   }
 }
+
+template void validate_sections(const Image&, std::uint64_t, std::uint64_t);
+template void validate_sections(const Program&, std::uint64_t, std::uint64_t);
 
 }  // namespace fpmix::program

@@ -85,4 +85,14 @@ class Image {
   void validate() const;
 };
 
+/// validate()'s checks once the symbols are known to abut and cover
+/// [code_base, code_end): the entry lies in the code, and the data and bss
+/// sections fit. `s` is an Image or a Program (the same section fields), so
+/// a spliced image (vm::ExecutableImage::build_spliced) is checked exactly
+/// like its assembled bytes would be, without assembling them. Throws
+/// ProgramError.
+template <typename Sections>
+void validate_sections(const Sections& s, std::uint64_t code_end,
+                       std::uint64_t entry);
+
 }  // namespace fpmix::program

@@ -417,46 +417,4 @@ std::uint64_t WorkerPool::next_deadline_ns() const {
   return next_event;
 }
 
-std::vector<TrialOutcome> WorkerPool::run_batch(
-    const std::vector<TrialJob>& jobs) {
-  std::vector<TrialOutcome> out(jobs.size());
-  if (jobs.empty()) return out;
-
-#if !FPMIX_POOL_POSIX
-  for (auto& o : out) {
-    o.result.passed = false;
-    o.result.failure_class = verify::FailureClass::kInternalError;
-    o.result.failure = "process isolation is unsupported on this platform";
-  }
-  return out;
-#else
-  if (!started_) {
-    for (auto& o : out) {
-      o.result.passed = false;
-      o.result.failure_class = verify::FailureClass::kInternalError;
-      o.result.failure = "worker pool has no running workers";
-    }
-    return out;
-  }
-
-  std::map<std::uint64_t, std::size_t> index_of;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const std::uint64_t t = next_ticket_++;
-    index_of[t] = i;
-    submit(t, jobs[i].key, *jobs[i].config);
-  }
-  std::size_t completed = 0;
-  while (completed < jobs.size()) {
-    pump(/*max_wait_ms=*/-1);
-    for (Finished& f : take_finished()) {
-      auto it = index_of.find(f.ticket);
-      if (it == index_of.end()) continue;  // not from this batch
-      out[it->second] = std::move(f.outcome);
-      ++completed;
-    }
-  }
-  return out;
-#endif
-}
-
 }  // namespace fpmix::runner

@@ -21,15 +21,12 @@
 // delivered), the pool declares a crash storm and fails all outstanding
 // work instead of fork-bombing the machine.
 //
-// The pool exposes two interfaces over one engine:
-//   * run_batch(): a synchronous driver loop -- submit a batch, pump until
-//     every outcome is in, return them in job order;
-//   * submit()/pump()/take_finished(): the asynchronous form the search's
-//     lane loop drives (one trial at a time, as lanes free up) and the
-//     network runner daemon uses to multiplex many client sessions.
-//     poll_fds()/next_deadline_ns() let an external event loop (the
-//     daemon's socket loop) sleep on worker pipes and supervisor deadlines
-//     alongside its own fds.
+// The pool is driven through submit()/pump()/take_finished(): the search's
+// lane loop submits one trial at a time as lanes free up, and the network
+// runner daemon multiplexes many client sessions over the same calls.
+// poll_fds()/next_deadline_ns() let an external event loop (the daemon's
+// socket loop) sleep on worker pipes and supervisor deadlines alongside its
+// own fds.
 #pragma once
 
 #include <cstdint>
@@ -149,13 +146,6 @@ class WorkerPool {
   /// forked -- the caller degrades to the in-process path.
   bool start();
 
-  /// Executes every job and returns outcomes in job order. Handles crash
-  /// retries, respawns, timeouts and quarantine internally; after a crash
-  /// storm the remaining jobs come back as kInternalError failures.
-  std::vector<TrialOutcome> run_batch(const std::vector<TrialJob>& jobs);
-
-  // ---- Asynchronous interface (the runner daemon's event loop) ------------
-
   /// Queues one trial. `ticket` is the caller's correlation id, echoed in
   /// the Finished record; it must be unique among unfinished submissions.
   /// The config is copied (the async caller's batch may outlive its
@@ -244,7 +234,6 @@ class WorkerPool {
   std::map<std::uint64_t, Work> work_;   // ticket -> unfinished trial
   std::deque<std::uint64_t> queue_;      // tickets awaiting dispatch
   std::vector<Finished> finished_;
-  std::uint64_t next_ticket_ = 1;        // run_batch's internal tickets
 };
 
 }  // namespace fpmix::runner

@@ -3,9 +3,9 @@
 // Fans trial batches out across a fleet of runner_serve endpoints with
 // many trials outstanding per connection, picking the least-loaded shard
 // (in-flight trials per worker) for each dispatch. The scheduler is the
-// drop-in remote counterpart of runner::WorkerPool::run_batch: same job
-// type, same outcome type, same contract (every job gets an outcome, in
-// job order), so the search core stays executor-agnostic.
+// remote counterpart of runner::WorkerPool: the same job and outcome
+// types, and every job of a batch gets an outcome, in job order, so the
+// search core stays executor-agnostic.
 //
 // Endpoint failure handling mirrors the pool's worker supervision one
 // level up. A dead connection is a fault event, not a verdict: its

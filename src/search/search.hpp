@@ -256,9 +256,10 @@ struct SearchMetrics {
   std::map<std::string, double> eval_seconds_per_level;
   /// Stage breakdown summed over every live evaluation attempt's
   /// verify::TrialCost: where each trial's time went (patch = instrument
-  /// and assemble, predecode = segments + spliced ExecutableImage, setup =
-  /// Machine construction, jit = native compile + link of a new image,
-  /// run = guest execution, verify = output check).
+  /// and lay out, plus tearing down an evicted image; predecode = segments
+  /// + the spliced ExecutableImage table; setup = Machine construction and
+  /// teardown; jit = native compile, placement and link of a new image;
+  /// run = guest execution; verify = output check).
   double patch_seconds = 0.0;
   double predecode_seconds = 0.0;
   double setup_seconds = 0.0;

@@ -73,9 +73,11 @@ FailureClass classify_failure_message(std::string_view message);
 /// and the search sums into SearchMetrics.
 struct TrialCost {
   // Stage breakdown.
-  std::uint64_t patch_ns = 0;      // instrument + assemble (+ lift, one-shot)
+  std::uint64_t patch_ns = 0;      // instrument + layout, evicted-image
+                                   // teardown (+ lift, one-shot)
   std::uint64_t predecode_ns = 0;  // segments + ExecutableImage::build_spliced
-  std::uint64_t setup_ns = 0;      // vm::Machine construction (guest memory)
+  std::uint64_t setup_ns = 0;      // vm::Machine construction + teardown
+                                   // (guest memory map and unmap)
   std::uint64_t jit_ns = 0;        // JIT compile + link (image's first run)
   std::uint64_t run_ns = 0;        // guest execution (jit_ns excluded)
   std::uint64_t verify_ns = 0;     // verifier.verify on the outputs

@@ -16,28 +16,30 @@ std::atomic<std::size_t> g_peak{0};
 TrialBuilder::TrialBuilder(const program::Image& original,
                            const config::StructureIndex& index,
                            std::size_t lanes)
-    : prog_(program::lift(original)),
+    : prog_(std::make_shared<const program::Program>(program::lift(original))),
       index_(index),
       lane_keys_(std::max<std::size_t>(1, lanes)) {
-  prog_.validate();
-  FPMIX_CHECK(index_.funcs().size() == prog_.functions.size());
-  variants_.resize(prog_.functions.size());
+  prog_->validate();
+  FPMIX_CHECK(index_.funcs().size() == prog_->functions.size());
+  variants_.resize(prog_->functions.size());
 }
 
-void TrialBuilder::touch(std::list<CachedImage>::iterator e,
-                         std::size_t lane) {
+std::list<TrialBuilder::CachedImage> TrialBuilder::touch(
+    std::list<CachedImage>::iterator e, std::size_t lane) {
   images_.splice(images_.begin(), images_, e);
   lane_keys_[lane] = e->key;
   // Evict least recently used first, but never another lane's own image:
   // at most lanes - 1 of those exist besides `e`, so one entry is free.
+  std::list<CachedImage> evicted;
   while (images_.size() > lane_keys_.size()) {
     auto victim = std::prev(images_.end());
     while (std::find(lane_keys_.begin(), lane_keys_.end(), victim->key) !=
            lane_keys_.end()) {
       --victim;
     }
-    images_.erase(victim);
+    evicted.splice(evicted.end(), images_, victim);
   }
+  return evicted;
 }
 
 TrialBuilder::Built TrialBuilder::build(const config::PrecisionConfig& cfg,
@@ -53,7 +55,7 @@ TrialBuilder::Built TrialBuilder::build(const config::PrecisionConfig& cfg,
         images_.begin(), images_.end(),
         [&key](const CachedImage& e) { return e.key == key; });
     if (hit != images_.end()) {
-      touch(hit, lane);
+      touch(hit, lane);  // a hit never grows the cache, so evicts nothing
       out.exec = hit->exec;
       out.stats = hit->stats;
       c.image_cache_hit = true;
@@ -66,14 +68,14 @@ TrialBuilder::Built TrialBuilder::build(const config::PrecisionConfig& cfg,
   }
 
   // Patch: instrument + lay out (and predecode, timed apart) only the
-  // functions whose signature is new, splice cached variants elsewhere,
-  // and assemble the full image. Only the lookups and inserts are locked.
+  // functions whose signature is new, and reuse cached variants elsewhere.
+  // Only the lookups and inserts are locked.
   timer.reset();
-  const std::size_t n = prog_.functions.size();
+  const std::size_t n = prog_->functions.size();
   std::vector<std::string> sigs(n);
   for (std::size_t f = 0; f < n; ++f) {
     sigs[f] = instrument::precision_signature(index_, cfg, f,
-                                              prog_.functions[f]);
+                                              prog_->functions[f]);
   }
   std::vector<std::shared_ptr<const FuncVariant>> used(n);
   {
@@ -92,7 +94,7 @@ TrialBuilder::Built TrialBuilder::build(const config::PrecisionConfig& cfg,
     }
     auto v = std::make_shared<FuncVariant>();
     v->layout = program::layout_function(
-        instrument::instrument_function(prog_.functions[f], sigs[f],
+        instrument::instrument_function(prog_->functions[f], sigs[f],
                                         &v->stats));
     Timer segment_timer;
     v->segment = vm::CodeSegment::build(v->layout);
@@ -110,37 +112,48 @@ TrialBuilder::Built TrialBuilder::build(const config::PrecisionConfig& cfg,
       used[f] = cache.emplace(std::move(sigs[f]), used[f]).first->second;
     }
   }
-  std::vector<const program::FuncLayout*> layouts(n);
+  // Each variant owns its layout and segment; the image shares both.
+  std::vector<std::shared_ptr<const program::FuncLayout>> layouts(n);
+  std::vector<std::shared_ptr<const vm::CodeSegment>> segments(n);
   for (std::size_t f = 0; f < n; ++f) {
-    layouts[f] = &used[f]->layout;
+    layouts[f] = std::shared_ptr<const program::FuncLayout>(
+        used[f], &used[f]->layout);
+    segments[f] = used[f]->segment;
     out.stats.add(used[f]->stats);
   }
-  program::Image image = program::assemble(prog_, layouts);
   c.funcs_total = static_cast<std::uint32_t>(n);
   c.patch_ns = timer.elapsed_ns() - segment_ns;
 
-  // Predecode: the fresh variants' segments (above), then the splice.
+  // Predecode: the fresh variants' segments (above), then the table.
   timer.reset();
-  std::vector<std::shared_ptr<const vm::CodeSegment>> segments(n);
-  for (std::size_t f = 0; f < n; ++f) segments[f] = used[f]->segment;
-  out.exec = vm::ExecutableImage::build_spliced(std::move(image), segments);
+  out.exec = vm::ExecutableImage::build_spliced(prog_, std::move(layouts),
+                                                std::move(segments));
   c.predecode_ns = timer.elapsed_ns() + segment_ns;
 
-  std::lock_guard<std::mutex> lock(mu_);
-  auto e = std::find_if(images_.begin(), images_.end(),
-                        [&key](const CachedImage& i) { return i.key == key; });
-  if (e == images_.end()) {
-    e = images_.insert(images_.begin(),
-                       CachedImage{std::move(key), out.exec, out.stats});
-  } else {
-    out.exec = e->exec;  // another lane inserted it first
+  std::list<CachedImage> evicted;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto e = std::find_if(
+        images_.begin(), images_.end(),
+        [&key](const CachedImage& i) { return i.key == key; });
+    if (e == images_.end()) {
+      e = images_.insert(images_.begin(),
+                         CachedImage{std::move(key), out.exec, out.stats});
+    } else {
+      out.exec = e->exec;  // another lane inserted it first
+    }
+    evicted = touch(e, lane);
+    std::size_t peak = g_peak.load(std::memory_order_relaxed);
+    while (images_.size() > peak &&
+           !g_peak.compare_exchange_weak(peak, images_.size(),
+                                         std::memory_order_relaxed)) {
+    }
   }
-  touch(e, lane);
-  std::size_t peak = g_peak.load(std::memory_order_relaxed);
-  while (images_.size() > peak &&
-         !g_peak.compare_exchange_weak(peak, images_.size(),
-                                       std::memory_order_relaxed)) {
-  }
+  // Tearing down the evicted image (and whatever only it still held) is
+  // patch work, done outside the lock.
+  timer.reset();
+  evicted.clear();
+  c.patch_ns += timer.elapsed_ns();
   return out;
 }
 

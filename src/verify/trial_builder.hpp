@@ -5,20 +5,24 @@
 // subtree. TrialBuilder lifts the original once and keys each function's
 // instrumented form by its *effective precision signature*
 // (instrument::precision_signature): only functions whose signature is new
-// are re-instrumented and laid out, every other one is spliced from the
-// variant cache, and program::assemble builds the full byte image. Each
-// variant's predecoded vm::CodeSegment is cached with it, so
-// vm::ExecutableImage::build_spliced rebases the segments into a full
-// executable without re-decoding or re-lowering. On top sits a small LRU of
-// whole built images keyed by the config's canonical key (retries,
-// majority-vote rounds, fault campaigns).
+// are re-instrumented, laid out and predecoded (a vm::CodeSegment cached
+// with the variant), and every other one is reused from the variant cache.
+// A built image is vm::ExecutableImage::build_spliced over the variants: a
+// table of per-function prefix sums over the shared segments, O(functions)
+// to build, with no code copied. The byte image (program::assemble) is
+// only assembled if a caller asks for it, and the JIT links the image by
+// filling a function table over the segments' shared, already-placed
+// blobs. On top sits a small LRU of whole built images keyed by the
+// config's canonical key (retries, majority-vote rounds, fault campaigns).
 //
 // Equivalence: the signature *is* instrument_function's input for the
 // function -- instrument() builds the same signature and patches from it --
 // and layout_function + assemble is the exact code path relayout() takes,
 // so a built image is bit-identical to a from-scratch instrument_image() +
-// ExecutableImage::build by construction, which tests/incremental_test.cpp
-// verifies differentially.
+// ExecutableImage::build by construction: the same bytes on demand, the
+// same instructions, micro-ops, indices and errors from the table, which
+// tests/incremental_test.cpp and the spliced-image tests in
+// tests/vm_engine_test.cpp verify differentially.
 //
 // verify::evaluate_config builds every trial through one: the in-process
 // search path and each long-lived sandboxed worker keep one alive across
@@ -62,7 +66,7 @@ class TrialBuilder {
   /// that many images, and the one each lane built or served last is never
   /// evicted by another lane: a revote runs on the lane that ran the
   /// previous attempt, so every revote hits, and no more images (each
-  /// pinning its linked JIT code) stay alive than the lanes can reuse.
+  /// pinning its JIT function table) stay alive than the lanes can reuse.
   TrialBuilder(const program::Image& original,
                const config::StructureIndex& index, std::size_t lanes = 1);
 
@@ -70,7 +74,7 @@ class TrialBuilder {
   /// lane count), reusing whatever the caches hold. Bit-identical to the
   /// from-scratch instrument_image + ExecutableImage::build pipeline.
   /// Thread-safe: the lock covers only cache lookups and inserts, so lanes
-  /// instrument, assemble and predecode in parallel; when two lanes race to
+  /// instrument, lay out and predecode in parallel; when two lanes race to
   /// build the same variant or image, the first insert wins. Throws exactly
   /// where the from-scratch path would (a stale index is a ProgramError;
   /// callers already treat those as trial outcomes).
@@ -97,10 +101,14 @@ class TrialBuilder {
   /// only bounds memory on adversarial workloads).
   static constexpr std::size_t kMaxVariantsPerFunc = 128;
 
-  /// Makes `e` the most recent image and `lane`'s own (under mu_).
-  void touch(std::list<CachedImage>::iterator e, std::size_t lane);
+  /// Makes `e` the most recent image and `lane`'s own (under mu_), and
+  /// returns what that evicts, for the caller to destroy unlocked.
+  std::list<CachedImage> touch(std::list<CachedImage>::iterator e,
+                               std::size_t lane);
 
-  const program::Program prog_;
+  /// The lifted original, shared with every image built (its data
+  /// sections, and the layout plan for an image's on-demand byte form).
+  const std::shared_ptr<const program::Program> prog_;
   const config::StructureIndex& index_;
   std::mutex mu_;  // guards the two caches below
   std::vector<std::unordered_map<std::string,

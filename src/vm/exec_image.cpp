@@ -1,11 +1,13 @@
 #include "vm/exec_image.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <utility>
 
 #include "arch/encode.hpp"
 #include "arch/opcode.hpp"
 #include "program/layout.hpp"
+#include "program/program.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
 
@@ -348,6 +350,24 @@ MicroOp lower_instr(const Instr& ins) {
   return u;
 }
 
+namespace {
+
+[[noreturn]] void not_a_boundary(std::uint64_t at, std::uint64_t target) {
+  throw VmError(strformat(
+      "control transfer at 0x%llx targets 0x%llx, which is not an "
+      "instruction boundary",
+      static_cast<unsigned long long>(at),
+      static_cast<unsigned long long>(target)));
+}
+
+[[noreturn]] void entry_not_a_boundary(std::uint64_t entry) {
+  throw VmError(
+      strformat("entry point 0x%llx is not an instruction boundary",
+                static_cast<unsigned long long>(entry)));
+}
+
+}  // namespace
+
 std::shared_ptr<const ExecutableImage> ExecutableImage::build(
     program::Image image) {
   // shared_ptr<ExecutableImage> first so members stay mutable during
@@ -368,28 +388,22 @@ std::shared_ptr<const ExecutableImage> ExecutableImage::build(
     if (info.is_branch || info.is_call) {
       const auto target = static_cast<std::uint64_t>(ins.src.imm);
       auto it = exec->index_of_addr_.find(target);
-      if (it == exec->index_of_addr_.end()) {
-        throw VmError(strformat(
-            "control transfer at 0x%llx targets 0x%llx, which is not an "
-            "instruction boundary",
-            static_cast<unsigned long long>(ins.addr),
-            static_cast<unsigned long long>(target)));
-      }
+      if (it == exec->index_of_addr_.end()) not_a_boundary(ins.addr, target);
       ins.src.imm = it->second;
     }
   }
   const std::size_t entry = exec->index_of(exec->image_.entry);
-  if (entry == kNoIndex) {
-    throw VmError(strformat(
-        "entry point 0x%llx is not an instruction boundary",
-        static_cast<unsigned long long>(exec->image_.entry)));
-  }
+  if (entry == kNoIndex) entry_not_a_boundary(exec->image_.entry);
   exec->entry_index_ = entry;
 
   exec->uops_.reserve(exec->code_.size());
   for (const Instr& ins : exec->code_) {
     exec->uops_.push_back(lower_instr(ins));
   }
+  exec->count_ = exec->code_.size();
+  exec->memory_size_ = exec->image_.memory_size;
+  exec->data_base_ = exec->image_.data_base;
+  exec->data_ = &exec->image_.data;
   return exec;
 }
 
@@ -400,11 +414,6 @@ std::shared_ptr<const CodeSegment> CodeSegment::build(
   // Decoding at image base 0 makes every instr addr a local byte offset.
   seg->code_ = arch::decode_all(layout.bytes, /*image_base=*/0);
 
-  std::unordered_map<std::uint64_t, std::uint32_t> index_of_off;
-  index_of_off.reserve(seg->code_.size() * 2);
-  for (std::size_t i = 0; i < seg->code_.size(); ++i) {
-    index_of_off[seg->code_[i].addr] = static_cast<std::uint32_t>(i);
-  }
   for (std::size_t i = 0; i < seg->code_.size(); ++i) {
     Instr& ins = seg->code_[i];
     const auto& info = arch::opcode_info(ins.op);
@@ -415,21 +424,23 @@ std::shared_ptr<const CodeSegment> CodeSegment::build(
         // index one-past-the-end, resolved against the NEXT function's
         // first instruction -- or rejected -- at splice time.
         ins.src.imm = static_cast<std::int64_t>(seg->code_.size());
+        if (seg->first_end_branch_ < 0) {
+          seg->first_end_branch_ = static_cast<std::int64_t>(i);
+        }
       } else {
-        auto it = index_of_off.find(target);
-        if (it == index_of_off.end()) {
+        const std::size_t local = seg->index_of_offset(target);
+        if (local == ExecutableImage::kNoIndex) {
           throw VmError(strformat(
               "branch at local offset 0x%llx targets local offset 0x%llx, "
               "which is not an instruction boundary in its segment",
               static_cast<unsigned long long>(ins.addr),
               static_cast<unsigned long long>(target)));
         }
-        ins.src.imm = it->second;
+        ins.src.imm = static_cast<std::int64_t>(local);
       }
-      seg->branch_sites_.push_back(static_cast<std::uint32_t>(i));
     } else if (info.is_call) {
       // imm stays the callee function index until splice time.
-      seg->call_sites_.push_back(static_cast<std::uint32_t>(i));
+      seg->max_callee_ = std::max(seg->max_callee_, ins.src.imm);
     }
   }
   seg->uops_.reserve(seg->code_.size());
@@ -439,101 +450,174 @@ std::shared_ptr<const CodeSegment> CodeSegment::build(
   return seg;
 }
 
-std::shared_ptr<const ExecutableImage> ExecutableImage::build_spliced(
-    program::Image image,
-    const std::vector<std::shared_ptr<const CodeSegment>>& segments) {
-  auto exec = std::shared_ptr<ExecutableImage>(new ExecutableImage);
-  exec->image_ = std::move(image);
-  exec->image_.validate();
+std::size_t CodeSegment::index_of_offset(std::uint64_t off) const {
+  // decode_all emits instructions in address order.
+  const auto it = std::lower_bound(
+      code_.begin(), code_.end(), off,
+      [](const Instr& ins, std::uint64_t o) { return ins.addr < o; });
+  if (it == code_.end() || it->addr != off) return ExecutableImage::kNoIndex;
+  return static_cast<std::size_t>(it - code_.begin());
+}
 
+std::shared_ptr<const ExecutableImage> ExecutableImage::build_spliced(
+    std::shared_ptr<const program::Program> meta,
+    std::vector<std::shared_ptr<const program::FuncLayout>> layouts,
+    std::vector<std::shared_ptr<const CodeSegment>> segments) {
   const std::size_t n = segments.size();
-  std::vector<std::uint64_t> seg_addr(n);
-  std::vector<std::size_t> instr_base(n + 1);
-  std::uint64_t pc = exec->image_.code_base;
+  FPMIX_CHECK(meta != nullptr && layouts.size() == n &&
+              meta->functions.size() == n);
+  auto exec = std::shared_ptr<ExecutableImage>(new ExecutableImage);
+  exec->first_.resize(n + 1);
+  exec->base_.resize(n + 1);
+  std::uint64_t pc = meta->code_base;
   std::size_t total = 0;
   for (std::size_t f = 0; f < n; ++f) {
-    seg_addr[f] = pc;
-    instr_base[f] = total;
+    FPMIX_CHECK(segments[f]->byte_size_ == layouts[f]->bytes.size());
+    exec->base_[f] = pc;
+    exec->first_[f] = total;
     pc += segments[f]->byte_size_;
     total += segments[f]->code_.size();
   }
-  instr_base[n] = total;
-  if (pc - exec->image_.code_base != exec->image_.code.size()) {
-    throw VmError("spliced segments do not cover the image's code section");
-  }
+  exec->base_[n] = pc;
+  exec->first_[n] = total;
+
+  // What assemble()'s validate() would reject (its symbols abut and cover
+  // the code by construction), then what build() would.
+  if (n == 0) throw ProgramError("image has no symbols");
+  const std::uint64_t entry =
+      exec->base_[static_cast<std::size_t>(meta->entry_function)];
+  program::validate_sections(*meta, pc, entry);
   if (total == 0) throw VmError("image has no code");
-
-  exec->code_.reserve(total);
-  exec->uops_.reserve(total);
-  exec->index_of_addr_.reserve(total * 2);
-  for (std::size_t f = 0; f < n; ++f) {
+  // Only a transfer into the empty functions after the last non-empty one
+  // can miss an instruction: a branch off that function's end, or a call to
+  // one of them. Checked in build()'s (address) order.
+  std::size_t last = n;
+  while (exec->first_[last - 1] == total) --last;
+  --last;  // the last non-empty function
+  for (std::size_t f = 0; f <= last; ++f) {
     const CodeSegment& seg = *segments[f];
-    const std::uint64_t base = seg_addr[f];
-    exec->code_.insert(exec->code_.end(), seg.code_.begin(),
-                       seg.code_.end());
-    exec->uops_.insert(exec->uops_.end(), seg.uops_.begin(),
-                       seg.uops_.end());
-    for (std::size_t i = instr_base[f]; i < instr_base[f + 1]; ++i) {
-      Instr& ins = exec->code_[i];
-      ins.addr += base;
-      exec->index_of_addr_[ins.addr] = static_cast<std::uint32_t>(i);
+    const std::uint64_t base = exec->base_[f];
+    FPMIX_CHECK(seg.max_callee_ < static_cast<std::int64_t>(n));
+    if (f == last && seg.first_end_branch_ >= 0) {
+      not_a_boundary(
+          base + seg.code_[static_cast<std::size_t>(seg.first_end_branch_)]
+                     .addr,
+          base + seg.byte_size_);
+    }
+    if (seg.max_callee_ > static_cast<std::int64_t>(last)) {
+      for (const Instr& ins : seg.code_) {
+        const auto callee = static_cast<std::size_t>(ins.src.imm);
+        if (arch::opcode_info(ins.op).is_call && callee > last) {
+          not_a_boundary(base + ins.addr, exec->base_[callee]);
+        }
+      }
     }
   }
 
-  // Control-transfer fixups. Targets are read from the pristine segment
-  // data (the copies above were already rebased), and the out-of-range
-  // errors reconstruct the absolute target address so the message matches
-  // build()'s byte-for-byte.
-  for (std::size_t f = 0; f < n; ++f) {
-    const CodeSegment& seg = *segments[f];
-    const std::uint64_t base = seg_addr[f];
-    const std::size_t ibase = instr_base[f];
-    for (std::uint32_t site : seg.branch_sites_) {
-      const auto local = static_cast<std::size_t>(seg.code_[site].src.imm);
-      const std::size_t global = ibase + local;
-      if (global >= total) {
-        const std::uint64_t target =
-            base + (local == seg.code_.size() ? seg.byte_size_
-                                              : seg.code_[local].addr);
-        throw VmError(strformat(
-            "control transfer at 0x%llx targets 0x%llx, which is not an "
-            "instruction boundary",
-            static_cast<unsigned long long>(base + seg.code_[site].addr),
-            static_cast<unsigned long long>(target)));
-      }
-      exec->code_[ibase + site].src.imm = static_cast<std::int64_t>(global);
-      exec->uops_[ibase + site].imm = static_cast<std::int64_t>(global);
-    }
-    for (std::uint32_t site : seg.call_sites_) {
-      const auto callee = static_cast<std::size_t>(seg.code_[site].src.imm);
-      FPMIX_CHECK(callee < n);
-      const std::size_t global = instr_base[callee];
-      if (global >= total) {
-        // Callee (and every function after it) is empty: its address is not
-        // an instruction boundary, exactly as build() would discover.
-        throw VmError(strformat(
-            "control transfer at 0x%llx targets 0x%llx, which is not an "
-            "instruction boundary",
-            static_cast<unsigned long long>(base + seg.code_[site].addr),
-            static_cast<unsigned long long>(seg_addr[callee])));
-      }
-      exec->code_[ibase + site].src.imm = static_cast<std::int64_t>(global);
-      MicroOp& u = exec->uops_[ibase + site];
-      u.imm = static_cast<std::int64_t>(global);
-      u.aux += base;  // local return offset -> absolute return address
-    }
-  }
-
-  const std::size_t entry = exec->index_of(exec->image_.entry);
-  if (entry == kNoIndex) {
-    throw VmError(strformat(
-        "entry point 0x%llx is not an instruction boundary",
-        static_cast<unsigned long long>(exec->image_.entry)));
-  }
-  exec->entry_index_ = entry;
-  exec->segments_ = segments;
-  exec->segment_first_index_ = std::move(instr_base);
+  exec->meta_ = std::move(meta);
+  exec->layouts_ = std::move(layouts);
+  exec->segments_ = std::move(segments);
+  exec->count_ = total;
+  exec->memory_size_ = exec->meta_->memory_size;
+  exec->data_base_ = exec->meta_->data_base;
+  exec->data_ = &exec->meta_->data;
+  const std::size_t entry_index = exec->index_of(entry);
+  if (entry_index == kNoIndex) entry_not_a_boundary(entry);
+  exec->entry_index_ = entry_index;
   return exec;
+}
+
+const program::Image& ExecutableImage::image() const {
+  if (meta_ != nullptr) {
+    std::call_once(image_once_, [this] {
+      std::vector<const program::FuncLayout*> funcs(layouts_.size());
+      for (std::size_t f = 0; f < funcs.size(); ++f) {
+        funcs[f] = layouts_[f].get();
+      }
+      image_ = program::assemble(*meta_, funcs);
+    });
+  }
+  return image_;
+}
+
+std::size_t ExecutableImage::segment_of(std::size_t pc) const {
+  // The last segment starting at or before pc holds it (empty segments
+  // share their successor's first index and sort before it).
+  const auto it = std::upper_bound(first_.begin(), first_.end() - 1, pc);
+  return static_cast<std::size_t>(it - first_.begin()) - 1;
+}
+
+std::size_t ExecutableImage::index_of(std::uint64_t addr) const {
+  if (meta_ == nullptr) {
+    auto it = index_of_addr_.find(addr);
+    return it == index_of_addr_.end() ? kNoIndex
+                                      : static_cast<std::size_t>(it->second);
+  }
+  if (addr < base_.front() || addr >= base_.back()) return kNoIndex;
+  const auto it = std::upper_bound(base_.begin(), base_.end() - 1, addr);
+  const std::size_t f = static_cast<std::size_t>(it - base_.begin()) - 1;
+  const std::size_t local = segments_[f]->index_of_offset(addr - base_[f]);
+  return local == kNoIndex ? kNoIndex : first_[f] + local;
+}
+
+Instr ExecutableImage::global_instr(std::size_t f, std::size_t local) const {
+  const CodeSegment& seg = *segments_[f];
+  Instr ins = seg.code_[local];
+  ins.addr += base_[f];
+  const auto& info = arch::opcode_info(ins.op);
+  if (info.is_branch) {
+    ins.src.imm += static_cast<std::int64_t>(first_[f]);
+  } else if (info.is_call) {
+    const auto callee = static_cast<std::size_t>(ins.src.imm);
+    ins.src.imm = static_cast<std::int64_t>(first_[callee]);
+  }
+  return ins;
+}
+
+MicroOp ExecutableImage::global_uop(std::size_t f, std::size_t local) const {
+  const CodeSegment& seg = *segments_[f];
+  MicroOp u = seg.uops_[local];
+  const auto& info = arch::opcode_info(seg.code_[local].op);
+  if (info.is_branch) {
+    u.imm += static_cast<std::int64_t>(first_[f]);
+  } else if (info.is_call) {
+    u.imm = static_cast<std::int64_t>(first_[static_cast<std::size_t>(u.imm)]);
+    u.aux += base_[f];  // local return offset -> absolute return address
+  }
+  return u;
+}
+
+Instr ExecutableImage::instr_at(std::size_t pc) const {
+  if (meta_ == nullptr) return code_[pc];
+  const std::size_t f = segment_of(pc);
+  return global_instr(f, pc - first_[f]);
+}
+
+MicroOp ExecutableImage::uop_at(std::size_t pc) const {
+  if (meta_ == nullptr) return uops_[pc];
+  const std::size_t f = segment_of(pc);
+  return global_uop(f, pc - first_[f]);
+}
+
+const std::vector<Instr>& ExecutableImage::code() const {
+  if (meta_ != nullptr) uops();  // builds both
+  return code_;
+}
+
+const std::vector<MicroOp>& ExecutableImage::uops() const {
+  if (meta_ != nullptr) {
+    std::call_once(flat_once_, [this] {
+      code_.reserve(count_);
+      uops_.reserve(count_);
+      for (std::size_t f = 0; f < segments_.size(); ++f) {
+        for (std::size_t i = 0; i < segments_[f]->code_.size(); ++i) {
+          code_.push_back(global_instr(f, i));
+          uops_.push_back(global_uop(f, i));
+        }
+      }
+    });
+  }
+  return uops_;
 }
 
 }  // namespace fpmix::vm

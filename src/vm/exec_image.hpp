@@ -6,7 +6,8 @@
 // classification. ExecutableImage hoists all of it into a single build step
 // whose result is immutable and shareable across Machines and threads: the
 // search predecodes the unpatched reference once, and each trial predecodes
-// only its freshly patched image.
+// only the functions its config changed and splices a table over the rest
+// (build_spliced).
 //
 // Lowering: every arch::Instr becomes exactly one MicroOp -- a compact
 // record with pre-resolved register indices, an effective-address recipe
@@ -24,6 +25,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -33,6 +35,7 @@
 
 namespace fpmix::program {
 struct FuncLayout;
+struct Program;
 }  // namespace fpmix::program
 
 namespace fpmix::vm {
@@ -229,9 +232,8 @@ MicroOp lower_instr(const arch::Instr& ins);
 /// segment*, or one-past-the-end for a branch to the function's end; call
 /// imm = callee *function index*; call aux = local return offset; instr
 /// addr = local byte offset). Immutable and shared: verify::TrialBuilder
-/// caches segments per (function, precision signature) and
-/// ExecutableImage::build_spliced rebases any mix of them into a full
-/// image without re-decoding or re-lowering.
+/// caches segments per (function, precision signature), and a spliced
+/// ExecutableImage is a table over any mix of them.
 class CodeSegment {
  public:
   /// Decodes and lowers `layout`. Throws VmError if a branch relocation
@@ -245,10 +247,14 @@ class CodeSegment {
   const std::vector<arch::Instr>& code() const { return code_; }
   const std::vector<MicroOp>& uops() const { return uops_; }
 
+  /// Local index of the instruction at local byte offset `off`, or
+  /// ExecutableImage::kNoIndex when no instruction starts there.
+  std::size_t index_of_offset(std::uint64_t off) const;
+
   /// Lazily-filled native-code cache (see jit/cache.hpp): the JIT engine
-  /// compiles a segment's local-form micro-ops at most once per profile
-  /// variant, so delta trials that re-splice shared segments re-JIT only
-  /// the dirty functions.
+  /// compiles and places a segment's local-form micro-ops at most once, so
+  /// delta trials that splice shared segments re-JIT only the dirty
+  /// functions.
   jit::BlobCache& jit_cache() const { return jit_cache_; }
 
  private:
@@ -257,18 +263,30 @@ class CodeSegment {
 
   std::vector<arch::Instr> code_;
   std::vector<MicroOp> uops_;
-  /// Instruction indices whose imm needs `+ first instruction index of this
-  /// segment` (branches) or resolution through the callee's segment (calls).
-  std::vector<std::uint32_t> branch_sites_;
-  std::vector<std::uint32_t> call_sites_;
+  /// First branch to the segment's end (local imm == instruction count),
+  /// and the largest callee index, or -1: what a splice must check against
+  /// the functions after this one, without walking the instructions.
+  std::int64_t first_end_branch_ = -1;
+  std::int64_t max_callee_ = -1;
   std::size_t byte_size_ = 0;
   mutable jit::BlobCache jit_cache_;
 };
 
-/// An immutable, shareable execution form of a program::Image: decoded
-/// instructions with control-transfer targets resolved to instruction
-/// indices, the address->index map, and the lowered micro-op stream.
-/// Build once per image; share freely across Machines and threads.
+/// An immutable, shareable execution form of a program image, in one of two
+/// shapes:
+///  - built from scratch (build): the decoded instructions with
+///    control-transfer targets resolved to instruction indices, the
+///    address->index map and the lowered micro-op stream, all eager;
+///  - spliced (build_spliced): a table over shared per-function
+///    CodeSegments -- prefix tables of each function's first global
+///    instruction index and guest byte base -- that resolves a pc or an
+///    address by binary search over the functions plus the segment's own
+///    arrays. Building one costs O(functions). The flat global-form arrays
+///    (code(), uops()) are built on first use, only for the micro-op and
+///    switch engines, profiled JIT runs and tests, and the byte image
+///    (image()) is assembled on first use.
+/// Both give the same instructions, indices, addresses and errors. Build
+/// once per image; share freely across Machines and threads.
 class ExecutableImage {
  public:
   static constexpr std::size_t kNoIndex = ~static_cast<std::size_t>(0);
@@ -279,36 +297,45 @@ class ExecutableImage {
   /// instruction boundary.
   static std::shared_ptr<const ExecutableImage> build(program::Image image);
 
-  /// Splices predecoded per-function segments (one per function, in program
-  /// order, matching `image`'s layout) into a full executable: bulk-copies
-  /// each segment's instructions and micro-ops, rebases addresses, and
-  /// rewrites branch/call immediates to global instruction indices. Produces
-  /// a result indistinguishable from build(std::move(image)) without
-  /// re-decoding or re-lowering unchanged functions. Throws VmError under
-  /// exactly the same conditions (and with the same messages) as build().
+  /// The spliced image of `meta` whose functions are `layouts` (one per
+  /// function, in program order) predecoded as `segments`: the image
+  /// program::assemble(meta, layouts) would give, without assembling it or
+  /// copying any code. Throws exactly what assemble + build would (the
+  /// same ProgramErrors and VmErrors, with the same messages).
   static std::shared_ptr<const ExecutableImage> build_spliced(
-      program::Image image,
-      const std::vector<std::shared_ptr<const CodeSegment>>& segments);
+      std::shared_ptr<const program::Program> meta,
+      std::vector<std::shared_ptr<const program::FuncLayout>> layouts,
+      std::vector<std::shared_ptr<const CodeSegment>> segments);
 
-  const program::Image& image() const { return image_; }
+  /// The byte image (assembled on first use when spliced).
+  const program::Image& image() const;
 
-  /// Decoded instructions. NOTE: branch/call `src.imm` fields hold
-  /// *instruction indices*, not addresses (resolved at build time).
-  const std::vector<arch::Instr>& code() const { return code_; }
+  /// What a Machine loads besides code.
+  std::uint64_t memory_size() const { return memory_size_; }
+  std::uint64_t data_base() const { return data_base_; }
+  const std::vector<std::uint8_t>& data() const { return *data_; }
 
-  const std::vector<MicroOp>& uops() const { return uops_; }
+  std::size_t instruction_count() const { return count_; }
+
+  /// Decoded instructions in global form. NOTE: branch/call `src.imm`
+  /// fields hold *instruction indices*, not addresses (resolved at build
+  /// time). Built on first use when spliced.
+  const std::vector<arch::Instr>& code() const;
+
+  /// The lowered micro-op stream in global form (built on first use when
+  /// spliced).
+  const std::vector<MicroOp>& uops() const;
+
+  /// code()[pc] / uops()[pc], without building the flat arrays.
+  arch::Instr instr_at(std::size_t pc) const;
+  MicroOp uop_at(std::size_t pc) const;
 
   std::size_t entry_index() const { return entry_index_; }
 
   /// Instruction index for an address, or kNoIndex.
-  std::size_t index_of(std::uint64_t addr) const {
-    auto it = index_of_addr_.find(addr);
-    return it == index_of_addr_.end() ? kNoIndex
-                                      : static_cast<std::size_t>(it->second);
-  }
+  std::size_t index_of(std::uint64_t addr) const;
 
   /// Segments this image was spliced from (empty when built from scratch).
-  /// Holding them keeps the structural sharing alive for diagnostics.
   const std::vector<std::shared_ptr<const CodeSegment>>& segments() const {
     return segments_;
   }
@@ -316,24 +343,48 @@ class ExecutableImage {
   /// When spliced: global instruction index of each segment's first
   /// instruction, plus a final total-count entry (size = segments + 1).
   const std::vector<std::size_t>& segment_first_index() const {
-    return segment_first_index_;
+    return first_;
   }
 
-  /// Lazily-filled linked-native-code cache: the JIT engine links a whole
-  /// image at most once per profile variant, so a warm TrialBuilder hit
-  /// carries compiled code along with the predecode.
+  /// When spliced: guest address of each segment's first byte, plus a
+  /// final code-end entry (size = segments + 1).
+  const std::vector<std::uint64_t>& segment_byte_base() const {
+    return base_;
+  }
+
+  /// Lazily-filled JIT cache: the JIT engine links an image (fills its
+  /// function table over the segments' shared blobs) at most once per
+  /// profile variant, so a warm TrialBuilder hit carries it along.
   jit::ImageJitCache& jit_cache() const { return jit_cache_; }
 
  private:
   ExecutableImage() = default;
 
-  program::Image image_;
-  std::vector<arch::Instr> code_;
-  std::vector<MicroOp> uops_;
-  std::unordered_map<std::uint64_t, std::uint32_t> index_of_addr_;
+  /// Spliced: the segment holding global pc `pc` (< instruction_count()).
+  std::size_t segment_of(std::size_t pc) const;
+  /// Spliced: the global form of segment `f`'s local instruction / uop.
+  arch::Instr global_instr(std::size_t f, std::size_t local) const;
+  MicroOp global_uop(std::size_t f, std::size_t local) const;
+
+  mutable program::Image image_;
+  mutable std::vector<arch::Instr> code_;
+  mutable std::vector<MicroOp> uops_;
+  std::unordered_map<std::uint64_t, std::uint32_t> index_of_addr_;  // build()
+  std::size_t count_ = 0;
   std::size_t entry_index_ = 0;
+  std::uint64_t memory_size_ = 0;
+  std::uint64_t data_base_ = 0;
+  const std::vector<std::uint8_t>* data_ = nullptr;
+
+  // Spliced only.
+  std::shared_ptr<const program::Program> meta_;
+  std::vector<std::shared_ptr<const program::FuncLayout>> layouts_;
   std::vector<std::shared_ptr<const CodeSegment>> segments_;
-  std::vector<std::size_t> segment_first_index_;
+  std::vector<std::size_t> first_;
+  std::vector<std::uint64_t> base_;
+  mutable std::once_flag image_once_;
+  mutable std::once_flag flat_once_;
+
   mutable jit::ImageJitCache jit_cache_;
 };
 

@@ -47,8 +47,17 @@
 // Trap-shaped paths (bounds, tag sentinel, budget, divide/cvtt range)
 // branch to per-site out-of-line stubs emitted after the instruction
 // bodies; the stubs spill any promoted registers, correct the batched
-// retired count, load the faulting pc as a link-patched immediate and call
-// the C++ helpers through the context block. The emit switch has a
+// retired count, load the faulting pc and call the C++ helpers through the
+// context block.
+//
+// A blob is complete when compiled: jumps within the stream are resolved
+// to rel32s inside the blob, and everything that depends on where the
+// stream sits in an image is read at run time from the image's FuncSlot
+// table (JitContext::funcs) -- a call's target and return address, the
+// jump taken when control leaves the stream's end, and, in the cold exit
+// and trap stubs, the stream's first global pc (a local-form stub loads
+// its pc as a local immediate and adds it). The hot region code, its
+// guards and thunk entries read nothing extra. The emit switch has a
 // template for every MicroKind and no default, so -Wswitch proves the
 // translation total over the kinds.
 //
@@ -94,6 +103,7 @@ constexpr std::int32_t kCtxHelpOpTrap = 144;
 constexpr std::int32_t kCtxIntrinFn = 152;
 constexpr std::int32_t kCtxMemLimit8 = 160;
 constexpr std::int32_t kCtxMemLimit4 = 168;
+constexpr std::int32_t kCtxFuncs = 176;
 static_assert(offsetof(JitContext, mem_size) == kCtxMemSize);
 static_assert(offsetof(JitContext, mem_limit8) == kCtxMemLimit8);
 static_assert(offsetof(JitContext, mem_limit4) == kCtxMemLimit4);
@@ -105,6 +115,20 @@ static_assert(offsetof(JitContext, help_ret) == kCtxHelpRet);
 static_assert(offsetof(JitContext, help_intrin) == kCtxHelpIntrin);
 static_assert(offsetof(JitContext, help_op_trap) == kCtxHelpOpTrap);
 static_assert(offsetof(JitContext, intrin_fn) == kCtxIntrinFn);
+static_assert(offsetof(JitContext, funcs) == kCtxFuncs);
+
+// FuncSlot field displacements (layout static_asserted in jit.hpp).
+constexpr std::int32_t kSlotEntry = 0;
+constexpr std::int32_t kSlotFirstIndex = 8;
+constexpr std::int32_t kSlotByteBase = 16;
+
+/// Displacement of function `f`'s FuncSlot field off the table base.
+std::int32_t slot_disp(std::uint64_t f, std::int32_t field) {
+  const std::uint64_t d =
+      f * sizeof(FuncSlot) + static_cast<std::uint64_t>(field);
+  FPMIX_CHECK(d <= static_cast<std::uint64_t>(INT32_MAX));
+  return static_cast<std::int32_t>(d);
+}
 
 constexpr bool fits_i32(std::int64_t v) {
   return v >= INT32_MIN && v <= INT32_MAX;
@@ -258,9 +282,11 @@ class Compiler {
   Compiler(const std::vector<MicroOp>& uops, CompileMode mode)
       : uops_(uops), mode_(mode), regalloc_on_(regalloc_enabled()) {}
 
-  std::shared_ptr<const SegmentBlob> run() {
+  /// Emits the stream; on return `code()`, `instr_off()` and `stats()`
+  /// hold the finished blob parts.
+  void run() {
+    FPMIX_CHECK(!(mode_.local && mode_.profile));
     analyse();
-    auto blob = std::make_shared<SegmentBlob>();
     const std::size_t n = uops_.size();
     instr_off_.assign(n, 0);
     std::size_t pc = 0;
@@ -312,22 +338,32 @@ class Compiler {
     region_ = -1;
     if (spill_id_[n] >= 0)
       emit_spills(allocs_[static_cast<std::size_t>(spill_id_[n])]);
-    // Falling off the last instruction continues at the next one in program
-    // order: the following segment's entry, or the image's off-end stub.
-    jmp_target(static_cast<std::uint64_t>(n));
+    // Falling off the last instruction (or branching to the stream's end)
+    // continues at the next one in program order: the next function's
+    // entry, or the off-end stub after the last function.
+    e_.bind(end_tail_);
+    e_.mov_rm(RAX, R15, kCtxFuncs);
+    e_.jmp_m(RAX, slot_disp(std::uint64_t{func()} + 1, kSlotEntry));
     emit_tails();
     emit_thunks();
     emit_stubs();
-    blob->code = std::move(e_.code);
-    blob->relocs = std::move(relocs_);
-    blob->instr_off = std::move(instr_off_);
-    blob->stats = stats_;
-    return blob;
+    // Every instr_off entry is final now (thunks bind mid-region ones).
+    for (const auto& [at, target] : jumps_) {
+      e_.patch32(at, static_cast<std::uint32_t>(
+                         static_cast<std::int64_t>(instr_off_[target]) -
+                         static_cast<std::int64_t>(at + 4)));
+    }
   }
+
+  std::vector<std::uint8_t>& code() { return e_.code; }
+  std::vector<std::uint32_t>& instr_off() { return instr_off_; }
+  const LoweringStats& stats() const { return stats_; }
 
  private:
   Emitter e_;
-  std::vector<Reloc> relocs_;
+  /// rel32 sites (offset, target uop) of jumps within the stream, patched
+  /// once every instruction's native offset is known.
+  std::vector<std::pair<std::size_t, std::uint64_t>> jumps_;
   std::vector<std::uint32_t> instr_off_;
   const std::vector<MicroOp>& uops_;
   CompileMode mode_;
@@ -336,6 +372,7 @@ class Compiler {
   LoweringStats stats_;
 
   Emitter::Label exit_tail_;  // jmp epilogue (helper already set the status)
+  Emitter::Label end_tail_;   // leave the stream's end: next function's entry
   Emitter::Label halt_tail_;  // status = kExitHalt, then epilogue
 
   // --- analysis: flags liveness, fusion, block allocation ------------------
@@ -708,7 +745,15 @@ class Compiler {
   std::deque<TagStub> tag_stubs_;
   std::deque<OpStub> op_stubs_;
   std::vector<Thunk> thunks_;
-  Emitter::Label thunk_near_;  // the thunks' shared near-budget exit
+  // Shared stub tails, one each per blob: a stub loads its arguments (the
+  // pc as a stream pc) and jumps to its kind's tail, which makes the pc
+  // global and leaves through the helper / epilogue.
+  Emitter::Label near_tail_;    // RAX = pc -> kExitBudgetNear
+  Emitter::Label budget_tail_;  // RAX = pc -> kExitBudget
+  Emitter::Label mem_tail_;     // help_mem_trap(RSI addr, RDX bytes, RCX pc,
+                                //               R8 is_store)
+  Emitter::Label tag_tail_;     // help_tag_trap(RSI bits, RDX pc)
+  Emitter::Label op_tail_;      // help_op_trap(RSI pc, RDX msg)
 
   std::uint32_t pc32() const { return static_cast<std::uint32_t>(pc_); }
 
@@ -723,23 +768,44 @@ class Compiler {
     if (delta != 0) e_.lea_bd(R14, R14, static_cast<std::int32_t>(delta));
   }
 
-  // --- reloc-carrying emission helpers -------------------------------------
+  // --- jumps and placement-dependent values -------------------------------
 
-  void mov_ri32_reloc(int reg, Reloc::Kind kind, std::uint64_t value) {
-    e_.rex(false, 0, 0, reg);
-    e_.u8(static_cast<std::uint8_t>(0xB8 | (reg & 7)));
-    relocs_.push_back({kind, static_cast<std::uint32_t>(e_.size()), value});
-    e_.u32(0);
-  }
+  /// The stream's slot in the image's FuncSlot table (0 in global form,
+  /// whose table has one function).
+  std::uint32_t func() const { return mode_.local ? mode_.func : 0; }
+
+  /// Jump to uop `target` of this stream, or to the stream's end (target
+  /// == uop count).
   void jmp_target(std::uint64_t target) {
-    const std::size_t at = e_.jmp_reloc();
-    relocs_.push_back(
-        {Reloc::Kind::kRel32Target, static_cast<std::uint32_t>(at), target});
+    if (target == uops_.size()) {
+      e_.jmp(end_tail_);
+      return;
+    }
+    FPMIX_CHECK(target < uops_.size());
+    jumps_.emplace_back(e_.jmp_reloc(), target);
   }
   void jcc_target(int cc, std::uint64_t target) {
-    const std::size_t at = e_.jcc_reloc(cc);
-    relocs_.push_back(
-        {Reloc::Kind::kRel32Target, static_cast<std::uint32_t>(at), target});
+    if (target == uops_.size()) {
+      e_.jcc(cc, end_tail_);
+      return;
+    }
+    FPMIX_CHECK(target < uops_.size());
+    jumps_.emplace_back(e_.jcc_reloc(cc), target);
+  }
+
+  /// Turns the stream pc in `reg` into the image's global pc (clobbers
+  /// `tmp` in local form): a local-form blob is shared by images that
+  /// number its function differently, so it adds its function's first
+  /// global index from the FuncSlot table. Exit and trap paths only.
+  void to_global_pc(int reg, int tmp) {
+    if (!mode_.local) return;
+    e_.mov_rm(tmp, R15, kCtxFuncs);
+    e_.alu_rm(Alu::kAdd, reg, tmp, slot_disp(func(), kSlotFirstIndex));
+  }
+  /// `reg` = global pc of stream uop `pc` (clobbers `tmp` in local form).
+  void pc_arg(int reg, std::uint64_t pc, int tmp) {
+    e_.mov_ri32(reg, static_cast<std::uint32_t>(pc));
+    to_global_pc(reg, tmp);
   }
 
   // --- promoted-register access --------------------------------------------
@@ -866,8 +932,8 @@ class Compiler {
     if (!mode_.profile) return;
     e_.mov_rm(RAX, R15, kCtxCounts);
     const std::size_t at = e_.inc_m_disp32(RAX);
-    relocs_.push_back(
-        {Reloc::Kind::kDisp32Counts, static_cast<std::uint32_t>(at), pc});
+    FPMIX_CHECK(pc <= static_cast<std::uint64_t>(INT32_MAX) / 8);
+    e_.patch32(at, static_cast<std::uint32_t>(pc * 8));  // global pc
   }
 
   /// Region-entry budget guard: would retiring `n` more instructions (the
@@ -886,10 +952,10 @@ class Compiler {
   /// The thunks' form of near_guard: the pc rides in RAX to one shared
   /// exit per blob instead of a stub per thunk.
   void thunk_guard(std::uint32_t pc, std::uint32_t n) {
-    mov_ri32_reloc(RAX, Reloc::Kind::kImm32Pc, pc);
+    e_.mov_ri32(RAX, pc);  // stream pc; near_tail_ makes it global
     e_.lea_bd(RCX, R14, static_cast<std::int32_t>(n));
     e_.alu_rr(Alu::kCmp, RCX, RBP);
-    e_.jcc(CC_A, thunk_near_);
+    e_.jcc(CC_A, near_tail_);
   }
 
   // --- effective address / memory / tag checks -----------------------------
@@ -1074,22 +1140,18 @@ class Compiler {
         e_.mov_mr(R12, kSpOff, RAX);
         bounds(8, /*is_store=*/true);
         if (mode_.local) {
-          // Return address: local byte offset, rebased at link time.
-          e_.rex(true, 0, 0, RDX);
-          e_.u8(static_cast<std::uint8_t>(0xB8 | RDX));
-          relocs_.push_back({Reloc::Kind::kAbs64RetAddr,
-                             static_cast<std::uint32_t>(e_.size()), u.aux});
-          e_.u64(0);
+          // aux = local return offset, imm = callee function index: the
+          // return address is this function's byte base plus the offset,
+          // and the target the callee's entry, both from the FuncSlot table.
+          FPMIX_CHECK(u.aux <= static_cast<std::uint64_t>(INT32_MAX));
+          e_.mov_rm(RCX, R15, kCtxFuncs);
+          e_.mov_rm(RDX, RCX, slot_disp(func(), kSlotByteBase));
+          e_.lea_bd(RDX, RDX, static_cast<std::int32_t>(u.aux));
+          e_.mov_mxr(R13, RAX, 0, RDX);
+          e_.jmp_m(RCX, slot_disp(tgt, kSlotEntry));
         } else {
           e_.mov_ri64(RDX, u.aux);
-        }
-        e_.mov_mxr(R13, RAX, 0, RDX);
-        if (mode_.local) {
-          // imm = callee function index; resolved via the link placement.
-          const std::size_t at = e_.jmp_reloc();
-          relocs_.push_back({Reloc::Kind::kRel32Call,
-                             static_cast<std::uint32_t>(at), tgt});
-        } else {
+          e_.mov_mxr(R13, RAX, 0, RDX);
           jmp_target(tgt);  // imm = callee's global instruction index
         }
         break;
@@ -1105,7 +1167,7 @@ class Compiler {
         e_.mov_mr(R15, kCtxRetired, R14);
         e_.mov_rr(RDI, R15);
         e_.mov_rr(RSI, RDX);
-        mov_ri32_reloc(RDX, Reloc::Kind::kImm32Pc, pc_);
+        pc_arg(RDX, pc_, RAX);
         e_.call_m(R15, kCtxHelpRet);
         e_.test_rr(RAX, RAX);
         e_.jcc(CC_E, exit_tail_);
@@ -1721,7 +1783,7 @@ class Compiler {
     const std::uint32_t f = fix();
     retire_adjust(-static_cast<std::int64_t>(f));
     e_.mov_mr(R15, kCtxRetired, R14);
-    mov_ri32_reloc(RSI, Reloc::Kind::kImm32Pc, pc_);
+    pc_arg(RSI, pc_, RAX);
     e_.mov_rr(RDI, R15);
     e_.call_m(R15, kCtxHelpIntrin);
     e_.test_rr(RAX, RAX);
@@ -2197,12 +2259,6 @@ class Compiler {
                                (static_cast<std::int64_t>(e_.size()) + 4);
       e_.u32(static_cast<std::uint32_t>(rel));
     }
-    if (!thunks_.empty()) {
-      e_.bind(thunk_near_);
-      e_.mov_mr(R15, kCtxExitPc, RAX);
-      e_.mov_mi32_d(R15, kCtxExitStatus, kExitBudgetNear);
-      e_.jmp_m(R15, kCtxEpilogue);
-    }
   }
 
   void emit_stubs() {
@@ -2210,20 +2266,16 @@ class Compiler {
     // and the arrays are always current: no spill.
     for (auto& s : budget_stubs_) {
       e_.bind(s.label);
-      mov_ri32_reloc(RAX, Reloc::Kind::kImm32Pc, s.pc);
-      e_.mov_mr(R15, kCtxExitPc, RAX);
-      e_.mov_mi32_d(R15, kCtxExitStatus, kExitBudget);
-      e_.jmp_m(R15, kCtxEpilogue);
+      e_.mov_ri32(RAX, s.pc);
+      e_.jmp(budget_tail_);
     }
     // Near stubs fire from a region-head guard, before the region's loads
     // and batch: nothing of the region has run, the arrays are current,
     // and the driver interprets from pc to the exact budget boundary.
     for (auto& s : near_stubs_) {
       e_.bind(s.label);
-      mov_ri32_reloc(RAX, Reloc::Kind::kImm32Pc, s.pc);
-      e_.mov_mr(R15, kCtxExitPc, RAX);
-      e_.mov_mi32_d(R15, kCtxExitStatus, kExitBudgetNear);
-      e_.jmp_m(R15, kCtxEpilogue);
+      e_.mov_ri32(RAX, s.pc);
+      e_.jmp(near_tail_);
     }
     for (auto& s : mem_stubs_) {
       e_.bind(s.label);
@@ -2231,35 +2283,53 @@ class Compiler {
       retire_adjust(-static_cast<std::int64_t>(s.fix));
       e_.mov_rr(RSI, RAX);
       e_.mov_ri32(RDX, s.bytes);
-      mov_ri32_reloc(RCX, Reloc::Kind::kImm32Pc, s.pc);
+      e_.mov_ri32(RCX, s.pc);
       e_.mov_ri32(R8, s.is_store ? 1 : 0);
-      e_.mov_mr(R15, kCtxRetired, R14);
-      e_.mov_rr(RDI, R15);
-      e_.call_m(R15, kCtxHelpMemTrap);
-      e_.jmp_m(R15, kCtxEpilogue);
+      e_.jmp(mem_tail_);
     }
     for (auto& s : tag_stubs_) {
       e_.bind(s.label);
       stub_spill(s.alloc);  // preserves the bits register (rdx/rcx)
       retire_adjust(-static_cast<std::int64_t>(s.fix));
       if (s.bits_reg != RSI) e_.mov_rr(RSI, s.bits_reg);
-      mov_ri32_reloc(RDX, Reloc::Kind::kImm32Pc, s.pc);
-      e_.mov_mr(R15, kCtxRetired, R14);
-      e_.mov_rr(RDI, R15);
-      e_.call_m(R15, kCtxHelpTagTrap);
-      e_.jmp_m(R15, kCtxEpilogue);
+      e_.mov_ri32(RDX, s.pc);
+      e_.jmp(tag_tail_);
     }
     for (auto& s : op_stubs_) {
       e_.bind(s.label);
       stub_spill(s.alloc);
       retire_adjust(-static_cast<std::int64_t>(s.fix));
-      mov_ri32_reloc(RSI, Reloc::Kind::kImm32Pc, s.pc);
+      e_.mov_ri32(RSI, s.pc);
       e_.mov_ri32(RDX, s.msg);
+      e_.jmp(op_tail_);
+    }
+
+    // The tails. RAX is free in each trap tail (the mem stub copied it to
+    // RSI), and RCX in the budget exits, which leave between instructions
+    // (a near guard clobbered it anyway).
+    const auto exit_with = [this](Emitter::Label& tail, std::uint32_t status) {
+      e_.bind(tail);
+      to_global_pc(RAX, RCX);
+      e_.mov_mr(R15, kCtxExitPc, RAX);
+      e_.mov_mi32_d(R15, kCtxExitStatus, status);
+      e_.jmp_m(R15, kCtxEpilogue);
+    };
+    const auto trap_with = [this](Emitter::Label& tail, int pc_reg,
+                                  std::int32_t helper) {
+      e_.bind(tail);
+      to_global_pc(pc_reg, RAX);
       e_.mov_mr(R15, kCtxRetired, R14);
       e_.mov_rr(RDI, R15);
-      e_.call_m(R15, kCtxHelpOpTrap);
+      e_.call_m(R15, helper);
       e_.jmp_m(R15, kCtxEpilogue);
+    };
+    if (!budget_stubs_.empty()) exit_with(budget_tail_, kExitBudget);
+    if (!near_stubs_.empty() || !thunks_.empty()) {
+      exit_with(near_tail_, kExitBudgetNear);
     }
+    if (!mem_stubs_.empty()) trap_with(mem_tail_, RCX, kCtxHelpMemTrap);
+    if (!tag_stubs_.empty()) trap_with(tag_tail_, RDX, kCtxHelpTagTrap);
+    if (!op_stubs_.empty()) trap_with(op_tail_, RSI, kCtxHelpOpTrap);
   }
 };
 
@@ -2292,9 +2362,16 @@ void reset_lowering_totals() {
   g_totals = LoweringStats{};
 }
 
-std::shared_ptr<const SegmentBlob> compile_stream(
-    const std::vector<MicroOp>& uops, CompileMode mode) {
-  auto blob = Compiler(uops, mode).run();
+std::shared_ptr<SegmentBlob> compile_stream(const std::vector<MicroOp>& uops,
+                                            CompileMode mode) {
+  Compiler c(uops, mode);
+  c.run();
+  auto blob = std::make_shared<SegmentBlob>();
+  blob->staged_ = std::move(c.code());
+  blob->size_ = blob->staged_.size();
+  blob->instr_off = std::move(c.instr_off());
+  blob->func = mode.local ? mode.func : 0;
+  blob->stats = c.stats();
   {
     std::lock_guard<std::mutex> lock(g_totals_mu);
     g_totals.add(blob->stats);

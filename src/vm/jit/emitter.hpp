@@ -7,9 +7,10 @@
 // compares, converts, and the cmpsd/andpd blend used to reproduce the
 // interpreter's min/max selection semantics exactly).
 //
-// Labels are single-use-bind, multi-use-reference rel32 fixups; everything
-// that crosses blob boundaries goes through jit::Reloc instead and is
-// patched at link time.
+// Labels are single-use-bind, multi-use-reference rel32 fixups. Jumps to
+// other uops of the stream are left open (jmp_reloc/jcc_reloc) and patched
+// once the whole stream is emitted; nothing in a blob crosses its own
+// boundary (see compile.cpp).
 #pragma once
 
 #include <cstdint>
@@ -305,7 +306,8 @@ class Emitter {
   void jcc(int cc, Label& l) {
     u8(0x0F); u8(static_cast<std::uint8_t>(0x80 | cc)); rel32_to(l);
   }
-  /// jcc with the rel32 left for a link-time Reloc; returns its offset.
+  /// jcc with the rel32 left open for the caller to patch; returns its
+  /// offset.
   std::size_t jcc_reloc(int cc) {
     u8(0x0F); u8(static_cast<std::uint8_t>(0x80 | cc));
     const std::size_t at = code.size();

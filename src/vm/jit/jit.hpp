@@ -3,14 +3,20 @@
 // Shape of the pipeline (mirrors the predecode layer one level down):
 //
 //   CodeSegment uops (local form) --compile_stream--> SegmentBlob
-//     position-independent native code + relocation list, cached on the
+//     native code with every intra-segment jump resolved, cached on the
 //     segment (jit::BlobCache) so delta trials re-JIT only dirty functions;
-//   SegmentBlobs --link_image--> JitImage
-//     blobs copied into one W^X buffer with all relocations resolved
-//     against the image's segment bases, plus a per-instruction native
-//     address table for resume/ret re-entry. Cached on the
-//     ExecutableImage, so a warm TrialBuilder image hit carries compiled
-//     code.
+//   SegmentBlobs --place_blobs--> executable memory
+//     each new blob is copied once, when it is compiled, into a sealed W^X
+//     mapping shared with the blobs compiled alongside it; every image that
+//     splices the segment runs that one copy;
+//   placed blobs --JitImage::link--> JitImage
+//     per-function tables (native entry, first global pc, guest byte base)
+//     that compiled code reaches through JitContext::funcs for what depends
+//     on where a segment sits in an image: calls, return addresses, falling
+//     off a function's end, and the pcs that exit and trap stubs report.
+//     Linking is filling those tables: O(functions), no copy, no mmap.
+//     Cached on the ExecutableImage, so a warm TrialBuilder image hit
+//     carries its tables.
 //
 // Compiled code keeps VM state in host registers by role, not by copy: the
 // register file, xmm file and memory stay in the Machine's own arrays, and
@@ -82,7 +88,7 @@ struct JitContext {
   const void* epilogue;            // +80  jmp target: restore host state, ret
   const void* help_mem_trap;       // +88  (ctx, addr, bytes, pc, is_store)
   const void* help_tag_trap;       // +96  (ctx, bits, pc)
-  const void* help_exec;           // +104 (ctx, pc) off-end trap
+  const void* help_exec;           // +104 (ctx) off-end trap
   const void* help_ret;            // +112 (ctx, ra, pc) -> native addr | 0
   const void* help_intrin;         // +120 (ctx, pc) -> 1 | 0 on trap
   void* run_state;                 // +128 Machine-side state (trap sink)
@@ -94,6 +100,7 @@ struct JitContext {
   // mem_size < N (every address faults).
   std::uint64_t mem_limit8;        // +160 mem_size - 7, saturated to 0
   std::uint64_t mem_limit4;        // +168 mem_size - 3, saturated to 0
+  const struct FuncSlot* funcs;    // +176 owning JitImage's function table
 };
 static_assert(offsetof(JitContext, retired) == 32);
 static_assert(offsetof(JitContext, tag_cmp) == 56);
@@ -106,6 +113,21 @@ static_assert(offsetof(JitContext, help_op_trap) == 144);
 static_assert(offsetof(JitContext, intrin_fn) == 152);
 static_assert(offsetof(JitContext, mem_limit8) == 160);
 static_assert(offsetof(JitContext, mem_limit4) == 168);
+static_assert(offsetof(JitContext, funcs) == 176);
+
+/// One function's placement in a linked image, read by compiled code as
+/// [funcs + f * 24 + field]. A table has one slot per function plus a final
+/// one whose entry is the off-end stub (so "fall off function f" is always
+/// "jump to funcs[f + 1].entry") and whose first_index is the instruction
+/// count.
+struct FuncSlot {
+  const void* entry;          // +0  native entry of the first instruction
+  std::uint64_t first_index;  // +8  global pc of the first instruction
+  std::uint64_t byte_base;    // +16 guest address of the first byte
+};
+static_assert(sizeof(FuncSlot) == 24);
+static_assert(offsetof(FuncSlot, first_index) == 8);
+static_assert(offsetof(FuncSlot, byte_base) == 16);
 
 /// help_op_trap message selectors (kept in one place so the helper composes
 /// byte-identical interpreter trap text).
@@ -143,25 +165,8 @@ constexpr bool intrinsic_inlinable(std::uint16_t id) {
 }
 
 // ---------------------------------------------------------------------------
-// Position-independent segment blobs.
+// Segment blobs.
 // ---------------------------------------------------------------------------
-
-/// Link-time patch against a blob copied to its final image position. Every
-/// kind is an "add the image-assigned base" fix, so one compiled blob
-/// serves any splice position -- the native analogue of CodeSegment's
-/// branch_sites_/call_sites_.
-struct Reloc {
-  enum class Kind : std::uint8_t {
-    kRel32Target,   // rel32 -> native address of instruction (ibase + value)
-    kRel32Call,     // rel32 -> native entry of function index `value`
-    kAbs64RetAddr,  // imm64 return address: value + segment byte base
-    kImm32Pc,       // imm32 global pc: value + ibase
-    kDisp32Counts,  // disp32 into the profile array: (value + ibase) * 8
-  };
-  Kind kind;
-  std::uint32_t offset;  // byte offset of the patch site within the blob
-  std::uint64_t value;
-};
 
 /// How each micro-op was lowered, tallied per op family: "native" = inline
 /// host code, "helper" = out-of-line C++ helper on the hot path
@@ -216,33 +221,66 @@ const char* lowering_family_name(int family);
 LoweringStats lowering_totals();
 void reset_lowering_totals();
 
-/// Native code compiled from one micro-op stream in local form. Immutable
-/// and position-independent: link_image copies it anywhere and applies the
-/// relocations.
-class SegmentBlob {
- public:
-  std::vector<std::uint8_t> code;
-  std::vector<Reloc> relocs;
-  /// Byte offset of each instruction's native entry (size = uop count).
-  std::vector<std::uint32_t> instr_off;
-  /// Per-blob lowering census (also accumulated into lowering_totals()).
-  LoweringStats stats;
-};
+class CodeBuffer;
 
 /// Compilation mode for a stream's control-transfer immediates.
 struct CompileMode {
   /// Local form (CodeSegment): call imm = callee function index, call aux =
   /// local return byte offset, branch imm may equal the uop count (branch
-  /// to the function's end). Global form (ExecutableImage::build output):
-  /// call imm = callee's global instruction index, aux = absolute address.
+  /// to the function's end), and reported pcs are local to the segment;
+  /// all three are resolved through the FuncSlot table at run time. Global
+  /// form (ExecutableImage::build output, or a spliced image's flat
+  /// arrays): call imm = callee's global instruction index, aux = absolute
+  /// address, pcs are global.
   bool local = false;
+  /// Per-instruction execution counters compiled in (global form only: the
+  /// counter address is the pc).
   bool profile = false;
+  /// Local form: the stream's function index in the image.
+  std::uint32_t func = 0;
 };
 
-/// Compiles one micro-op stream to a position-independent blob. Pure
-/// translation -- never fails (every MicroKind has a template).
-std::shared_ptr<const SegmentBlob> compile_stream(
-    const std::vector<MicroOp>& uops, CompileMode mode);
+/// Native code compiled from one micro-op stream. Every jump inside the
+/// stream is resolved at compile time (rel32 within the blob), and nothing
+/// in the code depends on where the blob sits in memory or in an image, so
+/// once placed in executable memory it is immutable and shared by every
+/// image that splices its segment.
+class SegmentBlob {
+ public:
+  /// The native code in executable memory (null until placed).
+  const std::uint8_t* code() const { return placed_; }
+  std::size_t code_size() const { return size_; }
+  bool placed() const { return placed_ != nullptr; }
+
+  /// Byte offset of each instruction's native entry (size = uop count).
+  std::vector<std::uint32_t> instr_off;
+  /// Function index the stream was compiled as (local form; 0 in global
+  /// form): its slot in the image's FuncSlot table.
+  std::uint32_t func = 0;
+  /// Per-blob lowering census (also accumulated into lowering_totals()).
+  LoweringStats stats;
+
+ private:
+  friend std::shared_ptr<SegmentBlob> compile_stream(
+      const std::vector<MicroOp>& uops, CompileMode mode);
+  friend bool place_blobs(const std::vector<SegmentBlob*>& blobs);
+  std::vector<std::uint8_t> staged_;
+  std::size_t size_ = 0;
+  const std::uint8_t* placed_ = nullptr;
+  std::shared_ptr<const CodeBuffer> pages_;  // shared with its batch
+};
+
+/// Compiles one micro-op stream. Pure translation -- never fails (every
+/// MicroKind has a template). The blob is staged, not yet runnable.
+std::shared_ptr<SegmentBlob> compile_stream(const std::vector<MicroOp>& uops,
+                                            CompileMode mode);
+
+/// Copies the staged code of `blobs` into one fresh mapping, seals it
+/// read+execute, and points each blob at its copy (freeing the staged
+/// bytes). The blobs share the mapping, which lives while any of them does;
+/// no page of it is ever writable again. Returns false (blobs untouched)
+/// when the platform refuses executable memory.
+bool place_blobs(const std::vector<SegmentBlob*>& blobs);
 
 // ---------------------------------------------------------------------------
 // Linked executable images.
@@ -273,35 +311,36 @@ class CodeBuffer {
   std::size_t size_ = 0;
 };
 
-/// Per-segment placement input to link_image.
+/// Per-function placement input to JitImage::link.
 struct LinkSegment {
-  std::shared_ptr<const SegmentBlob> blob;
+  std::shared_ptr<const SegmentBlob> blob;  // placed
   std::size_t first_index;  // global index of the segment's first instruction
   std::uint64_t byte_base;  // guest byte address of the segment
 };
 
-/// A fully linked, executable translation of one ExecutableImage variant.
+/// An executable translation of one ExecutableImage variant: the function
+/// table over shared placed blobs.
 class JitImage {
  public:
   /// Native entry address for a global instruction index; index == count
-  /// (execution fell off the end of the code) resolves to a stub that
-  /// traps through the help_exec helper.
-  const void* native_addr(std::size_t index) const {
-    return buf_.data() + native_off_[index];
-  }
-  std::size_t instruction_count() const { return native_off_.size() - 1; }
+  /// (execution fell off the end of the code) resolves to the off-end stub,
+  /// which traps through the help_exec helper.
+  const void* native_addr(std::size_t index) const;
+  std::size_t instruction_count() const { return funcs_.back().first_index; }
 
-  /// Links blobs (in program order, matching the image's instruction
-  /// numbering) into one executable buffer. `total` is the image's
-  /// instruction count; `funcs[f].first_index` resolves kRel32Call. Returns
-  /// nullptr when executable memory is unavailable.
+  /// The table compiled code reads through JitContext::funcs.
+  const FuncSlot* funcs() const { return funcs_.data(); }
+
+  /// Links placed blobs (one per function, in program order, matching the
+  /// image's instruction numbering): fills the function table. `total` is
+  /// the image's instruction count.
   static std::shared_ptr<const JitImage> link(
-      const std::vector<LinkSegment>& segments, std::size_t total);
+      std::vector<LinkSegment> segments, std::size_t total);
 
  private:
   JitImage() = default;
-  CodeBuffer buf_;
-  std::vector<std::uint32_t> native_off_;  // size = total + 1
+  std::vector<LinkSegment> segs_;
+  std::vector<FuncSlot> funcs_;  // size = segments + 1
 };
 
 // ---------------------------------------------------------------------------
@@ -316,6 +355,9 @@ struct Runtime {
   std::uint32_t (*entry)(JitContext*, const void* start);
   /// Address compiled code jumps to in order to leave (via ctx->epilogue).
   const void* epilogue;
+  /// Where execution that runs past the last instruction lands (the final
+  /// FuncSlot's entry): traps through ctx->help_exec.
+  const void* off_end;
 };
 
 /// The process-wide runtime, built on first use. Null when jit_supported()

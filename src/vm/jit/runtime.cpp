@@ -1,12 +1,13 @@
-// Host side of the JIT: executable memory, the entry/epilogue thunks, the
-// capability probe, and the blob linker.
+// Host side of the JIT: executable memory, the entry/epilogue/off-end
+// thunks, the capability probe, blob placement and the image linker.
 //
 // Everything here is mechanism-only: policy (when to JIT, cache lookup,
-// helper semantics) lives with the Machine in machine.cpp. The linker turns
-// position-independent SegmentBlobs into one sealed W^X buffer by applying
-// the "add the image-assigned base" relocations against the per-instruction
-// native offset table it builds along the way.
+// helper semantics) lives with the Machine in machine.cpp. place_blobs
+// packs freshly compiled blobs into one sealed W^X mapping; JitImage::link
+// only fills the function table compiled code reads through
+// JitContext::funcs, so linking an image copies and maps nothing.
 
+#include <algorithm>
 #include <cstring>
 
 #include "support/error.hpp"
@@ -70,8 +71,13 @@ bool CodeBuffer::map(std::size_t size) {
 #ifdef FPMIX_JIT_HAVE_MMAP
   FPMIX_CHECK(data_ == nullptr);
   if (size == 0) size = 1;
-  void* p = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  // Every byte is written right away, so fault the pages in with the map
+  // instead of one at a time during the copy.
+  int flags = MAP_PRIVATE | MAP_ANONYMOUS;
+#ifdef MAP_POPULATE
+  flags |= MAP_POPULATE;
+#endif
+  void* p = ::mmap(nullptr, size, PROT_READ | PROT_WRITE, flags, -1, 0);
   if (p == MAP_FAILED) return false;
   data_ = static_cast<std::uint8_t*>(p);
   size_ = size;
@@ -170,6 +176,14 @@ void init_runtime(RuntimeHolder& r) {
     t.pop_r(RBP);
     t.ret();
 
+    // off-end stub (the last FuncSlot's entry): execution ran past the last
+    // instruction; help_exec records the trap at pc = instruction count.
+    const std::size_t off_end = t.size();
+    t.mov_mr(R15, kCtxRetired, R14);
+    t.mov_rr(RDI, R15);
+    t.call_m(R15, kCtxHelpExec);
+    t.jmp_m(R15, kCtxEpilogue);
+
     if (!fill_and_seal(r.buf, t.code)) {
       r.reason = "kernel refused a writable-then-executable mapping";
       return;
@@ -177,6 +191,7 @@ void init_runtime(RuntimeHolder& r) {
     r.rt.entry = reinterpret_cast<std::uint32_t (*)(JitContext*, const void*)>(
         reinterpret_cast<void*>(r.buf.data()));
     r.rt.epilogue = r.buf.data() + epi_off;
+    r.rt.off_end = r.buf.data() + off_end;
     r.ok = true;
 #endif
 }
@@ -200,93 +215,73 @@ bool jit_supported() { return holder().ok; }
 const char* jit_unsupported_reason() { return holder().reason; }
 
 // ---------------------------------------------------------------------------
-// JitImage::link
+// Blob placement and image linking
 // ---------------------------------------------------------------------------
 
+bool place_blobs(const std::vector<SegmentBlob*>& blobs) {
+  // 16-byte aligned starts keep each blob's code aligned as it was emitted.
+  constexpr std::size_t kAlign = 16;
+  std::size_t size = 0;
+  for (const SegmentBlob* b : blobs) {
+    FPMIX_CHECK(!b->placed());
+    size = (size + kAlign - 1) / kAlign * kAlign + b->size_;
+  }
+  auto pages = std::make_shared<CodeBuffer>();
+  if (!pages->map(size)) return false;
+  std::vector<std::size_t> offs;
+  offs.reserve(blobs.size());
+  std::size_t at = 0;
+  for (const SegmentBlob* b : blobs) {
+    at = (at + kAlign - 1) / kAlign * kAlign;
+    if (b->size_ != 0) {
+      std::memcpy(pages->data() + at, b->staged_.data(), b->size_);
+    }
+    offs.push_back(at);
+    at += b->size_;
+  }
+  if (!pages->seal()) return false;
+  for (std::size_t i = 0; i < blobs.size(); ++i) {
+    SegmentBlob& b = *blobs[i];
+    b.placed_ = pages->data() + offs[i];
+    b.pages_ = pages;
+    b.staged_ = {};
+  }
+  return true;
+}
+
+const void* JitImage::native_addr(std::size_t index) const {
+  if (index >= instruction_count()) return funcs_.back().entry;
+  // The last function whose first pc is <= index holds it (empty functions
+  // share their successor's first pc and sort before it).
+  const auto it = std::upper_bound(
+      funcs_.begin(), funcs_.end() - 1, index,
+      [](std::size_t i, const FuncSlot& f) { return i < f.first_index; });
+  const std::size_t f = static_cast<std::size_t>(it - funcs_.begin()) - 1;
+  const SegmentBlob& b = *segs_[f].blob;
+  return b.code() + b.instr_off[index - funcs_[f].first_index];
+}
+
 std::shared_ptr<const JitImage> JitImage::link(
-    const std::vector<LinkSegment>& segments, std::size_t total) {
-  // The off-end stub sits at offset 0 and doubles as native_addr(total):
-  // execution that runs past the last instruction traps through help_exec,
-  // exactly where a branch-to-end of the final segment lands.
-  Emitter stub;
-  stub.mov_mr(R15, kCtxRetired, R14);
-  stub.mov_ri32(RSI, static_cast<std::uint32_t>(total));
-  stub.mov_rr(RDI, R15);
-  stub.call_m(R15, kCtxHelpExec);
-  stub.jmp_m(R15, kCtxEpilogue);
-
-  std::size_t size = stub.size();
-  std::vector<std::size_t> seg_off(segments.size());
-  std::size_t instr_count = 0;
-  for (std::size_t i = 0; i < segments.size(); ++i) {
-    seg_off[i] = size;
-    size += segments[i].blob->code.size();
-    instr_count += segments[i].blob->instr_off.size();
-  }
-  FPMIX_CHECK(instr_count == total);
-
+    std::vector<LinkSegment> segments, std::size_t total) {
+  const Runtime* rt = runtime();
+  FPMIX_CHECK(rt != nullptr);
   std::shared_ptr<JitImage> img(new JitImage());
-  if (!img->buf_.map(size)) return nullptr;
-  std::uint8_t* base = img->buf_.data();
-  std::memcpy(base, stub.code.data(), stub.code.size());
-
-  img->native_off_.assign(total + 1, 0);
-  img->native_off_[total] = 0;  // the off-end stub
-  for (std::size_t i = 0; i < segments.size(); ++i) {
-    const SegmentBlob& b = *segments[i].blob;
-    if (!b.code.empty()) std::memcpy(base + seg_off[i], b.code.data(),
-                                     b.code.size());
-    const std::size_t ibase = segments[i].first_index;
-    for (std::size_t j = 0; j < b.instr_off.size(); ++j) {
-      img->native_off_[ibase + j] =
-          static_cast<std::uint32_t>(seg_off[i] + b.instr_off[j]);
-    }
+  const std::size_t n = segments.size();
+  img->funcs_.resize(n + 1);
+  img->funcs_[n] = {rt->off_end, total, 0};
+  // Back to front: an empty function's entry is its successor's.
+  for (std::size_t f = n; f-- > 0;) {
+    const LinkSegment& s = segments[f];
+    FPMIX_CHECK(s.blob->placed());
+    FPMIX_CHECK(s.blob->func == f);
+    const std::size_t count = s.blob->instr_off.size();
+    FPMIX_CHECK(s.first_index + count ==
+                (f + 1 < n ? segments[f + 1].first_index : total));
+    img->funcs_[f] = {count == 0 ? img->funcs_[f + 1].entry
+                                 : s.blob->code() + s.blob->instr_off[0],
+                      s.first_index, s.byte_base};
   }
-
-  // Apply relocations (the full native offset table must exist first: local
-  // branches can target any splice position, including one-past-the-end).
-  const auto patch32 = [&](std::size_t at, std::uint32_t v) {
-    std::memcpy(base + at, &v, 4);
-  };
-  for (std::size_t i = 0; i < segments.size(); ++i) {
-    const SegmentBlob& b = *segments[i].blob;
-    const std::size_t ibase = segments[i].first_index;
-    for (const Reloc& r : b.relocs) {
-      const std::size_t at = seg_off[i] + r.offset;
-      switch (r.kind) {
-        case Reloc::Kind::kRel32Target: {
-          const std::size_t idx = ibase + static_cast<std::size_t>(r.value);
-          FPMIX_CHECK(idx <= total);
-          patch32(at, static_cast<std::uint32_t>(
-                          static_cast<std::int64_t>(img->native_off_[idx]) -
-                          static_cast<std::int64_t>(at + 4)));
-          break;
-        }
-        case Reloc::Kind::kRel32Call: {
-          const auto f = static_cast<std::size_t>(r.value);
-          FPMIX_CHECK(f < segments.size());
-          const std::size_t idx = segments[f].first_index;
-          patch32(at, static_cast<std::uint32_t>(
-                          static_cast<std::int64_t>(img->native_off_[idx]) -
-                          static_cast<std::int64_t>(at + 4)));
-          break;
-        }
-        case Reloc::Kind::kAbs64RetAddr: {
-          const std::uint64_t v = r.value + segments[i].byte_base;
-          std::memcpy(base + at, &v, 8);
-          break;
-        }
-        case Reloc::Kind::kImm32Pc:
-          patch32(at, static_cast<std::uint32_t>(ibase + r.value));
-          break;
-        case Reloc::Kind::kDisp32Counts:
-          patch32(at, static_cast<std::uint32_t>((ibase + r.value) * 8));
-          break;
-      }
-    }
-  }
-
-  if (!img->buf_.seal()) return nullptr;
+  img->segs_ = std::move(segments);
   return img;
 }
 

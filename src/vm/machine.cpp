@@ -35,6 +35,11 @@ namespace in = arch::intrinsics;
 
 namespace {
 
+/// The trap every engine raises when control runs past the last
+/// instruction (a fall-through off the last function).
+constexpr const char* kPastEndMessage =
+    "execution ran past the end of the code";
+
 double f64_of(std::uint64_t bits) { return std::bit_cast<double>(bits); }
 std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
 float f32_of(std::uint32_t bits) { return std::bit_cast<float>(bits); }
@@ -53,27 +58,29 @@ Machine::Machine(const program::Image& image, Options options)
 Machine::Machine(std::shared_ptr<const ExecutableImage> exec, Options options)
     : exec_(std::move(exec)), options_(options) {
   FPMIX_CHECK(exec_ != nullptr);
-  const program::Image& image = exec_->image();
+  const std::uint64_t memory_size = exec_->memory_size();
   // Whole pages, at least one (mmap refuses a zero length). No
   // MAP_NORESERVE: an absurd memory_size fails here the way malloc would,
   // and evaluate_config reports the bad_alloc as a resource outcome.
   const std::uint64_t page = static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
-  if (image.memory_size > SIZE_MAX - page) throw std::bad_alloc();
+  if (memory_size > SIZE_MAX - page) throw std::bad_alloc();
   const std::size_t bytes =
-      std::max(page, (image.memory_size + page - 1) / page * page);
+      std::max(page, (memory_size + page - 1) / page * page);
   void* base = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (base == MAP_FAILED) throw std::bad_alloc();
   memory_ = {static_cast<std::uint8_t*>(base), Unmap{bytes}};
   mem_base_ = memory_.get();
-  mem_size_ = image.memory_size;
-  if (!image.data.empty()) {
-    FPMIX_CHECK(image.data_base <= mem_size_ &&
-                image.data.size() <= mem_size_ - image.data_base);
-    std::memcpy(mem_base_ + image.data_base, image.data.data(),
-                image.data.size());
+  mem_size_ = memory_size;
+  const std::vector<std::uint8_t>& data = exec_->data();
+  if (!data.empty()) {
+    const std::uint64_t data_base = exec_->data_base();
+    FPMIX_CHECK(data_base <= mem_size_ && data.size() <= mem_size_ - data_base);
+    std::memcpy(mem_base_ + data_base, data.data(), data.size());
   }
-  if (options_.profile) counts_.assign(exec_->code().size(), 0);
+  // One slot past the end: the micro-op dispatch counts a fall off the last
+  // instruction before it finds there is nothing there (and takes it back).
+  if (options_.profile) counts_.assign(exec_->instruction_count() + 1, 0);
   if (options_.mpi != nullptr) {
     FPMIX_CHECK(options_.rank >= 0 && options_.rank < options_.mpi->size());
   }
@@ -86,12 +93,12 @@ void Machine::Unmap::operator()(std::uint8_t* base) const {
 void Machine::trap(std::string message) const { throw Trap{std::move(message)}; }
 
 std::string Machine::trap_context(std::size_t pc, std::uint64_t retired) const {
-  if (pc >= exec_->code().size()) {
+  if (pc >= exec_->instruction_count()) {
     return strformat(" [pc=%llu retired=%llu]",
                      static_cast<unsigned long long>(pc),
                      static_cast<unsigned long long>(retired));
   }
-  const Instr& ins = exec_->code()[pc];
+  const Instr ins = exec_->instr_at(pc);
   return strformat(" [pc=%llu addr=0x%llx op=%s retired=%llu]",
                    static_cast<unsigned long long>(pc),
                    static_cast<unsigned long long>(ins.addr),
@@ -328,6 +335,7 @@ void Machine::apply_state_fault(const fault::VmFaultSpec& spec) {
 
 RunResult Machine::run_switch() {
   RunResult result;
+  const std::vector<Instr>& code = exec_->code();
   try {
     while (!stopped_) {
       if (retired_ >= options_.max_instructions) {
@@ -336,7 +344,10 @@ RunResult Machine::run_switch() {
         result.instructions_retired = retired_;
         return result;
       }
-      const Instr& ins = exec_->code()[pc_];
+      // Falling off the last instruction is a fetch fault: after the budget
+      // check, retiring nothing (every engine agrees).
+      if (pc_ >= code.size()) trap(kPastEndMessage);
+      const Instr& ins = code[pc_];
       if (options_.profile) ++counts_[pc_];
       ++retired_;
       step_switch(ins);
@@ -873,7 +884,8 @@ std::uint64_t Machine::read_memory_u64(std::uint64_t addr) const {
 
 std::map<std::uint64_t, std::uint64_t> Machine::profile_by_address() const {
   std::map<std::uint64_t, std::uint64_t> out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
+  // The last slot is the past-the-end pc (always 0 after a run).
+  for (std::size_t i = 0; i + 1 < counts_.size(); ++i) {
     if (counts_[i] != 0) out[exec_->code()[i].addr] = counts_[i];
   }
   return out;
@@ -882,7 +894,7 @@ std::map<std::uint64_t, std::uint64_t> Machine::profile_by_address() const {
 std::map<std::uint64_t, std::uint64_t> Machine::profile_by_origin() const {
   std::map<std::uint64_t, std::uint64_t> out;
   const program::Image& image = exec_->image();
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
+  for (std::size_t i = 0; i + 1 < counts_.size(); ++i) {
     if (counts_[i] != 0) out[image.origin_of(exec_->code()[i].addr)] +=
         counts_[i];
   }
@@ -912,8 +924,11 @@ struct MicroExec {
   /// return address pushed by run().
   static constexpr std::size_t kStop = ExecutableImage::kNoIndex;
 
-  static const Instr& instr(const Machine& m, std::size_t pc) {
-    return m.exec_->code()[pc];
+  /// The instruction behind uop `pc`, for intrinsics and trap texts (a
+  /// copy, so the JIT's interpreter tail never builds a spliced image's
+  /// flat arrays).
+  static Instr instr(const Machine& m, std::size_t pc) {
+    return m.exec_->instr_at(pc);
   }
 
   /// Branch-free: absent base/index were redirected to the always-zero
@@ -1501,6 +1516,14 @@ struct JitExec {
     Machine* m = nullptr;
     std::string trap_message;
     bool sentinel = false;
+    /// help_ret's memo of resolved return addresses (direct-mapped; ra 0
+    /// never reaches it, so a zero entry is empty). A run returns to a few
+    /// call sites over and over, and resolving one is two binary searches.
+    struct RetSlot {
+      std::uint64_t ra = 0;
+      const void* native = nullptr;
+    };
+    std::array<RetSlot, 64> ret_memo{};
   };
 
   static Machine& machine(jit::JitContext* ctx) {
@@ -1553,7 +1576,7 @@ struct JitExec {
                             std::uint64_t pc) {
     Machine& m = machine(ctx);
     try {
-      m.check_not_tagged(m.exec_->code()[pc], bits);
+      m.check_not_tagged(m.exec_->instr_at(pc), bits);
       // The stub only fires on a sentinel match, so check_not_tagged always
       // throws; reaching here means the compare constant drifted.
       record_trap(ctx, pc, "tag stub fired without a tagged value", false);
@@ -1563,9 +1586,16 @@ struct JitExec {
   }
 
   /// The off-end stub (JitImage::native_addr(total)): execution ran past
-  /// the last instruction.
-  static void help_exec(jit::JitContext* ctx, std::uint64_t pc) {
-    record_trap(ctx, pc, "execution ran past the end of the code", false);
+  /// the last instruction -- a budget stop there if the budget is spent
+  /// (the interpreters check it before the fetch), else the fetch trap.
+  static void help_exec(jit::JitContext* ctx) {
+    const std::size_t total = machine(ctx).exec_->instruction_count();
+    if (ctx->retired >= ctx->max_instructions) {
+      ctx->exit_pc = total;
+      ctx->exit_status = jit::kExitBudget;
+      return;
+    }
+    record_trap(ctx, total, kPastEndMessage, false);
   }
 
   /// Return-address resolution for the JIT'd kRet template (the pop and the
@@ -1573,8 +1603,11 @@ struct JitExec {
   /// of the return target, or null to exit (trap recorded).
   static const void* help_ret(jit::JitContext* ctx, std::uint64_t ra,
                               std::uint64_t pc) {
-    Machine& m = machine(ctx);
-    const std::size_t idx = m.exec_->index_of(ra);
+    auto* rs = static_cast<RunState*>(ctx->run_state);
+    RunState::RetSlot& memo =
+        rs->ret_memo[(ra * 0x9E3779B97F4A7C15ull) >> 58];
+    if (memo.ra == ra) return memo.native;
+    const std::size_t idx = rs->m->exec_->index_of(ra);
     if (idx == ExecutableImage::kNoIndex) {
       record_trap(ctx, pc,
                   strformat("ret to 0x%llx, not an instruction boundary",
@@ -1582,7 +1615,10 @@ struct JitExec {
                   false);
       return nullptr;
     }
-    return static_cast<const jit::JitImage*>(ctx->image)->native_addr(idx);
+    memo.ra = ra;
+    memo.native =
+        static_cast<const jit::JitImage*>(ctx->image)->native_addr(idx);
+    return memo.native;
   }
 
   /// Out-of-line kIntrin: intrinsics touch neither the VM flags nor the pc,
@@ -1591,7 +1627,7 @@ struct JitExec {
   static std::uint64_t help_intrin(jit::JitContext* ctx, std::uint64_t pc) {
     Machine& m = machine(ctx);
     try {
-      m.exec_intrinsic(m.exec_->code()[pc]);
+      m.exec_intrinsic(m.exec_->instr_at(pc));
       return 1;
     } catch (const Machine::Trap& t) {
       record_trap(ctx, pc, t.message, t.sentinel);
@@ -1682,9 +1718,9 @@ struct JitExec {
     m.jit_helper_calls_ += 1;
   }
 
-  static void help_exec_timed(jit::JitContext* ctx, std::uint64_t pc) {
+  static void help_exec_timed(jit::JitContext* ctx) {
     const std::uint64_t t0 = steady_ns();
-    help_exec(ctx, pc);
+    help_exec(ctx);
     add_helper_ns(ctx, t0);
   }
   static const void* help_ret_timed(jit::JitContext* ctx, std::uint64_t ra,
@@ -1704,23 +1740,13 @@ struct JitExec {
 
   // --- compilation caches --------------------------------------------------
 
-  /// Compiles (or fetches) a segment's position-independent blob. Cached on
-  /// the CodeSegment, so every image that splices it shares the code.
-  static std::shared_ptr<const jit::SegmentBlob> blob_for(
-      const CodeSegment& seg, bool profile) {
-    jit::BlobCache& cache = seg.jit_cache();
-    std::lock_guard<std::mutex> lock(cache.mu);
-    auto& slot = cache.variant[profile ? 1 : 0];
-    if (slot == nullptr) {
-      slot = jit::compile_stream(seg.uops(),
-                                 {/*local=*/true, /*profile=*/profile});
-    }
-    return slot;
-  }
-
-  /// Links (or fetches) the executable translation of a whole image. May
-  /// return null when executable memory is unavailable at link time. A miss
-  /// adds its compile + link time to `*compile_ns`.
+  /// Compiles, places and links (or fetches) the executable translation of
+  /// a whole image. A spliced image links its segments' shared blobs --
+  /// compiling and placing, in one batch, only those no image has needed
+  /// yet -- so linking is filling the function table. A from-scratch image,
+  /// or a profiled run of a spliced one, compiles its flat global-form
+  /// stream as one blob. May return null when executable memory is
+  /// unavailable. A miss adds its time to `*compile_ns`.
   static std::shared_ptr<const jit::JitImage> image_for(
       const ExecutableImage& exec, bool profile, std::uint64_t* compile_ns) {
     jit::ImageJitCache& cache = exec.jit_cache();
@@ -1729,28 +1755,51 @@ struct JitExec {
     if (slot != nullptr) return slot;
     Timer timer;
 
-    std::vector<jit::LinkSegment> links;
     const auto& segs = exec.segments();
-    if (!segs.empty()) {
-      // Spliced image: link the per-segment blobs at their splice positions.
-      // A segment's guest byte base is the rebased address of its first
-      // instruction (segments store local addresses starting at 0).
+    std::vector<jit::LinkSegment> links;
+    if (!segs.empty() && !profile) {
       const auto& first = exec.segment_first_index();
+      const auto& base = exec.segment_byte_base();
+      std::vector<std::shared_ptr<jit::SegmentBlob>> fresh;
+      std::vector<std::size_t> fresh_at;
       links.reserve(segs.size());
-      for (std::size_t i = 0; i < segs.size(); ++i) {
-        const CodeSegment& s = *segs[i];
-        const std::uint64_t byte_base =
-            s.instruction_count() == 0 ? 0 : exec.code()[first[i]].addr;
-        links.push_back({blob_for(s, profile), first[i], byte_base});
+      for (std::size_t f = 0; f < segs.size(); ++f) {
+        jit::BlobCache& bc = segs[f]->jit_cache();
+        std::shared_ptr<const jit::SegmentBlob> blob;
+        {
+          std::lock_guard<std::mutex> bl(bc.mu);
+          blob = bc.blob;
+        }
+        if (blob == nullptr) {
+          fresh.push_back(jit::compile_stream(
+              segs[f]->uops(),
+              {/*local=*/true, /*profile=*/false,
+               /*func=*/static_cast<std::uint32_t>(f)}));
+          fresh_at.push_back(f);
+          blob = fresh.back();
+        }
+        links.push_back({std::move(blob), first[f], base[f]});
+      }
+      if (!fresh.empty()) {
+        std::vector<jit::SegmentBlob*> batch;
+        for (const auto& b : fresh) batch.push_back(b.get());
+        if (!jit::place_blobs(batch)) return nullptr;
+        // Publish; a lane that placed the same segment first wins, and this
+        // image links whichever blob the cache holds.
+        for (const std::size_t f : fresh_at) {
+          jit::BlobCache& bc = segs[f]->jit_cache();
+          std::lock_guard<std::mutex> bl(bc.mu);
+          if (bc.blob == nullptr) bc.blob = links[f].blob;
+          links[f].blob = bc.blob;
+        }
       }
     } else {
-      // Built from scratch (no segments): one monolithic blob in global
-      // form, cached on the image itself.
-      links.push_back({jit::compile_stream(
-                           exec.uops(), {/*local=*/false, /*profile=*/profile}),
-                       /*first_index=*/0, /*byte_base=*/0});
+      const auto blob = jit::compile_stream(
+          exec.uops(), {/*local=*/false, /*profile=*/profile});
+      if (!jit::place_blobs({blob.get()})) return nullptr;
+      links.push_back({blob, /*first_index=*/0, /*byte_base=*/0});
     }
-    slot = jit::JitImage::link(links, exec.uops().size());
+    slot = jit::JitImage::link(std::move(links), exec.instruction_count());
     *compile_ns += timer.elapsed_ns();
     return slot;
   }
@@ -1766,7 +1815,7 @@ struct JitExec {
   /// and a fault applied at an exact retired count. Bounded work: strictly
   /// fewer instructions remain than the block would have retired.
   static std::uint32_t interp_near_tail(jit::JitContext* ctx, Machine& m) {
-    const auto& uops = m.exec_->uops();
+    const ExecutableImage& exec = *m.exec_;
     std::size_t pc = static_cast<std::size_t>(ctx->exit_pc);
     flags_to_machine(ctx, m);
     while (true) {
@@ -1775,19 +1824,16 @@ struct JitExec {
         flags_to_ctx(ctx, m);
         return jit::kExitBudget;
       }
-      if (pc >= uops.size()) {
+      if (pc >= exec.instruction_count()) {
         flags_to_ctx(ctx, m);
-        record_trap(ctx, pc,
-                    strformat("execution ran past the end of the code"),
-                    false);
+        record_trap(ctx, pc, kPastEndMessage, false);
         return jit::kExitTrap;
       }
       if (ctx->counts != nullptr) ++ctx->counts[pc];
       ++ctx->retired;
       try {
-        const MicroOp& u = uops[pc];
-        const std::size_t next =
-            kMicroTable[u.kind](m, u, pc);
+        const MicroOp u = exec.uop_at(pc);
+        const std::size_t next = kMicroTable[u.kind](m, u, pc);
         if (next == MicroExec::kStop) {
           flags_to_ctx(ctx, m);
           return jit::kExitHalt;
@@ -1848,6 +1894,7 @@ struct JitExec {
     ctx.mem_limit4 = m.mem_size_ >= 4 ? m.mem_size_ - 3 : 0;
     ctx.run_state = &rs;
     ctx.image = img.get();
+    ctx.funcs = img->funcs();
 
     std::uint32_t status = rt->entry(&ctx, img->native_addr(m.pc_));
     if (status == jit::kExitBudgetNear) status = interp_near_tail(&ctx, m);
@@ -1949,7 +1996,8 @@ RunResult Machine::run_micro() {
   // instead of uop.kind followed by a table lookup -- two dependent loads on
   // the critical path.
   const std::size_t code_len = exec_->uops().size();
-  std::vector<const void*> threaded(code_len);
+  std::vector<const void*> threaded(code_len + 1);
+  threaded[code_len] = &&past_end;
   for (std::size_t i = 0; i < code_len; ++i) {
     const void* t = labels[uops[i].kind];
 #define FPMIX_RESOLVE(KA, KB, HA, HB)                                   \
@@ -1998,6 +2046,11 @@ RunResult Machine::run_micro() {
   FPMIX_DISPATCH();
     FPMIX_FUSED_PAIRS(FPMIX_OP2)
 #undef FPMIX_OP2
+
+  past_end:  // dispatched to pc == code_len: take the retire back, trap
+    --retired;
+    if constexpr (Profile) --counts[pc];
+    trap(kPastEndMessage);
 
   halted:
     stopped_ = true;

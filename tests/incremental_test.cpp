@@ -13,6 +13,7 @@
 
 #include <bit>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <optional>
 #include <set>
@@ -124,6 +125,30 @@ void expect_stats_identical(const instrument::InstrumentStats& a,
   EXPECT_EQ(a.ignored, b.ignored) << what;
   EXPECT_EQ(a.snippet_instrs, b.snippet_instrs) << what;
   EXPECT_EQ(a.checks_elided, b.checks_elided) << what;
+}
+
+/// A spliced image against ExecutableImage::build of the same bytes: the
+/// lazily built flat arrays (instructions, micro-ops, entry) and the
+/// per-pc / per-address lookups that never build them.
+void expect_exec_identical(const vm::ExecutableImage& spliced,
+                           const vm::ExecutableImage& scratch,
+                           const std::string& what) {
+  ASSERT_EQ(spliced.instruction_count(), scratch.instruction_count()) << what;
+  EXPECT_EQ(spliced.entry_index(), scratch.entry_index()) << what;
+  for (std::size_t pc = 0; pc < scratch.instruction_count(); ++pc) {
+    const arch::Instr& want = scratch.code()[pc];
+    const arch::Instr got = spliced.instr_at(pc);
+    ASSERT_TRUE(got == want && got.addr == want.addr) << what << " pc " << pc;
+    ASSERT_EQ(std::memcmp(&scratch.uops()[pc], &spliced.uops()[pc],
+                          sizeof(vm::MicroOp)),
+              0)
+        << what << " uop " << pc;
+    const vm::MicroOp u = spliced.uop_at(pc);
+    ASSERT_EQ(std::memcmp(&scratch.uops()[pc], &u, sizeof u), 0)
+        << what << " uop_at " << pc;
+    ASSERT_EQ(spliced.index_of(want.addr), pc) << what;
+  }
+  EXPECT_TRUE(spliced.code() == scratch.code()) << what;
 }
 
 std::vector<double> run_engine(std::shared_ptr<const vm::ExecutableImage> exec,
@@ -242,6 +267,7 @@ TEST(TrialBuilder, BitIdenticalToScratchOverRandomChain) {
     expect_stats_identical(b.stats, scratch_stats, what);
 
     const auto scratch_exec = vm::ExecutableImage::build(scratch);
+    expect_exec_identical(*b.exec, *scratch_exec, what);
     expect_outputs_bit_identical(run_engine(b.exec, vm::Engine::kMicroOp),
                                  run_engine(scratch_exec,
                                             vm::Engine::kMicroOp),
@@ -274,12 +300,29 @@ TEST(TrialBuilder, ConcurrentLanesBuildImagesIdenticalToScratch) {
                                : mutate_config(p.index, walk, &rng));
     }
   }
+  // Each lane also runs every image it gets on the JIT engine (the
+  // micro-op engine where the JIT is unavailable), so lanes race to
+  // compile, place and publish the blobs of shared segments and to link
+  // shared images, as a search's lanes do.
+  struct JitRun {
+    vm::RunResult result;
+    std::vector<double> outputs;
+  };
   std::vector<std::vector<verify::TrialBuilder::Built>> built(kLanes);
+  std::vector<std::vector<JitRun>> jit_runs(kLanes);
   std::vector<std::thread> threads;
   for (std::size_t lane = 0; lane < kLanes; ++lane) {
     threads.emplace_back([&, lane] {
       for (const PrecisionConfig& cfg : cfgs[lane]) {
         built[lane].push_back(builder.build(cfg, lane));
+        vm::Machine::Options mopts;
+        mopts.engine = vm::Engine::kJit;
+        mopts.profile = false;  // link the segments' shared blobs
+        vm::Machine m(built[lane].back().exec, mopts);
+        JitRun r;
+        r.result = m.run();
+        r.outputs = m.output_f64();
+        jit_runs[lane].push_back(std::move(r));
       }
     });
   }
@@ -300,8 +343,19 @@ TEST(TrialBuilder, ConcurrentLanesBuildImagesIdenticalToScratch) {
       expect_images_identical(b.exec->image(), scratch, what);
       expect_stats_identical(b.stats, scratch_stats, what);
       const auto scratch_exec = vm::ExecutableImage::build(scratch);
-      EXPECT_TRUE(b.exec->code() == scratch_exec->code()) << what;
-      EXPECT_EQ(b.exec->uops().size(), scratch_exec->uops().size()) << what;
+      expect_exec_identical(*b.exec, *scratch_exec, what);
+      vm::Machine::Options mopts;
+      mopts.engine = vm::Engine::kMicroOp;
+      mopts.profile = false;
+      vm::Machine ref(scratch_exec, mopts);
+      const vm::RunResult ref_run = ref.run();
+      const JitRun& got = jit_runs[lane][static_cast<std::size_t>(i)];
+      EXPECT_EQ(got.result.status, ref_run.status) << what;
+      EXPECT_EQ(got.result.trap_message, ref_run.trap_message) << what;
+      EXPECT_EQ(got.result.instructions_retired, ref_run.instructions_retired)
+          << what;
+      expect_outputs_bit_identical(got.outputs, ref.output_f64(),
+                                   what + " jit");
       hits += b.cost.image_cache_hit ? 1 : 0;
       reused += b.cost.funcs_reused;
     }
@@ -322,8 +376,10 @@ TEST(TrialBuilder, BitIdenticalOnKernelImage) {
   for (int pair = 0; pair < 24; ++pair) {
     cfg = mutate_config(ix, cfg, &rng);
     const program::Image scratch = instrument::instrument_image(img, ix, cfg);
-    expect_images_identical(builder.build(cfg).exec->image(), scratch,
-                            "cg pair " + std::to_string(pair));
+    const std::string what = "cg pair " + std::to_string(pair);
+    const auto exec = builder.build(cfg).exec;
+    expect_exec_identical(*exec, *vm::ExecutableImage::build(scratch), what);
+    expect_images_identical(exec->image(), scratch, what);
   }
 }
 

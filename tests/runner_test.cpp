@@ -261,6 +261,26 @@ runner::WorkerContext make_ctx(const IsoWorkload& w,
   return ctx;
 }
 
+/// Submits `jobs`, pumps until every one has finished, and returns the
+/// outcomes in job order: the calls the search's pool executor drives, one
+/// batch at a time.
+std::vector<runner::TrialOutcome> run_all(
+    runner::WorkerPool& pool, const std::vector<runner::TrialJob>& jobs) {
+  std::vector<runner::TrialOutcome> out(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    pool.submit(i, jobs[i].key, *jobs[i].config);
+  }
+  std::size_t finished = 0;
+  while (finished < jobs.size()) {
+    pool.pump(/*max_wait_ms=*/-1);
+    for (runner::WorkerPool::Finished& f : pool.take_finished()) {
+      out.at(f.ticket) = std::move(f.outcome);
+      ++finished;
+    }
+  }
+  return out;
+}
+
 #define SKIP_WITHOUT_FORK()                              \
   if (!runner::isolation_supported()) {                  \
     GTEST_SKIP() << "no fork on this platform";          \
@@ -283,7 +303,7 @@ TEST(WorkerPool, CleanBatchMatchesInProcessVerdicts) {
   std::vector<runner::TrialJob> jobs;
   jobs.push_back(runner::TrialJob{"all-double", &all_double});
   jobs.push_back(runner::TrialJob{"module-single", &module_single});
-  const std::vector<runner::TrialOutcome> outs = pool.run_batch(jobs);
+  const std::vector<runner::TrialOutcome> outs = run_all(pool, jobs);
   ASSERT_EQ(outs.size(), 2u);
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -315,7 +335,7 @@ TEST(WorkerPool, CrashLoopTripsBreakerAndQuarantines) {
 
   config::PrecisionConfig all_double;
   const std::vector<runner::TrialOutcome> outs =
-      pool.run_batch({runner::TrialJob{"always-crash", &all_double}});
+      run_all(pool, {runner::TrialJob{"always-crash", &all_double}});
   ASSERT_EQ(outs.size(), 1u);
   EXPECT_TRUE(outs[0].quarantined);
   EXPECT_FALSE(outs[0].result.passed);
@@ -334,14 +354,14 @@ TEST(WorkerPool, CrashLoopTripsBreakerAndQuarantines) {
   // Quarantine is sticky: the config never executes again.
   const std::uint64_t dispatched = st.isolated_trials;
   const std::vector<runner::TrialOutcome> again =
-      pool.run_batch({runner::TrialJob{"always-crash", &all_double}});
+      run_all(pool, {runner::TrialJob{"always-crash", &all_double}});
   ASSERT_EQ(again.size(), 1u);
   EXPECT_TRUE(again[0].quarantined);
   EXPECT_EQ(pool.stats().isolated_trials, dispatched);
 
   // The pool healed: a clean config still evaluates fine afterwards.
   const std::vector<runner::TrialOutcome> clean =
-      pool.run_batch({runner::TrialJob{"clean", &all_double}});
+      run_all(pool, {runner::TrialJob{"clean", &all_double}});
   // "clean" hashes to a different injector stream; it may also draw segv
   // at rate 1.0 -- with segv=1.0 every key crashes, so instead check the
   // pool survived to report *something* rather than wedging.
@@ -364,7 +384,7 @@ TEST(WorkerPool, TermThenKillEscalationYieldsTimeoutVerdict) {
 
   config::PrecisionConfig all_double;
   const std::vector<runner::TrialOutcome> outs =
-      pool.run_batch({runner::TrialJob{"hung", &all_double}});
+      run_all(pool, {runner::TrialJob{"hung", &all_double}});
   ASSERT_EQ(outs.size(), 1u);
   EXPECT_FALSE(outs[0].quarantined);
   EXPECT_FALSE(outs[0].result.passed);
@@ -388,7 +408,7 @@ TEST(WorkerPool, OomStormIsAbsorbedAndQuarantined) {
 
   config::PrecisionConfig all_double;
   const std::vector<runner::TrialOutcome> outs =
-      pool.run_batch({runner::TrialJob{"oom", &all_double}});
+      run_all(pool, {runner::TrialJob{"oom", &all_double}});
   ASSERT_EQ(outs.size(), 1u);
   // Either path -- rlimit-refused storm (kResource result) or
   // OOM-kill-analogue SIGKILL -- is a fault event; at rate 1.0 the breaker
@@ -419,7 +439,7 @@ TEST(WorkerPool, CorruptResultFramesAreDetectedAndRetried) {
 
     config::PrecisionConfig all_double;
     const std::vector<runner::TrialOutcome> outs =
-        pool.run_batch({runner::TrialJob{"damaged", &all_double}});
+        run_all(pool, {runner::TrialJob{"damaged", &all_double}});
     ASSERT_EQ(outs.size(), 1u);
     EXPECT_TRUE(outs[0].quarantined) << "truncate=" << truncate;
     // The CRC (or the mid-frame EOF) caught every damaged delivery; none
@@ -443,7 +463,7 @@ TEST(WorkerPool, CrashStormAbortsTheBatch) {
 
   config::PrecisionConfig all_double;
   const std::vector<runner::TrialOutcome> outs =
-      pool.run_batch({runner::TrialJob{"storm-a", &all_double},
+      run_all(pool, {runner::TrialJob{"storm-a", &all_double},
                       runner::TrialJob{"storm-b", &all_double}});
   ASSERT_EQ(outs.size(), 2u);
   EXPECT_TRUE(pool.crash_storm());

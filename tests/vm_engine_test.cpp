@@ -21,6 +21,8 @@
 #include <cstdlib>
 #include <functional>
 #include <limits>
+#include <mutex>
+#include <optional>
 #include <thread>
 
 #include "arch/encode.hpp"
@@ -111,8 +113,13 @@ void expect_engines_identical(const program::Image& img,
 
 /// Random type-correct program: scalar pool + one array, mutated by loops,
 /// conditionals, arithmetic chains and math intrinsics (the same shape the
-/// instrumentation fuzz test uses).
-lang::ProgramModel random_model(std::uint64_t seed) {
+/// instrumentation fuzz test uses). With `helpers` > 0 it is split across
+/// functions: helpers h0.. run random statements (each may call earlier
+/// ones) ahead of main, and main calls them among its own statements, so
+/// every image holds cross-function calls and main is not the first
+/// function. helpers == 0 gives the single-function programs the seeded
+/// tests were written against.
+lang::ProgramModel random_model(std::uint64_t seed, int helpers = 0) {
   SplitMix64 rng(seed);
   lang::Builder b;
 
@@ -124,14 +131,12 @@ lang::ProgramModel random_model(std::uint64_t seed) {
   lang::Arr arr = b.array_f64("arr", 16);
   lang::Var idx = b.var_i64("idx");
 
-  b.begin_func("main", "fuzz");
-  for (int i = 0; i < kScalars; ++i) {
-    b.set(vars[i], b.cf(rng.next_double(0.5, 3.0)));
-  }
-  b.for_(idx, b.ci(0), b.ci(16), [&] {
-    b.store(arr, lang::Expr(idx),
-            to_f64(idx) * b.cf(rng.next_double(0.01, 0.2)) + b.cf(1.0));
-  });
+  const auto helper_name = [](std::uint64_t h) {
+    return "h" + std::to_string(h);
+  };
+  const auto rand_call = [&](int below) {
+    b.call(helper_name(rng.next_below(static_cast<std::uint64_t>(below))));
+  };
 
   const auto rand_var = [&]() -> lang::Expr {
     return lang::Expr(vars[rng.next_below(kScalars)]);
@@ -158,9 +163,12 @@ lang::ProgramModel random_model(std::uint64_t seed) {
     }
   };
 
-  const int num_stmts = 6 + static_cast<int>(rng.next_below(8));
-  for (int s = 0; s < num_stmts; ++s) {
-    switch (rng.next_below(4)) {
+  // Statement `s` (named uniquely across functions) of a function that may
+  // call helpers below `callable`.
+  int stmt_id = 0;
+  const auto rand_stmt = [&](int callable) {
+    const int s = stmt_id++;
+    switch (rng.next_below(callable > 0 ? 5 : 4)) {
       case 0:
         b.set(vars[rng.next_below(kScalars)], rand_expr(3));
         break;
@@ -180,15 +188,36 @@ lang::ProgramModel random_model(std::uint64_t seed) {
         });
         break;
       }
-      default: {
+      case 3: {
         const auto tgt = rng.next_below(kScalars);
         b.if_else(rand_expr(1) < rand_expr(1),
                   [&] { b.set(vars[tgt], rand_expr(2)); },
                   [&] { b.set(vars[tgt], rand_expr(2) + b.cf(0.125)); });
         break;
       }
+      default:
+        rand_call(callable);
+        break;
     }
+  };
+  for (int h = 0; h < helpers; ++h) {
+    b.begin_func(helper_name(static_cast<std::uint64_t>(h)),
+                 "helpers" + std::to_string(h % 2));
+    const int n = 2 + static_cast<int>(rng.next_below(4));
+    for (int s = 0; s < n; ++s) rand_stmt(h);
+    b.end_func();
   }
+
+  b.begin_func("main", "fuzz");
+  for (int i = 0; i < kScalars; ++i) {
+    b.set(vars[i], b.cf(rng.next_double(0.5, 3.0)));
+  }
+  b.for_(idx, b.ci(0), b.ci(16), [&] {
+    b.store(arr, lang::Expr(idx),
+            to_f64(idx) * b.cf(rng.next_double(0.01, 0.2)) + b.cf(1.0));
+  });
+  const int num_stmts = 6 + static_cast<int>(rng.next_below(8));
+  for (int s = 0; s < num_stmts; ++s) rand_stmt(helpers);
   for (int i = 0; i < kScalars; ++i) {
     b.output(lang::Expr(vars[i]) * b.cf(1.0));
   }
@@ -926,37 +955,49 @@ TEST(JitEngine, InjectedFaultsFireIdenticallyInCompiledCode) {
 TEST(JitEngine, DeltaReJitIsBitIdenticalToColdCompile) {
   FPMIX_REQUIRE_JIT();
   // Two configs that differ in one module: the trial builder re-uses
-  // every unchanged function's CodeSegment, so the second predecode's JIT
-  // pass links mostly warm blobs (compiled while running the first trial).
-  // The warm-linked image must behave bit-identically to a from-scratch
+  // every unchanged function's CodeSegment, so the second image's JIT pass
+  // links the warm blobs placed while running the first trial (unprofiled;
+  // a profiled run compiles the image's flat stream instead). The
+  // warm-linked image must behave bit-identically to a from-scratch
   // ExecutableImage::build + cold compile of the same bytes.
-  const lang::ProgramModel model = random_model(0xDE17A);
+  const lang::ProgramModel model = random_model(0xDE17A, /*helpers=*/3);
   const program::Image orig =
       program::relayout(lang::compile(model, lang::Mode::kDouble));
   const auto ix = config::StructureIndex::build(program::lift(orig));
-  verify::TrialBuilder builder(orig, ix);
+  for (const bool profile : {false, true}) {
+    verify::TrialBuilder builder(orig, ix);
+    config::PrecisionConfig base;  // all-double baseline
+    const auto exec_a = builder.build(base).exec;
+    vm::Machine::Options opts;
+    opts.engine = vm::Engine::kJit;
+    opts.profile = profile;
+    // Warm the blob caches of every shared segment.
+    run_engine(exec_a, vm::Engine::kJit, opts);
 
-  config::PrecisionConfig base;  // all-double baseline
-  const auto exec_a = builder.build(base).exec;
-  vm::Machine::Options opts;
-  opts.engine = vm::Engine::kJit;
-  // Warm the blob caches of every shared segment.
-  const EngineOut warm_a = run_engine(exec_a, vm::Engine::kJit, opts);
+    config::PrecisionConfig delta;
+    delta.set_module(0, config::Precision::kSingle);
+    const auto exec_b = builder.build(delta).exec;
+    std::size_t warm_segments = 0;
+    for (const auto& seg : exec_b->segments()) {
+      std::lock_guard<std::mutex> lock(seg->jit_cache().mu);
+      warm_segments += seg->jit_cache().blob != nullptr ? 1 : 0;
+    }
+    if (!profile) {
+      EXPECT_GT(warm_segments, 0u);
+      EXPECT_LT(warm_segments, exec_b->segments().size());
+    }
+    const EngineOut warm_b = run_engine(exec_b, vm::Engine::kJit, opts);
 
-  config::PrecisionConfig delta;
-  delta.set_module(0, config::Precision::kSingle);
-  const auto exec_b = builder.build(delta).exec;
-  const EngineOut warm_b = run_engine(exec_b, vm::Engine::kJit, opts);
-
-  // Cold reference: identical image bytes, fresh predecode, fresh JIT.
-  const auto cold_exec =
-      vm::ExecutableImage::build(instrument::instrument_image(orig, ix, delta));
-  expect_same(warm_b, run_engine(cold_exec, vm::Engine::kJit, opts),
-              "warm re-JIT vs cold compile");
-  // And both must agree with the interpreter oracle.
-  expect_same(warm_b, run_engine(cold_exec, vm::Engine::kSwitch, opts),
-              "warm re-JIT vs switch oracle");
-  (void)warm_a;
+    // Cold reference: identical image bytes, fresh predecode, fresh JIT.
+    const auto cold_exec = vm::ExecutableImage::build(
+        instrument::instrument_image(orig, ix, delta));
+    const std::string what = profile ? " (profiled)" : "";
+    expect_same(warm_b, run_engine(cold_exec, vm::Engine::kJit, opts),
+                "warm re-JIT vs cold compile" + what);
+    // And both must agree with the interpreter oracle.
+    expect_same(warm_b, run_engine(cold_exec, vm::Engine::kSwitch, opts),
+                "warm re-JIT vs switch oracle" + what);
+  }
 }
 
 TEST(JitEngine, EnvScaledFuzzAcrossAllEngines) {
@@ -1000,6 +1041,413 @@ TEST(JitEngine, NoRegallocFallbackIsBitIdentical) {
     expect_engines_identical(img, opts, "no-regalloc budget");
   }
   ASSERT_EQ(unsetenv("FPMIX_JIT_NO_REGALLOC"), 0);
+}
+
+
+// ---------------------------------------------------------------------------
+// Table-linked images. A spliced ExecutableImage (what TrialBuilder builds)
+// is a table over shared per-function segments, and the JIT links it by
+// filling a per-image function table: calls, return addresses, falling off
+// a function's end and the pcs exit and trap stubs report all go through
+// that table. Each case runs the JIT over the spliced image and the
+// micro-op engine over ExecutableImage::build of the same bytes, and
+// demands the same status, trap text, retired count, outputs and final
+// guest memory -- on plain runs, budget stops, supervised chunk re-entry
+// and fault aborts (whose trap text names the pc of the chunk stop).
+
+struct FinalState {
+  vm::RunResult result;
+  std::vector<double> f64;
+  std::vector<std::int64_t> i64;
+  std::vector<std::uint8_t> memory;
+};
+
+FinalState run_final(const std::shared_ptr<const vm::ExecutableImage>& exec,
+                     vm::Engine engine, vm::Machine::Options opts) {
+  opts.engine = engine;
+  vm::Machine m(exec, opts);
+  FinalState s;
+  s.result = m.run();
+  s.f64 = m.output_f64();
+  s.i64 = m.output_i64();
+  // Everything a program can write: all of a small memory; else the data
+  // and bss sections and the top of the stack.
+  const std::uint64_t size = exec->memory_size();
+  if (size <= (1u << 20)) {
+    s.memory = m.read_memory(0, size);
+  } else {
+    const program::Image& img = exec->image();
+    for (const auto& [lo, len] :
+         {std::pair<std::uint64_t, std::uint64_t>{img.data_base,
+                                                  img.data.size()},
+          {img.effective_bss_base(), img.bss_size},
+          {size - (1u << 16), 1u << 16}}) {
+      const std::vector<std::uint8_t> part = m.read_memory(lo, len);
+      s.memory.insert(s.memory.end(), part.begin(), part.end());
+    }
+  }
+  return s;
+}
+
+void expect_final_same(const FinalState& got, const FinalState& ref,
+                       const std::string& what) {
+  EXPECT_EQ(got.result.status, ref.result.status) << what;
+  EXPECT_EQ(got.result.trap_message, ref.result.trap_message) << what;
+  EXPECT_EQ(got.result.instructions_retired, ref.result.instructions_retired)
+      << what;
+  ASSERT_EQ(got.f64.size(), ref.f64.size()) << what;
+  for (std::size_t i = 0; i < ref.f64.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.f64[i]),
+              std::bit_cast<std::uint64_t>(ref.f64[i]))
+        << what << " f64 output " << i;
+  }
+  EXPECT_EQ(got.i64, ref.i64) << what;
+  EXPECT_TRUE(got.memory == ref.memory) << what << ": final guest memory";
+}
+
+/// The guest address a trap text names (" [pc=.. addr=0x..."), if any.
+std::optional<std::uint64_t> trap_addr(const std::string& message) {
+  const std::size_t at = message.find("addr=0x");
+  if (at == std::string::npos) return std::nullopt;
+  return std::stoull(message.substr(at + 7), nullptr, 16);
+}
+
+/// How the differential runs of one image ended, for coverage asserts.
+struct SpliceCoverage {
+  int halted = 0;
+  int budget = 0;
+  int past_end = 0;
+  int later_trap = 0;  // a trap (or chunk stop) outside the first function
+  int chunked = 0;
+};
+
+/// Budget of every differential run: random programs loop forever (and
+/// may emit an output per iteration).
+constexpr std::uint64_t kSpliceBudget = 20000;
+
+/// Runs `spliced` on the JIT (and on the micro-op engine, which reads its
+/// lazily built flat arrays) against `scratch` on the micro-op engine, with
+/// the full budget, random smaller ones, tiny supervision chunks and an
+/// abort fault. `full` is what the full-budget run retires.
+void expect_spliced_matches_scratch(
+    const std::shared_ptr<const vm::ExecutableImage>& spliced,
+    const std::shared_ptr<const vm::ExecutableImage>& scratch,
+    std::uint64_t full, SplitMix64* rng, const std::string& what,
+    SpliceCoverage* cov) {
+  const std::uint64_t second_func = spliced->segment_byte_base().at(1);
+  fault::VmFaultSpec abort_spec;
+  abort_spec.kind = fault::VmFault::kAbort;
+  for (int run = 0; run < 6; ++run) {
+    vm::Machine::Options opts;
+    opts.max_instructions = kSpliceBudget;
+    // Unprofiled: a profiled JIT run compiles the flat global-form stream
+    // instead of linking the segments' blobs (run 5 covers that path).
+    opts.profile = false;
+    std::string tag = " run " + std::to_string(run);
+    switch (run) {
+      case 0:
+        break;
+      case 5:
+        opts.profile = true;
+        tag += " profiled";
+        break;
+      case 1:
+      case 2:
+        opts.max_instructions = 1 + rng->next_below(full + 2);
+        tag += " budget " + std::to_string(opts.max_instructions);
+        break;
+      case 3:  // chunk re-entry: every chunk resumes mid-image
+        opts.deadline_ns = 3'600ull * 1000 * 1000 * 1000;
+        opts.deadline_check_interval = 1 + rng->next_below(40);
+        tag += " chunk " + std::to_string(opts.deadline_check_interval);
+        ++cov->chunked;
+        break;
+      default:  // the abort names the pc where the budget chunk stopped
+        abort_spec.at_retired = 1 + rng->next_below(full + 1);
+        opts.fault = &abort_spec;
+        tag += " abort at " + std::to_string(abort_spec.at_retired);
+        break;
+    }
+    const FinalState ref = run_final(scratch, vm::Engine::kMicroOp, opts);
+    expect_final_same(run_final(spliced, vm::Engine::kMicroOp, opts), ref,
+                      what + tag + " [spliced microop]");
+    if (vm::jit::jit_supported()) {
+      expect_final_same(run_final(spliced, vm::Engine::kJit, opts), ref,
+                        what + tag + " [spliced jit]");
+    }
+    const std::string& msg = ref.result.trap_message;
+    switch (ref.result.status) {
+      case vm::RunResult::Status::kHalted: ++cov->halted; break;
+      case vm::RunResult::Status::kOutOfBudget: ++cov->budget; break;
+      default: break;
+    }
+    if (msg.find("past the end of the code") != std::string::npos) {
+      ++cov->past_end;
+    }
+    const auto addr = trap_addr(msg);
+    if (addr && *addr >= second_func) ++cov->later_trap;
+  }
+}
+
+/// Hand-encoded multi-function program parts: what TrialBuilder splices,
+/// but with shapes no lifted program has -- functions that fall off their
+/// end into the next one (or off the last one), branches to a function's
+/// end, empty functions, calls to any function, stray returns -- plus
+/// division and memory traps and unbounded loops.
+struct RawProgram {
+  std::shared_ptr<program::Program> meta;
+  std::vector<std::shared_ptr<const program::FuncLayout>> layouts;
+};
+
+RawProgram random_raw_program(std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  RawProgram rp;
+  rp.meta = std::make_shared<program::Program>();
+  program::Program& meta = *rp.meta;
+  meta.code_base = 0x1000;
+  meta.data_base = 0x8000;
+  meta.memory_size = 0x10000;
+  constexpr std::int32_t kSlots = 32;
+  for (int i = 0; i < kSlots * 8; ++i) {
+    meta.data.push_back(static_cast<std::uint8_t>(rng.next_below(256)));
+  }
+  const auto slot = [&] {
+    return Operand::mem_abs(static_cast<std::int32_t>(meta.data_base) +
+                            8 * static_cast<std::int32_t>(
+                                    rng.next_below(kSlots)));
+  };
+  const auto gpr = [&] {
+    return Operand::gpr(static_cast<std::uint8_t>(rng.next_below(6)));
+  };
+  const auto xmm = [&] {
+    return Operand::xmm(static_cast<std::uint8_t>(rng.next_below(4)));
+  };
+  const std::size_t nfuncs = 2 + rng.next_below(4);
+  meta.entry_function =
+      static_cast<program::FuncIndex>(rng.next_below(nfuncs));
+  for (std::size_t f = 0; f < nfuncs; ++f) {
+    program::Function fn;
+    fn.name = "f" + std::to_string(f);
+    fn.module = "m" + std::to_string(f % 2);
+    // Every fifth function is empty: a call to it, or a fall into it,
+    // lands on the next one.
+    const std::size_t len =
+        rng.next_below(5) == 0 ? 0 : 1 + rng.next_below(14);
+    std::vector<arch::Instr> code;
+    std::vector<std::size_t> target(len, 0);  // branch: instruction index
+    for (std::size_t i = 0; i < len; ++i) {
+      arch::Instr ins;
+      switch (rng.next_below(22)) {
+        case 0: case 1:
+          ins = arch::make2(Opcode::kMov, gpr(), Operand::make_imm(
+              static_cast<std::int64_t>(rng.next_below(40)) - 3));
+          break;
+        case 2: ins = arch::make2(Opcode::kAdd, gpr(), gpr()); break;
+        case 3:
+          ins = arch::make2(Opcode::kSub, gpr(), Operand::make_imm(1));
+          break;
+        case 4: ins = arch::make2(Opcode::kImul, gpr(), gpr()); break;
+        case 5: ins = arch::make2(Opcode::kIdiv, gpr(), gpr()); break;
+        case 6:
+          ins = rng.next_below(2) == 0
+                    ? arch::make2(Opcode::kCmp, gpr(), gpr())
+                    : arch::make2(Opcode::kCmp, gpr(), Operand::make_imm(3));
+          break;
+        case 7: ins = arch::make2(Opcode::kLoad, gpr(), slot()); break;
+        case 8:  // base + disp: out of bounds whenever the sum is
+          ins = arch::make2(
+              Opcode::kLoad, gpr(),
+              Operand::mem_bd(static_cast<std::uint8_t>(rng.next_below(6)),
+                              static_cast<std::int32_t>(
+                                  rng.next_below(0x12000))));
+          break;
+        case 9: ins = arch::make2(Opcode::kStore, slot(), gpr()); break;
+        case 10: ins = arch::make2(Opcode::kCvtsi2sd, xmm(), gpr()); break;
+        case 11: ins = arch::make2(Opcode::kAddsd, xmm(), xmm()); break;
+        case 12: ins = arch::make2(Opcode::kMulsd, xmm(), slot()); break;
+        case 13: ins = arch::make2(Opcode::kMovsdMX, slot(), xmm()); break;
+        case 14:
+          ins = arch::make2(
+              Opcode::kIntrin, Operand::none(),
+              Operand::make_imm(static_cast<std::int64_t>(
+                  rng.next_below(2) == 0 ? in::Id::kOutputF64
+                                         : in::Id::kOutputI64)));
+          break;
+        case 15: case 16: {
+          static constexpr Opcode kJcc[] = {Opcode::kJe, Opcode::kJne,
+                                            Opcode::kJl, Opcode::kJge,
+                                            Opcode::kJb, Opcode::kJa};
+          ins = arch::make2(kJcc[rng.next_below(6)], Operand::none(),
+                            Operand::make_imm(0));
+          target[i] = rng.next_below(len + 1);  // len: the function's end
+          break;
+        }
+        case 17:
+          ins = arch::make2(Opcode::kJmp, Operand::none(),
+                            Operand::make_imm(0));
+          target[i] = rng.next_below(len + 1);
+          break;
+        case 18:
+          ins = arch::make2(Opcode::kCall, Operand::none(),
+                            Operand::make_imm(static_cast<std::int64_t>(
+                                rng.next_below(nfuncs))));
+          break;
+        case 19:
+          ins = arch::make1(rng.next_below(2) == 0 ? Opcode::kPush
+                                                   : Opcode::kPop,
+                            gpr());
+          break;
+        case 20: ins = arch::make0(Opcode::kRet); break;
+        default:
+          ins = rng.next_below(3) == 0 ? arch::make0(Opcode::kHalt)
+                                       : arch::make2(Opcode::kMovqXR, xmm(),
+                                                     gpr());
+          break;
+      }
+      code.push_back(ins);
+    }
+    // Encode with local branch targets (byte offsets) and callee indices,
+    // exactly as layout_function leaves them for assemble.
+    std::vector<std::uint32_t> off(len + 1, 0);
+    for (std::size_t i = 0; i < len; ++i) {
+      off[i + 1] = off[i] + arch::encoded_size(code[i]);
+    }
+    auto layout = std::make_shared<program::FuncLayout>();
+    layout->name = fn.name;
+    layout->module = fn.module;
+    for (std::size_t i = 0; i < len; ++i) {
+      arch::Instr ins = code[i];
+      const auto& info = arch::opcode_info(ins.op);
+      if (info.is_branch) {
+        ins.src.imm = off[target[i]];
+        layout->relocs.push_back({off[i + 1] - 8, off[target[i]], false});
+      } else if (info.is_call) {
+        layout->relocs.push_back(
+            {off[i + 1] - 8, static_cast<std::uint64_t>(ins.src.imm), true});
+      }
+      arch::encode(ins, &layout->bytes);
+    }
+    meta.functions.push_back(std::move(fn));
+    rp.layouts.push_back(std::move(layout));
+  }
+  return rp;
+}
+
+/// Builds `what` through `build`, or returns the error text it throws.
+template <typename Build>
+std::string build_or_error(const Build& build,
+                           std::shared_ptr<const vm::ExecutableImage>* out) {
+  try {
+    *out = build();
+    return "";
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+}
+
+TEST(EngineDiff, SplicedImagesMatchScratchOnRawSegments) {
+  SplitMix64 rng(0x7AB1E);
+  SpliceCoverage cov;
+  int built = 0;
+  int rejected = 0;
+  for (int p = 0; p < 300; ++p) {
+    const RawProgram rp = random_raw_program(0x5E6 + 7919 * p);
+    const std::string what = "raw program " + std::to_string(p);
+    std::vector<std::shared_ptr<const vm::CodeSegment>> segs;
+    std::vector<const program::FuncLayout*> ptrs;
+    for (const auto& l : rp.layouts) {
+      segs.push_back(vm::CodeSegment::build(*l));
+      ptrs.push_back(l.get());
+    }
+    std::shared_ptr<const vm::ExecutableImage> scratch;
+    std::shared_ptr<const vm::ExecutableImage> spliced;
+    const std::string scratch_err = build_or_error(
+        [&] {
+          return vm::ExecutableImage::build(program::assemble(*rp.meta, ptrs));
+        },
+        &scratch);
+    const std::string spliced_err = build_or_error(
+        [&] {
+          return vm::ExecutableImage::build_spliced(rp.meta, rp.layouts, segs);
+        },
+        &spliced);
+    // Both reject the same images, with the same text.
+    ASSERT_EQ(spliced_err, scratch_err) << what;
+    if (!scratch_err.empty()) {
+      ++rejected;
+      continue;
+    }
+    ++built;
+    ASSERT_EQ(spliced->instruction_count(), scratch->instruction_count());
+    EXPECT_EQ(spliced->entry_index(), scratch->entry_index()) << what;
+    for (std::size_t pc = 0; pc < scratch->instruction_count(); ++pc) {
+      const arch::Instr& want = scratch->code()[pc];
+      const arch::Instr got = spliced->instr_at(pc);
+      EXPECT_TRUE(got == want && got.addr == want.addr) << what << " pc " << pc;
+      EXPECT_EQ(spliced->index_of(want.addr), pc) << what;
+      EXPECT_EQ(spliced->index_of(want.addr + 1), vm::ExecutableImage::kNoIndex)
+          << what;
+    }
+    vm::Machine::Options full_opts;
+    full_opts.max_instructions = kSpliceBudget;
+    const FinalState full = run_final(scratch, vm::Engine::kMicroOp, full_opts);
+    expect_spliced_matches_scratch(spliced, scratch,
+                                   full.result.instructions_retired, &rng,
+                                   what, &cov);
+  }
+  // Enough of every shape ran that the comparisons above mean something.
+  EXPECT_GT(built, 150);
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(cov.halted, 20);
+  EXPECT_GT(cov.budget, 20);
+  EXPECT_GT(cov.past_end, 5);
+  EXPECT_GT(cov.later_trap, 20);
+}
+
+TEST(EngineDiff, TrialBuilderImagesOnJitMatchScratchMicroOp) {
+  // Multi-function fuzzed programs through the real TrialBuilder: random
+  // and neighbouring configs, so images splice fresh and shared segments
+  // (and their blobs) at every position.
+  SplitMix64 rng(0x7B1D);
+  SpliceCoverage cov;
+  for (int p = 0; p < 6; ++p) {
+    const program::Image orig = program::relayout(lang::compile(
+        random_model(0x5B11CE + static_cast<std::uint64_t>(p),
+                     /*helpers=*/2 + p % 3),
+        lang::Mode::kDouble));
+    const auto ix = config::StructureIndex::build(program::lift(orig));
+    verify::TrialBuilder builder(orig, ix);
+    config::PrecisionConfig cfg;
+    for (int step = 0; step < 10; ++step) {
+      const std::size_t flags = 1 + rng.next_below(3);
+      for (std::size_t k = 0; k < flags; ++k) {
+        const auto prec = rng.next_below(3) == 0 ? config::Precision::kDouble
+                                                 : config::Precision::kSingle;
+        if (rng.next_below(2) == 0) {
+          cfg.set_func(rng.next_below(ix.funcs().size()), prec);
+        } else {
+          cfg.set_instr(rng.next_below(ix.instrs().size()), prec);
+        }
+      }
+      const std::string what = "program " + std::to_string(p) + " step " +
+                               std::to_string(step) + " " +
+                               cfg.canonical_key();
+      const auto spliced = builder.build(cfg).exec;
+      const auto scratch = vm::ExecutableImage::build(
+          instrument::instrument_image(orig, ix, cfg));
+      ASSERT_GT(spliced->segments().size(), 1u) << what;
+      vm::Machine::Options full_opts;
+      full_opts.max_instructions = kSpliceBudget;
+      const FinalState full =
+          run_final(scratch, vm::Engine::kMicroOp, full_opts);
+      expect_spliced_matches_scratch(spliced, scratch,
+                                     full.result.instructions_retired, &rng,
+                                     what, &cov);
+    }
+  }
+  EXPECT_GT(cov.halted, 10);
+  EXPECT_GT(cov.budget, 10);
+  EXPECT_GT(cov.later_trap, 10);
 }
 
 }  // namespace

@@ -89,6 +89,25 @@ Precision PrecisionConfig::resolve(const StructureIndex& index,
   return Precision::kDouble;
 }
 
+std::vector<bool> PrecisionConfig::reached_funcs(
+    const StructureIndex& index) const {
+  std::vector<bool> reached(index.funcs().size(), false);
+  for (const auto& [m, p] : module_) {
+    if (m >= index.modules().size()) continue;
+    for (const std::size_t f : index.modules()[m].funcs) reached[f] = true;
+  }
+  for (const auto& [f, p] : func_) {
+    if (f < reached.size()) reached[f] = true;
+  }
+  for (const auto& [b, p] : block_) {
+    if (b < index.blocks().size()) reached[index.blocks()[b].func] = true;
+  }
+  for (const auto& [i, p] : instr_) {
+    if (i < index.instrs().size()) reached[index.instrs()[i].func] = true;
+  }
+  return reached;
+}
+
 std::vector<std::size_t> PrecisionConfig::replaced_candidates(
     const StructureIndex& index) const {
   std::vector<std::size_t> out;

@@ -43,6 +43,12 @@ class PrecisionConfig {
   /// overrides: module > function > block > instruction > default(double).
   Precision resolve(const StructureIndex& index, std::size_t i) const;
 
+  /// One entry per function of `index`: true when a flag of this config
+  /// reaches it (a flag on its module, on itself, or on one of its blocks
+  /// or instructions). Every instruction of an unreached function resolves
+  /// to the default. Flags on ids outside `index` reach nothing.
+  std::vector<bool> reached_funcs(const StructureIndex& index) const;
+
   /// Candidate instruction ids that resolve to kSingle.
   std::vector<std::size_t> replaced_candidates(
       const StructureIndex& index) const;

@@ -307,10 +307,96 @@ std::string precision_signature(const config::StructureIndex& index,
   return sig;
 }
 
+namespace {
+
+/// True when a run of snippets may continue across the unwrapped `ins`:
+/// it must not transfer control, move sp or touch the stack (push/pop,
+/// call, ret, intrinsics), write memory (a store below sp could clobber a
+/// saved slot), or name the run's scratch state or sp.
+bool run_continues_across(const Instr& ins) {
+  const arch::OpcodeInfo& info = arch::opcode_info(ins.op);
+  if (info.is_branch || info.is_call || info.is_ret || info.is_halt) {
+    return false;
+  }
+  switch (ins.op) {
+    case Opcode::kPush:
+    case Opcode::kPop:
+    case Opcode::kPushX:
+    case Opcode::kPopX:
+    case Opcode::kIntrin:
+      return false;
+    default:
+      break;
+  }
+  return !ins.dst.is_mem() && !uses_scratch(ins);
+}
+
+/// How one original instruction is patched.
+struct PatchPlan {
+  Precision p = Precision::kDouble;
+  bool wrapped = false;
+  /// Run placement of a wrapped instruction's snippet.
+  bool opens_run = false;
+  bool closes_run = false;
+  ScratchXmms run_xmms;
+};
+
+/// Plans `fn` from its signature: each instruction's precision, whether it
+/// is wrapped, and the runs of wrapped instructions that share one save of
+/// the scratch state. A run never leaves its original block.
+std::vector<PatchPlan> plan_function(const program::Function& fn,
+                                     std::string_view signature) {
+  std::vector<PatchPlan> plan;
+  for (const program::BasicBlock& blk : fn.blocks) {
+    bool open = false;
+    std::size_t first = 0, last = 0;
+    ScratchXmms xmms;
+    const auto close = [&] {
+      if (!open) return;
+      for (std::size_t k = first; k <= last; ++k) plan[k].run_xmms = xmms;
+      plan[first].opens_run = true;
+      plan[last].closes_run = true;
+      open = false;
+    };
+    for (const Instr& ins : blk.instrs) {
+      FPMIX_CHECK(plan.size() < signature.size());
+      const std::optional<Precision> p =
+          config::precision_from_flag(signature[plan.size()]);
+      FPMIX_CHECK(p.has_value());
+      PatchPlan& pp = plan.emplace_back();
+      pp.p = *p;
+      pp.wrapped = needs_snippet(ins, *p);
+      if (!pp.wrapped) {
+        if (!run_continues_across(ins)) close();
+        continue;
+      }
+      const std::size_t at = plan.size() - 1;
+      if (uses_scratch(ins)) {
+        close();
+        pp.opens_run = pp.closes_run = true;
+        continue;
+      }
+      if (!open) {
+        open = true;
+        first = at;
+        xmms = {};
+      }
+      last = at;
+      xmms |= scratch_xmms(ins);
+    }
+    close();
+  }
+  FPMIX_CHECK(plan.size() == signature.size());
+  return plan;
+}
+
+}  // namespace
+
 program::Function instrument_function(const program::Function& fn,
                                       std::string_view signature,
                                       InstrumentStats* stats) {
   InstrumentStats local;
+  const std::vector<PatchPlan> plan = plan_function(fn, signature);
 
   // The dataflow facts are strictly intra-block: the tracker resets at
   // every block head (blocks can have multiple predecessors with different
@@ -319,24 +405,24 @@ program::Function instrument_function(const program::Function& fn,
   std::size_t next = 0;
 
   const auto factory = [&](const Instr& ins) -> std::optional<SnippetChain> {
-    FPMIX_CHECK(next < signature.size());
-    const std::optional<Precision> p =
-        config::precision_from_flag(signature[next++]);
-    FPMIX_CHECK(p.has_value());
-    if (*p == Precision::kIgnore) ++local.ignored;
-    if (!needs_snippet(ins, *p)) {
+    const PatchPlan& pp = plan[next++];
+    if (pp.p == Precision::kIgnore) ++local.ignored;
+    if (!pp.wrapped) {
       tracker.step_unwrapped(ins);
       return std::nullopt;
     }
     SnippetOptions sopts;
     sopts.dst_state = tracker.state_of(ins.dst);
     sopts.src_state = tracker.state_of(ins.src);
+    sopts.opens_run = pp.opens_run;
+    sopts.closes_run = pp.closes_run;
+    sopts.run_xmms = pp.run_xmms;
     if (sopts.dst_state != TagState::kUnknown) ++local.checks_elided;
     if (sopts.src_state != TagState::kUnknown) ++local.checks_elided;
-    const bool single = *p == Precision::kSingle;
+    const bool single = pp.p == Precision::kSingle;
     tracker.step_wrapped(ins, single);
     if (single) ++local.replaced_single;
-    return build_snippet(ins, *p, sopts);
+    return build_snippet(ins, pp.p, sopts);
   };
 
   program::Function nf =

@@ -83,8 +83,12 @@ std::string precision_signature(const config::StructureIndex& index,
 /// Patches ONE function from its precision_signature. Sentinel tests whose
 /// outcome the intra-block tag-state dataflow decides statically (the
 /// paper's Section 2.5) are elided or strength-reduced; the facts never
-/// cross a block head, so functions patch independently. `*stats` receives
-/// counters for this function alone.
+/// cross a block head, so functions patch independently. Wrapped
+/// instructions of one block form runs that save the scratch state once: a
+/// run continues across an unwrapped instruction unless it transfers
+/// control, touches the stack, writes memory or names r0, sp, xmm14 or
+/// xmm15, and a wrapped instruction that names those is a run of its own.
+/// `*stats` receives counters for this function alone.
 program::Function instrument_function(const program::Function& fn,
                                       std::string_view signature,
                                       InstrumentStats* stats);
@@ -109,8 +113,8 @@ program::Program splice_snippets(const program::Program& prog,
                                      nullptr);
 
 /// Single-function core of splice_snippets. `on_block_start` runs before
-/// the factory sees each original block's instructions. With build_snippet
-/// and one explicit SnippetOptions as the factory, this is the unelided
+/// the factory sees each original block's instructions. With the Figure 6
+/// snippet of tests/reference_instrument.hpp as the factory, this is the
 /// reference that instrument_function is tested against.
 program::Function splice_function(const program::Function& fn,
                                   const SnippetFactory& factory,

@@ -4,8 +4,8 @@
 // storage (data segment when baked, bss otherwise); functions communicate
 // through globals, so there are no stack frames and no recursion. Expression
 // evaluation uses a simple register pool (xmm2..xmm13 / r2..r13); r0/r1 and
-// xmm14/xmm15 are never allocated because the instrumentation snippets use
-// them as scratch (see instrument/snippet.cpp).
+// xmm14/xmm15 are never allocated (r0 and xmm14/xmm15 are the
+// instrumentation snippets' scratch, see instrument/snippet.cpp).
 #pragma once
 
 #include "lang/ast.hpp"

@@ -22,6 +22,30 @@ TrialBuilder::TrialBuilder(const program::Image& original,
   prog_->validate();
   FPMIX_CHECK(index_.funcs().size() == prog_->functions.size());
   variants_.resize(prog_->functions.size());
+  const config::PrecisionConfig none;
+  default_sigs_.resize(prog_->functions.size());
+  for (std::size_t f = 0; f < default_sigs_.size(); ++f) {
+    try {
+      default_sigs_[f] = instrument::precision_signature(
+          index_, none, f, prog_->functions[f]);
+    } catch (const ProgramError&) {
+      // Stale: signatures() resolves it in full, so build() throws where
+      // instrument_image() would.
+    }
+  }
+}
+
+std::vector<std::string> TrialBuilder::signatures(
+    const config::PrecisionConfig& cfg) const {
+  const std::vector<bool> reached = cfg.reached_funcs(index_);
+  std::vector<std::string> sigs(prog_->functions.size());
+  for (std::size_t f = 0; f < sigs.size(); ++f) {
+    sigs[f] = reached[f] || !default_sigs_[f]
+                  ? instrument::precision_signature(index_, cfg, f,
+                                                    prog_->functions[f])
+                  : *default_sigs_[f];
+  }
+  return sigs;
 }
 
 std::list<TrialBuilder::CachedImage> TrialBuilder::touch(
@@ -72,11 +96,7 @@ TrialBuilder::Built TrialBuilder::build(const config::PrecisionConfig& cfg,
   // Only the lookups and inserts are locked.
   timer.reset();
   const std::size_t n = prog_->functions.size();
-  std::vector<std::string> sigs(n);
-  for (std::size_t f = 0; f < n; ++f) {
-    sigs[f] = instrument::precision_signature(index_, cfg, f,
-                                              prog_->functions[f]);
-  }
+  std::vector<std::string> sigs = signatures(cfg);
   std::vector<std::shared_ptr<const FuncVariant>> used(n);
   {
     std::lock_guard<std::mutex> lock(mu_);

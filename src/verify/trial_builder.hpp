@@ -36,6 +36,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -80,6 +81,12 @@ class TrialBuilder {
   /// callers already treat those as trial outcomes).
   Built build(const config::PrecisionConfig& cfg, std::size_t lane = 0);
 
+  /// instrument::precision_signature of every function under `cfg`. Only
+  /// the functions a flag of `cfg` reaches are resolved; every other one
+  /// has the default signature, computed once at construction. Throws
+  /// where precision_signature would (a stale index).
+  std::vector<std::string> signatures(const config::PrecisionConfig& cfg) const;
+
  private:
   /// One cached per-function result: the instrumented position-independent
   /// encoding, its stats and its predecoded segment. Published immutable;
@@ -110,6 +117,9 @@ class TrialBuilder {
   /// sections, and the layout plan for an image's on-demand byte form).
   const std::shared_ptr<const program::Program> prog_;
   const config::StructureIndex& index_;
+  /// Per function: its signature when no flag of a config reaches it, or
+  /// nullopt when precision_signature rejects the function (stale index).
+  std::vector<std::optional<std::string>> default_sigs_;
   std::mutex mu_;  // guards the two caches below
   std::vector<std::unordered_map<std::string,
                                  std::shared_ptr<const FuncVariant>>>

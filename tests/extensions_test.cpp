@@ -209,7 +209,7 @@ TEST(TagCheckAblation, UnconditionalNarrowingBreaksReuse) {
   }
   // Without checks: the boxed intermediate is mangled.
   {
-    instrument::SnippetOptions opts;
+    reference::Options opts;
     opts.check_tags = false;
     const program::Image inst =
         reference::instrument_image(orig, ix, cfg, opts);

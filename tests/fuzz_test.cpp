@@ -11,7 +11,11 @@
 //     bit-identical to the manually converted single build.
 //  3. Elision differential: under random mixed configurations, production
 //     instrumentation (tag-state elision) behaves bit for bit like the
-//     unelided splice-engine reference on the micro-op and JIT engines.
+//     Figure 6 reference snippet on the micro-op and JIT engines.
+//  4. Scratch-state differential: hand-assembled programs that keep r0
+//     live, read FP operands through sp and mix stack and memory writes
+//     into FP code: all-double instrumentation equals the original, mixed
+//     configurations equal the reference.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -441,7 +445,272 @@ TEST_P(ElisionFuzz, AsmMixedConfigsMatchReference) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ElisionFuzz, ::testing::Range(0, 4));
 
 // ---------------------------------------------------------------------------
-// 4. Config serialization fuzz: canonical-key round-trips over deep
+// 4. Scratch-state differential: hand-assembled code the DSL never emits.
+// Production snippets save r0 (and xmm15/xmm14) once per run of wrapped
+// instructions and rebase sp-relative sources by the frame depth, so these
+// programs keep r0 live across FP code, read FP operands through sp, and
+// put push/pop, stores, integer intrinsics, packed ops and cvtsi2sd from r0
+// between FP instructions.
+
+/// Random straight-line code in 1-4 blocks (joined by jumps, by cmp+jl and
+/// by ucomisd+jb to the next block) over xmm0-7 plus xmm14/xmm15 in scalar
+/// register ops. Two 16-byte stack slots hold f64 data for sp-relative
+/// sources. It ends by emitting xmm0-7, xmm14, xmm15, r0, r2, r3 and, last,
+/// sp (so a caller can compare the stack above it).
+program::Image random_scratch_image(std::uint64_t seed) {
+  using arch::Opcode;
+  using arch::Operand;
+  namespace in = arch::intrinsics;
+  SplitMix64 rng(seed);
+  casm::Assembler as;
+  as.begin_function("main", "fuzz");
+  const auto abs = [](std::uint64_t a) {
+    return Operand::mem_abs(static_cast<std::int32_t>(a));
+  };
+  std::vector<std::uint64_t> consts;  // 16-byte aligned pairs
+  for (int k = 0; k < 6; ++k) {
+    consts.push_back(as.data_f64(rng.next_double(0.25, 4.0)));
+  }
+  const std::uint64_t bss = as.reserve_bss(32, 16);
+  const auto pick = [&](std::uint64_t n) { return rng.next_below(n); };
+  const auto low_xmm = [&] {
+    return Operand::xmm(static_cast<std::uint8_t>(pick(8)));
+  };
+  const auto any_xmm = [&] {
+    const std::uint64_t r = pick(10);
+    return Operand::xmm(static_cast<std::uint8_t>(r < 8 ? r : r + 6));
+  };
+  const auto sp_slot = [&](std::int32_t align) {
+    return Operand::mem_bd(arch::kSpReg,
+                           align * static_cast<std::int32_t>(pick(32 / align)));
+  };
+  const auto scalar_src = [&]() -> Operand {
+    switch (pick(4)) {
+      case 0: return abs(consts[pick(consts.size())]);
+      case 1: return abs(bss + 8 * pick(4));
+      default: return sp_slot(8);
+    }
+  };
+  for (std::uint8_t r = 0; r < 8; ++r) {
+    as.emit(Opcode::kMovsdXM, Operand::xmm(r), abs(consts[pick(6)]));
+  }
+  as.emit(Opcode::kMovsdXM, Operand::xmm(14), abs(consts[pick(6)]));
+  as.emit(Opcode::kMovsdXM, Operand::xmm(15), abs(consts[pick(6)]));
+  as.emit(Opcode::kMov, Operand::gpr(0),
+          Operand::make_imm(static_cast<std::int64_t>(1000 + pick(1000))));
+  as.emit(Opcode::kMov, Operand::gpr(2), Operand::make_imm(3));
+  as.emit(Opcode::kMov, Operand::gpr(3), Operand::make_imm(5));
+  as.emit(Opcode::kMovapdXM, Operand::xmm(1), abs(consts[0]));
+  as.emit(Opcode::kPushX, Operand::xmm(1));
+  as.emit(Opcode::kMovapdXM, Operand::xmm(1), abs(consts[2]));
+  as.emit(Opcode::kPushX, Operand::xmm(1));
+
+  constexpr Opcode kArith[] = {Opcode::kAddsd, Opcode::kSubsd,
+                               Opcode::kMulsd, Opcode::kDivsd,
+                               Opcode::kMinsd, Opcode::kMaxsd,
+                               Opcode::kSqrtsd};
+  constexpr Opcode kPacked[] = {Opcode::kAddpd, Opcode::kSubpd,
+                                Opcode::kMulpd, Opcode::kSqrtpd};
+  constexpr in::Id kMath[] = {in::Id::kSin, in::Id::kExp, in::Id::kFabs,
+                              in::Id::kPow};
+  const auto arith = [&] { return kArith[pick(std::size(kArith))]; };
+  const int blocks = 1 + static_cast<int>(pick(4));
+  for (int blk = 0; blk < blocks; ++blk) {
+    if (blk > 0) {
+      const casm::Label next = as.new_label();
+      switch (pick(3)) {
+        case 0:
+          as.jmp(next);
+          break;
+        case 1:
+          as.emit(Opcode::kCmp, Operand::gpr(2), Operand::make_imm(4));
+          as.jl(next);
+          break;
+        default:
+          as.emit(Opcode::kUcomisd, low_xmm(), low_xmm());
+          as.jb(next);
+          break;
+      }
+      as.bind(next);
+    }
+    const int len = 4 + static_cast<int>(pick(14));
+    for (int k = 0; k < len; ++k) {
+      switch (pick(16)) {
+        case 0: case 1: case 2:
+          as.emit(arith(), any_xmm(), any_xmm());
+          break;
+        case 3: case 4:
+          as.emit(arith(), low_xmm(), scalar_src());
+          break;
+        case 5: {
+          const std::uint64_t c = pick(3);
+          as.emit(kPacked[pick(std::size(kPacked))], low_xmm(),
+                  c == 0   ? low_xmm()
+                  : c == 1 ? abs(consts[2 * pick(3)])
+                           : sp_slot(16));
+          break;
+        }
+        case 6:
+          as.intrin(kMath[pick(std::size(kMath))]);
+          break;
+        case 7:
+          // Reads r0 (cvtsi2ss from r0 when narrowed) or r2.
+          as.emit(Opcode::kCvtsi2sd, low_xmm(),
+                  Operand::gpr(pick(2) == 0 ? 0 : 2));
+          break;
+        case 8:
+          // r0 is a live program value: update it between FP code.
+          if (pick(2) == 0) {
+            as.emit(Opcode::kAdd, Operand::gpr(0),
+                    Operand::make_imm(static_cast<std::int64_t>(pick(9))));
+          } else {
+            as.emit(Opcode::kMov, Operand::gpr(3), Operand::gpr(0));
+          }
+          break;
+        case 9:
+          as.intrin(pick(2) == 0 ? in::Id::kMpiRank : in::Id::kMpiSize);
+          break;
+        case 10:
+          // push/pop around an FP op (sp-relative sources shift by 8).
+          as.emit(Opcode::kPush, Operand::gpr(2));
+          as.emit(arith(), low_xmm(), pick(2) == 0 ? any_xmm() : sp_slot(8));
+          as.emit(Opcode::kPop, Operand::gpr(3));
+          break;
+        case 11:
+          switch (pick(3)) {
+            case 0:
+              as.emit(Opcode::kStore, abs(bss + 8 * pick(4)),
+                      Operand::gpr(pick(2) == 0 ? 0 : 2));
+              break;
+            case 1:
+              as.emit(Opcode::kMovsdMX, abs(bss + 8 * pick(4)), low_xmm());
+              break;
+            default:
+              as.emit(Opcode::kMovsdMX, sp_slot(8), low_xmm());
+              break;
+          }
+          break;
+        case 12:
+          as.emit(Opcode::kLoad, Operand::gpr(2), sp_slot(8));
+          as.emit(Opcode::kAnd, Operand::gpr(2), Operand::make_imm(7));
+          break;
+        case 13:
+          as.emit(pick(2) == 0 ? Opcode::kCvtsd2ss : Opcode::kCvtss2sd,
+                  low_xmm(), low_xmm());
+          break;
+        case 14:
+          as.emit(Opcode::kMovsdXX, any_xmm(), any_xmm());
+          break;
+        default:
+          as.emit(Opcode::kLea, Operand::gpr(3),
+                  Operand::mem_bd(arch::kSpReg, 8));
+          break;
+      }
+    }
+  }
+  for (const int r : {0, 1, 2, 3, 4, 5, 6, 7, 14, 15}) {
+    if (r != 0) {
+      as.emit(Opcode::kMovsdXX, Operand::xmm(0),
+              Operand::xmm(static_cast<std::uint8_t>(r)));
+    }
+    as.intrin(in::Id::kOutputF64);
+  }
+  for (const std::uint8_t g : {std::uint8_t{0}, std::uint8_t{2}, std::uint8_t{3}, arch::kSpReg}) {
+    as.emit(Opcode::kMov, Operand::gpr(1), Operand::gpr(g));
+    as.intrin(in::Id::kOutputI64);
+  }
+  as.halt();
+  as.end_function();
+  return program::relayout(as.finish("main"));
+}
+
+/// What a run of a random_scratch_image shows: status, sentinel flag,
+/// both output channels, and (after a clean halt) the guest memory from the
+/// final sp (its last i64 output) to the top, plus the bss.
+struct ScratchRun {
+  vm::RunResult result;
+  std::vector<std::uint64_t> f64;
+  std::vector<std::int64_t> i64;
+  std::vector<std::uint8_t> stack, bss;
+};
+
+ScratchRun run_scratch(const program::Image& img, vm::Engine engine) {
+  vm::Machine::Options opts;
+  opts.engine = engine;
+  opts.profile = false;
+  opts.max_instructions = 1u << 20;
+  vm::Machine m(img, opts);
+  ScratchRun r;
+  r.result = m.run();
+  for (const double v : m.output_f64()) {
+    r.f64.push_back(std::bit_cast<std::uint64_t>(v));
+  }
+  r.i64 = m.output_i64();
+  if (r.result.ok() && !r.i64.empty()) {
+    const auto sp = static_cast<std::uint64_t>(r.i64.back());
+    r.stack = m.read_memory(sp, img.memory_size - sp);
+    r.bss = m.read_memory(img.effective_bss_base(), img.bss_size);
+  }
+  return r;
+}
+
+void expect_same_run(const ScratchRun& got, const ScratchRun& want,
+                     const std::string& where) {
+  ASSERT_EQ(got.result.status, want.result.status)
+      << where << ": " << got.result.trap_message << " vs "
+      << want.result.trap_message;
+  ASSERT_EQ(got.result.sentinel_escape, want.result.sentinel_escape)
+      << where;
+  ASSERT_EQ(got.f64, want.f64) << where;
+  ASSERT_EQ(got.i64, want.i64) << where;
+  ASSERT_EQ(got.stack, want.stack) << where << ": stack above the final sp";
+  ASSERT_EQ(got.bss, want.bss) << where << ": bss";
+}
+
+class ScratchStateFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(ScratchStateFuzz, AllDoubleMatchesOriginalMixedMatchesReference) {
+  for (int trial = 0; trial < 30 * env_trials(1); ++trial) {
+    const std::uint64_t seed =
+        0x5C2A * static_cast<std::uint64_t>(GetParam() + 1) +
+        static_cast<std::uint64_t>(trial);
+    const program::Image orig = random_scratch_image(seed);
+    const auto ix = config::StructureIndex::build(program::lift(orig));
+    const program::Image all_double =
+        instrument::instrument_image(orig, ix, {});
+    SplitMix64 rng(seed ^ 0x5C2A);
+    std::vector<config::PrecisionConfig> mixed;
+    for (int c = 0; c < 3; ++c) {
+      mixed.push_back(random_mixed_config(ix, &rng, c == 2 ? 16 : 0));
+    }
+    for (const vm::Engine engine : {vm::Engine::kMicroOp, vm::Engine::kJit}) {
+      const std::string where =
+          "seed " + std::to_string(seed) +
+          (engine == vm::Engine::kJit ? " (jit)" : " (micro-op)");
+      // (a) All-double instrumentation preserves the program's semantics.
+      expect_same_run(run_scratch(all_double, engine),
+                      run_scratch(orig, engine), where + " all-double");
+      if (HasFatalFailure()) return;
+      // (b) Mixed configurations match the Figure 6 reference.
+      for (std::size_t c = 0; c < mixed.size(); ++c) {
+        const ScratchRun got = run_scratch(
+            instrument::instrument_image(orig, ix, mixed[c]), engine);
+        const ScratchRun want = run_scratch(
+            reference::instrument_image(orig, ix, mixed[c]), engine);
+        expect_same_run(got, want, where + " config " + std::to_string(c));
+        if (HasFatalFailure()) return;
+        ASSERT_LE(got.result.instructions_retired,
+                  want.result.instructions_retired)
+            << where << " config " << c;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ScratchStateFuzz, ::testing::Range(0, 4));
+
+// ---------------------------------------------------------------------------
+// 5. Config serialization fuzz: canonical-key round-trips over deep
 // hierarchical configs (flags at every level, ids spanning sixteen orders
 // of binary magnitude), and damaged keys the parser must reject cleanly.
 

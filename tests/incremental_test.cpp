@@ -383,6 +383,41 @@ TEST(TrialBuilder, BitIdenticalOnKernelImage) {
   }
 }
 
+TEST(TrialBuilder, SignaturesOfUnreachedFunctionsMatchFullResolution) {
+  // The builder resolves only the functions a config's flags reach and
+  // reuses the default signature elsewhere: it must equal resolving every
+  // function, on random configs, search-step neighbours and flags on ids
+  // the index does not have.
+  for (const bool kernel : {false, true}) {
+    const program::Image img =
+        kernel ? kernels::build_image(kernels::make_mg('S'))
+               : prepare_structured().image;
+    const program::Program lifted = program::lift(img);
+    const auto ix = StructureIndex::build(lifted);
+    const verify::TrialBuilder builder(img, ix);
+    SplitMix64 rng(kernel ? 0x516A : 0x516B);
+    PrecisionConfig cfg;
+    for (int step = 0; step < 150; ++step) {
+      cfg = step % 5 == 4 ? random_config(ix, &rng, 8)
+                          : mutate_config(ix, cfg, &rng);
+      PrecisionConfig probe = cfg;
+      if (step % 7 == 3) {
+        probe.set_instr(ix.instrs().size() + step, Precision::kSingle);
+        probe.set_block(ix.blocks().size() + 1, Precision::kSingle);
+        probe.set_module(ix.modules().size(), Precision::kSingle);
+      }
+      const std::vector<std::string> got = builder.signatures(probe);
+      ASSERT_EQ(got.size(), lifted.functions.size());
+      for (std::size_t f = 0; f < got.size(); ++f) {
+        ASSERT_EQ(got[f], instrument::precision_signature(
+                              ix, probe, f, lifted.functions[f]))
+            << (kernel ? "mg S" : "structured") << " step " << step
+            << " function " << f << " key " << probe.canonical_key();
+      }
+    }
+  }
+}
+
 /// Two one-function programs with the same function count but different
 /// instructions: the index of the longer one is stale for the shorter.
 struct StaleIndexCase {
@@ -430,6 +465,7 @@ TEST(TrialBuilder, StaleIndexIsAProgramErrorLikeScratch) {
   expect_stale([&] { instrument::instrument_image(sc.image, sc.stale, cfg); });
   verify::TrialBuilder builder(sc.image, sc.stale);
   expect_stale([&] { builder.build(cfg); });
+  expect_stale([&] { builder.build(PrecisionConfig{}); });
 }
 
 // ---------------------------------------------------------------------------

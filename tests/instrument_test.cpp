@@ -10,6 +10,7 @@
 //  - values that escape the instrumentation crash loudly.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "asm/assembler.hpp"
@@ -195,6 +196,91 @@ TEST(Instrument, PackedAllSingleMatchesManualConversion) {
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0], static_cast<double>(m0 + m0));
   EXPECT_EQ(got[1], static_cast<double>(m1 + m1));
+}
+
+TEST(Instrument, SpRelativeMemorySourcesReadTheProgramsSlot) {
+  // A snippet hoists its memory source after saving scratch state on the
+  // stack, so an sp-relative address must be rebased by what the snippet
+  // pushed: scalar sources through base sp and index sp, and a packed one.
+  const double a = 1.0 / 3.0, b = 0.1, c = 5.0 / 7.0;
+  const double p0 = 2.0 / 3.0, p1 = 1.0 / 9.0, q0 = 0.3, q1 = 11.0 / 13.0;
+  casm::Assembler as;
+  as.begin_function("main", "main");
+  const auto mem = [](std::uint64_t x) {
+    return Operand::mem_abs(static_cast<std::int32_t>(x));
+  };
+  const auto la = as.data_f64(a), lb = as.data_f64(b), lc = as.data_f64(c);
+  const auto lp = as.data_f64(p0);
+  as.data_f64(p1);
+  const auto lq = as.data_f64(q0);
+  as.data_f64(q1);
+  as.emit(Opcode::kMovsdXM, Operand::xmm(2), mem(la));
+  as.emit(Opcode::kMovsdXM, Operand::xmm(3), mem(lb));
+  as.emit(Opcode::kMovsdXM, Operand::xmm(4), mem(lc));
+  as.emit(Opcode::kPushX, Operand::xmm(3));
+  as.emit(Opcode::kPushX, Operand::xmm(4));
+  // [sp+0] holds c, [sp+16] holds b.
+  as.emit(Opcode::kAddsd, Operand::xmm(2), Operand::mem_bd(arch::kSpReg, 16));
+  as.emit(Opcode::kMov, Operand::gpr(2), Operand::make_imm(2));
+  as.emit(Opcode::kMulsd, Operand::xmm(2),
+          Operand::mem_bisd(2, arch::kSpReg, 1, -2));
+  as.emit(Opcode::kPopX, Operand::xmm(4));
+  as.emit(Opcode::kPopX, Operand::xmm(3));
+  as.emit(Opcode::kMovsdXX, Operand::xmm(0), Operand::xmm(2));
+  as.intrin(in::Id::kOutputF64);
+  as.emit(Opcode::kMovapdXM, Operand::xmm(5), mem(lp));
+  as.emit(Opcode::kMovapdXM, Operand::xmm(6), mem(lq));
+  as.emit(Opcode::kPushX, Operand::xmm(6));
+  as.emit(Opcode::kAddpd, Operand::xmm(5), Operand::mem_bd(arch::kSpReg, 0));
+  as.emit(Opcode::kPopX, Operand::xmm(6));
+  as.emit(Opcode::kPushX, Operand::xmm(5));
+  as.emit(Opcode::kMovsdXM, Operand::xmm(0),
+          Operand::mem_bd(arch::kSpReg, 0));
+  as.intrin(in::Id::kOutputF64);
+  as.emit(Opcode::kMovsdXM, Operand::xmm(0),
+          Operand::mem_bd(arch::kSpReg, 8));
+  as.intrin(in::Id::kOutputF64);
+  as.emit(Opcode::kPopX, Operand::xmm(5));
+  as.halt();
+  as.end_function();
+  TestBinary tb = prepare(as, "main");
+
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const float fa = static_cast<float>(a), fb = static_cast<float>(b),
+              fc = static_cast<float>(c);
+  const std::vector<std::uint64_t> want_double = {
+      bits((a + b) * c), bits(p0 + q0), bits(p1 + q1)};
+  const std::vector<std::uint64_t> want_single = {
+      bits(static_cast<double>((fa + fb) * fc)),
+      bits(static_cast<double>(static_cast<float>(p0) +
+                               static_cast<float>(q0))),
+      bits(static_cast<double>(static_cast<float>(p1) +
+                               static_cast<float>(q1)))};
+
+  PrecisionConfig all_single;
+  all_single.set_module(0, Precision::kSingle);
+  const struct {
+    const char* what;
+    program::Image image;
+    const std::vector<std::uint64_t>& want;
+  } cases[] = {
+      {"original", tb.image, want_double},
+      {"all-double", instrument_image(tb.image, tb.index, {}), want_double},
+      {"all-single", instrument_image(tb.image, tb.index, all_single),
+       want_single}};
+  for (const auto& c : cases) {
+    for (const vm::Engine engine : {vm::Engine::kMicroOp, vm::Engine::kJit}) {
+      vm::Machine::Options opts;
+      opts.engine = engine;
+      vm::Machine m(c.image, opts);
+      const vm::RunResult r = m.run();
+      ASSERT_TRUE(r.ok()) << r.trap_message;
+      std::vector<std::uint64_t> got;
+      for (const double v : m.output_f64()) got.push_back(bits(v));
+      EXPECT_EQ(got, c.want)
+          << c.what << (engine == vm::Engine::kJit ? " jit" : " micro-op");
+    }
+  }
 }
 
 TEST(Instrument, MaxLoopAllPrecisions) {

@@ -311,7 +311,9 @@ int main(int argc, char** argv) {
     for (const auto& rec : res.trace) {
       std::printf("  %-40s %4zu cand  %s%s%s%s\n", rec.unit.c_str(),
                   rec.candidates, rec.passed ? "PASS" : "fail",
-                  rec.cached ? " (cached)" : "",
+                  rec.cached    ? " (cached)"
+                  : rec.derived ? " (derived)"
+                                : "",
                   rec.failure.empty() ? "" : ": ",
                   rec.failure.c_str());
     }
@@ -321,10 +323,11 @@ int main(int argc, char** argv) {
               w.name.c_str(), res.candidates, res.configs_tested,
               t.elapsed_seconds());
   const search::SearchMetrics& m = res.metrics;
-  std::printf("trials: %zu live + %zu cached (%.1f%% cache hit), "
-              "%.1f trials/s, %.2fs evaluating\n",
-              m.trials_live, m.trials_cached, m.cache_hit_rate,
-              m.trials_per_sec, m.eval_seconds);
+  std::printf("trials: %zu live + %zu cached + %zu derived (%.1f%% cache "
+              "hit), %.1f trials/s, %.2fs evaluating, %.3fs profiling\n",
+              m.trials_live, m.trials_cached, m.trials_derived,
+              m.cache_hit_rate, m.trials_per_sec, m.eval_seconds,
+              m.profile_seconds);
   for (const auto& [level, secs] : m.eval_seconds_per_level) {
     std::printf("  level %-12s %.2fs\n", level.c_str(), secs);
   }

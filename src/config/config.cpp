@@ -89,6 +89,29 @@ Precision PrecisionConfig::resolve(const StructureIndex& index,
   return Precision::kDouble;
 }
 
+Precision PrecisionConfig::effective_precision(const StructureIndex& index,
+                                               std::size_t i) const {
+  const Precision p = resolve(index, i);
+  return p == Precision::kSingle && !index.instrs()[i].candidate
+             ? Precision::kDouble
+             : p;
+}
+
+PrecisionConfig PrecisionConfig::effective(const StructureIndex& index) const {
+  PrecisionConfig out;
+  const std::vector<bool> reached = reached_funcs(index);
+  for (std::size_t f = 0; f < reached.size(); ++f) {
+    if (!reached[f]) continue;
+    for (const std::size_t b : index.funcs()[f].blocks) {
+      for (const std::size_t i : index.blocks()[b].instrs) {
+        const Precision p = effective_precision(index, i);
+        if (p != Precision::kDouble) out.instr_.emplace(i, p);
+      }
+    }
+  }
+  return out;
+}
+
 std::vector<bool> PrecisionConfig::reached_funcs(
     const StructureIndex& index) const {
   std::vector<bool> reached(index.funcs().size(), false);

@@ -43,6 +43,20 @@ class PrecisionConfig {
   /// overrides: module > function > block > instruction > default(double).
   Precision resolve(const StructureIndex& index, std::size_t i) const;
 
+  /// The precision instruction `i` is instrumented with: resolve(), except
+  /// that a `single` flag reaching a non-candidate (only an aggregate flag
+  /// can) leaves it double. instrument::precision_signature is this, per
+  /// instruction.
+  Precision effective_precision(const StructureIndex& index,
+                                std::size_t i) const;
+
+  /// The instruction-level configuration that flags exactly the
+  /// instructions whose effective precision is not double, each with that
+  /// precision. It is all of this config that the instrumenter sees: two
+  /// configs have equal effective configs exactly when their signature
+  /// vectors are equal, and then they build bit-identical trial images.
+  PrecisionConfig effective(const StructureIndex& index) const;
+
   /// One entry per function of `index`: true when a flag of this config
   /// reaches it (a flag on its module, on itself, or on one of its blocks
   /// or instructions). Every instruction of an unreached function resolves

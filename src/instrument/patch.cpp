@@ -296,12 +296,11 @@ std::string precision_signature(const config::StructureIndex& index,
     for (std::size_t k = 0; k < ids.size(); ++k) {
       const config::InstrEntry& ie = index.instrs()[ids[k]];
       if (ie.addr != instrs[k].addr) throw stale();
-      Precision p = cfg.resolve(index, ids[k]);
       // A `single` flag on an aggregate also covers non-candidate FP
       // instructions inside it (e.g. conversions, output calls); those
       // execute in double precision with tag checks.
-      if (p == Precision::kSingle && !ie.candidate) p = Precision::kDouble;
-      sig.push_back(config::precision_flag(p));
+      sig.push_back(
+          config::precision_flag(cfg.effective_precision(index, ids[k])));
     }
   }
   return sig;

@@ -35,6 +35,7 @@ std::string metrics_json(const SearchResult& res) {
   uint("trials_total", m.trials_total);
   uint("trials_live", m.trials_live);
   uint("trials_cached", m.trials_cached);
+  uint("trials_derived", m.trials_derived);
   num("cache_hit_rate", m.cache_hit_rate);
   num("wall_seconds", m.wall_seconds);
   num("eval_seconds", m.eval_seconds);
@@ -46,6 +47,7 @@ std::string metrics_json(const SearchResult& res) {
   num("run_seconds", m.run_seconds);
   num("verify_seconds", m.verify_seconds);
   num("driver_seconds", m.driver_seconds);
+  num("profile_seconds", m.profile_seconds);
   num("unattributed_seconds", m.unattributed_seconds);
   uint("image_cache_hits", m.image_cache_hits);
   uint("image_cache_misses", m.image_cache_misses);

@@ -11,6 +11,7 @@
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <unordered_set>
 #include <utility>
 
 #include "net/socket.hpp"
@@ -400,6 +401,10 @@ class PoolExecutor final : public TrialExecutor {
     ++outstanding_;
   }
 
+  void dispatch() override {
+    if (outstanding_ > 0) pool_->pump(/*max_wait_ms=*/0);
+  }
+
   void poll(const Done& done) override {
     while (outstanding_ > 0) {
       pool_->pump(/*max_wait_ms=*/-1);
@@ -519,6 +524,10 @@ class Searcher {
         options_(options), spec_(sandbox_spec(options)),
         external_(external) {}
 
+  ~Searcher() {
+    if (profiler_.joinable()) profiler_.join();
+  }
+
   SearchResult run() {
     resolve_engine();
     compute_fingerprint();
@@ -527,7 +536,6 @@ class Searcher {
     setup_remote();
     adopt_fleet_journal();
     setup_journal();
-    profile_original();
     setup_executor();
     votes_.emplace(*exec_, options_.max_retries);
 
@@ -535,13 +543,24 @@ class Searcher {
     // held and committed in the order a 1-lane search pops them (see
     // advance()), so the journal, the trace and the children each commit
     // pushes do not depend on the lane count, the executor or the order in
-    // which attempts finish.
+    // which attempts finish. The module roots go out before the original
+    // is profiled: every root is tested whatever the profile says, and
+    // nothing commits until the profile has re-weighted the queue.
     seed_queue();
     advance();
-    votes_->run([this](TrialEval* t) {
+    start_profile();
+    const VoteLoop::Settled settled = [this](TrialEval* t) {
       static_cast<Trial*>(t)->settled = true;
       advance();
-    });
+    };
+    votes_->run(settled);
+    if (!profiled_) {
+      // Every open vote settled before the profile was applied (or none
+      // was open: every root was cached).
+      finish_profile();
+      advance();
+      votes_->run(settled);
+    }
     FPMIX_CHECK(queue_.empty() && evals_.empty());
 
     // Compose and test the final configuration (Section 2.2: "the union of
@@ -606,10 +625,11 @@ class Searcher {
     exec_->fold_metrics(&metrics_);
     out.metrics = metrics_;
     if (options_.progress_log) {
-      log::infof("search done: %zu trials (%zu live, %zu cached, %.1f%% "
-                 "hit) in %.2fs, %.1f trials/s",
+      log::infof("search done: %zu trials (%zu live, %zu cached, %zu "
+                 "derived, %.1f%% hit) in %.2fs, %.1f trials/s",
                  metrics_.trials_total, metrics_.trials_live,
-                 metrics_.trials_cached, metrics_.cache_hit_rate,
+                 metrics_.trials_cached, metrics_.trials_derived,
+                 metrics_.cache_hit_rate,
                  metrics_.wall_seconds, metrics_.trials_per_sec);
     }
     return out;
@@ -633,25 +653,83 @@ class Searcher {
     }
   }
 
-  void profile_original() {
-    vm::Machine::Options mopts;
-    mopts.max_instructions = options_.max_instructions_per_run;
-    mopts.engine = engine_;
-    mopts.deadline_ns = options_.deadline_ms * 1000000ull;
-    vm::Machine machine(original_, mopts);
-    const vm::RunResult r = machine.run();
-    if (!r.ok()) {
+  /// A profiling run of the original binary (optimization 2).
+  struct Profile {
+    bool ok = false;
+    std::string trap_message;  // when !ok
+    std::map<std::uint64_t, std::uint64_t> counts;
+    double seconds = 0.0;
+    std::exception_ptr error;  // thrown by the run; rethrown when applied
+  };
+
+  Profile profile_original() const {
+    Profile p;
+    Timer timer;
+    try {
+      vm::Machine::Options mopts;
+      mopts.max_instructions = options_.max_instructions_per_run;
+      mopts.engine = engine_;
+      mopts.deadline_ns = options_.deadline_ms * 1000000ull;
+      vm::Machine machine(original_, mopts);
+      const vm::RunResult r = machine.run();
+      p.ok = r.ok();
+      if (p.ok) {
+        p.counts = machine.profile_by_address();
+      } else {
+        p.trap_message = r.trap_message;
+      }
+    } catch (...) {
+      p.error = std::current_exception();
+    }
+    p.seconds = timer.elapsed_seconds();
+    return p;
+  }
+
+  /// Profiles the original beside the root trials; advance() applies the
+  /// profile once it is ready. In-process lanes get a thread of their own
+  /// for it. A sandboxed or fleet executor profiles here, on the driver,
+  /// after starting what it can: a worker pool forks without exec, and a
+  /// child forked while a profiling thread held a JIT-cache lock could
+  /// deadlock.
+  void start_profile() {
+    if (!exec_->sandboxed()) {
+      profiler_ = std::thread([this] {
+        profile_ = profile_original();
+        profile_ready_.store(true, std::memory_order_release);
+      });
+      return;
+    }
+    exec_->dispatch();
+    profile_ = profile_original();
+    profile_ready_.store(true, std::memory_order_release);
+  }
+
+  /// Applies the profile and re-weights the queued units. Each keeps its
+  /// seq, so the pop order is exactly the one a search that profiled before
+  /// pushing anything would have.
+  void finish_profile() {
+    if (profiler_.joinable()) profiler_.join();
+    profiled_ = true;
+    metrics_.profile_seconds = profile_.seconds;
+    if (profile_.error != nullptr) std::rethrow_exception(profile_.error);
+    if (!profile_.ok) {
       // The profile only steers trial *order* (optimization 2), never
       // correctness -- so a failing reference run degrades the search to
       // unweighted structure-order prioritisation instead of aborting it.
       log::warnf(
           "search: profiling run of the original binary failed (%s); "
           "falling back to unweighted structure-order prioritisation",
-          r.trap_message.c_str());
+          profile_.trap_message.c_str());
       metrics_.profile_degraded = true;
       return;
     }
-    ix_.apply_profile(machine.profile_by_address());
+    ix_.apply_profile(profile_.counts);
+    std::map<Order, Queued> queue;
+    for (auto& [order, q] : queue_) {
+      q.unit.weight = weight_of(ix_, unit_candidates(ix_, q.unit));
+      queue.emplace(order_of(q.unit), std::move(q));
+    }
+    queue_.swap(queue);
   }
 
   void seed_queue() {
@@ -668,13 +746,11 @@ class Searcher {
     if (cands.empty()) return;
     u.weight = weight_of(ix_, cands);
     u.seq = next_seq_++;
-    // The 1-lane pop order: heaviest first, then oldest (only oldest when
-    // profile prioritisation is off).
-    const Order order{options_.prioritize_by_profile ? ~u.weight : 0, u.seq};
     Queued q;
     q.cfg = config_for(u);
-    q.key = hex_digest(q.cfg.stable_hash());
+    q.key = trial_key(ix_, q.cfg);
     q.unit = std::move(u);
+    const Order order = order_of(q.unit);
     queue_.emplace(order, std::move(q));
   }
 
@@ -683,10 +759,15 @@ class Searcher {
   /// each one's children; then opens votes on the highest-priority queued
   /// units until every lane is busy. A unit whose key is cached, in flight
   /// or held never runs: it waits for that result, and the first unit with
-  /// the key in pop order commits it live, later ones as cached -- exactly
-  /// what a 1-lane search does. Runs under the vote loop's lock.
+  /// the key in pop order commits it live, later ones as derived -- exactly
+  /// what a 1-lane search does. Nothing commits before the profile has been
+  /// applied, which is the first thing done once it is ready. Runs under
+  /// the vote loop's lock.
   void advance() {
-    while (!queue_.empty()) {
+    if (!profiled_ && profile_ready_.load(std::memory_order_acquire)) {
+      finish_profile();
+    }
+    while (profiled_ && !queue_.empty()) {
       const auto head = queue_.begin();
       Queued& q = head->second;
       std::unique_ptr<Trial> t = cached_trial(q.key);
@@ -724,10 +805,17 @@ class Searcher {
   /// (priority, seq): ascending order is the 1-lane pop order.
   using Order = std::pair<std::uint64_t, std::uint64_t>;
 
+  /// The 1-lane pop order: heaviest first, then oldest (only oldest when
+  /// profile prioritisation is off).
+  Order order_of(const Unit& u) const {
+    return {options_.prioritize_by_profile ? ~u.weight : 0, u.seq};
+  }
+
   /// One configuration on its way through the cache -> evaluate -> commit
   /// pipeline.
   struct Trial : TrialEval {
     bool cached = false;
+    bool derived = false;
     bool settled = false;  // live vote done, waiting for its commit turn
   };
 
@@ -1004,7 +1092,7 @@ class Searcher {
   /// refinement steps), sharing journal/metrics with frontier trials.
   verify::EvalResult run_config_trial(const PrecisionConfig& cfg,
                                       const std::string& name) {
-    const std::string key = hex_digest(cfg.stable_hash());
+    const std::string key = trial_key(ix_, cfg);
     std::unique_ptr<Trial> t = cached_trial(key);
     if (t == nullptr) {
       t = std::make_unique<Trial>();
@@ -1019,22 +1107,25 @@ class Searcher {
     return std::move(t->result);
   }
 
-  /// The trial cache's verdict for `key`, or nullptr when it has none.
+  /// The trial cache's verdict for `key`, or nullptr when it has none:
+  /// derived when this search settled the key live, else cached.
   std::unique_ptr<Trial> cached_trial(const std::string& key) const {
     const CachedTrial* hit = cache_.lookup(key);
     if (hit == nullptr) return nullptr;
     auto t = std::make_unique<Trial>();
     t->key = key;
-    t->cached = true;
+    t->derived = live_keys_.count(key) != 0;
+    t->cached = !t->derived;
     t->result.passed = hit->passed;
     t->result.failure_class = hit->failure_class;
     t->result.failure = hit->failure;
     return t;
   }
 
-  /// Counts, journals, caches and traces a finished trial. Callers hold the
-  /// vote loop's lock (or run before or after it): journal appends and
-  /// cache inserts are not synchronized otherwise.
+  /// Counts, journals, caches and traces a finished trial. Only a live
+  /// trial writes a journal line. Callers hold the vote loop's lock (or run
+  /// before or after it): journal appends and cache inserts are not
+  /// synchronized otherwise.
   void commit_trial(Trial* t, const std::string& name, std::size_t candidates,
                     const char* level) {
     ++tested_;
@@ -1042,10 +1133,13 @@ class Searcher {
       ++metrics_.failures_by_class[verify::failure_class_name(
           t->result.failure_class)];
     }
-    if (t->cached) {
+    if (t->derived) {
+      ++metrics_.trials_derived;
+    } else if (t->cached) {
       ++metrics_.trials_cached;
     } else {
       ++metrics_.trials_live;
+      live_keys_.insert(t->key);
       metrics_.retries += t->attempts.size() - 1;
       if (t->mixed_votes) {
         ++metrics_.quarantined;
@@ -1076,7 +1170,7 @@ class Searcher {
       }
       cache_.insert(t->key, std::move(entry));
     }
-    if (sched_ != nullptr) {
+    if (sched_ != nullptr && !t->derived) {
       // Make the verdict fleet knowledge (no-op unless shard_cache): the
       // endpoint that served it already cached it; the others -- and
       // verdicts from local fallback or journal replay -- learn it here.
@@ -1092,6 +1186,7 @@ class Searcher {
       rec.candidates = candidates;
       rec.passed = t->result.passed;
       rec.cached = t->cached;
+      rec.derived = t->derived;
       rec.eval_ns = t->eval_ns;
       rec.failure = t->result.failure;
       trace_.push_back(std::move(rec));
@@ -1118,10 +1213,10 @@ class Searcher {
       eta = static_cast<double>(queue_.size()) * per_live /
             static_cast<double>(exec_->lanes());
     }
-    log::infof("search: %zu trials (%zu cached, %.1f%% hit), %.1f trials/s, "
-               "%zu queued, eta >= %.1fs",
-               tested_, metrics_.trials_cached, hit, rate, queue_.size(),
-               eta);
+    log::infof("search: %zu trials (%zu cached, %zu derived, %.1f%% hit), "
+               "%.1f trials/s, %zu queued, eta >= %.1fs",
+               tested_, metrics_.trials_cached, metrics_.trials_derived, hit,
+               rate, queue_.size(), eta);
   }
 
   void process_result(const Unit& u, const verify::EvalResult& r) {
@@ -1269,6 +1364,8 @@ class Searcher {
   std::vector<std::string> quarantine_;
 
   TrialCache cache_;
+  /// Keys this search committed live: a later unit with one is derived.
+  std::unordered_set<std::string> live_keys_;
   Journal journal_;
   std::string search_fp_;
   /// --adopt state: the local journal was rebuilt from the fleet's shards;
@@ -1279,6 +1376,13 @@ class Searcher {
   vm::Engine engine_ = vm::Engine::kMicroOp;
   SearchMetrics metrics_;
   Timer wall_timer_;
+  /// The profiling run (start_profile): the thread in-process lanes run it
+  /// on, its result, set before profile_ready_, and whether advance() may
+  /// commit (the profile has been applied).
+  std::thread profiler_;
+  Profile profile_;
+  std::atomic<bool> profile_ready_{false};
+  bool profiled_ = false;
   /// Shared patch+predecode front end (image_cache option). Declared
   /// before executor_ so the executor (whose backends hold a pointer to it)
   /// is destroyed first.
@@ -1352,6 +1456,11 @@ void VoteLoop::run(const Settled& settled) {
     executor_.poll(done);
     if (TrialExecutor* fallback = executor_.fallback()) fallback->poll(done);
   }
+}
+
+std::string trial_key(const StructureIndex& index,
+                      const PrecisionConfig& cfg) {
+  return hex_digest(cfg.effective(index).stable_hash());
 }
 
 namespace {

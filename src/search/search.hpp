@@ -193,11 +193,15 @@ struct SearchOptions {
 /// One tested configuration, for logs and the search trace.
 struct TestRecord {
   std::string unit;        // e.g. "module solver", "func conj_grad[3..5]"
-  std::string key;         // stable config digest (journal/cache identity)
+  std::string key;         // trial_key (journal/cache identity)
   std::size_t candidates;  // candidate instructions the unit covers
   bool passed;
   bool cached = false;       // served from the trial cache, not evaluated
-  std::uint64_t eval_ns = 0; // live evaluation wall time (0 when cached)
+  /// Committed from a verdict this search settled live for the same key
+  /// (a failing unit's child with the parent's candidate set); not
+  /// evaluated, not journaled.
+  bool derived = false;
+  std::uint64_t eval_ns = 0; // live evaluation wall time (0 unless live)
   std::string failure;       // trap/verification detail when failed
 };
 
@@ -246,6 +250,9 @@ struct SearchMetrics {
   std::size_t trials_total = 0;   // == SearchResult::configs_tested
   std::size_t trials_live = 0;    // actually patched + run + verified
   std::size_t trials_cached = 0;  // served from the journal-backed cache
+  /// Committed from a verdict this same search settled live under the same
+  /// trial_key; live + cached + derived == total.
+  std::size_t trials_derived = 0;
   double cache_hit_rate = 0.0;    // percent of trials served from cache
   double wall_seconds = 0.0;      // whole search, profiling included
   double eval_seconds = 0.0;      // summed live evaluation time
@@ -270,6 +277,9 @@ struct SearchMetrics {
   /// - eval_seconds / lanes (profiling, commits, waiting on the commit
   /// order and on idle lanes).
   double driver_seconds = 0.0;
+  /// Wall time of the profiling run of the original binary. It runs beside
+  /// the first trials, so it is not all on the search's critical path.
+  double profile_seconds = 0.0;
   /// Evaluation time no stage accounts for: eval_seconds minus the six
   /// stage sums above (dispatch, result hand-off, transport).
   double unattributed_seconds = 0.0;
@@ -399,10 +409,18 @@ struct SearchResult {
   SearchMetrics metrics;
 };
 
+/// A trial's identity: the digest of cfg.effective(index). Configs with
+/// equal keys build bit-identical images and so get the same verdict; the
+/// journal, the trial cache, fault draws and the fleet's shard cache all
+/// key trials by it. A search unit's key is the digest of its candidate set.
+std::string trial_key(const config::StructureIndex& index,
+                      const config::PrecisionConfig& cfg);
+
 /// Runs the full pipeline of Figure 2: profile the original binary, search
 /// the configuration space breadth-first, compose and test the final
 /// configuration. `index` must be built from `original` and is updated in
-/// place with profile weights.
+/// place with profile weights. The profiling run overlaps the module-level
+/// trials, which are always tested; nothing commits before it is applied.
 SearchResult run_search(const program::Image& original,
                         config::StructureIndex* index,
                         const verify::Verifier& verifier,

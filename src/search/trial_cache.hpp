@@ -1,10 +1,12 @@
 // Persistent trial cache for the configuration search.
 //
-// Every evaluated configuration (a "trial") is identified by the stable
-// digest of its PrecisionConfig serialization. Outcomes are held in an
+// Every evaluated configuration (a "trial") is identified by its
+// search::trial_key: the stable digest of the PrecisionConfig serialization
+// of its effective (instruction-level) config. Outcomes are held in an
 // in-memory cache and appended to a JSONL journal, so that
-//   * identical sub-configurations -- common under binary splitting and
-//     composition refinement -- are evaluated exactly once, and
+//   * configurations that build the same image -- common under binary
+//     splitting and composition refinement -- are evaluated exactly once,
+//     and
 //   * a crashed or interrupted search resumes by replaying the journal:
 //     the deterministic search re-traverses the same frontier, but every
 //     already-journaled trial is served from cache at zero evaluation cost.

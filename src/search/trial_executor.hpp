@@ -54,12 +54,21 @@ class TrialExecutor {
   /// polling thread. Returns at once when nothing is outstanding.
   virtual void poll(const Done& done) = 0;
 
+  /// Starts attempts submitted so far without waiting for any to finish,
+  /// where the backend can (sandboxed workers); the others start them in
+  /// poll(). The search calls it before work it does on its own thread.
+  virtual void dispatch() {}
+
   /// Where trials go that this executor could not serve (served == false);
   /// nullptr when every job is always served.
   virtual TrialExecutor* fallback() { return nullptr; }
 
   /// Folds the backend's own counters into the search metrics (end of run).
   virtual void fold_metrics(SearchMetrics* /*m*/) const {}
+
+  /// Trials run in other processes (a worker pool, which may fork while
+  /// the search runs, or a fleet).
+  bool sandboxed() const { return sandboxed_; }
 
   /// The per-backend voting rule. Every in-process attempt votes,
   /// kInternalError included. A sandboxed executor (pool or fleet) has
@@ -85,7 +94,7 @@ class TrialExecutor {
 /// accounting of *every* attempt spent on it.
 struct TrialEval {
   config::PrecisionConfig cfg;
-  std::string key;  // stable config digest (cache/journal identity)
+  std::string key;  // search::trial_key (cache/journal identity)
   verify::EvalResult result;  // last attempt, then the settled verdict
   std::uint64_t eval_ns = 0;  // summed wall time of the attempts
   /// The cost of each attempt, in order; size() is the attempt count.

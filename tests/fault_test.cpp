@@ -625,7 +625,8 @@ TEST(Soak, SeededFaultCampaignsAlwaysTerminate) {
 
     // Metrics bookkeeping stays consistent under faults.
     const search::SearchMetrics& m = res.metrics;
-    EXPECT_EQ(m.trials_live + m.trials_cached, m.trials_total);
+    EXPECT_EQ(m.trials_live + m.trials_cached + m.trials_derived,
+              m.trials_total);
     std::size_t by_class = 0;
     for (const auto& [name, count] : m.failures_by_class) {
       verify::FailureClass parsed;

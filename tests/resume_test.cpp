@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "search/search.hpp"
 #include "search/trial_cache.hpp"
 #include "support/fault.hpp"
+#include "support/hash.hpp"
 #include "support/journal.hpp"
 #include "support/strings.hpp"
 #include "verify/evaluate.hpp"
@@ -69,6 +72,35 @@ Prepared prepare(double rel_tol = 1e-12) {
   return p;
 }
 
+/// A cold search's trace holds only live and derived records; each derived
+/// one carries no evaluation time and repeats the key and verdict of an
+/// earlier live record (a failing unit's child with the parent's candidate
+/// set). Returns how many records were derived.
+std::size_t expect_live_or_derived(const SearchResult& res) {
+  const SearchMetrics& m = res.metrics;
+  EXPECT_EQ(m.trials_cached, 0u);
+  EXPECT_EQ(m.trials_live + m.trials_derived, res.configs_tested);
+  std::map<std::string, bool> live;  // key -> verdict
+  std::size_t derived = 0;
+  for (const TestRecord& rec : res.trace) {
+    EXPECT_FALSE(rec.cached) << rec.unit;
+    if (!rec.derived) {
+      EXPECT_GT(rec.eval_ns, 0u) << rec.unit;
+      live.emplace(rec.key, rec.passed);
+      continue;
+    }
+    ++derived;
+    EXPECT_EQ(rec.eval_ns, 0u) << rec.unit;
+    const auto it = live.find(rec.key);
+    EXPECT_NE(it, live.end()) << rec.unit << " derives from no earlier record";
+    if (it != live.end()) {
+      EXPECT_EQ(rec.passed, it->second) << rec.unit;
+    }
+  }
+  EXPECT_EQ(derived, m.trials_derived);
+  return derived;
+}
+
 std::string temp_journal(const char* name) {
   const std::string path = testing::TempDir() + name;
   std::remove(path.c_str());
@@ -84,8 +116,9 @@ TEST(Resume, WarmRunIsAllCacheHitsAndByteIdentical) {
   Prepared p1 = prepare();
   const SearchResult cold = run_search(p1.image, &p1.index, *p1.verifier,
                                        opts);
-  EXPECT_EQ(cold.metrics.trials_cached, 0u);
-  EXPECT_EQ(cold.metrics.trials_live, cold.configs_tested);
+  // `func main` is the only function of module `m`: the module's verdict
+  // stands for it.
+  EXPECT_GT(expect_live_or_derived(cold), 0u);
   EXPECT_GT(cold.configs_tested, 5u);  // the search actually descended
 
   Prepared p2 = prepare();
@@ -354,6 +387,122 @@ TEST(Resume, ParentFormatJournalWithSavedNsReplays) {
   std::remove(journal.c_str());
 }
 
+TEST(Resume, ParentSpelledJournalRerunsOnlyItsAggregateUnits) {
+  // Journals written before trials were keyed by trial_key spell an
+  // aggregate unit's key as the digest of its own flags (a module, a
+  // function, each block of a function part, a block) and the final
+  // composition's as the digest of the union of those. Such a record
+  // matches no key today: a resume reruns exactly those units, once, and
+  // reaches the same final config. Instruction-level units (block parts and
+  // single instructions) are spelled the same both ways.
+  const kernels::Workload w = kernels::make_ft('S');
+  const program::Image img = kernels::build_image(w);
+  const auto verifier = kernels::make_verifier(w, img);
+  const std::string journal = temp_journal("resume_parent_keys.jsonl");
+  SearchOptions opts;
+  opts.journal_path = journal;
+  auto ix = config::StructureIndex::build(program::lift(img));
+  const SearchResult cold = run_search(img, &ix, *verifier, opts);
+  EXPECT_GT(expect_live_or_derived(cold), 0u);
+
+  // The pre-trial_key spelling of the unit journaled as (unit, key).
+  const auto parent_key = [&](const std::string& unit,
+                              const std::string& key) {
+    config::PrecisionConfig cfg;
+    const Precision single = Precision::kSingle;
+    if (unit == "final composition") {
+      return hex_digest(cold.final_config.stable_hash());
+    }
+    if (unit.starts_with("module ")) {
+      cfg.set_module(ix.module_named(unit.substr(7)), single);
+    } else if (unit.starts_with("func ")) {
+      const std::string rest = unit.substr(5);
+      const std::size_t f = ix.func_named(rest.substr(0, rest.find(' ')));
+      if (rest.find(' ') == std::string::npos) {
+        cfg.set_func(f, single);
+      } else {
+        // A function part: the run of f's blocks with candidates whose
+        // candidate set has this key.
+        std::vector<std::size_t> useful;
+        for (std::size_t b : ix.funcs()[f].blocks) {
+          if (!ix.blocks()[b].candidates.empty()) useful.push_back(b);
+        }
+        for (std::size_t i = 0; i < useful.size(); ++i) {
+          config::PrecisionConfig part;
+          for (std::size_t j = i; j < useful.size(); ++j) {
+            part.set_block(useful[j], single);
+            if (trial_key(ix, part) == key) {
+              return hex_digest(part.stable_hash());
+            }
+          }
+        }
+        ADD_FAILURE() << "no block run of " << unit << " has key " << key;
+        return key;
+      }
+    } else if (unit.starts_with("block ") &&
+               unit.find(" part[") == std::string::npos) {
+      const std::uint64_t head = std::strtoull(unit.c_str() + 6, nullptr, 16);
+      std::size_t b = 0;
+      while (b < ix.blocks().size() && ix.blocks()[b].head_addr != head) ++b;
+      EXPECT_LT(b, ix.blocks().size()) << unit;
+      cfg.set_block(b, single);
+    } else {
+      return key;
+    }
+    return hex_digest(cfg.stable_hash());
+  };
+
+  std::vector<std::string> lines;
+  std::multiset<std::string> respelled;  // unit names
+  std::set<std::string> kinds;
+  for (const std::string& line : Journal::read_lines(journal)) {
+    JsonRecord rec;
+    ASSERT_TRUE(parse_flat_json(line, &rec)) << line;
+    const std::string old =
+        rec["type"] == "trial" ? parent_key(rec["unit"], rec["key"])
+                               : rec["key"];
+    if (old == rec["key"]) {
+      lines.push_back(line);
+      continue;
+    }
+    std::uint64_t seq = 0;
+    ASSERT_TRUE(sealed_seq(line, &seq)) << line;
+    std::string body = line.substr(0, line.rfind(",\"seq\":")) + "}";
+    const std::string field = "\"key\":\"" + rec["key"] + "\"";
+    body.replace(body.find(field), field.size(), "\"key\":\"" + old + "\"");
+    lines.push_back(seal_record(body, seq));
+    respelled.insert(rec["unit"]);
+    kinds.insert(rec["unit"].substr(0, rec["unit"].find(' ')));
+  }
+  // Modules, functions, function parts, blocks and the composition.
+  EXPECT_EQ(kinds, (std::set<std::string>{"block", "final", "func",
+                                          "module"}));
+  EXPECT_GT(respelled.size(), 5u);
+  {
+    std::ofstream f(journal, std::ios::trunc | std::ios::binary);
+    for (const auto& l : lines) f << l << '\n';
+  }
+
+  auto ix2 = config::StructureIndex::build(program::lift(img));
+  const SearchResult resumed = run_search(img, &ix2, *verifier, opts);
+  EXPECT_EQ(resumed.metrics.trials_live, respelled.size());
+  std::multiset<std::string> rerun;
+  for (const TestRecord& rec : resumed.trace) {
+    if (!rec.cached && !rec.derived) rerun.insert(rec.unit);
+  }
+  EXPECT_EQ(rerun, respelled);
+  EXPECT_EQ(resumed.configs_tested, cold.configs_tested);
+  EXPECT_EQ(resumed.final_config, cold.final_config);
+  EXPECT_EQ(resumed.final_passed, cold.final_passed);
+
+  // The reruns were journaled under today's keys: a third run is all warm.
+  auto ix3 = config::StructureIndex::build(program::lift(img));
+  const SearchResult warm = run_search(img, &ix3, *verifier, opts);
+  EXPECT_EQ(warm.metrics.trials_live, 0u);
+  EXPECT_EQ(warm.final_config, cold.final_config);
+  std::remove(journal.c_str());
+}
+
 TEST(Resume, JournalFromDifferentVerifierIsIgnored) {
   const std::string journal = temp_journal("resume_foreign.jsonl");
 
@@ -396,7 +545,7 @@ TEST(Resume, ResumeOffAppendsButNeverConsults) {
   Prepared p2 = prepare();
   const SearchResult res = run_search(p2.image, &p2.index, *p2.verifier,
                                       opts);
-  EXPECT_EQ(res.metrics.trials_cached, 0u);
+  expect_live_or_derived(res);
   EXPECT_GT(Journal::read_lines(journal).size(), lines_after_first);
   std::remove(journal.c_str());
 }
@@ -499,7 +648,9 @@ TEST(Resume, MetricsAccounting) {
   const SearchResult res = run_search(p.image, &p.index, *p.verifier, {});
   const SearchMetrics& m = res.metrics;
   EXPECT_EQ(m.trials_total, res.configs_tested);
-  EXPECT_EQ(m.trials_live + m.trials_cached, m.trials_total);
+  EXPECT_EQ(m.trials_live + m.trials_cached + m.trials_derived,
+            m.trials_total);
+  EXPECT_GT(m.profile_seconds, 0.0);
   EXPECT_GT(m.wall_seconds, 0.0);
   EXPECT_GT(m.trials_per_sec, 0.0);
   EXPECT_GT(m.eval_seconds, 0.0);
@@ -515,12 +666,11 @@ TEST(Resume, MetricsAccounting) {
   for (const auto& [level, secs] : m.eval_seconds_per_level) sum += secs;
   EXPECT_NEAR(sum, m.eval_seconds, 1e-9);
   EXPECT_TRUE(m.eval_seconds_per_level.contains("composition"));
-  // Trace carries per-trial identity and timing.
+  // Trace carries per-trial identity, and timing for every live trial.
   for (const TestRecord& rec : res.trace) {
     EXPECT_EQ(rec.key.size(), 16u) << rec.unit;
-    EXPECT_FALSE(rec.cached);
-    EXPECT_GT(rec.eval_ns, 0u) << rec.unit;
   }
+  expect_live_or_derived(res);
 }
 
 TEST(TrialCacheUnit, FirstInsertWinsAndFingerprintSeparates) {

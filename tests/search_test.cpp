@@ -617,6 +617,171 @@ TEST(LaneLoop, CommitsInOneLaneOrderWhateverOrderAttemptsFinish) {
   }
 }
 
+/// Three modules whose candidates run 4, 40 and 400 times, in that index
+/// order: the profile pops them in the reverse of their seq order. Every
+/// module fails at a tight tolerance, so the search descends in each.
+lang::ProgramModel reversed_profile_program() {
+  Builder b;
+  const char* names[] = {"light", "medium", "heavy"};
+  std::vector<lang::Var> outs;
+  for (int m = 0; m < 3; ++m) {
+    const std::string n = names[m];
+    outs.push_back(b.var_f64(n + "_out"));
+    b.begin_func(n, n + "_mod");
+    auto i = b.var_i64(n + "_i");
+    auto acc = b.var_f64(n + "_acc");
+    b.set(acc, b.cf(0.0));
+    b.for_(i, b.ci(0), b.ci(4 * (m == 0 ? 1 : m == 1 ? 10 : 100)), [&] {
+      b.set(acc, Expr(acc) + b.cf(1.0) / to_f64(Expr(i) + b.ci(3)));
+    });
+    b.set(outs.back(), Expr(acc) * b.cf(3.0));
+    b.end_func();
+  }
+  b.begin_func("main", "main_mod");
+  for (const char* n : names) b.call(n);
+  for (const lang::Var& v : outs) b.output(v);
+  b.end_func();
+  return b.take_model();
+}
+
+/// Evaluates each attempt for real inside submit(), so every module root
+/// has its verdict before the search starts profiling the original, and
+/// hands all verdicts it holds over at once, newest first, on each poll.
+/// A profiling run (a JIT compile plus a run of the original) takes far
+/// longer than that hand-over, so every root settles before the profile is
+/// applied.
+class EagerExecutor final : public TrialExecutor {
+ public:
+  EagerExecutor(const program::Image& image,
+                const config::StructureIndex& index,
+                const verify::Verifier& verifier, bool sandboxed)
+      : TrialExecutor(sandboxed, /*lanes=*/4), image_(image), index_(index),
+        verifier_(verifier) {}
+
+  void submit(std::uint64_t ticket, const runner::TrialJob& job,
+              std::uint32_t /*attempt*/) override {
+    runner::TrialOutcome o;
+    o.result = verify::evaluate_config(image_, index_, *job.config,
+                                       verifier_, {});
+    held_.emplace_back(ticket, std::move(o));
+  }
+
+  void poll(const Done& done) override {
+    while (!held_.empty()) {
+      std::vector<std::pair<std::uint64_t, runner::TrialOutcome>> round;
+      round.swap(held_);
+      for (auto it = round.rbegin(); it != round.rend(); ++it) {
+        done(it->first, std::move(it->second));
+      }
+    }
+  }
+
+ private:
+  const program::Image& image_;
+  const config::StructureIndex& index_;
+  const verify::Verifier& verifier_;
+  std::vector<std::pair<std::uint64_t, runner::TrialOutcome>> held_;
+};
+
+TEST(ProfileOverlap, RootsBeforeTheProfileKeepTheOneLaneOrder) {
+  Prepared p = prepare(reversed_profile_program(), 1e-12);
+  ASSERT_EQ(p.index.modules().size(), 4u);  // light, medium, heavy, main
+  const auto run = [&](const std::string& name, SearchOptions opts,
+                       TrialExecutor* ex, SearchResult* out) {
+    opts.journal_timings = false;
+    opts.journal_path = testing::TempDir() + "profile_overlap_" + name +
+                        ".jsonl";
+    std::remove(opts.journal_path.c_str());
+    auto ix = config::StructureIndex::build(program::lift(p.image));
+    *out = ex == nullptr ? run_search(p.image, &ix, *p.verifier, opts)
+                         : run_search(p.image, &ix, *p.verifier, opts, *ex);
+    return read_file(opts.journal_path);
+  };
+  SearchResult serial;
+  const std::string oracle = run("threads1", {}, nullptr, &serial);
+  ASSERT_FALSE(oracle.empty());
+  EXPECT_FALSE(serial.metrics.profile_degraded);
+  EXPECT_GT(serial.metrics.profile_seconds, 0.0);
+  // The profile reversed the seq order of the three module roots.
+  const auto at = [&](const std::string& unit) {
+    std::size_t i = 0;
+    while (i < serial.trace.size() && serial.trace[i].unit != unit) ++i;
+    return i;
+  };
+  EXPECT_EQ(at("module heavy_mod"), 0u);
+  EXPECT_LT(at("module heavy_mod"), at("module medium_mod"));
+  EXPECT_LT(at("module medium_mod"), at("module light_mod"));
+  EXPECT_LT(at("module light_mod"), serial.trace.size());
+
+  std::vector<std::pair<std::string, SearchResult>> runs;
+  for (const std::size_t lanes : {2u, 4u}) {
+    SearchOptions opts;
+    opts.num_threads = lanes;
+    SearchResult r;
+    EXPECT_EQ(run("threads" + std::to_string(lanes), opts, nullptr, &r),
+              oracle)
+        << lanes << " lanes";
+    runs.emplace_back("threads", std::move(r));
+  }
+  if (runner::isolation_supported()) {
+    SearchOptions opts;
+    opts.isolate_trials = true;
+    opts.num_workers = 2;
+    SearchResult r;
+    EXPECT_EQ(run("isolate", opts, nullptr, &r), oracle);
+    runs.emplace_back("isolate", std::move(r));
+  }
+  for (const bool sandboxed : {false, true}) {
+    auto ix = config::StructureIndex::build(program::lift(p.image));
+    EagerExecutor ex(p.image, ix, *p.verifier, sandboxed);
+    SearchResult r;
+    EXPECT_EQ(run(sandboxed ? "eager_sandboxed" : "eager", {}, &ex, &r),
+              oracle)
+        << (sandboxed ? "sandboxed" : "in-process") << " eager executor";
+    runs.emplace_back("eager", std::move(r));
+  }
+  for (const auto& [what, r] : runs) {
+    EXPECT_EQ(r.final_config, serial.final_config) << what;
+    EXPECT_EQ(r.metrics.trials_live, serial.metrics.trials_live) << what;
+    EXPECT_EQ(r.metrics.trials_derived, serial.metrics.trials_derived)
+        << what;
+    EXPECT_FALSE(r.metrics.profile_degraded) << what;
+  }
+}
+
+TEST(ProfileOverlap, FailedProfileFallsBackToStructureOrder) {
+  // The original cannot finish inside the per-run budget, so the profiling
+  // run fails (and so does every trial): the search must still descend,
+  // in structure order, exactly as with prioritisation off.
+  Prepared p = prepare(reversed_profile_program(), 1e-12);
+  const auto run = [&](bool prioritize, std::size_t lanes) {
+    SearchOptions opts;
+    opts.max_instructions_per_run = 200;
+    opts.prioritize_by_profile = prioritize;
+    opts.num_threads = lanes;
+    auto ix = config::StructureIndex::build(program::lift(p.image));
+    return run_search(p.image, &ix, *p.verifier, opts);
+  };
+  const SearchResult unweighted = run(false, 1);
+  EXPECT_TRUE(unweighted.metrics.profile_degraded);
+  ASSERT_GT(unweighted.trace.size(), 3u);
+  EXPECT_EQ(unweighted.trace[0].unit, "module light_mod");
+  EXPECT_EQ(unweighted.trace[1].unit, "module medium_mod");
+  EXPECT_EQ(unweighted.trace[2].unit, "module heavy_mod");
+  for (const std::size_t lanes : {1u, 3u}) {
+    const SearchResult r = run(true, lanes);
+    EXPECT_TRUE(r.metrics.profile_degraded) << lanes;
+    EXPECT_GT(r.metrics.profile_seconds, 0.0) << lanes;
+    EXPECT_FALSE(r.final_passed) << lanes;
+    ASSERT_EQ(r.trace.size(), unweighted.trace.size()) << lanes;
+    for (std::size_t i = 0; i < r.trace.size(); ++i) {
+      EXPECT_EQ(r.trace[i].unit, unweighted.trace[i].unit) << lanes << " " << i;
+      EXPECT_EQ(r.trace[i].key, unweighted.trace[i].key) << lanes << " " << i;
+      EXPECT_FALSE(r.trace[i].passed) << lanes << " " << i;
+    }
+  }
+}
+
 TEST(SearchOptions, LaneCountsPastTheCapThrowBeforeAnythingStarts) {
   Prepared p = prepare(two_module_program(), 1e-12);
   const std::string journal = testing::TempDir() + "lane_cap.jsonl";
@@ -669,6 +834,7 @@ SearchResult full_result() {
   m.trials_total = 101;
   m.trials_live = 102;
   m.trials_cached = 103;
+  m.trials_derived = 144;
   m.cache_hit_rate = 1.25;
   m.wall_seconds = 2.5;
   m.eval_seconds = 3.75;
@@ -681,6 +847,7 @@ SearchResult full_result() {
   m.run_seconds = 7.25;
   m.verify_seconds = 8.75;
   m.driver_seconds = 8.875;
+  m.profile_seconds = 8.90625;
   m.unattributed_seconds = 8.9375;
   m.image_cache_hits = 104;
   m.image_cache_misses = 105;
@@ -774,11 +941,13 @@ TEST(MetricsJson, MatchesParentWriterByteForByte) {
   // Since captured, one key joined: jit_lowering's "region_branches", right
   // after "fused_pairs"; the two estimated-savings keys left; and
   // "driver_seconds" and "unattributed_seconds" joined after
-  // "verify_seconds".
+  // "verify_seconds"; "trials_derived" joined after "trials_cached" and
+  // "profile_seconds" after "driver_seconds".
   const std::string expected = R"json({
   "trials_total": 101,
   "trials_live": 102,
   "trials_cached": 103,
+  "trials_derived": 144,
   "cache_hit_rate": 1.250000,
   "wall_seconds": 2.500000,
   "eval_seconds": 3.750000,
@@ -790,6 +959,7 @@ TEST(MetricsJson, MatchesParentWriterByteForByte) {
   "run_seconds": 7.250000,
   "verify_seconds": 8.750000,
   "driver_seconds": 8.875000,
+  "profile_seconds": 8.906250,
   "unattributed_seconds": 8.937500,
   "image_cache_hits": 104,
   "image_cache_misses": 105,

@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <functional>
 #include <limits>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -35,7 +36,9 @@
 #include "lang/compile.hpp"
 #include "program/layout.hpp"
 #include "program/program.hpp"
+#include "search/search.hpp"
 #include "support/fault.hpp"
+#include "support/hash.hpp"
 #include "support/rng.hpp"
 #include "verify/trial_builder.hpp"
 #include "vm/jit/jit.hpp"
@@ -1448,6 +1451,194 @@ TEST(EngineDiff, TrialBuilderImagesOnJitMatchScratchMicroOp) {
   EXPECT_GT(cov.halted, 10);
   EXPECT_GT(cov.budget, 10);
   EXPECT_GT(cov.later_trap, 10);
+}
+
+// ---------------------------------------------------------------------------
+// Trial identity. The search keys a trial by search::trial_key, the digest
+// of the config's effective config: the instruction-level config flagging
+// exactly the instructions whose signature entry is not 'd'. A failing
+// unit's child with its parent's candidate set then commits from the
+// parent's verdict, so the key must never merge two configs whose images
+// differ, nor split two whose images are the same.
+
+/// The configs the search pushes as units on `ix`, named by kind: every
+/// module, function and block with candidates, and the two halves of a
+/// function's blocks with candidates (a func-part) and of a block's
+/// candidates (a block-part) wherever there are two to split.
+std::vector<std::pair<std::string, config::PrecisionConfig>> unit_configs(
+    const config::StructureIndex& ix) {
+  const config::Precision single = config::Precision::kSingle;
+  std::vector<std::pair<std::string, config::PrecisionConfig>> out;
+  const auto halves = [&](const char* kind,
+                          const std::vector<std::size_t>& ids,
+                          const auto& flag) {
+    if (ids.size() < 2) return;
+    const std::size_t half = ids.size() / 2;
+    for (const auto& [lo, hi] : {std::pair{std::size_t{0}, half},
+                                 std::pair{half, ids.size()}}) {
+      config::PrecisionConfig cfg;
+      for (std::size_t k = lo; k < hi; ++k) flag(&cfg, ids[k]);
+      out.emplace_back(kind, std::move(cfg));
+    }
+  };
+  for (std::size_t m = 0; m < ix.modules().size(); ++m) {
+    if (ix.modules()[m].candidates.empty()) continue;
+    config::PrecisionConfig cfg;
+    cfg.set_module(m, single);
+    out.emplace_back("module", std::move(cfg));
+  }
+  for (std::size_t f = 0; f < ix.funcs().size(); ++f) {
+    if (ix.funcs()[f].candidates.empty()) continue;
+    config::PrecisionConfig cfg;
+    cfg.set_func(f, single);
+    out.emplace_back("function", std::move(cfg));
+    std::vector<std::size_t> useful;
+    for (std::size_t b : ix.funcs()[f].blocks) {
+      if (!ix.blocks()[b].candidates.empty()) useful.push_back(b);
+    }
+    halves("func-part", useful, [&](config::PrecisionConfig* c,
+                                    std::size_t b) { c->set_block(b, single); });
+  }
+  for (std::size_t b = 0; b < ix.blocks().size(); ++b) {
+    if (ix.blocks()[b].candidates.empty()) continue;
+    config::PrecisionConfig cfg;
+    cfg.set_block(b, single);
+    out.emplace_back("block", std::move(cfg));
+    halves("block-part", ix.blocks()[b].candidates,
+           [&](config::PrecisionConfig* c, std::size_t i) {
+             c->set_instr(i, single);
+           });
+  }
+  return out;
+}
+
+TEST(TrialKey, UnitsBuildTheImageOfTheirEffectiveConfig) {
+  // Every unit kind the search pushes, on multi-function fuzzed programs:
+  // the unit's config and its effective config share a key and signature
+  // vector, instrument() writes the same bytes for both, and TrialBuilder's
+  // images of both run bit-identically to the one-shot image on the
+  // micro-op engine and the JIT.
+  std::map<std::string, std::size_t> kinds;
+  for (int p = 0; p < 4; ++p) {
+    const program::Image orig = program::relayout(lang::compile(
+        random_model(0x7E41 + static_cast<std::uint64_t>(p),
+                     /*helpers=*/2 + p % 3),
+        lang::Mode::kDouble));
+    const auto ix = config::StructureIndex::build(program::lift(orig));
+    verify::TrialBuilder builder(orig, ix);
+    for (const auto& [kind, cfg] : unit_configs(ix)) {
+      ++kinds[kind];
+      const config::PrecisionConfig eff = cfg.effective(ix);
+      const std::string what = "program " + std::to_string(p) + " " + kind +
+                               " " + cfg.canonical_key();
+      ASSERT_EQ(search::trial_key(ix, cfg), hex_digest(eff.stable_hash()))
+          << what;
+      ASSERT_EQ(search::trial_key(ix, eff), search::trial_key(ix, cfg))
+          << what;
+      ASSERT_EQ(builder.signatures(eff), builder.signatures(cfg)) << what;
+
+      const program::Image scratch =
+          instrument::instrument_image(orig, ix, cfg);
+      const program::Image scratch_eff =
+          instrument::instrument_image(orig, ix, eff);
+      EXPECT_EQ(scratch_eff.code, scratch.code) << what;
+      EXPECT_EQ(scratch_eff.data, scratch.data) << what;
+      const auto built = builder.build(cfg).exec;
+      const auto built_eff = builder.build(eff).exec;
+      EXPECT_EQ(built->image().code, scratch.code) << what;
+      EXPECT_EQ(built_eff->image().code, scratch.code) << what;
+
+      vm::Machine::Options opts;
+      opts.max_instructions = kSpliceBudget;
+      opts.profile = false;  // the table-linked JIT path trials take
+      const FinalState ref = run_final(vm::ExecutableImage::build(scratch),
+                                       vm::Engine::kMicroOp, opts);
+      std::vector<vm::Engine> engines{vm::Engine::kMicroOp};
+      if (vm::jit::jit_supported()) engines.push_back(vm::Engine::kJit);
+      for (const vm::Engine engine : engines) {
+        const std::string tag =
+            engine == vm::Engine::kJit ? " [jit]" : " [microop]";
+        expect_final_same(run_final(built, engine, opts), ref, what + tag);
+        expect_final_same(run_final(built_eff, engine, opts), ref,
+                          what + " effective" + tag);
+      }
+    }
+  }
+  for (const char* kind :
+       {"module", "function", "func-part", "block", "block-part"}) {
+    EXPECT_GT(kinds[kind], 0u) << kind;
+  }
+}
+
+TEST(TrialKey, KeysAreEqualExactlyWhenSignaturesAre) {
+  // Random configs with single, double and ignore flags at every level,
+  // paired with a neighbour that is often spelled differently but builds
+  // the same image (an overridden flag, single on a non-candidate, a module
+  // flag spread over its functions) and often does not.
+  std::size_t equal = 0;
+  std::size_t differ = 0;
+  for (int p = 0; p < 3; ++p) {
+    const program::Image orig = program::relayout(lang::compile(
+        random_model(0x5E7 + static_cast<std::uint64_t>(p), /*helpers=*/3),
+        lang::Mode::kDouble));
+    const auto ix = config::StructureIndex::build(program::lift(orig));
+    const verify::TrialBuilder builder(orig, ix);
+    SplitMix64 rng(0x6E7 + static_cast<std::uint64_t>(p));
+    const auto prec = [&] {
+      return static_cast<config::Precision>(rng.next_below(3));
+    };
+    const auto random_flag = [&](config::PrecisionConfig* cfg) {
+      switch (rng.next_below(4)) {
+        case 0: cfg->set_module(rng.next_below(ix.modules().size()), prec());
+          break;
+        case 1: cfg->set_func(rng.next_below(ix.funcs().size()), prec());
+          break;
+        case 2: cfg->set_block(rng.next_below(ix.blocks().size()), prec());
+          break;
+        default: cfg->set_instr(rng.next_below(ix.instrs().size()), prec());
+          break;
+      }
+    };
+    for (int step = 0; step < 300; ++step) {
+      config::PrecisionConfig a;
+      const std::size_t flags = 1 + rng.next_below(4);
+      for (std::size_t k = 0; k < flags; ++k) random_flag(&a);
+      config::PrecisionConfig b = a;
+      const std::size_t i = rng.next_below(ix.instrs().size());
+      switch (step % 4) {
+        case 0:  // single on an instruction: a no-op on a non-candidate
+          b.set_instr(i, config::Precision::kSingle);
+          break;
+        case 1: {  // an instruction flag under its module's flag
+          const std::size_t m = ix.funcs()[ix.instrs()[i].func].module;
+          const config::Precision q = prec();
+          a.set_module(m, q);
+          b.set_module(m, q);
+          b.set_instr(i, prec());
+          break;
+        }
+        case 2: {  // a module flag, or the same flag on each function
+          const std::size_t m = rng.next_below(ix.modules().size());
+          const config::Precision q = prec();
+          a.set_module(m, q);
+          b.set_module(m, std::nullopt);
+          for (std::size_t f : ix.modules()[m].funcs) b.set_func(f, q);
+          break;
+        }
+        default:
+          random_flag(&b);
+          break;
+      }
+      const bool same_key = search::trial_key(ix, a) == search::trial_key(ix, b);
+      const bool same_sigs = builder.signatures(a) == builder.signatures(b);
+      ASSERT_EQ(same_key, same_sigs)
+          << "program " << p << " step " << step << ": "
+          << a.canonical_key() << " vs " << b.canonical_key();
+      ++(same_sigs ? equal : differ);
+    }
+  }
+  EXPECT_GT(equal, 100u);
+  EXPECT_GT(differ, 100u);
 }
 
 }  // namespace

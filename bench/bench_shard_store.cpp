@@ -73,9 +73,8 @@ void run_row(std::size_t records) {
       // Reload the un-fsynced shard: same bytes, fresh store.
       net::ShardStore store(opts);
       std::map<std::string, std::map<std::uint64_t, std::string>> journal;
-      std::map<std::string, std::vector<net::PersistedVerdict>> verdicts;
       Timer t;
-      store.load(&journal, &verdicts);
+      store.load(&journal);
       reload_s = t.elapsed_seconds();
       reloaded = store.stats().records_reloaded;
     }

@@ -46,9 +46,10 @@
 // --connect dispatches trials to remote runner_serve daemons instead of
 // local execution: trials fan out across the fleet (least-loaded first),
 // endpoints that die mid-trial are failed over, and the search degrades to
-// in-process evaluation if the whole fleet is lost. --shard-cache shares
-// one fleet-wide trial cache across every scheduler connected to the same
-// daemons. --journal-deterministic zeroes per-trial timing fields in the
+// in-process evaluation if the whole fleet is lost. With --shard-cache a
+// daemon answers a trial from the trial lines already streamed to it under
+// the same search fingerprint (by this or any earlier scheduler), without
+// evaluating it. --journal-deterministic zeroes per-trial timing fields in the
 // journal so a distributed run's journal is byte-identical to a local
 // run's. The daemons themselves are runner_serve processes.
 //

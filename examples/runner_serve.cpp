@@ -5,8 +5,9 @@
 // wire protocol the pool speaks to its forked workers). One daemon can hold
 // sessions from many schedulers at once; sessions that announce the same
 // workload and evaluation semantics share one backend (one built image, one
-// warm TrialBuilder, one worker fleet) and, with --shard-cache on the
-// client, one fleet-wide trial cache.
+// warm TrialBuilder, one worker fleet). A client that passes --shard-cache
+// has its repeat trials answered from the trial lines already streamed
+// under its search fingerprint (see below), without evaluating them.
 //
 // Usage:  runner_serve [--host H] [--port N] [--port-file FILE]
 //                      [--workers N] [--exit-after N] [--quiet]
@@ -21,10 +22,11 @@
 // chaos hook the endpoint-death tests and CI smoke use to simulate a
 // runner dying mid-search.
 //
-// --state-dir DIR persists every retained journal shard and verdict cache
-// under DIR as CRC-sealed JSONL and reloads them at startup, so a daemon
-// that is SIGKILLed and restarted on the same directory resumes with its
-// replicas intact (--state-fsync makes each append power-loss durable). An
+// --state-dir DIR persists every retained journal shard under DIR as
+// CRC-sealed JSONL (one shard-<hex>.jsonl file each) and reloads them at
+// startup, so a daemon that is SIGKILLed and restarted on the same
+// directory resumes with its replicas -- and the shard-cache hits they
+// answer -- intact (--state-fsync makes each append power-loss durable). An
 // unusable directory degrades the daemon to the pre-v4 in-memory behaviour
 // with a one-time warning; it never refuses to serve. --disk-fault-* turn
 // on the seeded deterministic disk-fault campaign (short writes, torn
@@ -39,6 +41,10 @@
 // error frame) and --idle-timeout-ms reaps sessions with no traffic for
 // that long (default 600000, 0 disables); a reaped session logs its
 // search fingerprint and retained-shard size, and the shard survives.
+// The shutdown summary counts, among the journal appends, the duplicates:
+// lines dropped because the shard already held their sequence number (a
+// heal re-stream, or a second session under the same search fingerprint,
+// whose numbering restarts at 1).
 //
 // Exit codes: 0 clean shutdown (signal or --exit-after); 1 cannot bind;
 // 2 usage error.
@@ -239,20 +245,20 @@ int main(int argc, char** argv) {
   const net::ServerStats& st = server.stats();
   std::printf("runner_serve: done -- %llu session(s) (%llu rejected, "
               "%llu reaped), %llu trial(s) served (%llu shard-cache "
-              "hit(s)), %llu cache insert(s), %llu protocol error(s), "
-              "%llu backend(s)\n",
+              "hit(s)), %llu protocol error(s), %llu backend(s)\n",
               static_cast<unsigned long long>(st.sessions_accepted),
               static_cast<unsigned long long>(st.sessions_rejected),
               static_cast<unsigned long long>(st.sessions_reaped),
               static_cast<unsigned long long>(st.trials_served),
               static_cast<unsigned long long>(st.shard_cache_hits),
-              static_cast<unsigned long long>(st.cache_inserts),
               static_cast<unsigned long long>(st.protocol_errors),
               static_cast<unsigned long long>(st.backends));
-  std::printf("runner_serve: journal -- %llu append(s) (%llu rejected), "
-              "%llu fetch(es), %llu digest(s), %llu ping(s)\n",
+  std::printf("runner_serve: journal -- %llu append(s) (%llu rejected, "
+              "%llu duplicate seq), %llu fetch(es), %llu digest(s), "
+              "%llu ping(s)\n",
               static_cast<unsigned long long>(st.journal_appends),
               static_cast<unsigned long long>(st.journal_rejected),
+              static_cast<unsigned long long>(st.journal_duplicates),
               static_cast<unsigned long long>(st.journal_fetches),
               static_cast<unsigned long long>(st.digests),
               static_cast<unsigned long long>(st.pings));

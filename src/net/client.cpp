@@ -124,17 +124,6 @@ bool EndpointClient::submit(const TrialMsg& m) {
   return true;
 }
 
-bool EndpointClient::insert(const CacheInsertMsg& m) {
-  if (dead_) return false;
-  if (!sock_.send_all(runner::encode_frame(encode_cache_insert(m)),
-                      /*timeout_ms=*/10000)) {
-    last_error_ = "cache insert send failed";
-    close();
-    return false;
-  }
-  return true;
-}
-
 bool EndpointClient::journal_append(const JournalAppendMsg& m) {
   if (dead_) return false;
   if (!sock_.send_all(runner::encode_frame(encode_journal_append(m)),

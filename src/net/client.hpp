@@ -39,12 +39,9 @@ class EndpointClient {
   /// the send fails (the caller reroutes the trial).
   bool submit(const TrialMsg& m);
 
-  /// Ships a shard-cache fill. Failures are non-fatal to the caller
-  /// (cache fills are advisory) but kill this session like any send error.
-  bool insert(const CacheInsertMsg& m);
-
-  /// Streams one CRC-sealed journal line for replication. Like insert(),
-  /// advisory to the caller but fatal to the session on send failure.
+  /// Streams one CRC-sealed journal line for replication. Advisory to the
+  /// caller (the line survives on the other shards and in the local file)
+  /// but fatal to the session on send failure.
   bool journal_append(const JournalAppendMsg& m);
 
   /// Sends a heartbeat probe; the pong comes back through drain().

@@ -112,28 +112,6 @@ bool decode_result_msg(std::string_view payload, ResultMsg* out) {
   return r.done();
 }
 
-// ---- Cache insert ----------------------------------------------------------
-
-std::string encode_cache_insert(const CacheInsertMsg& m) {
-  std::string p;
-  runner::put_u8(&p, kMsgCacheInsert);
-  runner::put_string(&p, m.key);
-  runner::put_u8(&p, m.passed);
-  runner::put_u8(&p, m.failure_class);
-  runner::put_string(&p, m.failure);
-  return p;
-}
-
-bool decode_cache_insert(std::string_view payload, CacheInsertMsg* out) {
-  WireReader r(payload);
-  if (r.u8() != kMsgCacheInsert) return false;
-  out->key = r.str();
-  out->passed = r.u8();
-  out->failure_class = r.u8();
-  out->failure = r.str();
-  return r.done();
-}
-
 // ---- Replicated journal streaming ------------------------------------------
 
 std::string encode_journal_append(const JournalAppendMsg& m) {

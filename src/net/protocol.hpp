@@ -13,11 +13,10 @@
 //                        campaign)
 //     kMsgTrial          one trial: ticket + config digest + full canonical
 //                        config key (the session stream stays stateless)
-//     kMsgCacheInsert    shard-cache fill: a verdict this client computed
-//                        elsewhere (another shard or in-process)
 //     kMsgJournalAppend  one CRC-sealed journal record, streamed as the
 //                        scheduler commits it locally; the server retains a
-//                        per-search_fp replicated shard of them
+//                        per-search_fp replicated shard of them, and its
+//                        trial lines answer shard-cache sessions' repeats
 //     kMsgJournalFetch   request the retained shard for this session's
 //                        search_fp (scheduler failover / --adopt)
 //     kMsgPing           heartbeat probe (nonce + client send timestamp)
@@ -60,13 +59,15 @@ namespace fpmix::net {
 /// v6: Result payloads carry TrialCost::setup_ns (Machine construction).
 /// v7: Result payloads carry TrialCost::jit_ns (JIT compile + link).
 /// v8: Result payloads drop the estimated patch/predecode savings.
-constexpr std::uint32_t kProtocolVersion = 8;
+/// v9: the shard-cache fill message (id 5) is gone; shard-cache hits are
+/// served from the trial lines of the replicated journal shard.
+constexpr std::uint32_t kProtocolVersion = 9;
 
 constexpr std::uint8_t kMsgHello = 1;
 constexpr std::uint8_t kMsgHelloAck = 2;
 constexpr std::uint8_t kMsgTrial = 3;
 constexpr std::uint8_t kMsgResult = 4;
-constexpr std::uint8_t kMsgCacheInsert = 5;
+// 5 was the shard-cache fill message (removed in v9); left unused.
 constexpr std::uint8_t kMsgError = 6;
 constexpr std::uint8_t kMsgJournalAppend = 7;
 constexpr std::uint8_t kMsgJournalFetch = 8;
@@ -85,8 +86,10 @@ struct HelloMsg {
   std::uint32_t version = kProtocolVersion;
   std::string bench;  // workload name ("ep", "cg", ...)
   std::uint8_t cls = 'W';
-  std::uint8_t shard_cache = 0;  // consult/fill the fleet-wide trial cache
-  std::string search_fp;         // shard-cache namespace (trial_cache.hpp)
+  /// Answer repeat trials from the trial lines this search_fp's journal
+  /// shard holds, without evaluating them.
+  std::uint8_t shard_cache = 0;
+  std::string search_fp;  // journal shard identity (trial_cache.hpp)
   /// Evaluation rules; must match the client's own, or results would not
   /// be byte-compatible with its journal. The engine is the *requested*
   /// one: a jit-incapable endpoint may downgrade (see HelloAckMsg) instead
@@ -149,18 +152,6 @@ struct ResultMsg {
 
 std::string encode_result_msg(const ResultMsg& m);
 bool decode_result_msg(std::string_view payload, ResultMsg* out);
-
-// ---- Shard cache fill ------------------------------------------------------
-
-struct CacheInsertMsg {
-  std::string key;
-  std::uint8_t passed = 0;
-  std::uint8_t failure_class = 0;  // verify::FailureClass
-  std::string failure;
-};
-
-std::string encode_cache_insert(const CacheInsertMsg& m);
-bool decode_cache_insert(std::string_view payload, CacheInsertMsg* out);
 
 // ---- Replicated journal streaming (v3) -------------------------------------
 

@@ -32,15 +32,6 @@ using runner::FrameStatus;
 
 namespace {
 
-/// One shard-cache verdict: exactly the slice of an EvalResult the search's
-/// decision procedure consumes (mirrors search::CachedTrial without pulling
-/// the search library into the net layer).
-struct CacheEntry {
-  bool passed = false;
-  std::uint8_t failure_class = 0;
-  std::string failure;
-};
-
 /// Identity of one evaluation context: sessions with the same workload and
 /// spec share a backend (workload, builder, injector, pool).
 std::string backend_key(const HelloMsg& h, const runner::SandboxSpec& spec) {
@@ -64,16 +55,10 @@ struct RunnerServer::Impl {
     std::unique_ptr<runner::WorkerPool> pool;
     std::string verifier_fp;
     std::uint32_t workers = 0;
-    /// Fleet-wide trial cache, namespaced by search fingerprint so faulted
-    /// and clean campaigns never cross-pollinate. First insert wins.
-    std::map<std::string, std::unordered_map<std::string, CacheEntry>> shard;
     /// Routing of pool tickets back to sessions.
     struct Route {
       std::uint64_t session_id = 0;
       std::uint64_t client_ticket = 0;
-      std::string key;
-      std::string search_fp;
-      bool shard_cache = false;
     };
     std::map<std::uint64_t, Route> inflight;
     std::uint64_t next_ticket = 1;
@@ -97,18 +82,28 @@ struct RunnerServer::Impl {
   /// scheduler fetches it over a *new* session with the same search_fp.
   struct JournalShard {
     std::map<std::uint64_t, std::string> by_seq;
+    /// The verdict of every trial line streamed for this search_fp, first
+    /// key wins: what a shard_cache session's trials are answered from.
+    std::unordered_map<std::string, verify::CachedTrial> verdicts;
     std::uint64_t dropped = 0;     // records shed to max_shard_records
     std::uint64_t last_touch = 0;  // LRU clock for whole-shard eviction
+
+    void index(const std::string& line) {
+      JsonRecord rec;
+      std::string key;
+      verify::CachedTrial t;
+      if (parse_flat_json(line, &rec) &&
+          verify::decode_trial_line(rec, &key, &t)) {
+        verdicts.try_emplace(std::move(key), std::move(t));
+      }
+    }
   };
 
   std::map<std::string, std::unique_ptr<Backend>> backends;
   std::map<std::uint64_t, std::unique_ptr<Session>> sessions;
   std::map<std::string, JournalShard> journal_shards;  // by search_fp
-  /// Durable backing for journal shards and verdict caches (no-op without a
-  /// state dir). Verdicts reloaded at startup wait here until a session
-  /// announces their search_fp, then seed that backend's cache.
+  /// Durable backing for journal shards (no-op without a state dir).
   std::unique_ptr<ShardStore> store;
-  std::map<std::string, std::vector<PersistedVerdict>> persisted_verdicts;
   std::uint64_t next_session_id = 1;
   std::uint64_t shard_touch_clock = 1;
   bool exit_tripped = false;
@@ -123,10 +118,10 @@ struct RunnerServer::Impl {
   }
 
   /// Restores persisted shards into memory, enforcing the same retention
-  /// caps a live stream would have hit.
+  /// caps a live stream would have hit, and re-indexes their trial lines.
   void reload_state() {
     std::map<std::string, std::map<std::uint64_t, std::string>> journal;
-    store->load(&journal, &persisted_verdicts);
+    store->load(&journal);
     for (auto& [fp, by_seq] : journal) {
       JournalShard shard;
       shard.by_seq = std::move(by_seq);
@@ -135,6 +130,7 @@ struct RunnerServer::Impl {
         shard.by_seq.erase(shard.by_seq.begin());
         ++shard.dropped;
       }
+      for (const auto& [seq, line] : shard.by_seq) shard.index(line);
       shard.last_touch = shard_touch_clock++;
       journal_shards.emplace(fp, std::move(shard));
     }
@@ -286,22 +282,6 @@ struct RunnerServer::Impl {
     s->hello_done = true;
     s->search_fp = h.search_fp;
     s->shard_cache = h.shard_cache != 0;
-    // Verdicts reloaded from the state dir seed this backend's cache now
-    // that a session has bound their search_fp to evaluation semantics.
-    // emplace keeps first-insert-wins exact: a live insert that raced the
-    // reload is never overwritten.
-    auto pv = persisted_verdicts.find(h.search_fp);
-    if (pv != persisted_verdicts.end()) {
-      auto& cache = b->shard[h.search_fp];
-      for (PersistedVerdict& v : pv->second) {
-        CacheEntry e;
-        e.passed = v.passed;
-        e.failure_class = v.failure_class;
-        e.failure = std::move(v.failure);
-        cache.emplace(std::move(v.key), std::move(e));
-      }
-      persisted_verdicts.erase(pv);
-    }
     ack.ok = 1;
     ack.verifier_fp = b->verifier_fp;
     ack.workers = b->workers;
@@ -322,25 +302,31 @@ struct RunnerServer::Impl {
     }
   }
 
+  /// The verdict a shard_cache session's trial is answered with: one a
+  /// journal line of its search_fp recorded, or nullptr (evaluate it).
+  const verify::CachedTrial* shard_verdict(const Session* s,
+                                           const std::string& key) const {
+    if (!s->shard_cache) return nullptr;
+    const auto shard = journal_shards.find(s->search_fp);
+    if (shard == journal_shards.end()) return nullptr;
+    const auto hit = shard->second.verdicts.find(key);
+    return hit == shard->second.verdicts.end() ? nullptr : &hit->second;
+  }
+
   void handle_trial(Session* s, const TrialMsg& m) {
     Backend* b = s->backend;
-    if (s->shard_cache) {
-      auto& cache = b->shard[s->search_fp];
-      auto hit = cache.find(m.key);
-      if (hit != cache.end()) {
-        ++stats->shard_cache_hits;
-        verify::EvalResult er;
-        er.passed = hit->second.passed;
-        er.failure_class =
-            static_cast<verify::FailureClass>(hit->second.failure_class);
-        er.failure = hit->second.failure;
-        ResultMsg r;
-        r.ticket = m.ticket;
-        r.flags = kResultCacheHit;
-        r.wire_result = runner::encode_result(er);
-        send_result(s, r);
-        return;
-      }
+    if (const verify::CachedTrial* hit = shard_verdict(s, m.key)) {
+      ++stats->shard_cache_hits;
+      verify::EvalResult er;
+      er.passed = hit->passed;
+      er.failure_class = hit->failure_class;
+      er.failure = hit->failure;
+      ResultMsg r;
+      r.ticket = m.ticket;
+      r.flags = kResultCacheHit;
+      r.wire_result = runner::encode_result(er);
+      send_result(s, r);
+      return;
     }
     config::PrecisionConfig cfg;
     if (!config::PrecisionConfig::from_canonical_key(m.config_key, &cfg)) {
@@ -352,38 +338,8 @@ struct RunnerServer::Impl {
     Backend::Route route;
     route.session_id = s->id;
     route.client_ticket = m.ticket;
-    route.key = m.key;
-    route.search_fp = s->search_fp;
-    route.shard_cache = s->shard_cache;
     b->inflight.emplace(ticket, std::move(route));
     b->pool->submit(ticket, m.key, cfg);
-  }
-
-  void handle_cache_insert(Session* s, const CacheInsertMsg& m) {
-    auto& cache = s->backend->shard[s->search_fp];
-    CacheEntry e;
-    e.passed = m.passed != 0;
-    e.failure_class = m.failure_class;
-    e.failure = m.failure;
-    if (cache.emplace(m.key, std::move(e)).second) {  // first insert wins
-      persist_verdict(s->search_fp, m.key, m.passed != 0, m.failure_class,
-                      m.failure);
-    }
-    ++stats->cache_inserts;
-  }
-
-  /// Mirrors one retained verdict to the state dir (no-op when disabled).
-  void persist_verdict(const std::string& search_fp, const std::string& key,
-                       bool passed, std::uint8_t failure_class,
-                       const std::string& failure) {
-    if (!store->enabled()) return;
-    PersistedVerdict v;
-    v.key = key;
-    v.passed = passed;
-    v.failure_class = failure_class;
-    v.failure = failure;
-    store->append_verdict(search_fp, v);
-    mirror_store_stats();
   }
 
   /// Retains one streamed journal record. Damage (bad seal, unparseable
@@ -397,7 +353,13 @@ struct RunnerServer::Impl {
       return;
     }
     JournalShard* shard = touch_shard(s->search_fp);
-    if (!shard->by_seq.emplace(seq, m.line).second) return;  // seq dedupe
+    // Indexed before the seq dedupe: a second session under this search_fp
+    // restarts at seq 1, and its verdicts are fleet knowledge all the same.
+    shard->index(m.line);
+    if (!shard->by_seq.emplace(seq, m.line).second) {
+      ++stats->journal_duplicates;
+      return;
+    }
     ++stats->journal_appends;
     store->append_journal(s->search_fp, m.line);
     std::uint64_t evicted = 0;
@@ -473,15 +435,6 @@ struct RunnerServer::Impl {
         handle_trial(s, m);
         return;
       }
-      case kMsgCacheInsert: {
-        CacheInsertMsg m;
-        if (!decode_cache_insert(payload, &m)) {
-          session_error(s, "malformed cache-insert message");
-          return;
-        }
-        handle_cache_insert(s, m);
-        return;
-      }
       case kMsgJournalAppend: {
         JournalAppendMsg m;
         if (!decode_journal_append(payload, &m)) {
@@ -530,7 +483,7 @@ struct RunnerServer::Impl {
     }
   }
 
-  /// Routes finished pool work back to sessions and the shard cache.
+  /// Routes finished pool work back to sessions.
   void pump_backends() {
     for (auto& [key, b] : backends) {
       if (b->pool == nullptr || b->pool->idle()) continue;
@@ -540,24 +493,6 @@ struct RunnerServer::Impl {
         if (rit == b->inflight.end()) continue;
         Backend::Route route = std::move(rit->second);
         b->inflight.erase(rit);
-        // Fill the shard cache first (even when the session is gone --
-        // the verdict is fleet knowledge now).
-        if (route.shard_cache) {
-          auto& cache = b->shard[route.search_fp];
-          CacheEntry e;
-          e.passed = f.outcome.result.passed;
-          e.failure_class =
-              static_cast<std::uint8_t>(f.outcome.result.failure_class);
-          e.failure = f.outcome.result.failure;
-          const bool fresh = cache.emplace(route.key, std::move(e)).second;
-          if (fresh) {
-            persist_verdict(route.search_fp, route.key,
-                            f.outcome.result.passed,
-                            static_cast<std::uint8_t>(
-                                f.outcome.result.failure_class),
-                            f.outcome.result.failure);
-          }
-        }
         auto sit = sessions.find(route.session_id);
         if (sit == sessions.end() || sit->second->dead) continue;
         ResultMsg r;

@@ -11,10 +11,11 @@
 // Sessions that share evaluation semantics (workload, budget, deadline,
 // breaker, rlimit, fault campaign) share one backend: one built workload,
 // one TrialBuilder (whose warm caches the forked workers inherit), one
-// WorkerPool. A fleet-wide trial cache (per search fingerprint) serves
-// repeat configurations without touching the pool and accepts
-// kMsgCacheInsert fills from clients, so N schedulers sharing a shard
-// evaluate every configuration at most once.
+// WorkerPool. Each search fingerprint's replicated journal shard indexes
+// the verdicts of the trial lines streamed into it; a `shard_cache` session
+// is answered from that index without touching the pool, so schedulers
+// sharing a fleet do not evaluate a configuration that any of them has
+// already committed.
 //
 // The net layer stays independent of the kernels library: the embedding
 // binary (runner_serve, the tests) supplies a WorkloadFactory that maps a
@@ -70,7 +71,7 @@ struct ServerOptions {
   /// Distinct search_fp shards retained; beyond it the least-recently
   /// touched whole shard is evicted.
   std::uint64_t max_journal_shards = 8;
-  /// Durable state directory (shard journal + verdict-cache files, see
+  /// Durable state directory (one journal file per shard, see
   /// net/shard_store.hpp). Empty keeps every shard purely in memory (the
   /// pre-v4 behaviour); set, a restarted daemon rejoins the fleet with its
   /// replicas intact. An unusable directory degrades back to in-memory
@@ -91,8 +92,8 @@ struct ServerStats {
   std::uint64_t sessions_reaped = 0;     // idle-timeout reaps
   std::uint64_t trials_served = 0;       // results delivered (cache included)
   std::uint64_t shard_cache_hits = 0;    // served without touching the pool
-  std::uint64_t cache_inserts = 0;       // client kMsgCacheInsert fills
   std::uint64_t journal_appends = 0;     // replicated records retained
+  std::uint64_t journal_duplicates = 0;  // dropped: shard held their seq
   std::uint64_t journal_rejected = 0;    // bad seal / unparseable seq
   std::uint64_t journal_fetches = 0;     // shard fetches served
   std::uint64_t pings = 0;               // heartbeats answered

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
 #include "support/hash.hpp"
@@ -27,15 +26,14 @@ namespace {
 /// Stable shard file basename for a search fingerprint. The fingerprint is
 /// free-form text, so the name is its FNV-1a digest; the fingerprint itself
 /// is recorded in the file's sealed header, which is what reload trusts.
-std::string shard_basename(const std::string& search_fp, bool cache) {
-  return strformat("%s-%s.jsonl", cache ? "cache" : "shard",
-                   hex_digest(fnv1a64(search_fp)).c_str());
+std::string shard_basename(const std::string& search_fp) {
+  return strformat("shard-%s.jsonl", hex_digest(fnv1a64(search_fp)).c_str());
 }
 
-std::string head_record(const std::string& search_fp, bool cache) {
-  return strformat("{\"type\":\"shard-head\",\"kind\":\"%s\",\"search_fp\":\"%s\"}",
-                   cache ? "cache" : "journal",
-                   json_escape(search_fp).c_str());
+std::string head_record(const std::string& search_fp) {
+  return strformat(
+      "{\"type\":\"shard-head\",\"kind\":\"journal\",\"search_fp\":\"%s\"}",
+      json_escape(search_fp).c_str());
 }
 
 #if FPMIX_STORE_POSIX
@@ -88,10 +86,6 @@ void ShardStore::close_all() {
     if (fs.f != nullptr) std::fclose(fs.f);
     fs.f = nullptr;
   }
-  for (auto& [fp, fs] : cache_files_) {
-    if (fs.f != nullptr) std::fclose(fs.f);
-    fs.f = nullptr;
-  }
 }
 
 void ShardStore::degrade(const std::string& reason) {
@@ -108,8 +102,7 @@ void ShardStore::degrade(const std::string& reason) {
 }
 
 void ShardStore::load(
-    std::map<std::string, std::map<std::uint64_t, std::string>>* journal,
-    std::map<std::string, std::vector<PersistedVerdict>>* verdicts) {
+    std::map<std::string, std::map<std::uint64_t, std::string>>* journal) {
   if (!enabled()) return;
 #if FPMIX_STORE_POSIX
   DIR* d = ::opendir(opts_.dir.c_str());
@@ -125,10 +118,8 @@ void ShardStore::load(
   std::sort(names.begin(), names.end());
 
   for (const std::string& name : names) {
-    const bool is_journal = name.rfind("shard-", 0) == 0;
-    const bool is_cache = name.rfind("cache-", 0) == 0;
-    if ((!is_journal && !is_cache) ||
-        name.size() < 7 || name.substr(name.size() - 6) != ".jsonl") {
+    if (name.rfind("shard-", 0) != 0 || name.size() < 7 ||
+        name.substr(name.size() - 6) != ".jsonl") {
       continue;
     }
     const std::string path = opts_.dir + "/" + name;
@@ -150,7 +141,7 @@ void ShardStore::load(
     if (lines.empty() || check_seal(lines[0]) != SealCheck::kOk ||
         !sealed_seq(lines[0], &head_seq) || head_seq != 0 ||
         !parse_flat_json(lines[0], &head) || head["type"] != "shard-head" ||
-        head["kind"] != (is_cache ? "cache" : "journal") ||
+        head["kind"] != "journal" ||
         head.find("search_fp") == head.end()) {
       stats_.records_discarded += lines.size();
       std::remove(path.c_str());
@@ -160,89 +151,49 @@ void ShardStore::load(
     }
     const std::string fp = head["search_fp"];
 
-    if (is_journal) {
-      auto& by_seq = (*journal)[fp];
-      std::uint64_t discarded = 0;
-      for (std::size_t i = 1; i < lines.size(); ++i) {
-        std::uint64_t seq = 0;
-        if (check_seal(lines[i]) != SealCheck::kOk ||
-            !sealed_seq(lines[i], &seq) || seq == 0 ||
-            !by_seq.emplace(seq, lines[i]).second) {
-          ++discarded;
-          continue;
-        }
-        ++stats_.records_reloaded;
+    auto& by_seq = (*journal)[fp];
+    std::uint64_t discarded = 0;
+    for (std::size_t i = 1; i < lines.size(); ++i) {
+      std::uint64_t seq = 0;
+      if (check_seal(lines[i]) != SealCheck::kOk ||
+          !sealed_seq(lines[i], &seq) || seq == 0 ||
+          !by_seq.emplace(seq, lines[i]).second) {
+        ++discarded;
+        continue;
       }
-      stats_.records_discarded += discarded;
-      FileState fs;
-      fs.path = path;
-      fs.chaos_key = name;
-      journal_files_.emplace(fp, std::move(fs));
-      ++stats_.shards_reloaded;
-      // Damage is paid once: rewrite the file down to the intact records so
-      // the next reload (and every fetch of the file) starts clean.
-      if (discarded > 0) compact(fp, by_seq);
-      if (opts_.verbose) {
-        log::infof("runner_serve: reloaded journal shard %s (%zu records, "
-                   "%llu discarded)",
-                   fp.c_str(), by_seq.size(),
-                   static_cast<unsigned long long>(discarded));
-      }
-    } else {
-      auto& out = (*verdicts)[fp];
-      std::uint64_t max_seq = 0;
-      std::uint64_t discarded = 0;
-      for (std::size_t i = 1; i < lines.size(); ++i) {
-        std::uint64_t seq = 0;
-        JsonRecord rec;
-        if (check_seal(lines[i]) != SealCheck::kOk ||
-            !sealed_seq(lines[i], &seq) || !parse_flat_json(lines[i], &rec) ||
-            rec["type"] != "verdict" || rec.find("key") == rec.end()) {
-          ++discarded;
-          continue;
-        }
-        PersistedVerdict v;
-        v.key = rec["key"];
-        v.passed = rec["passed"] == "true";
-        v.failure_class = static_cast<std::uint8_t>(
-            std::strtoul(rec["fc"].c_str(), nullptr, 10));
-        v.failure = rec["failure"];
-        out.push_back(std::move(v));
-        if (seq > max_seq) max_seq = seq;
-        ++stats_.records_reloaded;
-      }
-      stats_.records_discarded += discarded;
-      FileState fs;
-      fs.path = path;
-      fs.chaos_key = name;
-      fs.next_seq = max_seq + 1;
-      cache_files_.emplace(fp, std::move(fs));
-      ++stats_.shards_reloaded;
-      if (opts_.verbose) {
-        log::infof("runner_serve: reloaded verdict cache %s (%zu entries, "
-                   "%llu discarded)",
-                   fp.c_str(), out.size(),
-                   static_cast<unsigned long long>(discarded));
-      }
+      ++stats_.records_reloaded;
+    }
+    stats_.records_discarded += discarded;
+    FileState fs;
+    fs.path = path;
+    fs.chaos_key = name;
+    journal_files_.emplace(fp, std::move(fs));
+    ++stats_.shards_reloaded;
+    // Damage is paid once: rewrite the file down to the intact records so
+    // the next reload (and every fetch of the file) starts clean.
+    if (discarded > 0) compact(fp, by_seq);
+    if (opts_.verbose) {
+      log::infof("runner_serve: reloaded journal shard %s (%zu records, "
+                 "%llu discarded)",
+                 fp.c_str(), by_seq.size(),
+                 static_cast<unsigned long long>(discarded));
     }
   }
 #else
   (void)journal;
-  (void)verdicts;
 #endif
 }
 
-ShardStore::FileState* ShardStore::file_for(const std::string& search_fp,
-                                            bool cache) {
-  auto& files = cache ? cache_files_ : journal_files_;
-  auto it = files.find(search_fp);
-  if (it != files.end()) return &it->second;
+ShardStore::FileState* ShardStore::file_for(const std::string& search_fp) {
+  auto it = journal_files_.find(search_fp);
+  if (it != journal_files_.end()) return &it->second;
   FileState fs;
-  fs.chaos_key = shard_basename(search_fp, cache);
+  fs.chaos_key = shard_basename(search_fp);
   fs.path = opts_.dir + "/" + fs.chaos_key;
-  FileState* out = &files.emplace(search_fp, std::move(fs)).first->second;
+  FileState* out =
+      &journal_files_.emplace(search_fp, std::move(fs)).first->second;
   // New shard: the sealed header must precede any record.
-  append_line(out, seal_record(head_record(search_fp, cache), 0));
+  append_line(out, seal_record(head_record(search_fp), 0));
   return out;
 }
 
@@ -301,20 +252,7 @@ void ShardStore::append_line(FileState* fs, const std::string& line) {
 void ShardStore::append_journal(const std::string& search_fp,
                                 const std::string& line) {
   if (!enabled()) return;
-  append_line(file_for(search_fp, /*cache=*/false), line);
-}
-
-void ShardStore::append_verdict(const std::string& search_fp,
-                                const PersistedVerdict& v) {
-  if (!enabled()) return;
-  FileState* fs = file_for(search_fp, /*cache=*/true);
-  const std::string rec = strformat(
-      "{\"type\":\"verdict\",\"key\":\"%s\",\"passed\":%s,\"fc\":%u,"
-      "\"failure\":\"%s\"}",
-      json_escape(v.key).c_str(), v.passed ? "true" : "false",
-      static_cast<unsigned>(v.failure_class),
-      json_escape(v.failure).c_str());
-  append_line(fs, seal_record(rec, fs->next_seq++));
+  append_line(file_for(search_fp), line);
 }
 
 void ShardStore::compact(const std::string& search_fp,
@@ -326,7 +264,7 @@ void ShardStore::compact(const std::string& search_fp,
     std::fclose(fs.f);
     fs.f = nullptr;
   }
-  std::string contents = seal_record(head_record(search_fp, false), 0);
+  std::string contents = seal_record(head_record(search_fp), 0);
   contents += '\n';
   for (const auto& [seq, line] : by_seq) {
     contents += line;

@@ -1,10 +1,10 @@
 // ShardStore: the daemon's durable state layer.
 //
-// RunnerServer's replicated journal shards and verdict shard caches are the
-// fleet's memory -- `--adopt` failover and restart-free cache hits both
-// depend on them -- but in RAM they die with the daemon. This module backs
-// each per-search_fp shard with an append-only file under a state
-// directory, reusing the sealed v2 record format and torn-tail healing from
+// RunnerServer's replicated journal shards are the fleet's memory --
+// `--adopt` failover and `--shard-cache` hits (served from the shard's trial
+// lines) both depend on them -- but in RAM they die with the daemon. This
+// module backs each per-search_fp shard with an append-only file under a
+// state directory, reusing the sealed v2 record format and torn-tail healing from
 // support/journal so the files are crash-safe by the same argument as the
 // local journal: an interrupted append loses at most the line being
 // written, and CRC seals let the reload skip exactly the damaged records.
@@ -14,8 +14,9 @@
 // sealed header line, seq 0, so reload never trusts the filename):
 //
 //   shard-<hex16>.jsonl   header + streamed journal lines, verbatim
-//   cache-<hex16>.jsonl   header + one sealed {"type":"verdict",...} line
-//                         per cached trial verdict
+//
+// Any other file (a `cache-<hex16>.jsonl` verdict file from a protocol-v8
+// daemon, say) is ignored.
 //
 // Appends are buffered-write + flush (+ optional fsync); compaction -- after
 // reload-time damage or enough in-memory evictions -- rewrites a shard file
@@ -36,20 +37,10 @@
 #include <cstdio>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "support/fault.hpp"
 
 namespace fpmix::net {
-
-/// One persisted trial verdict: the same slice of an EvalResult the
-/// in-memory verdict shard cache retains.
-struct PersistedVerdict {
-  std::string key;
-  bool passed = false;
-  std::uint8_t failure_class = 0;
-  std::string failure;
-};
 
 struct ShardStoreOptions {
   /// State directory (created if absent). Empty disables persistence.
@@ -83,19 +74,13 @@ class ShardStore {
   /// degraded the store to memory-only operation.
   bool enabled() const { return !opts_.dir.empty() && !stats_.degraded; }
 
-  /// Restores every persisted shard: journal lines into *journal (keyed by
-  /// search_fp, then sealed seq) and verdict-cache entries into *verdicts
-  /// (keyed by search_fp, file order = insertion order, so first-insert-wins
-  /// replay is exact). Damaged lines are skipped and counted; a journal
+  /// Restores every persisted shard's journal lines into *journal (keyed by
+  /// search_fp, then sealed seq). Damaged lines are skipped and counted; a
   /// file that lost lines is compacted in place so the damage is paid once.
-  void load(std::map<std::string, std::map<std::uint64_t, std::string>>* journal,
-            std::map<std::string, std::vector<PersistedVerdict>>* verdicts);
+  void load(std::map<std::string, std::map<std::uint64_t, std::string>>* journal);
 
   /// Appends one already-sealed streamed journal line to fp's shard file.
   void append_journal(const std::string& search_fp, const std::string& line);
-
-  /// Appends one trial verdict to fp's cache file (sealed here).
-  void append_verdict(const std::string& search_fp, const PersistedVerdict& v);
 
   /// Records that `evicted` in-memory records were shed from fp's shard
   /// (max_shard_records) and compacts the file down to `by_seq` once enough
@@ -114,12 +99,11 @@ class ShardStore {
     std::string path;
     std::string chaos_key;  // stable basename, keys the DiskChaos stream
     std::FILE* f = nullptr;
-    std::uint64_t ops = 0;       // per-file disk-fault op index (reload = 0)
-    std::uint64_t next_seq = 1;  // seal counter for cache records
-    std::uint64_t stale = 0;     // evicted records still on disk
+    std::uint64_t ops = 0;    // per-file disk-fault op index (reload = 0)
+    std::uint64_t stale = 0;  // evicted records still on disk
   };
 
-  FileState* file_for(const std::string& search_fp, bool cache);
+  FileState* file_for(const std::string& search_fp);
   void append_line(FileState* fs, const std::string& line);
   void compact(const std::string& search_fp,
                const std::map<std::uint64_t, std::string>& by_seq);
@@ -129,7 +113,6 @@ class ShardStore {
   ShardStoreOptions opts_;
   ShardStoreStats stats_;
   std::map<std::string, FileState> journal_files_;  // by search_fp
-  std::map<std::string, FileState> cache_files_;    // by search_fp
   bool warned_ = false;
 };
 

@@ -531,21 +531,6 @@ std::size_t Scheduler::gossip_now(int timeout_ms) {
   return total;
 }
 
-void Scheduler::broadcast_insert(const std::string& key, bool passed,
-                                 std::uint8_t failure_class,
-                                 const std::string& failure) {
-  if (opts_.hello.shard_cache == 0) return;
-  net::CacheInsertMsg m;
-  m.key = key;
-  m.passed = passed ? 1 : 0;
-  m.failure_class = failure_class;
-  m.failure = failure;
-  for (Shard& s : shards_) {
-    if (s.client == nullptr) continue;
-    if (!s.client->insert(m)) shard_down(&s);
-  }
-}
-
 void Scheduler::stream_journal(const std::string& line) {
   // Retain every committed line locally: this set is what gossip digests
   // are compared against, and what heals a diverged endpoint.

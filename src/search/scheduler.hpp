@@ -91,13 +91,6 @@ class Scheduler {
   std::vector<runner::TrialOutcome> run_batch(
       const std::vector<runner::TrialJob>& jobs);
 
-  /// Ships a verdict this client obtained elsewhere (local fallback,
-  /// journal replay) to every live shard's cache. No-op unless the session
-  /// was opened with shard_cache.
-  void broadcast_insert(const std::string& key, bool passed,
-                        std::uint8_t failure_class,
-                        const std::string& failure);
-
   /// Replicates one CRC-sealed journal line to every live shard, as the
   /// local journal commits it. Advisory: a send failure downs that shard
   /// (the line survives on the others and in the local file).

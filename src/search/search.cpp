@@ -942,8 +942,13 @@ class Searcher {
     for (const auto& [seq, line] : by_seq) stream_line(line);
   }
 
-  void setup_journal() {
-    if (options_.journal_path.empty()) return;
+  /// Records are sealed when a local journal is open or a fleet is
+  /// connected: with no file, the fleet still needs the lines, because its
+  /// journal shards answer --shard-cache repeats.
+  bool journaling() const { return journal_.is_open() || sched_ != nullptr; }
+
+  /// Replays the local journal when resuming, then opens it for append.
+  void open_journal() {
     if (options_.resume || adopted_) {
       JournalReplayStats stats;
       const std::size_t n =
@@ -963,12 +968,16 @@ class Searcher {
     // When trials run in crash-prone sandboxed workers, every committed
     // record must survive a driver loss too: fsync each sealed line.
     journal_.set_fsync(options_.isolate_trials);
+  }
+
+  void setup_journal() {
+    if (!options_.journal_path.empty()) open_journal();
     if (adopted_) {
       // The adopted history already leads with this search's meta record;
       // appending another would restart sequence numbering and break the
       // byte-identity of failover resumes. Continue the adopted stream.
       journal_.set_next_seq(adopted_next_seq_);
-    } else {
+    } else if (journaling()) {
       stream_line(journal_.append_sealed(encode_meta_line(search_fp_)));
     }
   }
@@ -1161,23 +1170,15 @@ class Searcher {
       CachedTrial entry{t->result.passed, t->result.failure_class,
                         t->result.failure, times ? t->eval_ns : 0,
                         times && any_image_hit};
-      if (journal_.is_open()) {
+      if (journaling()) {
         // Commit locally, then replicate the exact sealed bytes to every
         // live shard: any N-1 subset of the fleet can reconstruct the
-        // journal a dead scheduler leaves behind (--adopt).
+        // journal a dead scheduler leaves behind (--adopt), and the line
+        // is the verdict that shard-cache sessions are answered from.
         stream_line(journal_.append_sealed(
             encode_trial_line(t->key, name, candidates, entry)));
       }
       cache_.insert(t->key, std::move(entry));
-    }
-    if (sched_ != nullptr && !t->derived) {
-      // Make the verdict fleet knowledge (no-op unless shard_cache): the
-      // endpoint that served it already cached it; the others -- and
-      // verdicts from local fallback or journal replay -- learn it here.
-      sched_->broadcast_insert(
-          t->key, t->result.passed,
-          static_cast<std::uint8_t>(t->result.failure_class),
-          t->result.failure);
     }
     if (options_.keep_log) {
       TestRecord rec;

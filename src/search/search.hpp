@@ -151,8 +151,10 @@ struct SearchOptions {
   /// endpoints).
   std::string remote_bench;
   char remote_class = 'W';
-  /// Consult and fill the fleet-wide shard trial cache, so N schedulers
-  /// sharing a fleet evaluate every configuration at most once.
+  /// Have endpoints answer a trial that some search with this search
+  /// fingerprint already committed (and streamed to their journal shards)
+  /// without evaluating it, so schedulers sharing a fleet do not evaluate
+  /// a committed configuration twice.
   bool shard_cache = false;
   std::uint64_t connect_timeout_ms = 2000;
   /// Consecutive failures before an endpoint is abandoned for the run.
@@ -350,7 +352,7 @@ struct SearchMetrics {
   // ---- Distributed execution ----------------------------------------------
   /// Trial results served by remote endpoints (shard-cache hits included).
   std::size_t remote_trials = 0;
-  /// Trials answered from the fleet-wide shard cache without evaluation.
+  /// Trials answered from an endpoint's journal shard without evaluation.
   std::size_t shard_cache_hits = 0;
   /// In-flight trials rerouted off a dying endpoint onto another shard.
   std::size_t endpoint_failovers = 0;

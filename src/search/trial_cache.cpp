@@ -34,20 +34,6 @@ std::string encode_meta_line(const std::string& search_fp) {
                    json_escape(search_fp).c_str());
 }
 
-std::string encode_trial_line(const std::string& key, const std::string& unit,
-                              std::size_t candidates, const CachedTrial& t) {
-  return strformat(
-      "{\"type\":\"trial\",\"key\":\"%s\",\"unit\":\"%s\",\"cand\":%zu,"
-      "\"passed\":%s,\"class\":\"%s\",\"failure\":\"%s\",\"eval_ns\":%llu,"
-      "\"img_hit\":%s}",
-      json_escape(key).c_str(), json_escape(unit).c_str(), candidates,
-      t.passed ? "true" : "false",
-      verify::failure_class_name(t.failure_class),
-      json_escape(t.failure).c_str(),
-      static_cast<unsigned long long>(t.eval_ns),
-      t.image_cache_hit ? "true" : "false");
-}
-
 std::size_t load_journal(const std::string& path,
                          const std::string& search_fp, TrialCache* cache,
                          JournalReplayStats* stats) {
@@ -105,35 +91,13 @@ std::size_t load_journal(const std::string& path,
       ++s.foreign;  // recorded under a different search identity
       continue;
     }
-    const auto key = rec.find("key");
-    const auto passed = rec.find("passed");
-    if (key == rec.end() || passed == rec.end() ||
-        (passed->second != "true" && passed->second != "false")) {
+    std::string key;
+    CachedTrial t;
+    if (!verify::decode_trial_line(rec, &key, &t)) {
       ++s.malformed;
       continue;
     }
-    CachedTrial t;
-    t.passed = passed->second == "true";
-    if (const auto f = rec.find("failure"); f != rec.end()) {
-      t.failure = f->second;
-    }
-    if (const auto c = rec.find("class");
-        c == rec.end() ||
-        !verify::parse_failure_class(c->second, &t.failure_class)) {
-      // Version-1 records predate the class field: classify from the
-      // failure message.
-      t.failure_class = t.passed ? verify::FailureClass::kNone
-                                 : verify::classify_failure_message(t.failure);
-    }
-    if (const auto ns = rec.find("eval_ns"); ns != rec.end()) {
-      parse_u64(ns->second, &t.eval_ns);
-    }
-    // Absent in version-1/2 records written before the incremental pipeline.
-    // Older records also carry a "saved_ns" estimate, which replay ignores.
-    if (const auto ih = rec.find("img_hit"); ih != rec.end()) {
-      t.image_cache_hit = ih->second == "true";
-    }
-    cache->insert(key->second, std::move(t));
+    cache->insert(key, std::move(t));
     ++s.loaded;
   }
   const std::size_t damaged = s.malformed + s.crc_mismatch + s.duplicate_seq;

@@ -35,20 +35,11 @@
 
 namespace fpmix::search {
 
-/// Outcome of one evaluated configuration, as persisted in the journal.
-/// Pass/fail, the failure class and the failure reason are everything the
-/// search's decision procedure consumes, so they are everything the cache
-/// has to keep.
-struct CachedTrial {
-  bool passed = false;
-  verify::FailureClass failure_class = verify::FailureClass::kNone;
-  std::string failure;
-  std::uint64_t eval_ns = 0;  // live evaluation cost when first computed
-  /// Whether any attempt was served whole from the image cache when first
-  /// computed. Informational (journal analysis); the search's decision
-  /// procedure never reads it.
-  bool image_cache_hit = false;
-};
+/// The verdict a trial line records (verify/evaluate.hpp: the trial-line
+/// codec lives in fpmix_verify so a runner_serve daemon decodes streamed
+/// lines with it too).
+using verify::CachedTrial;
+using verify::encode_trial_line;
 
 /// In-memory index of completed trials, keyed on the config digest.
 class TrialCache {
@@ -80,10 +71,6 @@ std::string search_fingerprint(const std::string& verifier_fingerprint,
 
 /// Journal meta record announcing the search identity of subsequent trials.
 std::string encode_meta_line(const std::string& search_fp);
-
-/// Journal trial record.
-std::string encode_trial_line(const std::string& key, const std::string& unit,
-                              std::size_t candidates, const CachedTrial& t);
 
 /// What journal replay saw, for logging and the recovery tests.
 struct JournalReplayStats {

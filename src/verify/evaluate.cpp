@@ -64,6 +64,52 @@ FailureClass classify_failure_message(std::string_view message) {
   return FailureClass::kTrap;
 }
 
+std::string encode_trial_line(const std::string& key, const std::string& unit,
+                              std::size_t candidates, const CachedTrial& t) {
+  return strformat(
+      "{\"type\":\"trial\",\"key\":\"%s\",\"unit\":\"%s\",\"cand\":%zu,"
+      "\"passed\":%s,\"class\":\"%s\",\"failure\":\"%s\",\"eval_ns\":%llu,"
+      "\"img_hit\":%s}",
+      json_escape(key).c_str(), json_escape(unit).c_str(), candidates,
+      t.passed ? "true" : "false", failure_class_name(t.failure_class),
+      json_escape(t.failure).c_str(),
+      static_cast<unsigned long long>(t.eval_ns),
+      t.image_cache_hit ? "true" : "false");
+}
+
+bool decode_trial_line(const JsonRecord& rec, std::string* key,
+                       CachedTrial* out) {
+  const auto type = rec.find("type");
+  const auto k = rec.find("key");
+  const auto passed = rec.find("passed");
+  if (type == rec.end() || type->second != "trial" || k == rec.end() ||
+      passed == rec.end() ||
+      (passed->second != "true" && passed->second != "false")) {
+    return false;
+  }
+  CachedTrial t;
+  t.passed = passed->second == "true";
+  if (const auto f = rec.find("failure"); f != rec.end()) t.failure = f->second;
+  if (const auto c = rec.find("class");
+      c == rec.end() || !parse_failure_class(c->second, &t.failure_class)) {
+    // Version-1 records predate the class field: classify from the failure
+    // message.
+    t.failure_class = t.passed ? FailureClass::kNone
+                               : classify_failure_message(t.failure);
+  }
+  if (const auto ns = rec.find("eval_ns"); ns != rec.end()) {
+    parse_u64(ns->second, &t.eval_ns);
+  }
+  // Absent in version-1/2 records written before the incremental pipeline.
+  // Older records also carry a "saved_ns" estimate, which is ignored.
+  if (const auto ih = rec.find("img_hit"); ih != rec.end()) {
+    t.image_cache_hit = ih->second == "true";
+  }
+  *key = k->second;
+  *out = std::move(t);
+  return true;
+}
+
 namespace {
 
 FailureClass classify_run(const vm::RunResult& run) {

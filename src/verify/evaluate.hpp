@@ -2,13 +2,16 @@
 // automatic search and the "Configuration Evaluation" box of Figure 2.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <string_view>
 
 #include "config/config.hpp"
 #include "instrument/patch.hpp"
 #include "program/image.hpp"
 #include "support/fault.hpp"
+#include "support/journal.hpp"
 #include "verify/verifier.hpp"
 #include "vm/machine.hpp"
 
@@ -67,6 +70,34 @@ bool parse_failure_class(std::string_view name, FailureClass* out);
 /// Heuristic classification of a legacy journal record's failure message
 /// (records written before the class field existed).
 FailureClass classify_failure_message(std::string_view message);
+
+/// Outcome of one evaluated configuration, as a journal trial line records
+/// it. Pass/fail, the failure class and the failure reason are everything
+/// the search's decision procedure consumes; the search's trial cache and a
+/// runner_serve daemon's shard-cache index both keep exactly this.
+struct CachedTrial {
+  bool passed = false;
+  FailureClass failure_class = FailureClass::kNone;
+  std::string failure;
+  std::uint64_t eval_ns = 0;  // live evaluation cost when first computed
+  /// Whether any attempt was served whole from the image cache when first
+  /// computed. Informational (journal analysis); the search's decision
+  /// procedure never reads it.
+  bool image_cache_hit = false;
+};
+
+/// Journal trial record (the one trial-line format; see
+/// search/trial_cache.hpp for the journal around it).
+std::string encode_trial_line(const std::string& key, const std::string& unit,
+                              std::size_t candidates, const CachedTrial& t);
+
+/// Decodes a parsed journal record written by encode_trial_line, or by any
+/// earlier version of it: a missing class is classified from the failure
+/// message (version 1), a missing eval_ns or img_hit reads as 0/false.
+/// False when the record is not a trial or lacks a key or a boolean
+/// passed field. Seal and sequence checks are the caller's.
+bool decode_trial_line(const JsonRecord& rec, std::string* key,
+                       CachedTrial* out);
 
 /// What one evaluation attempt cost: the record TrialBuilder fills,
 /// EvalResult carries (and runner::encode_result ships back from a worker),

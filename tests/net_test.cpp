@@ -22,8 +22,10 @@
 //     duplicate results are discarded never double-voted, and a scheduler
 //     SIGKILLed mid-search is adopted (--adopt) byte-identically under
 //     clean, endpoint-death, and seeded network-chaos campaigns;
-//  7. durability -- a daemon's journal shards and verdict caches persist
-//     under --state-dir and survive SIGKILL + restart (torn tails and
+//  7. durability -- a daemon's journal shards (and the shard-cache
+//     verdicts their trial lines give) persist under --state-dir, a
+//     protocol-v8 verdict file beside them is ignored, and they survive
+//     SIGKILL + restart (torn tails and
 //     corrupt records healed at reload), anti-entropy gossip re-streams
 //     whatever a shard digest shows missing, an unwritable state dir
 //     degrades to in-memory with the degradation announced in the hello
@@ -147,7 +149,7 @@ TEST(NetProtocol, HelloRoundTripPreservesFaultCampaign) {
   EXPECT_FALSE(net::decode_trial(payload, &t));
 }
 
-TEST(NetProtocol, AckTrialResultCacheInsertErrorRoundTrip) {
+TEST(NetProtocol, AckTrialResultErrorRoundTrip) {
   net::HelloAckMsg ack;
   ack.ok = 1;
   ack.verifier_fp = "relerr:1e-12:9";
@@ -198,19 +200,6 @@ TEST(NetProtocol, AckTrialResultCacheInsertErrorRoundTrip) {
   EXPECT_EQ(wr_back.failure_class, wr.failure_class);
   EXPECT_EQ(wr_back.failure, wr.failure);
   EXPECT_EQ(wr_back.instructions_retired, wr.instructions_retired);
-
-  net::CacheInsertMsg ins;
-  ins.key = "cfg-digest-def";
-  ins.passed = 0;
-  ins.failure_class = static_cast<std::uint8_t>(verify::FailureClass::kTrap);
-  ins.failure = "trapped at 0x40";
-  net::CacheInsertMsg ins_back;
-  ASSERT_TRUE(
-      net::decode_cache_insert(net::encode_cache_insert(ins), &ins_back));
-  EXPECT_EQ(ins_back.key, ins.key);
-  EXPECT_EQ(ins_back.passed, 0);
-  EXPECT_EQ(ins_back.failure_class, ins.failure_class);
-  EXPECT_EQ(ins_back.failure, ins.failure);
 
   std::string text;
   ASSERT_TRUE(
@@ -989,6 +978,124 @@ TEST(DistributedClient, SessionCapRejectsAndIdleReapingKeepsTheShard) {
   EXPECT_EQ(c2->shard_records(), 1u);
 }
 
+/// A hand-made journal trial line recording a failure that the all-double
+/// config (which passes) would never produce, so a result carrying it can
+/// only have come from the shard-cache index.
+std::string planted_trial(const std::string& key, verify::FailureClass fc,
+                          const std::string& failure) {
+  return verify::encode_trial_line(
+      key, "planted", 1, verify::CachedTrial{false, fc, failure, 0, false});
+}
+
+/// Submits the all-double config under `key` and waits (bounded) for its
+/// result. False when the session dies or no result arrives.
+bool await_trial(net::EndpointClient* c, std::uint64_t ticket,
+                 const std::string& key, net::ResultMsg* msg,
+                 verify::EvalResult* result) {
+  net::TrialMsg m;
+  m.ticket = ticket;
+  m.key = key;
+  m.config_key = config::PrecisionConfig{}.canonical_key();
+  if (!c->submit(m)) return false;
+  for (int i = 0; i < 3000; ++i) {
+    std::vector<net::ResultMsg> got;
+    const bool alive = c->drain(&got);
+    for (net::ResultMsg& r : got) {
+      if (r.ticket != ticket) continue;
+      *msg = std::move(r);
+      return runner::decode_result(msg->wire_result, result);
+    }
+    if (!alive) return false;
+    pollfd pfd{c->fd(), POLLIN, 0};
+    ::poll(&pfd, 1, 10);
+  }
+  return false;
+}
+
+TEST(DistributedClient, ShardCacheAnswersFromStreamedTrialLinesOnly) {
+  SKIP_WITHOUT_NET();
+  ServerProc sp = spawn_server(1);
+  ASSERT_GT(sp.pid, 0);
+
+  net::HelloMsg h = make_hello();
+  h.search_fp = "fp:index";
+  h.shard_cache = 1;
+  std::string error;
+  auto c1 = net::EndpointClient::connect(sp.ep, h, 2000, 60000, &error);
+  ASSERT_NE(c1, nullptr) << error;
+
+  using verify::FailureClass;
+  const std::string meta = seal_record(
+      "{\"type\":\"meta\",\"version\":2,\"search_fp\":\"fp:index\"}", 1);
+  std::string damaged =
+      seal_record(planted_trial("k-damaged", FailureClass::kTrap, "x"), 4);
+  damaged[damaged.find("k-damaged")] ^= 0x01;
+  ASSERT_EQ(check_seal(damaged), SealCheck::kCorrupt);
+  ASSERT_TRUE(c1->journal_append({meta}));
+  ASSERT_TRUE(c1->journal_append({seal_record(
+      planted_trial("k-hit", FailureClass::kTrap, "planted trap"), 2)}));
+  ASSERT_TRUE(c1->journal_append(
+      {planted_trial("k-unsealed", FailureClass::kTrap, "unsealed")}));
+  ASSERT_TRUE(c1->journal_append({damaged}));
+  // Seq 2 is taken, so the shard drops this line; the index still learns
+  // it (a second session under one search_fp restarts at seq 1).
+  ASSERT_TRUE(c1->journal_append({seal_record(
+      planted_trial("k-collide", FailureClass::kDivergence,
+                    "planted divergence"),
+      2)}));
+  // A later line for a key already indexed: the first verdict stays.
+  ASSERT_TRUE(c1->journal_append({seal_record(
+      planted_trial("k-hit", FailureClass::kBudget, "second verdict"), 3)}));
+
+  // Lines under another search_fp never answer this one's trials. The
+  // fetch round-trip makes sure the daemon has indexed them first.
+  net::HelloMsg other = h;
+  other.search_fp = "fp:index-other";
+  auto c2 = net::EndpointClient::connect(sp.ep, other, 2000, 60000, &error);
+  ASSERT_NE(c2, nullptr) << error;
+  ASSERT_TRUE(c2->journal_append({seal_record(
+      planted_trial("k-other", FailureClass::kTrap, "other fp"), 2)}));
+  std::vector<std::string> lines;
+  ASSERT_TRUE(c2->fetch_journal(&lines, 10000, &error)) << error;
+
+  struct Want {
+    const char* key;
+    bool hit;
+    FailureClass fc;
+    const char* failure;
+  };
+  const Want wants[] = {
+      {"k-hit", true, FailureClass::kTrap, "planted trap"},
+      {"k-collide", true, FailureClass::kDivergence, "planted divergence"},
+      {"k-unsealed", false, FailureClass::kNone, ""},
+      {"k-damaged", false, FailureClass::kNone, ""},
+      {"k-other", false, FailureClass::kNone, ""},
+  };
+  std::uint64_t ticket = 1;
+  for (const Want& w : wants) {
+    net::ResultMsg msg;
+    verify::EvalResult er;
+    ASSERT_TRUE(await_trial(c1.get(), ticket++, w.key, &msg, &er)) << w.key;
+    EXPECT_EQ(msg.flags, w.hit ? net::kResultCacheHit : 0) << w.key;
+    // A miss is evaluated by the pool: the all-double config passes.
+    EXPECT_EQ(er.passed, !w.hit) << w.key;
+    EXPECT_EQ(er.failure_class, w.fc) << w.key;
+    EXPECT_EQ(er.failure, w.failure) << w.key;
+  }
+
+  // A session without shard_cache is always evaluated, even for a key its
+  // search_fp's shard has a verdict for.
+  net::HelloMsg plain = h;
+  plain.shard_cache = 0;
+  auto c3 = net::EndpointClient::connect(sp.ep, plain, 2000, 60000, &error);
+  ASSERT_NE(c3, nullptr) << error;
+  net::ResultMsg msg;
+  verify::EvalResult er;
+  ASSERT_TRUE(await_trial(c3.get(), 1, "k-hit", &msg, &er));
+  EXPECT_EQ(msg.flags, 0);
+  EXPECT_TRUE(er.passed);
+}
+
 // ---------------------------------------------------------------------------
 // The scheduler: remote batches, endpoint death, failover.
 
@@ -1064,7 +1171,29 @@ TEST(DistributedScheduler, EndpointDeathMidTrialQuarantinesAsCrash) {
         runner::TrialJob{"death-" + std::to_string(i), &all_double});
   }
   const std::vector<runner::TrialOutcome> outs = sched.run_batch(jobs);
-  ASSERT_EQ(outs.size(), jobs.size());
+  const std::vector<search::EndpointMetrics> em = sched.endpoint_metrics();
+  // Every outcome and the endpoint's counters, streamed into each
+  // assertion below so that a failure names its cause.
+  std::ostringstream why;
+  for (std::size_t i = 0; i < outs.size(); ++i) {
+    const runner::TrialOutcome& o = outs[i];
+    why << "\n  outcome " << i << ": served=" << o.served
+        << " quarantined=" << o.quarantined << " passed=" << o.result.passed
+        << " class=" << verify::failure_class_name(o.result.failure_class)
+        << " deaths=" << o.worker_deaths << " failure=\"" << o.result.failure
+        << "\"";
+  }
+  for (const search::EndpointMetrics& e : em) {
+    why << "\n  endpoint " << e.address << ": trials=" << e.trials
+        << " failovers=" << e.failovers << " reconnects=" << e.reconnects
+        << " disconnects=" << e.disconnects << " lost=" << e.lost
+        << " lease_expiries=" << e.lease_expiries
+        << " late_results=" << e.late_results
+        << " redispatched=" << e.redispatched
+        << " breaker_trips=" << e.breaker_trips;
+  }
+  const std::string diag = why.str();
+  ASSERT_EQ(outs.size(), jobs.size()) << diag;
 
   std::size_t ok = 0, quarantined = 0;
   for (const runner::TrialOutcome& o : outs) {
@@ -1072,22 +1201,21 @@ TEST(DistributedScheduler, EndpointDeathMidTrialQuarantinesAsCrash) {
       ++ok;
     } else if (o.served && o.quarantined) {
       ++quarantined;
-      EXPECT_FALSE(o.result.passed);
-      EXPECT_EQ(o.result.failure_class, verify::FailureClass::kCrash);
+      EXPECT_FALSE(o.result.passed) << diag;
+      EXPECT_EQ(o.result.failure_class, verify::FailureClass::kCrash) << diag;
       EXPECT_NE(o.result.failure.find("endpoint failures"),
                 std::string::npos)
-          << o.result.failure;
-      EXPECT_GE(o.worker_deaths, 1u);
+          << o.result.failure << diag;
+      EXPECT_GE(o.worker_deaths, 1u) << diag;
     }
   }
-  EXPECT_GE(ok, 1u);           // the endpoint served before dying
-  EXPECT_GE(quarantined, 1u);  // and stranded the rest
-  EXPECT_EQ(ok + quarantined, jobs.size());
+  EXPECT_GE(ok, 1u) << diag;           // the endpoint served before dying
+  EXPECT_GE(quarantined, 1u) << diag;  // and stranded the rest
+  EXPECT_EQ(ok + quarantined, jobs.size()) << diag;
 
-  const std::vector<search::EndpointMetrics> em = sched.endpoint_metrics();
-  ASSERT_EQ(em.size(), 1u);
-  EXPECT_GE(em[0].disconnects, 1u);
-  EXPECT_TRUE(em[0].lost);
+  ASSERT_EQ(em.size(), 1u) << diag;
+  EXPECT_GE(em[0].disconnects, 1u) << diag;
+  EXPECT_TRUE(em[0].lost) << diag;
 }
 
 TEST(DistributedScheduler, EndpointDeathFailsOverToSurvivingShard) {
@@ -1446,6 +1574,39 @@ TEST(DistributedSearch, ShardCacheServesRepeatSearchWithoutReevaluation) {
       search::run_search(b.image, &b.index, *b.verifier, opts);
   EXPECT_GT(second.metrics.shard_cache_hits, 0u);
   EXPECT_EQ(second.configs_tested, first.configs_tested);
+  EXPECT_EQ(second.final_passed, first.final_passed);
+  EXPECT_EQ(config::to_text(b.index, second.final_config),
+            config::to_text(a.index, first.final_config));
+}
+
+TEST(DistributedSearch, ShardCacheNeverAnswersARevoteWithItsOwnAttempt) {
+  SKIP_WITHOUT_NET();
+  ServerProc sp = spawn_server(2);
+  ASSERT_GT(sp.pid, 0);
+
+  search::SearchOptions opts;
+  opts.endpoints = {sp.ep.str()};
+  opts.remote_bench = "iso";
+  opts.shard_cache = true;
+  opts.max_retries = 1;
+
+  // A fresh daemon knows no verdict of this search: every attempt of every
+  // trial is evaluated. A revote answered from the daemon's copy of the
+  // trial's own first attempt would count one evaluation twice.
+  NetWorkload a = make_workload();
+  const search::SearchResult first =
+      search::run_search(a.image, &a.index, *a.verifier, opts);
+  EXPECT_FALSE(first.metrics.remote_degraded);
+  EXPECT_GT(first.metrics.trials_live, 0u);
+  EXPECT_EQ(first.metrics.shard_cache_hits, 0u);
+  EXPECT_EQ(first.metrics.remote_trials, 2 * first.metrics.trials_live);
+
+  // The first search streamed its trial lines (it has no local journal):
+  // a repeat is answered from them and lands on the same config.
+  NetWorkload b = make_workload();
+  const search::SearchResult second =
+      search::run_search(b.image, &b.index, *b.verifier, opts);
+  EXPECT_GT(second.metrics.shard_cache_hits, 0u);
   EXPECT_EQ(second.final_passed, first.final_passed);
   EXPECT_EQ(config::to_text(b.index, second.final_config),
             config::to_text(a.index, first.final_config));
@@ -1873,6 +2034,69 @@ TEST(DistributedDurable, VerdictCacheSurvivesRestartAndServesCacheHits) {
             config::to_text(a.index, first.final_config));
   ASSERT_EQ(second.metrics.endpoints_used.size(), 1u);
   EXPECT_GE(second.metrics.endpoints_used[0].shards_reloaded, 1u);
+}
+
+TEST(DistributedDurable, ParentCacheFileIsIgnoredAndShardLinesServeHits) {
+  SKIP_WITHOUT_NET();
+  const std::string state = temp_state_dir("v8cache");
+  const std::string fp = "fp:v8-state";
+  SpawnOpts o;
+  o.workers = 1;
+  o.state_dir = state;
+  ServerProc sp = spawn_server_with(o);
+  ASSERT_GT(sp.pid, 0);
+
+  net::HelloMsg h = make_hello();
+  h.search_fp = fp;
+  h.shard_cache = 1;
+  std::string error;
+  auto c1 = net::EndpointClient::connect(sp.ep, h, 2000, 60000, &error);
+  ASSERT_NE(c1, nullptr) << error;
+  ASSERT_TRUE(c1->journal_append({seal_record(
+      "{\"type\":\"meta\",\"version\":2,\"search_fp\":\"" + fp + "\"}",
+      1)}));
+  ASSERT_TRUE(c1->journal_append({seal_record(
+      planted_trial("k-shard", verify::FailureClass::kTrap, "from shard"),
+      2)}));
+  std::vector<std::string> lines;
+  ASSERT_TRUE(c1->fetch_journal(&lines, 10000, &error)) << error;
+  ASSERT_EQ(lines.size(), 2u);
+  c1.reset();
+  sp.stop();
+
+  // The verdict file a protocol-v8 daemon kept beside each shard.
+  const std::string cache_path =
+      state + "/cache-" + hex_digest(fnv1a64(fp)) + ".jsonl";
+  {
+    std::ofstream f(cache_path, std::ios::binary);
+    f << seal_record("{\"type\":\"shard-head\",\"kind\":\"cache\","
+                     "\"search_fp\":\"" + fp + "\"}",
+                     0)
+      << "\n"
+      << seal_record("{\"type\":\"verdict\",\"key\":\"k-cache\","
+                     "\"passed\":false,\"fc\":1,\"failure\":\"from cache\"}",
+                     1)
+      << "\n";
+  }
+
+  ServerProc sp2 = spawn_server_with(o);
+  ASSERT_GT(sp2.pid, 0);
+  auto c2 = net::EndpointClient::connect(sp2.ep, h, 2000, 60000, &error);
+  ASSERT_NE(c2, nullptr) << error;
+  EXPECT_EQ(c2->shards_reloaded(), 1u);  // the shard file alone
+  EXPECT_EQ(c2->shard_records(), 2u);
+
+  // The reloaded shard's trial line answers; the cache file does not.
+  net::ResultMsg msg;
+  verify::EvalResult er;
+  ASSERT_TRUE(await_trial(c2.get(), 1, "k-shard", &msg, &er));
+  EXPECT_EQ(msg.flags, net::kResultCacheHit);
+  EXPECT_FALSE(er.passed);
+  EXPECT_EQ(er.failure_class, verify::FailureClass::kTrap);
+  EXPECT_EQ(er.failure, "from shard");
+  ASSERT_TRUE(await_trial(c2.get(), 2, "k-cache", &msg, &er));
+  EXPECT_EQ(msg.flags, 0);
+  EXPECT_TRUE(er.passed);
 }
 
 TEST(DistributedDurable, UnwritableStateDirDegradesToInMemory) {

@@ -13,6 +13,13 @@ same clean dist
 grep -q '"remote_degraded": false' dist-metrics.json
 nonzero remote_trials dist-metrics.json
 
+# A repeat of that search is answered from the trial lines the first one
+# streamed to the daemons' journal shards, and writes the same bytes.
+det repeat ep S --connect "$(fleet)" --shard-cache \
+  --metrics-json repeat-metrics.json
+same clean repeat
+nonzero shard_cache_hits repeat-metrics.json
+
 # A hard-fault campaign carried to the daemons in the hello: their pools
 # crash, respawn and retry workers, and the search still lands on the
 # clean config.
